@@ -116,12 +116,21 @@ class CollinearInput(SolverError):
     """All points collinear in the xy-plane; no triangulation exists."""
 
 
-class GridTooLarge(InputError):
-    """Requested raster exceeds the configured cell cap."""
+class GridTooLarge(InputError, ValueError):
+    """Requested raster exceeds the configured cell cap; also a ValueError,
+    like the grid's other validation failures."""
 
 
 class InvalidPolygon(InputError):
-    """Clip polygon ring is open or self-intersecting."""
+    """Clip polygon ring is open, self-intersecting or degenerate."""
+
+
+class OpenRing(InvalidPolygon):
+    """Polygon ring is not closed."""
+
+
+class SelfIntersection(InvalidPolygon):
+    """Polygon ring intersects itself."""
 
 
 # --- formats ----------------------------------------------------------------
@@ -156,11 +165,3 @@ class MalformedRow(InputError):
 
 class WktSyntaxError(InputError):
     """WKT polygon text cannot be parsed."""
-
-
-class OpenRing(InputError):
-    """Polygon ring is not closed."""
-
-
-class SelfIntersection(InputError):
-    """Polygon ring intersects itself."""

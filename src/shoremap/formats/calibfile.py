@@ -9,20 +9,12 @@ from __future__ import annotations
 
 from ..camera import CameraIntrinsics, StereoRig
 from ..errors import MalformedHeader
+from ._text import _decode
 
 _FLOAT_KEYS = ("fx", "fy", "cx", "cy", "k1", "k2", "k3", "p1", "p2", "baseline_m")
 _INT_KEYS = ("width", "height")
 ALL_KEYS = ("fx", "fy", "cx", "cy", "k1", "k2", "k3", "p1", "p2",
             "width", "height", "baseline_m")
-
-
-def _decode(text) -> str:
-    if isinstance(text, (bytes, bytearray, memoryview)):
-        try:
-            return bytes(text).decode("ascii")
-        except UnicodeDecodeError as exc:
-            raise MalformedHeader(f"not ASCII text: {exc}") from exc
-    return text
 
 
 def write_calibration(i: CameraIntrinsics, baseline_m: float) -> str:
@@ -40,7 +32,7 @@ def write_calibration(i: CameraIntrinsics, baseline_m: float) -> str:
 def read_calibration(text) -> StereoRig:
     """Parse a calibration file into a stereo rig (shared intrinsics plus
     baseline)."""
-    text = _decode(text)
+    text = _decode(text, MalformedHeader)
     seen: dict[str, float] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()

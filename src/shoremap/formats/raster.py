@@ -12,17 +12,9 @@ import numpy as np
 from ..errors import DimensionMismatch, MalformedHeader
 from ..geometry import GridGeometry
 from ..surface import NODATA, DsmGrid
+from ._text import _decode
 
 _HEADER_KEYS = ("ncols", "nrows", "xllcenter", "yllcenter", "cellsize", "nodata_value")
-
-
-def _decode(text) -> str:
-    if isinstance(text, (bytes, bytearray, memoryview)):
-        try:
-            return bytes(text).decode("ascii")
-        except UnicodeDecodeError as exc:
-            raise MalformedHeader(f"not ASCII text: {exc}") from exc
-    return text
 
 
 def write_asc(d: DsmGrid) -> str:
@@ -49,7 +41,7 @@ def write_asc(d: DsmGrid) -> str:
 
 def read_asc(text) -> DsmGrid:
     """Parse ESRI ASCII grid text into a DSM."""
-    text = _decode(text)
+    text = _decode(text, MalformedHeader)
     tokens_by_line = [ln.split() for ln in text.splitlines()]
     tokens_by_line = [t for t in tokens_by_line if t]
     if len(tokens_by_line) < 6:
@@ -122,7 +114,7 @@ def write_world_file(geom: GridGeometry) -> str:
 
 def read_world_file(text) -> tuple[float, float, float, float, float, float]:
     """Parse the six world-file lines; line 2 and 3 must be zero."""
-    text = _decode(text)
+    text = _decode(text, MalformedHeader)
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if len(lines) != 6:
         raise MalformedHeader(f"world file needs 6 lines, got {len(lines)}")

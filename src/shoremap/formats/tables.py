@@ -10,15 +10,7 @@ from ..errors import DuplicateId, MalformedHeader, MalformedRow
 from ..geometry import Point2, Point3
 from ..georectify import Gcp
 from ..registration import PointPairSet
-
-
-def _decode(text) -> str:
-    if isinstance(text, (bytes, bytearray, memoryview)):
-        try:
-            return bytes(text).decode("ascii")
-        except UnicodeDecodeError as exc:
-            raise MalformedHeader(f"not ASCII text: {exc}") from exc
-    return text
+from ._text import _decode
 
 
 def _data_lines(text: str) -> list[str]:
@@ -42,7 +34,7 @@ GCP_HEADER_FULL = GCP_HEADER_BASE + ["px", "py"]
 def parse_gcp_csv(text) -> list[Gcp]:
     """Parse GCPs. Header is `id,easting,northing,elevation` optionally
     followed by `,px,py`; image columns may be left empty per row."""
-    lines = _data_lines(_decode(text))
+    lines = _data_lines(_decode(text, MalformedHeader))
     if not lines:
         raise MalformedHeader("empty GCP file")
     header = [c.strip().lower() for c in lines[0].split(",")]
@@ -111,7 +103,7 @@ PAIR_HEADER = ["id", "sx", "sy", "sz", "tx", "ty", "tz"]
 
 def parse_pair_csv(text) -> PointPairSet:
     """Parse explicit source-to-target 3-d correspondences."""
-    lines = _data_lines(_decode(text))
+    lines = _data_lines(_decode(text, MalformedHeader))
     if not lines:
         raise MalformedHeader("empty pair file")
     header = [c.strip().lower() for c in lines[0].split(",")]
@@ -166,7 +158,7 @@ def parse_corner_csv(text) -> list[list[Point2]]:
     every view carries the same corner indices 0..N-1 exactly once.
     Returns one corner list per view, ordered by corner index.
     """
-    lines = _data_lines(_decode(text))
+    lines = _data_lines(_decode(text, MalformedHeader))
     if not lines:
         raise MalformedHeader("empty corner file")
     header = [c.strip().lower() for c in lines[0].split(",")]

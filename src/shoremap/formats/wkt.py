@@ -9,23 +9,17 @@ from __future__ import annotations
 import math
 import re
 
-from ..errors import OpenRing, SelfIntersection, WktSyntaxError
+from ..errors import WktSyntaxError
 from ..geometry import Point2
-from ..surface import ClipPolygon, _ring_self_intersects
-
-
-def _decode(text) -> str:
-    if isinstance(text, (bytes, bytearray, memoryview)):
-        try:
-            return bytes(text).decode("ascii")
-        except UnicodeDecodeError as exc:
-            raise WktSyntaxError(f"not ASCII text: {exc}") from exc
-    return text
+from ..surface import ClipPolygon
+from ._text import _decode
 
 
 def parse_wkt_polygon(text) -> ClipPolygon:
-    """Parse `POLYGON ((x y, ...), (hole ...))` text."""
-    s = _decode(text).strip()
+    """Parse `POLYGON ((x y, ...), (hole ...))` text. Syntax errors raise
+    WktSyntaxError; ClipPolygon validates the rings themselves (OpenRing,
+    SelfIntersection)."""
+    s = _decode(text, WktSyntaxError).strip()
     m = re.match(r"(?is)^POLYGON\s*\((.*)\)$", s)
     if not m:
         raise WktSyntaxError("expected POLYGON (( ... )) text")
@@ -69,12 +63,6 @@ def parse_wkt_polygon(text) -> ClipPolygon:
             coords.append(Point2(x, y))
         if len(coords) < 4:
             raise WktSyntaxError("ring needs at least 4 vertices (closed triangle)")
-        if coords[0] != coords[-1]:
-            raise OpenRing(
-                f"ring starts at {tuple(coords[0])} but ends at {tuple(coords[-1])}"
-            )
-        if _ring_self_intersects(tuple(coords)):
-            raise SelfIntersection("ring segments intersect")
         rings.append(tuple(coords))
     return ClipPolygon(rings=tuple(rings))
 

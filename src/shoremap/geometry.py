@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateProjection, SingularMatrix
+from .errors import DegenerateProjection, GridTooLarge, SingularMatrix
 
 PROJECTIVE_EPS = 1e-12
 DETERMINANT_EPS = 1e-12
@@ -131,7 +131,7 @@ class GridGeometry:
         if not (np.isfinite(self.origin_x) and np.isfinite(self.origin_y)):
             raise ValueError("grid origin must be finite")
         if self.n_cols * self.n_rows > self.cell_cap:
-            raise ValueError(
+            raise GridTooLarge(
                 f"grid of {self.n_cols}x{self.n_rows} cells exceeds cap {self.cell_cap}"
             )
 

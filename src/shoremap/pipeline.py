@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .calibration import BoardSpec, CalibrationView, calibrate
 from .camera import CameraIntrinsics, StereoRig, undistort_arrays, _distort_xy
-from .errors import InputError, MalformedHeader, ShoremapError
+from .errors import InputError, MalformedHeader, TooFewPoints
 from .geometry import GridGeometry, Homography, Point2
 from .georectify import (
     DEFAULT_RECTIFY_CELL_SIZE,
@@ -287,9 +287,17 @@ def stage_register(
     return out_path, metrics
 
 
-def _default_cloud_grid(xyz: np.ndarray, cell_size: float) -> GridGeometry:
-    min_x, max_x = float(xyz[:, 0].min()), float(xyz[:, 0].max())
-    min_y, max_y = float(xyz[:, 1].min()), float(xyz[:, 1].max())
+def _bbox_grid(
+    xs: np.ndarray, ys: np.ndarray, cell_size: float, margin: float
+) -> GridGeometry:
+    """Grid over the points' bounding box, grown on each side by margin
+    times the span (at least one cell). With margin 0 the box is exact."""
+    span_x = max(float(xs.max() - xs.min()), cell_size)
+    span_y = max(float(ys.max() - ys.min()), cell_size)
+    min_x = float(xs.min()) - margin * span_x
+    max_x = float(xs.max()) + margin * span_x
+    min_y = float(ys.min()) - margin * span_y
+    max_y = float(ys.max()) + margin * span_y
     n_cols = int(np.floor((max_x - min_x) / cell_size)) + 1
     n_rows = int(np.floor((max_y - min_y) / cell_size)) + 1
     return GridGeometry(
@@ -306,15 +314,22 @@ def stage_dsm(
     clip_path: Path | None = None,
     grid: GridGeometry | None = None,
 ) -> tuple[Path, dict]:
-    """Triangulate the cloud, rasterize, optionally clip, write dsm.asc."""
+    """Triangulate the cloud, rasterize, optionally clip, write dsm.asc.
+
+    The grid and the clip polygon are validated before the triangulation,
+    so bad settings fail before the expensive step."""
     if not kill > 0:
         raise InputError(f"kill distance must be positive, got {kill:g}")
     cloud = read_las(_read_bytes(cloud_path))
+    if len(cloud) < 3:
+        raise TooFewPoints(f"need at least 3 points, got {len(cloud)}")
+    geometry = grid if grid is not None else _bbox_grid(
+        cloud.xyz[:, 0], cloud.xyz[:, 1], cell_size, 0.0
+    )
+    poly = parse_wkt_polygon(_read_text(clip_path)) if clip_path is not None else None
     tin = build_tin(cloud)
-    geometry = grid if grid is not None else _default_cloud_grid(cloud.xyz, cell_size)
     dsm = rasterize_tin(tin, geometry, kill=kill)
-    if clip_path is not None:
-        poly = parse_wkt_polygon(_read_text(clip_path))
+    if poly is not None:
         dsm = clip_dsm(dsm, poly)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -408,25 +423,6 @@ def _undistort_gcp_observations(
     return out
 
 
-def _default_rectify_grid(
-    gcps: list[Gcp], cell_size: float, margin: float
-) -> GridGeometry:
-    xs = np.array([g.world.x for g in gcps])
-    ys = np.array([g.world.y for g in gcps])
-    span_x = max(float(xs.max() - xs.min()), cell_size)
-    span_y = max(float(ys.max() - ys.min()), cell_size)
-    min_x = float(xs.min()) - margin * span_x
-    max_x = float(xs.max()) + margin * span_x
-    min_y = float(ys.min()) - margin * span_y
-    max_y = float(ys.max()) + margin * span_y
-    n_cols = int(np.floor((max_x - min_x) / cell_size)) + 1
-    n_rows = int(np.floor((max_y - min_y) / cell_size)) + 1
-    return GridGeometry(
-        origin_x=min_x, origin_y=max_y, cell_size=cell_size,
-        n_cols=n_cols, n_rows=n_rows,
-    )
-
-
 def stage_rectify(
     image_path: Path,
     gcps_path: Path,
@@ -449,8 +445,10 @@ def stage_rectify(
     h = fit_ground_homography(gcps)
     report = rmse_xy(h, gcps)
     observed = [g for g in gcps if g.image is not None]
-    geometry = (
-        grid if grid is not None else _default_rectify_grid(observed, cell_size, margin)
+    geometry = grid if grid is not None else _bbox_grid(
+        np.array([g.world.x for g in observed]),
+        np.array([g.world.y for g in observed]),
+        cell_size, margin,
     )
     raster = warp_to_grid(img, h, geometry)
     out_dir = Path(out_dir)
@@ -564,7 +562,7 @@ def run_pipeline(config: dict[str, str], out_dir: Path, report_path: Path) -> di
         t0 = time.perf_counter()
         try:
             fn()
-        except (ShoremapError, OSError) as exc:
+        except Exception as exc:
             report["failed_stage"] = name
             report["error"] = f"{type(exc).__name__}: {exc}"
             report["timing"]["stage_seconds"][name] = time.perf_counter() - t0

@@ -20,11 +20,12 @@ import numpy as np
 from .errors import (
     CollinearInput,
     EmptyGcpSet,
-    GridTooLarge,
     InvalidPolygon,
+    OpenRing,
+    SelfIntersection,
     TooFewPoints,
 )
-from .geometry import DEFAULT_CELL_CAP, GridGeometry, Point2, Point3
+from .geometry import GridGeometry, Point2, Point3
 from .georectify import Gcp
 from .stereo import PointCloud
 
@@ -184,9 +185,11 @@ class ClipPolygon:
             if not all(np.isfinite(p.x) and np.isfinite(p.y) for p in pts):
                 raise InvalidPolygon(f"ring {ri} has non-finite vertices")
             if pts[0] != pts[-1]:
-                raise InvalidPolygon(f"ring {ri} is not closed")
+                raise OpenRing(
+                    f"ring {ri} starts at {tuple(pts[0])} but ends at {tuple(pts[-1])}"
+                )
             if _ring_self_intersects(pts):
-                raise InvalidPolygon(f"ring {ri} self-intersects")
+                raise SelfIntersection(f"ring {ri} self-intersects")
             area = _signed_area(pts)
             if area == 0:
                 raise InvalidPolygon(f"ring {ri} has zero area")
@@ -494,61 +497,91 @@ def build_tin(cloud: PointCloud) -> Tin:
 
 # --- interpolation and rasterization ------------------------------------------
 
-def _barycentric(tin: Tin, tid: int, x: float, y: float):
-    """Normalized barycentric coordinates of (x, y) in triangle tid."""
-    a, b, c = tin.triangle_array[tid]
+def _expand(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Owner index and rank within the owner of each of sum(counts) slots."""
+    owner = np.repeat(np.arange(counts.size), counts)
+    rank = np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    return owner, rank
+
+
+def _interpolate(
+    tin: Tin, n: int, qid: np.ndarray, x: np.ndarray, y: np.ndarray,
+    tids: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Barycentric point location and linear interpolation, shared by
+    every surface sampler: n query points, candidate pairs (query qid[k]
+    at (x[k], y[k]), triangle tids[k]).
+
+    Returns the lowest-index candidate triangle containing each query
+    point (-1 where none does) and the interpolated z there (NaN where
+    none does).
+    """
     xs, ys = tin.xy_arrays
-    ax, ay = xs[a], ys[a]
-    bx, by = xs[b], ys[b]
-    cx, cy = xs[c], ys[c]
+    tri = tin.triangle_array
+    # Column by column, so no temporary holds three entries per pair.
+    ax, bx, cx = (xs[tri[tids, k]] for k in range(3))
+    ay, by, cy = (ys[tri[tids, k]] for k in range(3))
     area = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-    if area == 0:
-        return None
+    ok = area != 0
+    area = np.where(ok, area, 1.0)
     w0 = ((bx - x) * (cy - y) - (by - y) * (cx - x)) / area
     w1 = ((cx - x) * (ay - y) - (cy - y) * (ax - x)) / area
     w2 = 1.0 - w0 - w1
-    return w0, w1, w2
+    inside = ok & (w0 >= -_BARY_EPS) & (w1 >= -_BARY_EPS) & (w2 >= -_BARY_EPS)
+    qid, tids = qid[inside], tids[inside]
+    w0, w1, w2 = w0[inside], w1[inside], w2[inside]
+
+    unclaimed = np.iinfo(np.int64).max
+    claim = np.full(n, unclaimed, np.int64)
+    np.minimum.at(claim, qid, tids)
+    hit = tids == claim[qid]
+    za, zb, zc = tin.z_array[tri[tids[hit]]].T
+    z = np.full(n, np.nan)
+    z[qid[hit]] = w0[hit] * za + w1[hit] * zb + w2[hit] * zc
+    claim[claim == unclaimed] = -1
+    return claim, z
+
+
+def _interpolate_points(
+    tin: Tin, px: np.ndarray, py: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_interpolate` at arbitrary points. Candidates are the
+    triangles whose xy bounding box, grown by 1e-9, holds the point; a
+    sweep over the x-sorted points finds them without a point x triangle
+    matrix."""
+    xs, ys = tin.xy_arrays
+    tri = tin.triangle_array
+    order = np.argsort(px, kind="stable")
+    sorted_x = px[order]
+    lo = np.searchsorted(sorted_x, xs[tri].min(axis=1) - 1e-9, side="left")
+    hi = np.searchsorted(sorted_x, xs[tri].max(axis=1) + 1e-9, side="right")
+    tids, rank = _expand(hi - lo)
+    qid = order[lo[tids] + rank]
+    y = py[qid]
+    ty = ys[tri[tids]]
+    near = (ty.min(axis=1) - 1e-9 <= y) & (y <= ty.max(axis=1) + 1e-9)
+    qid, tids = qid[near], tids[near]
+    return _interpolate(tin, px.size, qid, px[qid], py[qid], tids)
 
 
 def interpolate_z(tin: Tin, xy: Point2) -> Optional[float]:
     """Linear TIN interpolation at a point; None outside the hull."""
-    x, y = float(xy[0]), float(xy[1])
-    xs, ys = tin.xy_arrays
-    tri = tin.triangle_array
-    if tri.shape[0] == 0:
-        return None
-    tx = xs[tri]
-    ty = ys[tri]
-    cand = np.nonzero(
-        (tx.min(axis=1) - 1e-9 <= x)
-        & (x <= tx.max(axis=1) + 1e-9)
-        & (ty.min(axis=1) - 1e-9 <= y)
-        & (y <= ty.max(axis=1) + 1e-9)
-    )[0]
-    zs = tin.z_array
-    for tid in cand:
-        w = _barycentric(tin, int(tid), x, y)
-        if w is None:
-            continue
-        if min(w) >= -_BARY_EPS:
-            a, b, c = tri[tid]
-            return float(w[0] * zs[a] + w[1] * zs[b] + w[2] * zs[c])
-    return None
+    claim, z = _interpolate_points(
+        tin, np.array([float(xy[0])]), np.array([float(xy[1])])
+    )
+    return float(z[0]) if claim[0] >= 0 else None
 
 
-def _claim_grid(tin: Tin, geom: GridGeometry) -> np.ndarray:
-    """Lowest-index containing triangle per cell center, -1 where none.
+def _claim_grid(tin: Tin, geom: GridGeometry) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest-index containing triangle per cell center (-1 where none)
+    and the interpolated z there (NaN where none).
 
     The claim is independent of the kill distance so that filtering only
     ever substitutes NODATA, never changes a retained value. Candidate
-    (triangle, cell) pairs come from the triangle bounding boxes, then one
-    vectorized barycentric pass filters them.
+    (triangle, cell) pairs come from the triangle bounding boxes.
     """
-    claim = np.full(geom.n_rows * geom.n_cols, np.iinfo(np.int64).max, np.int64)
     xs, ys = tin.xy_arrays
     tri = tin.triangle_array
-    if tri.shape[0] == 0:
-        return np.full((geom.n_rows, geom.n_cols), -1, np.int64)
     cell = geom.cell_size
     tx = xs[tri]  # (T, 3)
     ty = ys[tri]
@@ -565,75 +598,33 @@ def _claim_grid(tin: Tin, geom: GridGeometry) -> np.ndarray:
     np.clip(r1, -1, geom.n_rows - 1, out=r1)
     n_c = np.maximum(c1 - c0 + 1, 0)
     n_r = np.maximum(r1 - r0 + 1, 0)
-    counts = n_c * n_r
-    keep = counts > 0
-    if not np.any(keep):
-        return np.full((geom.n_rows, geom.n_cols), -1, np.int64)
 
-    tids = np.repeat(np.nonzero(keep)[0], counts[keep])
-    # Local candidate index within each triangle's block, row-major.
-    local = np.arange(tids.size) - np.repeat(
-        np.concatenate([[0], np.cumsum(counts[keep])[:-1]]), counts[keep]
+    # Each triangle's block of cells, row-major. Rebinding cols drops the
+    # rank array, keeping the per-pair working set small.
+    tids, cols = _expand(n_c * n_r)
+    rows, cols = np.divmod(cols, n_c[tids])
+    rows += r0[tids]
+    cols += c0[tids]
+    claim, z = _interpolate(
+        tin, geom.n_rows * geom.n_cols, rows * geom.n_cols + cols,
+        geom.origin_x + cols * cell, geom.origin_y - rows * cell, tids,
     )
-    rows = r0[tids] + local // n_c[tids]
-    cols = c0[tids] + local % n_c[tids]
-
-    px = geom.origin_x + cols * cell
-    py = geom.origin_y - rows * cell
-    ax, ay = tx[tids, 0], ty[tids, 0]
-    bx, by = tx[tids, 1], ty[tids, 1]
-    cx, cy = tx[tids, 2], ty[tids, 2]
-    area = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-    ok = area != 0
-    area = np.where(ok, area, 1.0)
-    w0 = ((bx - px) * (cy - py) - (by - py) * (cx - px)) / area
-    w1 = ((cx - px) * (ay - py) - (cy - py) * (ax - px)) / area
-    w2 = 1.0 - w0 - w1
-    inside = ok & (w0 >= -_BARY_EPS) & (w1 >= -_BARY_EPS) & (w2 >= -_BARY_EPS)
-
-    flat = rows[inside] * geom.n_cols + cols[inside]
-    np.minimum.at(claim, flat, tids[inside])
-    claim[claim == np.iinfo(np.int64).max] = -1
-    return claim.reshape(geom.n_rows, geom.n_cols)
+    shape = (geom.n_rows, geom.n_cols)
+    return claim.reshape(shape), z.reshape(shape)
 
 
 def rasterize_tin(
-    tin: Tin,
-    geom: GridGeometry,
-    kill: float = DEFAULT_KILL_DISTANCE,
-    max_cells: int = DEFAULT_CELL_CAP,
+    tin: Tin, geom: GridGeometry, kill: float = DEFAULT_KILL_DISTANCE
 ) -> DsmGrid:
     """Sample the TIN at cell centers. Cells whose containing triangle has
     an xy edge longer than the kill distance become NODATA, suppressing
     interpolation bridges across data gaps."""
     if not kill > 0:
         raise ValueError("kill distance must be positive")
-    if geom.n_cols * geom.n_rows > max_cells:
-        raise GridTooLarge(
-            f"{geom.n_cols}x{geom.n_rows} cells exceed the cap of {max_cells}"
-        )
-    claim = _claim_grid(tin, geom)
-    values = np.full((geom.n_rows, geom.n_cols), NODATA)
-    tri = tin.triangle_array
-    xs, ys = tin.xy_arrays
-    zs = tin.z_array
-    killed = tin.max_edge_lengths() > kill
-    rows, cols = np.nonzero(claim >= 0)
-    if rows.size:
-        tids = claim[rows, cols]
-        live = ~killed[tids]
-        rows, cols, tids = rows[live], cols[live], tids[live]
-        px = geom.origin_x + cols * geom.cell_size
-        py = geom.origin_y - rows * geom.cell_size
-        a, b, c = tri[tids, 0], tri[tids, 1], tri[tids, 2]
-        ax, ay = xs[a], ys[a]
-        bx, by = xs[b], ys[b]
-        cx, cy = xs[c], ys[c]
-        area = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-        w0 = ((bx - px) * (cy - py) - (by - py) * (cx - px)) / area
-        w1 = ((cx - px) * (ay - py) - (cy - py) * (ax - px)) / area
-        w2 = 1.0 - w0 - w1
-        values[rows, cols] = w0 * zs[a] + w1 * zs[b] + w2 * zs[c]
+    claim, values = _claim_grid(tin, geom)
+    # The trailing True is what claim -1 (outside the hull) indexes.
+    dead = np.append(tin.max_edge_lengths() > kill, True)
+    values[dead[claim]] = NODATA
     return DsmGrid(geometry=geom, values=values)
 
 
@@ -668,17 +659,19 @@ def vertical_check(tin: Tin, gcps: list[Gcp]) -> VerticalCheckReport:
     """Surface-minus-GCP elevation differences at each GCP's xy."""
     if not gcps:
         raise EmptyGcpSet("no GCPs supplied")
+    claim, zs = _interpolate_points(
+        tin,
+        np.array([float(g.world.x) for g in gcps]),
+        np.array([float(g.world.y) for g in gcps]),
+    )
     per_gcp = []
     dzs = []
-    n_outside = 0
-    for g in gcps:
-        z = interpolate_z(tin, Point2(g.world.x, g.world.y))
-        if z is None:
+    for g, tid, z in zip(gcps, claim, zs):
+        if tid < 0:
             per_gcp.append((g.id, None, None))
-            n_outside += 1
         else:
-            dz = z - g.world.z
-            per_gcp.append((g.id, z, dz))
+            dz = float(z) - g.world.z
+            per_gcp.append((g.id, float(z), dz))
             dzs.append(dz)
     if dzs:
         arr = np.array(dzs)
@@ -692,5 +685,5 @@ def vertical_check(tin: Tin, gcps: list[Gcp]) -> VerticalCheckReport:
         mean_dz=mean_dz,
         rmse_dz=rmse_dz,
         max_abs_dz=max_abs_dz,
-        n_outside=n_outside,
+        n_outside=len(gcps) - len(dzs),
     )

@@ -5,8 +5,10 @@ import json
 import numpy as np
 import pytest
 
+from shoremap import pipeline
 from shoremap.calibration import BoardSpec
 from shoremap.cli import main
+from shoremap.errors import InputError, SolverError
 from shoremap.formats import (
     write_corner_csv,
     write_gcp_csv,
@@ -281,6 +283,59 @@ class TestRun:
         report = json.loads(capsys.readouterr().out)
         assert report["stages"]["dsm"]["cell_size"]["value"] == 0.05
         assert report["config"]["dsm.cell_size"] == "0.05"
+
+    @pytest.mark.parametrize(
+        "error, code", [(InputError, 2), (SolverError, 3), (OSError, 2), (ValueError, 2)]
+    )
+    @pytest.mark.parametrize("stage", pipeline.RUN_STAGES)
+    def test_stage_failure_writes_report(
+        self, scene_dir, tmp_path, monkeypatch, stage, error, code
+    ):
+        _, paths = scene_dir
+        out_dir = tmp_path / "out"
+        done = out_dir / "done"
+        fakes = {
+            "depth": lambda **kw: (done, {}),
+            "register": lambda **kw: (done, {}),
+            "dsm": lambda **kw: (done, {}),
+            "check": lambda **kw: {},
+            "rectify": lambda **kw: (done, {}),
+        }
+
+        def fail(**kw):
+            raise error("injected")
+
+        for name, fake in fakes.items():
+            monkeypatch.setattr(pipeline, f"stage_{name}", fail if name == stage else fake)
+        report_path = out_dir / "report.json"
+        assert main([
+            "run", "--config", str(paths["config"]), "--out-dir", str(out_dir),
+            "--report", str(report_path),
+        ]) == code
+        report = json.loads(report_path.read_text())
+        stages = list(pipeline.RUN_STAGES)
+        assert report["failed_stage"] == stage
+        assert report["error"] == f"{error.__name__}: injected"
+        assert report["stages_completed"] == stages[: stages.index(stage)]
+        assert stage in report["timing"]["stage_seconds"]
+
+    def test_tiny_cell_fails_dsm_before_triangulating(self, tmp_path, monkeypatch):
+        paths = BeachScene(seed=0, width=64, height=48).write_fixture(tmp_path / "in")
+
+        def no_tin(cloud):
+            raise AssertionError("build_tin called before the grid was validated")
+
+        monkeypatch.setattr(pipeline, "build_tin", no_tin)
+        out_dir = tmp_path / "out"
+        code = main([
+            "run", "--config", str(paths["config"]), "--out-dir", str(out_dir),
+            "--set", "dsm.cell_size=0.00001",
+        ])
+        assert code == 2
+        report = json.loads((out_dir / "run_report.json").read_text())
+        assert report["failed_stage"] == "dsm"
+        assert report["error"].startswith("GridTooLarge: ")
+        assert report["stages_completed"] == ["depth", "register"]
 
 
 class TestEnvironment:

@@ -121,6 +121,24 @@ class TestBuildTin:
         assert zs[(0.0, 0.0)] == 5.0
 
 
+def _reference_z(tin: Tin, x: float, y: float):
+    """Scalar-loop oracle: z in the lowest-index triangle whose barycentric
+    weights are all >= -1e-12, None when there is none."""
+    xs, ys = tin.xy_arrays
+    zs = tin.z_array
+    for a, b, c in tin.triangles:
+        ax, ay, bx, by, cx, cy = xs[a], ys[a], xs[b], ys[b], xs[c], ys[c]
+        area = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+        if area == 0:
+            continue
+        w0 = ((bx - x) * (cy - y) - (by - y) * (cx - x)) / area
+        w1 = ((cx - x) * (ay - y) - (cy - y) * (ax - x)) / area
+        w2 = 1.0 - w0 - w1
+        if min(w0, w1, w2) >= -1e-12:
+            return float(w0 * zs[a] + w1 * zs[b] + w2 * zs[c])
+    return None
+
+
 class TestInterpolate:
     def test_constant_field(self):
         rng = np.random.default_rng(1)
@@ -197,12 +215,42 @@ class TestRasterize:
         assert (killed.values[changed] == NODATA).all()
 
     def test_grid_too_large(self):
-        tin = build_tin(_cloud([[0, 0, 0], [1, 0, 0], [0, 1, 0]]))
-        geom = GridGeometry(
-            origin_x=0.0, origin_y=1.0, cell_size=0.001, n_cols=2000, n_rows=2000
-        )
+        # The cell cap is enforced once, by the grid itself.
         with pytest.raises(GridTooLarge):
-            rasterize_tin(tin, geom, kill=1.0, max_cells=1_000_000)
+            GridGeometry(
+                origin_x=0.0, origin_y=1.0, cell_size=0.001, n_cols=2000,
+                n_rows=2000, cell_cap=1_000_000,
+            )
+
+    @pytest.mark.parametrize("lattice", [False, True])
+    def test_point_interpolation_matches_raster(self, lattice):
+        """interpolate_z and the scalar oracle at each cell center
+        reproduce rasterize_tin bit for bit, and are None exactly on the
+        NODATA cells. The lattice puts cell centers on vertices and shared
+        edges, where the lowest-index tie-break decides."""
+        rng = np.random.default_rng(7)
+        if lattice:
+            gx, gy = np.meshgrid(np.arange(12) * 0.4, np.arange(12) * 0.4)
+            xy = np.column_stack([gx.ravel(), gy.ravel()])
+        else:
+            xy = rng.random((150, 2)) * 4.4
+        pts = np.column_stack([xy, rng.random(xy.shape[0])])
+        tin = build_tin(_cloud(pts))
+        geom = GridGeometry(
+            origin_x=-0.4, origin_y=4.8, cell_size=0.2, n_cols=26, n_rows=26
+        )
+        dsm = rasterize_tin(tin, geom, kill=np.inf)
+        xs, ys = geom.cell_centers()
+        assert (dsm.values == NODATA).any() and (dsm.values != NODATA).any()
+        for r, y in enumerate(ys):
+            for c, x in enumerate(xs):
+                z = interpolate_z(tin, Point2(x, y))
+                assert z == _reference_z(tin, x, y)
+                if dsm.values[r, c] == NODATA:
+                    assert z is None
+                else:
+                    assert z is not None
+                    assert np.float64(z).tobytes() == dsm.values[r, c].tobytes()
 
     def test_kill_must_be_positive(self):
         tin = build_tin(_cloud([[0, 0, 0], [1, 0, 0], [0, 1, 0]]))
