@@ -3,7 +3,7 @@
 Subcommands mirror the processing stages: calibrate, rectify, depth,
 register, dsm, check, and run (the full chain with a consolidated JSON
 report). Exit codes: 0 success, 2 input/validation error, 3 numerical or
-solver error.
+solver error, or out of memory.
 """
 
 from __future__ import annotations
@@ -262,6 +262,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
+    except MemoryError:
+        sys.stderr.write("error: out of memory\n")
+        return EXIT_SOLVER
 
 
 if __name__ == "__main__":

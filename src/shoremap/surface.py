@@ -2,7 +2,8 @@
 a kill-distance filter, polygon clipping, and vertical accuracy checks.
 
 The triangulation is incremental Bowyer-Watson over the xy-projection,
-bootstrapped from an enclosing super-triangle. Orientation and in-circle
+bootstrapped from an enclosing super-triangle and kept in flat triangle
+vertex and neighbour arrays (Sloan 1987). Orientation and in-circle
 predicates use a floating-point filter with an exact rational fallback;
 point clouds derived from pixel grids are almost entirely cocircular, so
 naive float predicates would corrupt the topology.
@@ -270,37 +271,46 @@ def _ring_self_intersects(ring: tuple[Point2, ...]) -> bool:
 
 def _dedupe_xy(xyz: np.ndarray) -> np.ndarray:
     """Collapse points within 1e-9 xy distance, keeping first-seen xy and
-    the highest z; survivors stay in input order."""
+    the highest z; survivors stay in input order.
+
+    Sweeping in (x, y) order, a point joins the first earlier survivor
+    within 1e-9 of it, else survives itself. Only points with another
+    point within 1e-9 in x and 2e-9 in y (a margin for the rounded
+    squared distance) can merge, so only those go through the sweep: a
+    chain of x-sorted points 1e-9 apart holds every such pair, and
+    sorting each chain by y brings the pair together.
+    """
     n = xyz.shape[0]
-    order = np.lexsort((xyz[:, 1], xyz[:, 0]))
-    rep_of = np.full(n, -1, dtype=np.int64)
+    x, y = xyz[:, 0], xyz[:, 1]
+    order = np.lexsort((y, x))
+    chain = np.zeros(n, dtype=np.int64)
+    chain[order[1:]] = np.cumsum(np.diff(x[order]) > _DEDUP_EPS)
+    by_y = np.lexsort((y, chain))
+    near = (np.diff(chain[by_y]) == 0) & (np.diff(y[by_y]) <= 2 * _DEDUP_EPS)
+    crowded = np.union1d(by_y[:-1][near], by_y[1:][near])
+    rep_of = np.arange(n)
     window: list[int] = []
-    for idx in order:
-        x, y = xyz[idx, 0], xyz[idx, 1]
-        window = [w for w in window if x - xyz[w, 0] <= _DEDUP_EPS]
-        joined = False
+    for idx in order[np.isin(order, crowded)].tolist():
+        px, py = x[idx], y[idx]
+        window = [w for w in window if px - x[w] <= _DEDUP_EPS]
         for w in window:
-            if (x - xyz[w, 0]) ** 2 + (y - xyz[w, 1]) ** 2 <= _DEDUP_EPS ** 2:
+            if (px - x[w]) ** 2 + (py - y[w]) ** 2 <= _DEDUP_EPS ** 2:
                 rep_of[idx] = w
-                joined = True
                 break
-        if not joined:
-            rep_of[idx] = idx
-            window.append(idx)
-    # Resolve to cluster roots (direct since reps map to themselves).
-    keep_order = []
-    best_z: dict[int, float] = {}
-    for idx in range(n):
-        rep = rep_of[idx]
-        if rep not in best_z:
-            keep_order.append(rep)
-            best_z[rep] = xyz[idx, 2]
         else:
-            best_z[rep] = max(best_z[rep], xyz[idx, 2])
-    out = np.array(
-        [(xyz[r, 0], xyz[r, 1], best_z[r]) for r in keep_order], dtype=np.float64
-    )
-    return out
+            window.append(idx)
+    # Survivors in the input order of their clusters' first members.
+    reps, first = np.unique(rep_of, return_index=True)
+    keep = reps[np.argsort(first, kind="stable")]
+    # Highest z per cluster; of equal z (0.0 and -0.0) the first seen.
+    z = xyz[:, 2].copy()
+    best: dict[int, float] = {}
+    for idx in crowded.tolist():
+        rep = int(rep_of[idx])
+        if rep not in best or xyz[idx, 2] > best[rep]:
+            best[rep] = xyz[idx, 2]
+    z[list(best)] = list(best.values())
+    return np.column_stack([x[keep], y[keep], z[keep]])
 
 
 def _morton_order(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -327,16 +337,18 @@ def _morton_order(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
 
 
 class _Triangulator:
-    """Bowyer-Watson incremental Delaunay over centered xy coordinates."""
+    """Bowyer-Watson incremental Delaunay over centered xy coordinates,
+    stored in flat arrays after Sloan (1987).
+
+    Triangle t has counterclockwise vertices ``tv[3t:3t+3]``; ``tn[3t+k]``
+    is the triangle across its edge ``(tv[3t+k], tv[3t+(k+1)%3])``, or -1
+    on the super-triangle's hull. ``alive[t]`` says whether slot t holds a
+    triangle; the slots of deleted triangles go on ``free`` for reuse.
+    Every triangle keeps the rotation it was created with, last-inserted
+    vertex last, so the output does not depend on slot numbering.
+    """
 
     def __init__(self, xs: np.ndarray, ys: np.ndarray):
-        self.xs = list(xs)
-        self.ys = list(ys)
-        self.triangles: dict[int, tuple[int, int, int]] = {}
-        self.edge_map: dict[tuple[int, int], list[int]] = {}
-        self.next_tid = 0
-        self.last_tid = None
-
         span = max(
             float(np.max(xs) - np.min(xs)),
             float(np.max(ys) - np.min(ys)),
@@ -345,119 +357,104 @@ class _Triangulator:
         cx = float((np.max(xs) + np.min(xs)) / 2.0)
         cy = float((np.max(ys) + np.min(ys)) / 2.0)
         m = span * _SUPER_MARGIN
-        self.n_real = len(self.xs)
-        self.xs += [cx - 2.0 * m, cx + 2.0 * m, cx]
-        self.ys += [cy - m, cy - m, cy + 2.0 * m]
-        s0, s1, s2 = self.n_real, self.n_real + 1, self.n_real + 2
-        self._add_triangle(s0, s1, s2)
-
-    def _edge_key(self, a: int, b: int) -> tuple[int, int]:
-        return (a, b) if a < b else (b, a)
-
-    def _add_triangle(self, a: int, b: int, c: int) -> int:
-        tid = self.next_tid
-        self.next_tid += 1
-        self.triangles[tid] = (a, b, c)
-        for e in ((a, b), (b, c), (c, a)):
-            self.edge_map.setdefault(self._edge_key(*e), []).append(tid)
-        self.last_tid = tid
-        return tid
-
-    def _remove_triangle(self, tid: int):
-        a, b, c = self.triangles.pop(tid)
-        for e in ((a, b), (b, c), (c, a)):
-            key = self._edge_key(*e)
-            lst = self.edge_map[key]
-            lst.remove(tid)
-            if not lst:
-                del self.edge_map[key]
-
-    def _neighbor(self, tid: int, a: int, b: int) -> Optional[int]:
-        lst = self.edge_map.get(self._edge_key(a, b), ())
-        for other in lst:
-            if other != tid:
-                return other
-        return None
-
-    def _orient(self, i: int, j: int, px: float, py: float) -> int:
-        return _orient2d(self.xs[i], self.ys[i], self.xs[j], self.ys[j], px, py)
-
-    def _in_circumcircle(self, tid: int, px: float, py: float) -> bool:
-        a, b, c = self.triangles[tid]
-        return (
-            _incircle(
-                self.xs[a], self.ys[a],
-                self.xs[b], self.ys[b],
-                self.xs[c], self.ys[c],
-                px, py,
-            )
-            > 0
-        )
+        n = self.n_real = len(xs)
+        self.xs = xs.tolist() + [cx - 2.0 * m, cx + 2.0 * m, cx]
+        self.ys = ys.tolist() + [cy - m, cy - m, cy + 2.0 * m]
+        self.tv = [n, n + 1, n + 2]
+        self.tn = [-1, -1, -1]
+        self.alive = [True]
+        self.free: list[int] = []
+        self.last = 0
 
     def _locate(self, px: float, py: float) -> int:
         """Walk toward the triangle containing (px, py)."""
-        tid = self.last_tid
-        if tid not in self.triangles:
-            tid = next(iter(self.triangles))
-        max_steps = 4 * len(self.triangles) + 16
+        xs, ys, tv, tn = self.xs, self.ys, self.tv, self.tn
+        t = self.last
+        max_steps = 4 * (len(self.alive) - len(self.free)) + 16
         for _ in range(max_steps):
-            a, b, c = self.triangles[tid]
-            moved = False
-            for i, j in ((a, b), (b, c), (c, a)):
-                if self._orient(i, j, px, py) < 0:
-                    nb = self._neighbor(tid, i, j)
-                    if nb is not None:
-                        tid = nb
-                        moved = True
-                        break
-            if not moved:
-                return tid
+            base = 3 * t
+            for k in range(3):
+                nb = tn[base + k]
+                i, j = tv[base + k], tv[base + (k + 1) % 3]
+                if nb >= 0 and _orient2d(xs[i], ys[i], xs[j], ys[j], px, py) < 0:
+                    t = nb
+                    break
+            else:
+                return t
         # Degenerate walk; fall back to scanning everything.
-        for tid, (a, b, c) in self.triangles.items():
-            if (
-                self._orient(a, b, px, py) >= 0
-                and self._orient(b, c, px, py) >= 0
-                and self._orient(c, a, px, py) >= 0
+        for t, live in enumerate(self.alive):
+            a, b, c = tv[3 * t:3 * t + 3]
+            if live and all(
+                _orient2d(xs[i], ys[i], xs[j], ys[j], px, py) >= 0
+                for i, j in ((a, b), (b, c), (c, a))
             ):
-                return tid
+                return t
         raise CollinearInput("point location failed; input is degenerate")
 
-    def insert(self, p_idx: int):
-        px, py = self.xs[p_idx], self.ys[p_idx]
+    def insert(self, p: int):
+        xs, ys, tv, tn = self.xs, self.ys, self.tv, self.tn
+        alive, free = self.alive, self.free
+        px, py = xs[p], ys[p]
         seed = self._locate(px, py)
+        # Flood the strict in-circle cavity; its boundary edges, (i, j)
+        # as stored in the cavity triangle, face the triangle outside.
         cavity = {seed}
         stack = [seed]
-        while stack:
-            tid = stack.pop()
-            a, b, c = self.triangles[tid]
-            for i, j in ((a, b), (b, c), (c, a)):
-                nb = self._neighbor(tid, i, j)
-                if nb is None or nb in cavity:
-                    continue
-                if self._in_circumcircle(nb, px, py):
-                    cavity.add(nb)
-                    stack.append(nb)
         boundary = []
-        for tid in cavity:
-            a, b, c = self.triangles[tid]
-            for i, j in ((a, b), (b, c), (c, a)):
-                nb = self._neighbor(tid, i, j)
-                if nb is None or nb not in cavity:
-                    boundary.append((i, j))
-        for tid in list(cavity):
-            self._remove_triangle(tid)
-        for i, j in boundary:
-            if self._orient(i, j, px, py) <= 0:
+        while stack:
+            t = stack.pop()
+            base = 3 * t
+            for k in range(3):
+                nb = tn[base + k]
+                if nb in cavity:
+                    continue
+                if nb >= 0:
+                    a, b, c = tv[3 * nb:3 * nb + 3]
+                    if _incircle(xs[a], ys[a], xs[b], ys[b], xs[c], ys[c], px, py) > 0:
+                        cavity.add(nb)
+                        stack.append(nb)
+                        continue
+                boundary.append((tv[base + k], tv[base + (k + 1) % 3], nb))
+        for i, j, _ in boundary:
+            if _orient2d(xs[i], ys[i], xs[j], ys[j], px, py) <= 0:
                 raise CollinearInput(
                     "degenerate cavity boundary; duplicate or collinear input"
                 )
-            self._add_triangle(i, j, p_idx)
+        for t in cavity:
+            alive[t] = False
+        free.extend(cavity)
+        # Fan the boundary to p: triangle (i, j, p) takes over edge (i, j)
+        # from the outer neighbour, and its edges (j, p) and (p, i) face
+        # the fan triangles starting at j and ending at i.
+        starting_at = {}
+        for i, j, nb in boundary:
+            if free:
+                t = free.pop()
+                tv[3 * t:3 * t + 3] = i, j, p
+                tn[3 * t] = nb
+                alive[t] = True
+            else:
+                t = len(alive)
+                tv += (i, j, p)
+                tn += (nb, -1, -1)
+                alive.append(True)
+            if nb >= 0:
+                nbase = 3 * nb
+                tn[nbase + tv[nbase:nbase + 3].index(j)] = t
+            starting_at[i] = t
+        for t in starting_at.values():
+            u = starting_at[tv[3 * t + 1]]
+            tn[3 * t + 1] = u
+            tn[3 * u + 2] = t
+        self.last = t
 
     def real_triangles(self) -> list[tuple[int, int, int]]:
-        out = []
-        for a, b, c in self.triangles.values():
-            if a < self.n_real and b < self.n_real and c < self.n_real:
-                out.append((a, b, c))
+        n, tv = self.n_real, self.tv
+        out = [
+            tuple(tv[3 * t:3 * t + 3])
+            for t, live in enumerate(self.alive)
+            if live and max(tv[3 * t:3 * t + 3]) < n
+        ]
         out.sort()
         return out
 

@@ -285,11 +285,12 @@ class TestRun:
         assert report["config"]["dsm.cell_size"] == "0.05"
 
     @pytest.mark.parametrize(
-        "error, code", [(InputError, 2), (SolverError, 3), (OSError, 2), (ValueError, 2)]
+        "error, code",
+        [(InputError, 2), (SolverError, 3), (OSError, 2), (ValueError, 2), (MemoryError, 3)],
     )
     @pytest.mark.parametrize("stage", pipeline.RUN_STAGES)
     def test_stage_failure_writes_report(
-        self, scene_dir, tmp_path, monkeypatch, stage, error, code
+        self, scene_dir, tmp_path, monkeypatch, capsys, stage, error, code
     ):
         _, paths = scene_dir
         out_dir = tmp_path / "out"
@@ -312,6 +313,9 @@ class TestRun:
             "run", "--config", str(paths["config"]), "--out-dir", str(out_dir),
             "--report", str(report_path),
         ]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert ("out of memory" in err) == (error is MemoryError)
         report = json.loads(report_path.read_text())
         stages = list(pipeline.RUN_STAGES)
         assert report["failed_stage"] == stage

@@ -1,5 +1,7 @@
 """TIN, DSM rasterization, clipping, and vertical check tests."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,9 @@ from shoremap.surface import (
     rasterize_tin,
     vertical_check,
 )
+from shoremap.surface import _dedupe_xy
+
+from synth import BeachScene
 
 
 def _cloud(xyz):
@@ -119,6 +124,135 @@ class TestBuildTin:
         assert len(tin.vertices) == 3
         zs = {(round(v.x, 6), round(v.y, 6)): v.z for v in tin.vertices}
         assert zs[(0.0, 0.0)] == 5.0
+
+
+def _lattice_cloud():
+    gx, gy = np.meshgrid(np.arange(20) * 0.1, np.arange(15) * 0.1)
+    return np.column_stack([gx.ravel(), gy.ravel(), np.zeros(300)])
+
+
+def _jittered_lattice_cloud():
+    rng = np.random.default_rng(7)
+    pts = _lattice_cloud()
+    pts[:, :2] += rng.normal(0.0, 1e-3, (300, 2))
+    pts[:, 2] = rng.random(300)
+    return pts
+
+
+def _random_cloud():
+    rng = np.random.default_rng(123)
+    return np.column_stack([rng.random((1000, 2)) * 10, rng.random(1000)])
+
+
+def _beach_cloud():
+    """The ray-cast surface points under every pixel of the left camera."""
+    scene = BeachScene(seed=0, width=64, height=48)
+    _, _, x, y = scene.render(scene.t_left)
+    return np.column_stack([x.ravel(), y.ravel(), scene.z_surf(x, y).ravel()])
+
+
+def _digest(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+# (cloud, vertices, triangles, sha256 of the triangle array, sha256 of
+# the x, y and z vertex arrays), recorded from the dict-adjacency
+# triangulator that the array-backed one replaced.
+PINNED_TINS = {
+    "lattice": (
+        _lattice_cloud, 300, 532,
+        "5e4a1ad851281f4adc7789c7a634111b4ab5412c6ea7ea3e4fa0778af77eb6e6",
+        "4717d17bbc4e6f8dc53591485a3ac9094be9f51bbd6fabc6b49133ada2eabcf9",
+    ),
+    "jittered": (
+        _jittered_lattice_cloud, 300, 581,
+        "26ec52d70b0767c32cec758a969e3cac179858beca33f2b74dcb32a92ee435d9",
+        "4168c6684222dda4f8bd5dee8a9ac8604fe528c8a42e52ce9de9323a35aa092f",
+    ),
+    "random": (
+        _random_cloud, 1000, 1981,
+        "34e73b968474600bd7df4bc304aa2ba8cf02799d2c38698d716d5e790289a460",
+        "f2ac0ba4ca3f3e50c9b03778c8d877cda3e69e67c1b2898336637cdfcd150a50",
+    ),
+    "beach": (
+        _beach_cloud, 3072, 5922,
+        "b8fbc31e193a5236c4315bf13dd24e2a4d1fa9a28e19c0ffcb1a41019dd438ab",
+        "6865b102998b332543b777211a5ef7a3373cb819c41f169dbf5b6a790f0a1818",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_TINS))
+def test_tin_pinned_bit_for_bit(name):
+    make, n_vertices, n_triangles, tri_digest, vertex_digest = PINNED_TINS[name]
+    tin = build_tin(_cloud(make()))
+    xs, ys = tin.xy_arrays
+    assert (len(tin.vertices), len(tin.triangles)) == (n_vertices, n_triangles)
+    assert hashlib.sha256(tin.triangle_array.tobytes()).hexdigest() == tri_digest
+    assert _digest(xs, ys, tin.z_array) == vertex_digest
+
+
+def _dedupe_loop(xyz: np.ndarray) -> np.ndarray:
+    """Reference: the one-point-at-a-time sweep that _dedupe_xy replaced."""
+    n = xyz.shape[0]
+    order = np.lexsort((xyz[:, 1], xyz[:, 0]))
+    rep_of = np.full(n, -1, dtype=np.int64)
+    window: list[int] = []
+    for idx in order:
+        x, y = xyz[idx, 0], xyz[idx, 1]
+        window = [w for w in window if x - xyz[w, 0] <= 1e-9]
+        joined = False
+        for w in window:
+            if (x - xyz[w, 0]) ** 2 + (y - xyz[w, 1]) ** 2 <= 1e-9 ** 2:
+                rep_of[idx] = w
+                joined = True
+                break
+        if not joined:
+            rep_of[idx] = idx
+            window.append(idx)
+    keep_order = []
+    best_z: dict[int, float] = {}
+    for idx in range(n):
+        rep = rep_of[idx]
+        if rep not in best_z:
+            keep_order.append(rep)
+            best_z[rep] = xyz[idx, 2]
+        else:
+            best_z[rep] = max(best_z[rep], xyz[idx, 2])
+    return np.array(
+        [(xyz[r, 0], xyz[r, 1], best_z[r]) for r in keep_order], dtype=np.float64
+    )
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("quantized", [False, True])
+def test_dedupe_matches_loop(seed, quantized):
+    """Survivors, their order, xy and z equal the loop's bit for bit, on
+    clouds with exact duplicates, near-duplicates inside and just outside
+    1e-9, chains of points 1e-9 apart in x and signed-zero z ties."""
+    rng = np.random.default_rng(seed)
+    pts = rng.random((400, 3))
+    if quantized:  # LAS-style coordinates: many exact ties in x
+        pts[:, :2] = np.round(pts[:, :2] * 20) / 20
+    src = rng.integers(0, 400, 200)
+    dup = pts[src].copy()
+    kind = rng.integers(0, 4, 200)
+    step = rng.choice([-1.0, 1.0], (200, 2)) * rng.choice(
+        [0.0, 3e-10, 7e-10, 1e-9, 1.2e-9, 2e-9], (200, 2)
+    )
+    dup[kind == 1, :2] += step[kind == 1]
+    dup[kind == 2, 0] += np.arange(1, (kind == 2).sum() + 1) * 1e-9
+    dup[kind == 3, 2] = rng.choice([0.0, -0.0], (kind == 3).sum())
+    pts[src[kind == 3], 2] = rng.choice([0.0, -0.0], (kind == 3).sum())
+    dup[:, 2] = np.where(kind == 0, rng.random(200), dup[:, 2])
+    xyz = np.concatenate([pts, dup])[rng.permutation(600)]
+    got, want = _dedupe_xy(xyz), _dedupe_loop(xyz)
+    assert got.shape == want.shape
+    assert got.shape[0] < xyz.shape[0]
+    assert got.tobytes() == want.tobytes()
 
 
 def _reference_z(tin: Tin, x: float, y: float):
