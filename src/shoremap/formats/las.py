@@ -31,6 +31,18 @@ _SOFTWARE = b"shoremap 0.1.0"
 # 1 return, first of 1, no flags.
 _RETURN_BYTE = 0b00001001
 
+# One point format 2 record, packed little-endian (struct "<3iHBBbBH3H").
+_POINT_DTYPE = np.dtype([
+    ("xyz", "<i4", (3,)),
+    ("intensity", "<u2"),
+    ("return_byte", "u1"),
+    ("classification", "u1"),
+    ("scan_angle_rank", "i1"),
+    ("user_data", "u1"),
+    ("point_source_id", "<u2"),
+    ("rgb", "<u2", (3,)),
+])
+
 
 def _normalize_triplet(value, name: str) -> tuple[float, float, float]:
     if np.isscalar(value):
@@ -97,27 +109,11 @@ def write_las(cloud: PointCloud, scale=0.001, offset=0.0) -> bytes:
         maxs[0], mins[0], maxs[1], mins[1], maxs[2], mins[2],
     )
 
-    body = bytearray(n * POINT_RECORD_LENGTH)
-    colors16 = cloud.colors[:, :3].astype(np.uint16) * 257
-    for i in range(n):
-        struct.pack_into(
-            "<3iHBBbBH3H",
-            body,
-            i * POINT_RECORD_LENGTH,
-            int(quantized[i, 0]),
-            int(quantized[i, 1]),
-            int(quantized[i, 2]),
-            0,                  # intensity
-            _RETURN_BYTE,
-            0,                  # classification
-            0,                  # scan angle rank
-            0,                  # user data
-            0,                  # point source id
-            int(colors16[i, 0]),
-            int(colors16[i, 1]),
-            int(colors16[i, 2]),
-        )
-    return bytes(header) + bytes(body)
+    records = np.zeros(n, dtype=_POINT_DTYPE)
+    records["xyz"] = quantized
+    records["return_byte"] = _RETURN_BYTE
+    records["rgb"] = cloud.colors[:, :3].astype(np.uint16) * np.uint16(257)
+    return bytes(header) + records.tobytes()
 
 
 def read_las(data: bytes) -> PointCloud:
@@ -164,15 +160,11 @@ def read_las(data: bytes) -> PointCloud:
     if n == 0:
         return PointCloud(xyz=np.zeros((0, 3)), colors=np.zeros((0, 4), np.uint8))
 
-    raw = np.frombuffer(
-        data, dtype=np.uint8, count=n * POINT_RECORD_LENGTH, offset=offset_to_points
-    ).reshape(n, POINT_RECORD_LENGTH)
-    ints = (
-        raw[:, 0:12].copy().view("<i4").reshape(n, 3).astype(np.float64)
+    records = np.frombuffer(
+        data, dtype=_POINT_DTYPE, count=n, offset=offset_to_points
     )
-    colors16 = raw[:, 20:26].copy().view("<u2").reshape(n, 3).astype(np.float64)
-
-    xyz = ints * np.array(scale) + np.array(offset)
+    xyz = records["xyz"].astype(np.float64) * np.array(scale) + np.array(offset)
+    colors16 = records["rgb"].astype(np.float64)
     colors8 = np.clip(np.rint(colors16 / 257.0), 0, 255).astype(np.uint8)
     rgba = np.concatenate(
         [colors8, np.full((n, 1), 255, dtype=np.uint8)], axis=1

@@ -16,7 +16,11 @@ from .camera import StereoRig, pixels_depth_to_points
 from .errors import DimensionMismatch, EmptyRange, SizeMismatch, WindowTooLarge
 
 _ALLOWED_WINDOWS = (3, 5, 7, 9)
-_BIG_COST = np.int64(1) << 40
+# Largest real aggregated cost: 80 census bits x 81 window cells = 6480.
+_BIG_COST = np.uint16(0xFFFF)
+# Cost cells (strip rows x width x disparities) per eye and strip: about
+# 50 rows of a 640-wide image with 65 disparities, 4 MB of uint16 per eye.
+_STRIP_CELLS = 1 << 21
 _POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
 
 DEFAULT_Z_MAX = 20.0
@@ -205,14 +209,14 @@ def _box_sum(img: np.ndarray, half: int) -> np.ndarray:
 def _cost_volume(
     ref: CensusImage, other: CensusImage, d_min: int, d_max: int, sign: int
 ) -> np.ndarray:
-    """Aggregated matching cost (h, w, n_d); cost[y, x, i] compares the
-    reference pixel x with the other image's pixel x + sign * (d_min + i).
+    """Aggregated matching cost (h, w, n_d) uint16; cost[y, x, i] compares
+    the reference pixel x with the other image's pixel x + sign * (d_min + i).
     Cells without a full window of valid census pairs cost _BIG_COST."""
     h, w, _ = ref.bits.shape
     half = ref.window // 2
     full_window = (2 * half + 1) ** 2
     n_d = d_max - d_min + 1
-    volume = np.full((h, w, n_d), _BIG_COST, dtype=np.int64)
+    volume = np.full((h, w, n_d), _BIG_COST, dtype=np.uint16)
     for i, d in enumerate(range(d_min, d_max + 1)):
         shift = sign * d
         if shift <= 0:
@@ -250,6 +254,14 @@ def match_disparity(
     match points back within 1 px (left-right consistency). Survivors get
     parabolic subpixel refinement when the winning disparity is interior
     to the search range.
+
+    Memory is bounded by design: every step after the census is local to
+    one image row within a half window, so the image is matched in
+    horizontal strips of about _STRIP_CELLS cost cells per eye (at least
+    one row). Beyond the census bits and the output, which grow with
+    height x width, the working set is two uint16 cost volumes of
+    (strip rows + window - 1) x width x disparities, whatever the image
+    height. The result does not depend on the strip height.
     """
     if left.pixels.shape != right.pixels.shape:
         raise SizeMismatch(
@@ -262,48 +274,78 @@ def match_disparity(
     census_l = census_transform(left, window)
     census_r = census_transform(right, window)
 
-    vol_l = _cost_volume(census_l, census_r, d_min, d_max, sign=-1)
-    vol_r = _cost_volume(census_r, census_l, d_min, d_max, sign=+1)
-    best_l, cost_l = _winner_take_all(vol_l)
-    best_r, _ = _winner_take_all(vol_r)
-
     h, w = left.pixels.shape
+    rows = max(1, _STRIP_CELLS // (w * (d_max - d_min + 1)))
+    disp = np.empty((h, w), dtype=np.float64)
+    for r0 in range(0, h, rows):
+        r1 = min(r0 + rows, h)
+        disp[r0:r1] = _match_strip(census_l, census_r, r0, r1, d_min, d_max)
+    return DisparityMap(values=disp, min_disparity=d_min, max_disparity=d_max)
+
+
+def _match_strip(
+    census_l: CensusImage,
+    census_r: CensusImage,
+    r0: int,
+    r1: int,
+    d_min: int,
+    d_max: int,
+) -> np.ndarray:
+    """Disparities of rows [r0, r1), NaN where INVALID.
+
+    The cost volumes are built from the census rows within a half window
+    of the strip, clipped to the image; the clipped rows are exactly the
+    zero padding of a whole-image box sum, so the strip's costs equal the
+    whole image's."""
+    h = census_l.bits.shape[0]
+    half = census_l.window // 2
+    a, b = max(r0 - half, 0), min(r1 + half, h)
+
+    def halo(c: CensusImage) -> CensusImage:
+        return CensusImage(bits=c.bits[a:b], valid=c.valid[a:b], window=c.window)
+
+    keep = slice(r0 - a, r1 - a)
+    vol_l = _cost_volume(halo(census_l), halo(census_r), d_min, d_max, sign=-1)[keep]
+    vol_r = _cost_volume(halo(census_r), halo(census_l), d_min, d_max, sign=+1)[keep]
+    best_l, cost_l = _winner_take_all(vol_l)
+    best_r, cost_r = _winner_take_all(vol_r)
+
     n_d = d_max - d_min + 1
     valid = cost_l < _BIG_COST
 
+    # Costs one step either side of the winner, for the subpixel step;
+    # read before the uniqueness test overwrites them.
+    c0 = cost_l.astype(np.int64)
+    cm = np.take_along_axis(
+        vol_l, np.maximum(best_l - 1, 0)[:, :, None], axis=2
+    )[:, :, 0].astype(np.int64)
+    cp = np.take_along_axis(
+        vol_l, np.minimum(best_l + 1, n_d - 1)[:, :, None], axis=2
+    )[:, :, 0].astype(np.int64)
+
     # Uniqueness: the winner must strictly beat every candidate more than
-    # 1 px away; flat cost curves (e.g. textureless input) fail here.
-    idx = np.arange(n_d)
-    away = np.abs(idx[None, None, :] - best_l[:, :, None]) > 1
-    masked = np.where(away, vol_l, _BIG_COST)
-    other_best = masked.min(axis=2)
-    has_alternative = away.any(axis=2)
-    valid &= ~has_alternative | (cost_l < other_best)
+    # 1 px away; flat cost curves (e.g. textureless input) fail here. The
+    # candidates within 1 px are masked in place; with none left, the
+    # minimum is _BIG_COST, which a valid winner beats.
+    for step in (-1, 0, 1):
+        near = np.clip(best_l + step, 0, n_d - 1)[:, :, None]
+        np.put_along_axis(vol_l, near, _BIG_COST, axis=2)
+    valid &= cost_l < vol_l.min(axis=2)
 
     # Left-right consistency, 1 px tolerance on integer winners.
     disp_int = best_l + d_min
-    xs = np.arange(w)[None, :].repeat(h, axis=0)
-    x_r = xs - disp_int
+    x_r = np.arange(best_l.shape[1])[None, :] - disp_int
     in_bounds = x_r >= 0
-    x_r_safe = np.clip(x_r, 0, w - 1)
-    ys = np.arange(h)[:, None].repeat(w, axis=1)
+    x_r_safe = np.maximum(x_r, 0)
+    ys = np.arange(best_l.shape[0])[:, None]
     d_r = best_r[ys, x_r_safe] + d_min
-    cost_r_there = np.take_along_axis(
-        vol_r[ys, x_r_safe], (d_r - d_min)[:, :, None], axis=2
-    )[:, :, 0]
+    cost_r_there = cost_r[ys, x_r_safe]
     valid &= in_bounds & (np.abs(d_r - disp_int) <= 1) & (cost_r_there < _BIG_COST)
 
     # Parabolic subpixel refinement on the aggregated cost.
     disp = disp_int.astype(np.float64)
     interior = valid & (best_l > 0) & (best_l < n_d - 1)
     if np.any(interior):
-        c0 = np.take_along_axis(vol_l, best_l[:, :, None], axis=2)[:, :, 0]
-        cm = np.take_along_axis(
-            vol_l, np.maximum(best_l - 1, 0)[:, :, None], axis=2
-        )[:, :, 0]
-        cp = np.take_along_axis(
-            vol_l, np.minimum(best_l + 1, n_d - 1)[:, :, None], axis=2
-        )[:, :, 0]
         denom = (cm - 2 * c0 + cp).astype(np.float64)
         ok = interior & (denom > 0) & (cm < _BIG_COST) & (cp < _BIG_COST)
         delta = np.zeros_like(disp)
@@ -314,7 +356,7 @@ def match_disparity(
 
     disp = np.clip(disp, d_min, d_max)
     disp[~valid] = np.nan
-    return DisparityMap(values=disp, min_disparity=d_min, max_disparity=d_max)
+    return disp
 
 
 def cloud_from_disparity(

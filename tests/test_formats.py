@@ -23,6 +23,7 @@ from shoremap.errors import (
     UnsupportedVersionOrFormat,
     WktSyntaxError,
 )
+from shoremap.formats import las as las_module
 from shoremap.formats import (
     parse_corner_csv,
     parse_gcp_csv,
@@ -121,6 +122,103 @@ class TestLas:
         if n:
             assert np.abs(back.xyz - cloud.xyz).max() <= 0.00005 + 1e-12
             assert np.array_equal(back.colors[:, :3], cloud.colors[:, :3])
+
+
+def _write_las_loop(cloud: PointCloud, scale=0.001, offset=0.0) -> bytes:
+    """Reference: the per-point struct.pack_into writer that write_las's
+    structured-dtype body replaced."""
+    s = las_module._normalize_triplet(scale, "scale")
+    o = las_module._normalize_triplet(offset, "offset")
+    xyz = cloud.xyz
+    n = xyz.shape[0]
+    quantized = np.empty((n, 3), dtype=np.int64)
+    for axis in range(3):
+        q = np.rint((xyz[:, axis] - o[axis]) / s[axis])
+        if q.size and (np.abs(q) >= 2 ** 31).any():
+            raise CoordinateOverflow("overflow")
+        quantized[:, axis] = q.astype(np.int64)
+
+    if n:
+        dequant = quantized * np.array(s) + np.array(o)
+        mins = dequant.min(axis=0)
+        maxs = dequant.max(axis=0)
+    else:
+        mins = maxs = np.zeros(3)
+
+    header = bytearray(las_module.HEADER_SIZE)
+    header[0:4] = las_module.SIGNATURE
+    struct.pack_into("<H", header, 4, 0)
+    struct.pack_into("<H", header, 6, 0)
+    header[24] = 1
+    header[25] = 2
+    header[26:26 + len(las_module._SYSTEM_ID)] = las_module._SYSTEM_ID
+    header[58:58 + len(las_module._SOFTWARE)] = las_module._SOFTWARE
+    struct.pack_into("<H", header, 90, 0)
+    struct.pack_into("<H", header, 92, 0)
+    struct.pack_into("<H", header, 94, las_module.HEADER_SIZE)
+    struct.pack_into("<I", header, 96, las_module.HEADER_SIZE)
+    struct.pack_into("<I", header, 100, 0)
+    header[104] = las_module.POINT_FORMAT
+    struct.pack_into("<H", header, 105, las_module.POINT_RECORD_LENGTH)
+    struct.pack_into("<I", header, 107, n)
+    struct.pack_into("<5I", header, 111, n, 0, 0, 0, 0)
+    struct.pack_into("<3d", header, 131, *s)
+    struct.pack_into("<3d", header, 155, *o)
+    struct.pack_into(
+        "<6d", header, 179,
+        maxs[0], mins[0], maxs[1], mins[1], maxs[2], mins[2],
+    )
+
+    body = bytearray(n * las_module.POINT_RECORD_LENGTH)
+    colors16 = cloud.colors[:, :3].astype(np.uint16) * 257
+    for i in range(n):
+        struct.pack_into(
+            "<3iHBBbBH3H",
+            body,
+            i * las_module.POINT_RECORD_LENGTH,
+            int(quantized[i, 0]),
+            int(quantized[i, 1]),
+            int(quantized[i, 2]),
+            0,
+            0b00001001,
+            0,
+            0,
+            0,
+            0,
+            int(colors16[i, 0]),
+            int(colors16[i, 1]),
+            int(colors16[i, 2]),
+        )
+    return bytes(header) + bytes(body)
+
+
+def _extreme_cloud():
+    """Quantized values at +-(2**31 - 1) with scale 1, colors 0 and 255."""
+    big = 2.0 ** 31 - 1
+    xyz = np.array([[big, -big, 0.0], [-big, big, big], [0.0, 0.0, -big]])
+    colors = np.array(
+        [[0, 0, 0, 0], [255, 255, 255, 255], [0, 255, 0, 128]], dtype=np.uint8
+    )
+    return PointCloud(xyz=xyz, colors=colors)
+
+
+@pytest.mark.parametrize(
+    "make, scale, offset",
+    [
+        (lambda: PointCloud(xyz=np.zeros((0, 3))), 0.001, 0.0),
+        (lambda: _random_cloud(np.random.default_rng(0), 1), 0.001, 0.0),
+        (lambda: _random_cloud(np.random.default_rng(1), 1000), 0.0001, 0.0),
+        (lambda: _random_cloud(np.random.default_rng(2), 777), 0.01, (1.0, -2.0, 0.5)),
+        (lambda: _random_cloud(np.random.default_rng(3), 5000, 1e4), (0.01, 0.02, 0.005), 3.0),
+        (_extreme_cloud, 1.0, 0.0),
+    ],
+    ids=["empty", "one", "random", "offset", "mixed_scale", "extremes"],
+)
+def test_write_las_matches_loop(make, scale, offset):
+    cloud = make()
+    assert write_las(cloud, scale=scale, offset=offset) == _write_las_loop(
+        cloud, scale=scale, offset=offset
+    )
 
 
 class TestAsc:

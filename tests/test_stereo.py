@@ -1,8 +1,15 @@
 """Stereo matching and point-cloud assembly tests."""
 
+import hashlib
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from shoremap import stereo
 from shoremap.camera import CameraIntrinsics, StereoRig
 from shoremap.errors import (
     DimensionMismatch,
@@ -19,6 +26,7 @@ from shoremap.stereo import (
     cloud_from_disparity,
     match_disparity,
 )
+from synth import BeachScene
 
 
 def _shifted_pair(rng, h, w, shift):
@@ -115,6 +123,220 @@ class TestMatchDisparity:
         v = d.values[d.valid_mask()]
         assert v.min() >= 2.0
         assert v.max() <= 12.0
+
+
+# Reference: the whole-image matcher with int64 cost volumes that the
+# strip-wise uint16 matcher replaced, copied unchanged apart from names.
+_ORACLE_BIG = np.int64(1) << 40
+
+
+def _oracle_box_sum(img, half):
+    k = 2 * half + 1
+    padded = np.pad(np.asarray(img, dtype=np.int64), half)
+    c = padded.cumsum(axis=0).cumsum(axis=1)
+    c = np.pad(c, ((1, 0), (1, 0)))
+    h, w = img.shape
+    return (
+        c[k: k + h, k: k + w]
+        - c[0:h, k: k + w]
+        - c[k: k + h, 0:w]
+        + c[0:h, 0:w]
+    )
+
+
+def _oracle_cost_volume(ref, other, d_min, d_max, sign):
+    h, w, _ = ref.bits.shape
+    half = ref.window // 2
+    full_window = (2 * half + 1) ** 2
+    n_d = d_max - d_min + 1
+    volume = np.full((h, w, n_d), _ORACLE_BIG, dtype=np.int64)
+    for i, d in enumerate(range(d_min, d_max + 1)):
+        shift = sign * d
+        if shift <= 0:
+            ref_sl = slice(-shift, w)
+            oth_sl = slice(0, w + shift)
+        else:
+            ref_sl = slice(0, w - shift)
+            oth_sl = slice(shift, w)
+        if ref_sl.stop - ref_sl.start <= 0:
+            continue
+        xor = np.bitwise_xor(ref.bits[:, ref_sl], other.bits[:, oth_sl])
+        raw = stereo._POPCOUNT[xor].sum(axis=-1).astype(np.int64)
+        ok = ref.valid[:, ref_sl] & other.valid[:, oth_sl]
+        agg = _oracle_box_sum(np.where(ok, raw, 0), half)
+        count = _oracle_box_sum(ok, half)
+        volume[:, ref_sl, i] = np.where(count == full_window, agg, _ORACLE_BIG)
+    return volume
+
+
+def _oracle_wta(volume):
+    best = np.argmin(volume, axis=2)
+    best_cost = np.take_along_axis(volume, best[:, :, None], axis=2)[:, :, 0]
+    return best, best_cost
+
+
+def _oracle_match(left, right, d_range, window):
+    d_min, d_max = int(d_range[0]), int(d_range[1])
+    census_l = census_transform(left, window)
+    census_r = census_transform(right, window)
+
+    vol_l = _oracle_cost_volume(census_l, census_r, d_min, d_max, sign=-1)
+    vol_r = _oracle_cost_volume(census_r, census_l, d_min, d_max, sign=+1)
+    best_l, cost_l = _oracle_wta(vol_l)
+    best_r, _ = _oracle_wta(vol_r)
+
+    h, w = left.pixels.shape
+    n_d = d_max - d_min + 1
+    valid = cost_l < _ORACLE_BIG
+
+    idx = np.arange(n_d)
+    away = np.abs(idx[None, None, :] - best_l[:, :, None]) > 1
+    masked = np.where(away, vol_l, _ORACLE_BIG)
+    other_best = masked.min(axis=2)
+    has_alternative = away.any(axis=2)
+    valid &= ~has_alternative | (cost_l < other_best)
+
+    disp_int = best_l + d_min
+    xs = np.arange(w)[None, :].repeat(h, axis=0)
+    x_r = xs - disp_int
+    in_bounds = x_r >= 0
+    x_r_safe = np.clip(x_r, 0, w - 1)
+    ys = np.arange(h)[:, None].repeat(w, axis=1)
+    d_r = best_r[ys, x_r_safe] + d_min
+    cost_r_there = np.take_along_axis(
+        vol_r[ys, x_r_safe], (d_r - d_min)[:, :, None], axis=2
+    )[:, :, 0]
+    valid &= in_bounds & (np.abs(d_r - disp_int) <= 1) & (cost_r_there < _ORACLE_BIG)
+
+    disp = disp_int.astype(np.float64)
+    interior = valid & (best_l > 0) & (best_l < n_d - 1)
+    if np.any(interior):
+        c0 = np.take_along_axis(vol_l, best_l[:, :, None], axis=2)[:, :, 0]
+        cm = np.take_along_axis(
+            vol_l, np.maximum(best_l - 1, 0)[:, :, None], axis=2
+        )[:, :, 0]
+        cp = np.take_along_axis(
+            vol_l, np.minimum(best_l + 1, n_d - 1)[:, :, None], axis=2
+        )[:, :, 0]
+        denom = (cm - 2 * c0 + cp).astype(np.float64)
+        ok = interior & (denom > 0) & (cm < _ORACLE_BIG) & (cp < _ORACLE_BIG)
+        delta = np.zeros_like(disp)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            delta[ok] = (cm - cp)[ok] / (2.0 * denom[ok])
+        delta = np.clip(delta, -0.5, 0.5)
+        disp = disp + np.where(ok, delta, 0.0)
+
+    disp = np.clip(disp, d_min, d_max)
+    disp[~valid] = np.nan
+    return disp
+
+
+def _match_in_strips(left, right, d_range, window, strip_rows):
+    """match_disparity with its cost-cell budget set to strip_rows rows."""
+    n_d = d_range[1] - d_range[0] + 1
+    with mock.patch.object(stereo, "_STRIP_CELLS", strip_rows * left.width * n_d):
+        return match_disparity(left, right, d_range, window).values
+
+
+@st.composite
+def _matcher_cases(draw):
+    window = draw(st.sampled_from((3, 5, 7, 9)))
+    h = draw(st.integers(window + 1, window + 14))
+    w = draw(st.integers(window + 2, 40))
+    d_min = draw(st.integers(0, (w - 2) // 2))
+    d_max = draw(st.integers(d_min + 1, w - 1))
+    shift = draw(st.integers(0, d_max + 1))
+    levels = draw(st.sampled_from((0, 2, 5)))  # 0: continuous intensities
+    strip_rows = draw(st.one_of(st.integers(1, 4), st.just(h), st.integers(1, h)))
+    seed = draw(st.integers(0, 2 ** 16))
+    return window, h, w, (d_min, d_max), shift, levels, strip_rows, seed
+
+
+def _textured_pair(seed, h, w, shift, levels):
+    base = np.random.default_rng(seed).random((h, w + shift))
+    if levels:  # few grey levels: many equal costs, so argmin ties matter
+        base = np.round(base * levels) / levels
+    return GrayImage(base[:, :w]), GrayImage(base[:, shift:w + shift])
+
+
+class TestStripMatcher:
+    @settings(max_examples=60, deadline=None)
+    @given(case=_matcher_cases())
+    @example(case=(3, 4, 12, (0, 5), 2, 0, 1, 0))
+    @example(case=(9, 10, 20, (0, 10), 3, 0, 1, 1))
+    @example(case=(9, 10, 20, (1, 12), 4, 2, 3, 2))
+    @example(case=(7, 30, 40, (2, 20), 6, 0, 4, 3))
+    def test_strips_equal_whole_image(self, case):
+        """Any strip height, including one row and strip edges inside the
+        invalid border rows, gives the whole-image matcher's map byte for
+        byte."""
+        window, h, w, d_range, shift, levels, strip_rows, seed = case
+        left, right = _textured_pair(seed, h, w, shift, levels)
+        expected = _oracle_match(left, right, d_range, window)
+        got = _match_in_strips(left, right, d_range, window, strip_rows)
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("window", [3, 5, 7, 9])
+    def test_every_strip_height_on_shortest_image(self, window):
+        h = window + 1
+        left, right = _textured_pair(window, h, 30, 4, 0)
+        expected = _oracle_match(left, right, (0, 12), window)
+        for strip_rows in range(1, h + 1):
+            got = _match_in_strips(left, right, (0, 12), window, strip_rows)
+            assert got.tobytes() == expected.tobytes()
+
+    def test_peak_memory_independent_of_height(self):
+        """Doubling the height leaves the matcher's allocation peak nearly
+        unchanged; whole-image cost volumes would double it."""
+        def peak(h):
+            left, right = _shifted_pair(np.random.default_rng(0), h, 160, 20)
+            tracemalloc.start()
+            try:
+                match_disparity(left, right, (1, 65), window=5)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(480) <= 1.25 * peak(240)
+
+
+def _beach_pair():
+    scene = BeachScene(seed=0, width=64, height=48)
+    left = scene._to_rgba(scene.render(scene.t_left)[0]).to_gray()
+    right = scene._to_rgba(scene.render(scene.t_right)[0]).to_gray()
+    return (left, right), (1, 33), 5
+
+
+def _random_shifted_pair():
+    base = np.random.default_rng(11).random((40, 64 + 9))
+    return (GrayImage(base[:, :64]), GrayImage(base[:, 9:73])), (0, 16), 7
+
+
+# (pair, valid pixels, sha256 of the disparity values), recorded from the
+# whole-image int64 matcher that the strip-wise one replaced.
+PINNED_DISPARITIES = {
+    "beach": (
+        _beach_pair, 1400,
+        "dbdcc57f9e764c97ef1d7fd540336c7cf37390b602b443bf056355d371bbc484",
+    ),
+    "shifted": (
+        _random_shifted_pair, 1204,
+        "2b7494d1065f75ae6c6f4e6e5e250b217a7e60fd341cf4129d0b1f8e82a8a3bb",
+    ),
+}
+
+
+@pytest.mark.parametrize("strip_rows", [None, 1, 7])
+@pytest.mark.parametrize("name", sorted(PINNED_DISPARITIES))
+def test_disparity_pinned_bit_for_bit(name, strip_rows):
+    make, n_valid, digest = PINNED_DISPARITIES[name]
+    (left, right), d_range, window = make()
+    if strip_rows is None:
+        values = match_disparity(left, right, d_range, window).values
+    else:
+        values = _match_in_strips(left, right, d_range, window, strip_rows)
+    assert int(np.isfinite(values).sum()) == n_valid
+    assert hashlib.sha256(values.tobytes()).hexdigest() == digest
 
 
 class TestCloudFromDisparity:
