@@ -17,8 +17,12 @@ from pathlib import Path
 
 from . import __version__, pipeline
 from .calibration import BoardSpec
-from .errors import InputError, ShoremapError, SolverError
+from .errors import InputError, ShoremapError
 from .geometry import GridGeometry
+from .georectify import DEFAULT_RECTIFY_CELL_SIZE
+from .pipeline import DEFAULT_D_MAX, DEFAULT_D_MIN, DEFAULT_RECTIFY_MARGIN
+from .stereo import DEFAULT_WINDOW, DEFAULT_Z_MAX
+from .surface import DEFAULT_DSM_CELL_SIZE, DEFAULT_KILL_DISTANCE
 
 logger = logging.getLogger(__name__)
 
@@ -84,10 +88,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--left", required=True, help="left (reference) image, PPM/PGM")
     p.add_argument("--right", required=True)
     p.add_argument("--calibration", required=True)
-    p.add_argument("--d-min", type=int, default=1)
-    p.add_argument("--d-max", type=int, default=64)
-    p.add_argument("--window", type=int, default=5)
-    p.add_argument("--z-max", type=float, default=20.0, help="meters")
+    p.add_argument("--d-min", type=int, default=DEFAULT_D_MIN)
+    p.add_argument("--d-max", type=int, default=DEFAULT_D_MAX)
+    p.add_argument("--window", type=int, default=DEFAULT_WINDOW)
+    p.add_argument("--z-max", type=float, default=DEFAULT_Z_MAX, help="meters")
     p.add_argument("--write-disparity", action="store_true")
     _add_out_dir(p)
     _add_report(p)
@@ -101,8 +105,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dsm", help="TIN rasterization to an ASC grid")
     p.add_argument("--cloud", required=True, help="LAS input")
-    p.add_argument("--cell-size", type=float, default=0.10, help="meters")
-    p.add_argument("--kill", type=float, default=1.0, help="meters")
+    p.add_argument(
+        "--cell-size", type=float, default=DEFAULT_DSM_CELL_SIZE, help="meters"
+    )
+    p.add_argument("--kill", type=float, default=DEFAULT_KILL_DISTANCE, help="meters")
     p.add_argument("--clip", help="WKT polygon file")
     p.add_argument(
         "--grid", nargs=4, metavar=("OX", "OY", "NCOLS", "NROWS"),
@@ -120,8 +126,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--image", required=True, help="photo to rectify, PPM/PGM")
     p.add_argument("--gcps", required=True, help="GCP CSV with px,py observations")
     p.add_argument("--calibration", help="undistort first using this calibration")
-    p.add_argument("--cell-size", type=float, default=0.05, help="meters")
-    p.add_argument("--margin", type=float, default=0.1, help="bbox margin fraction")
+    p.add_argument(
+        "--cell-size", type=float, default=DEFAULT_RECTIFY_CELL_SIZE, help="meters"
+    )
+    p.add_argument(
+        "--margin", type=float, default=DEFAULT_RECTIFY_MARGIN,
+        help="bbox margin fraction",
+    )
     p.add_argument(
         "--grid", nargs=4, metavar=("OX", "OY", "NCOLS", "NROWS"),
         help="explicit grid: origin x/y (upper-left center) and dimensions",
@@ -190,7 +201,7 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "dsm":
-        fragmentable = pipeline.stage_dsm(
+        _, fragment = pipeline.stage_dsm(
             cloud_path=Path(args.cloud),
             out_dir=Path(args.out_dir),
             cell_size=args.cell_size,
@@ -198,7 +209,7 @@ def _dispatch(args) -> int:
             clip_path=Path(args.clip) if args.clip else None,
             grid=_grid_from_args(args),
         )
-        _emit({"dsm": fragmentable[1]}, args.report)
+        _emit({"dsm": fragment}, args.report)
         return EXIT_OK
 
     if args.command == "check":
@@ -250,9 +261,6 @@ def main(argv=None) -> int:
     except InputError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
-    except SolverError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_SOLVER
     except ShoremapError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_SOLVER

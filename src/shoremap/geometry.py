@@ -135,12 +135,6 @@ class GridGeometry:
                 f"grid of {self.n_cols}x{self.n_rows} cells exceeds cap {self.cell_cap}"
             )
 
-    def cell_center(self, row: int, col: int) -> Point2:
-        return Point2(
-            self.origin_x + col * self.cell_size,
-            self.origin_y - row * self.cell_size,
-        )
-
     def cell_centers(self) -> tuple[np.ndarray, np.ndarray]:
         """World x of every column and world y of every row."""
         xs = self.origin_x + np.arange(self.n_cols) * self.cell_size
@@ -186,11 +180,6 @@ def invert_homography(h: Homography) -> Homography:
     if abs(np.linalg.det(h.h)) <= DETERMINANT_EPS:
         raise SingularMatrix("homography determinant below 1e-12")
     return Homography(np.linalg.inv(h.h))
-
-
-def apply_similarity(t: SimilarityTransform, p: Point3) -> Point3:
-    v = t.scale * (t.rotation @ np.array([p.x, p.y, p.z])) + t.translation
-    return Point3(float(v[0]), float(v[1]), float(v[2]))
 
 
 def apply_similarity_many(t: SimilarityTransform, pts: np.ndarray) -> np.ndarray:

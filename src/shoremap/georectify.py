@@ -22,6 +22,7 @@ from .geometry import (
     Point2,
     Point3,
     apply_homography,
+    apply_homography_many,
     invert_homography,
 )
 from .stereo import RgbaImage
@@ -175,18 +176,12 @@ def warp_to_grid(
     photo and resample. h maps image pixels to world coordinates; cells
     outside the source footprint get alpha 0.
     """
-    h_inv = invert_homography(h)
     xs, ys = geom.cell_centers()
     gx, gy = np.meshgrid(xs, ys)
-    m = h_inv.h
-    wden = m[2, 0] * gx + m[2, 1] * gy + m[2, 2]
-    bad = np.abs(wden) <= 1e-12
-    wsafe = np.where(bad, 1.0, wden)
-    u = (m[0, 0] * gx + m[0, 1] * gy + m[0, 2]) / wsafe
-    v = (m[1, 0] * gx + m[1, 1] * gy + m[1, 2]) / wsafe
-    u[bad] = np.nan
-    v[bad] = np.nan
-    samples, _ = bicubic_sample_many(img, u.ravel(), v.ravel())
+    uv = apply_homography_many(
+        invert_homography(h), np.column_stack([gx.ravel(), gy.ravel()])
+    )
+    samples, _ = bicubic_sample_many(img, uv[:, 0], uv[:, 1])
     return RectifiedRaster(
         geometry=geom, bands=samples.reshape(geom.n_rows, geom.n_cols, 4)
     )

@@ -32,6 +32,7 @@ from .georectify import (
 )
 from .registration import apply_alignment, estimate_alignment
 from .stereo import (
+    DEFAULT_WINDOW,
     DEFAULT_Z_MAX,
     DisparityMap,
     GrayImage,
@@ -69,6 +70,10 @@ logger = logging.getLogger(__name__)
 
 SCHEMA_VERSION = 1
 RUN_STAGES = ("depth", "register", "dsm", "check", "rectify")
+
+DEFAULT_D_MIN = 1
+DEFAULT_D_MAX = 64
+DEFAULT_RECTIFY_MARGIN = 0.1
 
 
 def metric(value: float, unit: str) -> dict:
@@ -214,9 +219,9 @@ def stage_depth(
     right_path: Path,
     calibration_path: Path,
     out_dir: Path,
-    d_min: int = 1,
-    d_max: int = 64,
-    window: int = 5,
+    d_min: int = DEFAULT_D_MIN,
+    d_max: int = DEFAULT_D_MAX,
+    window: int = DEFAULT_WINDOW,
     z_max: float = DEFAULT_Z_MAX,
     write_disparity: bool = False,
 ) -> tuple[Path, dict]:
@@ -429,7 +434,7 @@ def stage_rectify(
     out_dir: Path,
     calibration_path: Path | None = None,
     cell_size: float = DEFAULT_RECTIFY_CELL_SIZE,
-    margin: float = 0.1,
+    margin: float = DEFAULT_RECTIFY_MARGIN,
     grid: GridGeometry | None = None,
 ) -> tuple[Path, dict]:
     """Fit the image-to-world homography from GCPs, warp the photo, write
@@ -577,9 +582,9 @@ def run_pipeline(config: dict[str, str], out_dir: Path, report_path: Path) -> di
             right_path=Path(config["depth.right"]),
             calibration_path=Path(config["depth.calibration"]),
             out_dir=out_dir,
-            d_min=_get_int(config, "depth.d_min", 1),
-            d_max=_get_int(config, "depth.d_max", 64),
-            window=_get_int(config, "depth.window", 5),
+            d_min=_get_int(config, "depth.d_min", DEFAULT_D_MIN),
+            d_max=_get_int(config, "depth.d_max", DEFAULT_D_MAX),
+            window=_get_int(config, "depth.window", DEFAULT_WINDOW),
             z_max=_get_float(config, "depth.z_max", DEFAULT_Z_MAX),
             write_disparity=_get_bool(config, "depth.write_disparity", False),
         )
@@ -625,7 +630,7 @@ def run_pipeline(config: dict[str, str], out_dir: Path, report_path: Path) -> di
             cell_size=_get_float(
                 config, "rectify.cell_size", DEFAULT_RECTIFY_CELL_SIZE
             ),
-            margin=_get_float(config, "rectify.margin", 0.1),
+            margin=_get_float(config, "rectify.margin", DEFAULT_RECTIFY_MARGIN),
         )
         report["stages"]["georectification"] = metrics
 

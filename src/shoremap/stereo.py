@@ -23,6 +23,7 @@ _BIG_COST = np.uint16(0xFFFF)
 _STRIP_CELLS = 1 << 21
 _POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
 
+DEFAULT_WINDOW = 5
 DEFAULT_Z_MAX = 20.0
 
 
@@ -158,7 +159,7 @@ class CensusImage:
         return self.window * self.window - 1
 
 
-def census_transform(img: GrayImage, window: int = 5) -> CensusImage:
+def census_transform(img: GrayImage, window: int = DEFAULT_WINDOW) -> CensusImage:
     """Census transform; border pixels (half-window margin) are invalid."""
     if window not in _ALLOWED_WINDOWS:
         raise WindowTooLarge(f"window must be one of {_ALLOWED_WINDOWS}, got {window}")
@@ -187,51 +188,46 @@ def census_transform(img: GrayImage, window: int = 5) -> CensusImage:
     return CensusImage(bits=bits, valid=valid, window=window)
 
 
-def _hamming(a_bits: np.ndarray, b_bits: np.ndarray) -> np.ndarray:
-    return _POPCOUNT[np.bitwise_xor(a_bits, b_bits)].sum(axis=-1).astype(np.int64)
-
-
-def _box_sum(img: np.ndarray, half: int) -> np.ndarray:
-    """Sum over a (2*half+1)^2 window centered per pixel, zero-padded."""
-    k = 2 * half + 1
-    padded = np.pad(np.asarray(img, dtype=np.int64), half)
-    c = padded.cumsum(axis=0).cumsum(axis=1)
-    c = np.pad(c, ((1, 0), (1, 0)))
-    h, w = img.shape
-    return (
-        c[k: k + h, k: k + w]
-        - c[0:h, k: k + w]
-        - c[k: k + h, 0:w]
-        + c[0:h, 0:w]
-    )
-
-
 def _cost_volume(
     ref: CensusImage, other: CensusImage, d_min: int, d_max: int, sign: int
 ) -> np.ndarray:
     """Aggregated matching cost (h, w, n_d) uint16; cost[y, x, i] compares
     the reference pixel x with the other image's pixel x + sign * (d_min + i).
-    Cells without a full window of valid census pairs cost _BIG_COST."""
+
+    Both census images mark the same rectangle valid: census_transform's
+    [half, h - half) x [half, w - half), or a row slice of it in a strip's
+    halo. So for each shift the pairs valid in both images also fill one
+    rectangle, and a cell's window holds only valid pairs exactly when the
+    cell lies in that rectangle shrunk by half on every side. Those cells
+    get the window sum of the Hamming costs; every other cell _BIG_COST."""
     h, w, _ = ref.bits.shape
-    half = ref.window // 2
-    full_window = (2 * half + 1) ** 2
+    k = ref.window
+    half = k // 2
     n_d = d_max - d_min + 1
     volume = np.full((h, w, n_d), _BIG_COST, dtype=np.uint16)
+    rows = np.flatnonzero(ref.valid.any(axis=1))
+    cols = np.flatnonzero(ref.valid.any(axis=0))
+    if rows.size < k:
+        return volume
+    y0, y1 = rows[0], rows[-1] + 1
     for i, d in enumerate(range(d_min, d_max + 1)):
         shift = sign * d
-        if shift <= 0:
-            ref_sl = slice(-shift, w)
-            oth_sl = slice(0, w + shift)
-        else:
-            ref_sl = slice(0, w - shift)
-            oth_sl = slice(shift, w)
-        if ref_sl.stop - ref_sl.start <= 0:
+        x0 = max(cols[0], cols[0] - shift)
+        x1 = min(cols[-1] + 1, cols[-1] + 1 - shift)
+        if x1 - x0 < k:
             continue
-        raw = _hamming(ref.bits[:, ref_sl], other.bits[:, oth_sl])
-        ok = ref.valid[:, ref_sl] & other.valid[:, oth_sl]
-        agg = _box_sum(np.where(ok, raw, 0), half)
-        count = _box_sum(ok, half)
-        volume[:, ref_sl, i] = np.where(count == full_window, agg, _BIG_COST)
+        xor = np.bitwise_xor(
+            ref.bits[y0:y1, x0:x1], other.bits[y0:y1, x0 + shift: x1 + shift]
+        )
+        raw = _POPCOUNT[xor].sum(axis=-1, dtype=np.uint16)
+        # Window sums as differences of cumulative sums, first down the
+        # rows, then along them; only full windows are formed. NumPy reads
+        # an overlapping right-hand side before the in-place subtraction.
+        agg = raw.cumsum(axis=0, dtype=np.int64)
+        agg[k:] -= agg[:-k]
+        agg = agg[k - 1:].cumsum(axis=1, dtype=np.int64)
+        agg[:, k:] -= agg[:, :-k]
+        volume[y0 + half: y1 - half, x0 + half: x1 - half, i] = agg[:, k - 1:]
     return volume
 
 
@@ -245,7 +241,7 @@ def match_disparity(
     left: GrayImage,
     right: GrayImage,
     d_range: tuple[int, int],
-    window: int = 5,
+    window: int = DEFAULT_WINDOW,
 ) -> DisparityMap:
     """Dense disparity of the left image against the right.
 
@@ -294,9 +290,10 @@ def _match_strip(
     """Disparities of rows [r0, r1), NaN where INVALID.
 
     The cost volumes are built from the census rows within a half window
-    of the strip, clipped to the image; the clipped rows are exactly the
-    zero padding of a whole-image box sum, so the strip's costs equal the
-    whole image's."""
+    of the strip, clipped to the image. That halo holds every image row of
+    a kept row's window, and its valid rows are the image's valid rows
+    within it, so _cost_volume gives the kept rows the whole image's
+    costs."""
     h = census_l.bits.shape[0]
     half = census_l.window // 2
     a, b = max(r0 - half, 0), min(r1 + half, h)

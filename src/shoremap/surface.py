@@ -26,7 +26,7 @@ from .errors import (
     SelfIntersection,
     TooFewPoints,
 )
-from .geometry import GridGeometry, Point2, Point3
+from .geometry import GridGeometry, Point2
 from .georectify import Gcp
 from .stereo import PointCloud
 
@@ -105,47 +105,26 @@ def _incircle(ax, ay, bx, by, cx, cy, dx, dy) -> int:
 
 @dataclass(frozen=True)
 class Tin:
-    """Triangulated surface: vertices with elevation, triangle vertex
-    index triples oriented counterclockwise in the xy-plane."""
+    """Triangulated surface, both arrays read-only: vertices (n, 3) float64
+    x, y, z and triangles (m, 3) int64 vertex indices, oriented
+    counterclockwise in the xy-plane."""
 
-    vertices: tuple[Point3, ...]
-    triangles: tuple[tuple[int, int, int], ...]
+    vertices: np.ndarray
+    triangles: np.ndarray
 
     def __post_init__(self):
-        xs = np.array([v.x for v in self.vertices])
-        ys = np.array([v.y for v in self.vertices])
-        zs = np.array([v.z for v in self.vertices])
-        tri = np.array(self.triangles, dtype=np.int64).reshape(-1, 3)
-        for arr in (xs, ys, zs):
-            arr.flags.writeable = False
-        tri.flags.writeable = False
-        object.__setattr__(self, "_xs", xs)
-        object.__setattr__(self, "_ys", ys)
-        object.__setattr__(self, "_zs", zs)
-        object.__setattr__(self, "_tri", tri)
-
-    @property
-    def xy_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        return self._xs, self._ys
-
-    @property
-    def z_array(self) -> np.ndarray:
-        return self._zs
-
-    @property
-    def triangle_array(self) -> np.ndarray:
-        return self._tri
+        v = np.asarray(self.vertices, dtype=np.float64).reshape(-1, 3)
+        t = np.asarray(self.triangles, dtype=np.int64).reshape(-1, 3)
+        v.flags.writeable = False
+        t.flags.writeable = False
+        object.__setattr__(self, "vertices", v)
+        object.__setattr__(self, "triangles", t)
 
     def max_edge_lengths(self) -> np.ndarray:
         """Longest xy edge per triangle."""
-        t = self._tri
-        xs, ys = self._xs, self._ys
-        lengths = []
-        for a, b in ((0, 1), (1, 2), (2, 0)):
-            lengths.append(
-                np.hypot(xs[t[:, a]] - xs[t[:, b]], ys[t[:, a]] - ys[t[:, b]])
-            )
-        return np.max(lengths, axis=0)
+        xy = self.vertices[self.triangles, :2]  # (m, 3 corners, 2)
+        edges = xy - np.roll(xy, -1, axis=1)  # corner k to corner k + 1
+        return np.hypot(edges[..., 0], edges[..., 1]).max(axis=1)
 
 
 @dataclass(frozen=True)
@@ -488,8 +467,7 @@ def build_tin(cloud: PointCloud) -> Tin:
     for idx in _morton_order(xs, ys):
         tri.insert(int(idx))
 
-    vertices = tuple(Point3(*xyz[i]) for i in range(xyz.shape[0]))
-    return Tin(vertices=vertices, triangles=tuple(tri.real_triangles()))
+    return Tin(vertices=xyz, triangles=tri.real_triangles())
 
 
 # --- interpolation and rasterization ------------------------------------------
@@ -513,8 +491,8 @@ def _interpolate(
     point (-1 where none does) and the interpolated z there (NaN where
     none does).
     """
-    xs, ys = tin.xy_arrays
-    tri = tin.triangle_array
+    xs, ys, zs = tin.vertices.T
+    tri = tin.triangles
     # Column by column, so no temporary holds three entries per pair.
     ax, bx, cx = (xs[tri[tids, k]] for k in range(3))
     ay, by, cy = (ys[tri[tids, k]] for k in range(3))
@@ -532,7 +510,7 @@ def _interpolate(
     claim = np.full(n, unclaimed, np.int64)
     np.minimum.at(claim, qid, tids)
     hit = tids == claim[qid]
-    za, zb, zc = tin.z_array[tri[tids[hit]]].T
+    za, zb, zc = zs[tri[tids[hit]]].T
     z = np.full(n, np.nan)
     z[qid[hit]] = w0[hit] * za + w1[hit] * zb + w2[hit] * zc
     claim[claim == unclaimed] = -1
@@ -546,8 +524,8 @@ def _interpolate_points(
     triangles whose xy bounding box, grown by 1e-9, holds the point; a
     sweep over the x-sorted points finds them without a point x triangle
     matrix."""
-    xs, ys = tin.xy_arrays
-    tri = tin.triangle_array
+    xs, ys, _ = tin.vertices.T
+    tri = tin.triangles
     order = np.argsort(px, kind="stable")
     sorted_x = px[order]
     lo = np.searchsorted(sorted_x, xs[tri].min(axis=1) - 1e-9, side="left")
@@ -577,8 +555,8 @@ def _claim_grid(tin: Tin, geom: GridGeometry) -> tuple[np.ndarray, np.ndarray]:
     ever substitutes NODATA, never changes a retained value. Candidate
     (triangle, cell) pairs come from the triangle bounding boxes.
     """
-    xs, ys = tin.xy_arrays
-    tri = tin.triangle_array
+    xs, ys, _ = tin.vertices.T
+    tri = tin.triangles
     cell = geom.cell_size
     tx = xs[tri]  # (T, 3)
     ty = ys[tri]

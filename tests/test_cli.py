@@ -349,3 +349,29 @@ class TestEnvironment:
 
         args = build_parser().parse_args(["dsm", "--cloud", "x.las"])
         assert args.out_dir == str(tmp_path / "envout")
+
+
+def test_parser_defaults_equal_stage_defaults():
+    """Every option a stage also defaults takes the stage's default."""
+    import inspect
+
+    from shoremap.cli import build_parser
+
+    commands = {
+        "depth": (
+            pipeline.stage_depth,
+            ["--left", "l", "--right", "r", "--calibration", "c"],
+            ("d_min", "d_max", "window", "z_max"),
+        ),
+        "dsm": (pipeline.stage_dsm, ["--cloud", "c"], ("cell_size", "kill")),
+        "rectify": (
+            pipeline.stage_rectify,
+            ["--image", "i", "--gcps", "g"],
+            ("cell_size", "margin"),
+        ),
+    }
+    for command, (stage, required, names) in commands.items():
+        args = build_parser().parse_args([command, *required])
+        params = inspect.signature(stage).parameters
+        for name in names:
+            assert getattr(args, name) == params[name].default, (command, name)

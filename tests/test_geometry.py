@@ -10,10 +10,9 @@ from shoremap.geometry import (
     GridGeometry,
     Homography,
     Point2,
-    Point3,
     SimilarityTransform,
     apply_homography,
-    apply_similarity,
+    apply_similarity_many,
     compose_similarity,
     invert_homography,
     invert_similarity,
@@ -93,18 +92,18 @@ class TestInvertHomography:
 class TestSimilarity:
     def test_identity(self):
         t = SimilarityTransform.identity()
-        assert apply_similarity(t, Point3(1, 2, 3)) == Point3(1.0, 2.0, 3.0)
+        assert apply_similarity_many(t, [[1, 2, 3]]).tolist() == [[1.0, 2.0, 3.0]]
 
     def test_pure_scaling(self):
         t = SimilarityTransform(2.0, np.eye(3), np.zeros(3))
-        assert apply_similarity(t, Point3(1, 1, 1)) == Point3(2.0, 2.0, 2.0)
+        assert apply_similarity_many(t, [[1, 1, 1]]).tolist() == [[2.0, 2.0, 2.0]]
 
     def test_rotation_about_z_with_offset(self):
         t = SimilarityTransform(1.0, rotation_about_z(np.pi / 2), np.array([0, 0, 5.0]))
-        p = apply_similarity(t, Point3(1, 0, 0))
-        assert abs(p.x) < 1e-12
-        assert abs(p.y - 1.0) < 1e-12
-        assert abs(p.z - 5.0) < 1e-12
+        x, y, z = apply_similarity_many(t, [[1, 0, 0]])[0]
+        assert abs(x) < 1e-12
+        assert abs(y - 1.0) < 1e-12
+        assert abs(z - 5.0) < 1e-12
 
     def test_compose_with_inverse_is_identity(self):
         t = SimilarityTransform(
@@ -128,9 +127,9 @@ class TestSimilarity:
 class TestGridGeometry:
     def test_cell_centers_run_north_to_south(self):
         g = GridGeometry(origin_x=10.0, origin_y=20.0, cell_size=0.5, n_cols=4, n_rows=3)
-        assert g.cell_center(0, 0) == Point2(10.0, 20.0)
-        assert g.cell_center(2, 3) == Point2(11.5, 19.0)
         xs, ys = g.cell_centers()
+        assert (xs[0], ys[0]) == (10.0, 20.0)
+        assert (xs[3], ys[2]) == (11.5, 19.0)
         assert ys[0] > ys[-1]
 
     def test_validation(self):

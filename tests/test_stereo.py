@@ -266,6 +266,8 @@ class TestStripMatcher:
     @example(case=(9, 10, 20, (0, 10), 3, 0, 1, 1))
     @example(case=(9, 10, 20, (1, 12), 4, 2, 3, 2))
     @example(case=(7, 30, 40, (2, 20), 6, 0, 4, 3))
+    @example(case=(9, 10, 12, (0, 11), 0, 0, 1, 4))  # fewer than window valid rows
+    @example(case=(3, 10, 12, (1, 11), 1, 2, 1, 5))  # widest shifts: too few columns
     def test_strips_equal_whole_image(self, case):
         """Any strip height, including one row and strip edges inside the
         invalid border rows, gives the whole-image matcher's map byte for

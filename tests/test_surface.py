@@ -38,7 +38,7 @@ def _circumcircle_violation(tin: Tin) -> float:
     """Largest (radius - nearest-other-vertex-distance); negative means
     every circumcircle is empty. Direct oracle, independent of the
     incremental construction."""
-    xs, ys = tin.xy_arrays
+    xs, ys, _ = tin.vertices.T
     worst = -np.inf
     for a, b, c in tin.triangles:
         ax, ay, bx, by, cx, cy = xs[a], ys[a], xs[b], ys[b], xs[c], ys[c]
@@ -76,7 +76,7 @@ class TestBuildTin:
         assert len(tin.triangles) == 2
         assert _circumcircle_violation(tin) <= 1e-9
         # Both triangles counterclockwise.
-        xs, ys = tin.xy_arrays
+        xs, ys, _ = tin.vertices.T
         for a, b, c in tin.triangles:
             area = (xs[b] - xs[a]) * (ys[c] - ys[a]) - (ys[b] - ys[a]) * (xs[c] - xs[a])
             assert area > 0
@@ -122,7 +122,7 @@ class TestBuildTin:
             )
         )
         assert len(tin.vertices) == 3
-        zs = {(round(v.x, 6), round(v.y, 6)): v.z for v in tin.vertices}
+        zs = {(round(x, 6), round(y, 6)): z for x, y, z in tin.vertices.tolist()}
         assert zs[(0.0, 0.0)] == 5.0
 
 
@@ -189,10 +189,9 @@ PINNED_TINS = {
 def test_tin_pinned_bit_for_bit(name):
     make, n_vertices, n_triangles, tri_digest, vertex_digest = PINNED_TINS[name]
     tin = build_tin(_cloud(make()))
-    xs, ys = tin.xy_arrays
     assert (len(tin.vertices), len(tin.triangles)) == (n_vertices, n_triangles)
-    assert hashlib.sha256(tin.triangle_array.tobytes()).hexdigest() == tri_digest
-    assert _digest(xs, ys, tin.z_array) == vertex_digest
+    assert hashlib.sha256(tin.triangles.tobytes()).hexdigest() == tri_digest
+    assert _digest(*tin.vertices.T) == vertex_digest
 
 
 def _dedupe_loop(xyz: np.ndarray) -> np.ndarray:
@@ -258,8 +257,7 @@ def test_dedupe_matches_loop(seed, quantized):
 def _reference_z(tin: Tin, x: float, y: float):
     """Scalar-loop oracle: z in the lowest-index triangle whose barycentric
     weights are all >= -1e-12, None when there is none."""
-    xs, ys = tin.xy_arrays
-    zs = tin.z_array
+    xs, ys, zs = tin.vertices.T
     for a, b, c in tin.triangles:
         ax, ay, bx, by, cx, cy = xs[a], ys[a], xs[b], ys[b], xs[c], ys[c]
         area = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
