@@ -125,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rectify", help="projective georectification")
     p.add_argument("--image", required=True, help="photo to rectify, PPM/PGM")
     p.add_argument("--gcps", required=True, help="GCP CSV with px,py observations")
-    p.add_argument("--calibration", help="undistort first using this calibration")
+    p.add_argument("--calibration", help="lens model to sample the raw photo through")
     p.add_argument(
         "--cell-size", type=float, default=DEFAULT_RECTIFY_CELL_SIZE, help="meters"
     )

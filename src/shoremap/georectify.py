@@ -1,6 +1,7 @@
 """Projective georectification: fit an image-to-world plane map from
-ground control points, inverse-warp the photo onto a world-aligned grid
-with cubic-convolution resampling, and report per-axis RMSEs.
+ground control points, inverse-map each cell of a world-aligned grid
+(through the lens model, if given) into the photo and resample it there
+once with cubic convolution, and report per-axis RMSEs.
 
 The RMSE here is the rooted form sqrt(sum(d^2)/n). The two-axis metric is
 computed against the GCP world coordinates from the fitted map's forward
@@ -15,6 +16,7 @@ from typing import Optional
 import numpy as np
 
 from ._dlt import estimate_homography
+from .camera import R2_MAX, CameraIntrinsics, _distort_xy
 from .errors import EmptyGcpSet, InsufficientGcps
 from .geometry import (
     GridGeometry,
@@ -31,6 +33,10 @@ DEFAULT_RECTIFY_CELL_SIZE = 0.05
 
 # Keys cubic-convolution parameter; the common geospatial resampling choice.
 CUBIC_A = -0.5
+
+# Grid cells per warp block: its temporaries, about 330 bytes a cell,
+# stay near 20 MB whatever the grid size.
+_WARP_CELLS = 2**16
 
 
 @dataclass(frozen=True)
@@ -148,7 +154,8 @@ def bicubic_sample_many(img: RgbaImage, x: np.ndarray, y: np.ndarray):
     fy = np.where(inside, y, 1.0) - ys
     wx = _cubic_weights(fx)  # (n, 4)
     wy = _cubic_weights(fy)
-    px = img.pixels.astype(np.float64)
+    # Taps are gathered as uint8; the weighted sums promote them to float64.
+    px = img.pixels
     acc = np.zeros((x.shape[0], 4))
     for j in range(4):
         row = np.zeros((x.shape[0], 4))
@@ -169,19 +176,29 @@ def bicubic_sample(img: RgbaImage, x: float, y: float):
     return tuple(int(v) for v in out[0])
 
 
-def warp_to_grid(
-    img: RgbaImage, h: Homography, geom: GridGeometry
-) -> RectifiedRaster:
-    """Inverse-map each grid cell center through h^-1 into the source
-    photo and resample. h maps image pixels to world coordinates; cells
-    outside the source footprint get alpha 0.
+def warp_to_grid(img: RgbaImage, h: Homography, geom: GridGeometry,
+                 lens: Optional[CameraIntrinsics] = None) -> RectifiedRaster:
+    """Inverse-map each grid cell center through h^-1 to an (undistorted)
+    pixel and, given a lens, through its distortion model to a raw-photo
+    pixel; sample the photo there once. Cells outside the source footprint
+    or the modeled disk (r^2 > R2_MAX) get alpha 0. Rows go in blocks of
+    about _WARP_CELLS cells, so memory beyond the output stays bounded.
     """
     xs, ys = geom.cell_centers()
-    gx, gy = np.meshgrid(xs, ys)
-    uv = apply_homography_many(
-        invert_homography(h), np.column_stack([gx.ravel(), gy.ravel()])
-    )
-    samples, _ = bicubic_sample_many(img, uv[:, 0], uv[:, 1])
-    return RectifiedRaster(
-        geometry=geom, bands=samples.reshape(geom.n_rows, geom.n_cols, 4)
-    )
+    h_inv = invert_homography(h)
+    bands = np.empty((geom.n_rows, geom.n_cols, 4), dtype=np.uint8)
+    step = max(1, _WARP_CELLS // geom.n_cols)
+    for r0 in range(0, geom.n_rows, step):
+        gx, gy = np.meshgrid(xs, ys[r0:r0 + step])
+        uv = apply_homography_many(h_inv, np.column_stack([gx.ravel(), gy.ravel()]))
+        u, v = uv[:, 0], uv[:, 1]
+        if lens is not None:
+            xn = (u - lens.cx) / lens.fx
+            yn = (v - lens.cy) / lens.fy
+            xd, yd = _distort_xy(lens, xn, yn)
+            out_of_model = xn * xn + yn * yn > R2_MAX
+            u = np.where(out_of_model, np.nan, lens.fx * xd + lens.cx)
+            v = np.where(out_of_model, np.nan, lens.fy * yd + lens.cy)
+        samples, _ = bicubic_sample_many(img, u, v)
+        bands[r0:r0 + step] = samples.reshape(-1, geom.n_cols, 4)
+    return RectifiedRaster(geometry=geom, bands=bands)

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import __version__
 from .calibration import BoardSpec, CalibrationView, calibrate
+# _distort_xy and bicubic_sample_many stay imported for perfbench/spans.py.
 from .camera import CameraIntrinsics, StereoRig, undistort_arrays, _distort_xy
 from .errors import InputError, MalformedHeader, TooFewPoints
 from .geometry import GridGeometry, Homography, Point2
@@ -128,6 +129,14 @@ def _read_bytes(path: Path) -> bytes:
     return path.read_bytes()
 
 
+def _check_image_size(name: str, img: RgbaImage, intr: CameraIntrinsics) -> None:
+    if (img.width, img.height) != (intr.image_width, intr.image_height):
+        raise InputError(
+            f"{name} {img.width}x{img.height} does not match "
+            f"calibration {intr.image_width}x{intr.image_height}"
+        )
+
+
 def _load_image_any(path: Path) -> RgbaImage:
     """Load a PPM (P6) or PGM (P5) as RGBA by magic-number sniffing."""
     data = _read_bytes(path)
@@ -229,12 +238,7 @@ def stage_depth(
     rig = read_calibration(_read_text(calibration_path))
     left_rgba = _load_image_any(left_path)
     right_rgba = _load_image_any(right_path)
-    intr = rig.intrinsics
-    if (left_rgba.width, left_rgba.height) != (intr.image_width, intr.image_height):
-        raise InputError(
-            f"left image {left_rgba.width}x{left_rgba.height} does not match "
-            f"calibration {intr.image_width}x{intr.image_height}"
-        )
+    _check_image_size("left image", left_rgba, rig.intrinsics)
     disp = match_disparity(
         left_rgba.to_gray(), right_rgba.to_gray(), (d_min, d_max), window
     )
@@ -384,47 +388,21 @@ def stage_check(cloud_path: Path, gcps_path: Path) -> dict:
     return metrics
 
 
-def _undistort_image(img: RgbaImage, intr: CameraIntrinsics) -> RgbaImage:
-    """Resample the photo onto an undistorted pixel grid (inverse map:
-    undistorted pixel -> distorted source position -> cubic sample)."""
-    h, w = img.height, img.width
-    us, vs = np.meshgrid(np.arange(w, dtype=np.float64),
-                         np.arange(h, dtype=np.float64))
-    xn = (us - intr.cx) / intr.fx
-    yn = (vs - intr.cy) / intr.fy
-    xd, yd = _distort_xy(intr, xn, yn)
-    src_u = intr.fx * xd + intr.cx
-    src_v = intr.fy * yd + intr.cy
-    out_of_model = (xn * xn + yn * yn) > 4.0
-    src_u[out_of_model] = np.nan
-    src_v[out_of_model] = np.nan
-    samples, _ = bicubic_sample_many(img, src_u.ravel(), src_v.ravel())
-    return RgbaImage(samples.reshape(h, w, 4))
-
-
 def _undistort_gcp_observations(
     gcps: list[Gcp], intr: CameraIntrinsics
 ) -> list[Gcp]:
-    out = []
-    for g in gcps:
-        if g.image is None:
-            out.append(g)
-            continue
-        xn = (g.image.x - intr.cx) / intr.fx
-        yn = (g.image.y - intr.cy) / intr.fy
-        xu, yu, ok = undistort_arrays(intr, np.array([xn]), np.array([yn]))
-        if not ok[0]:
-            raise InputError(f"gcp {g.id}: undistortion did not converge")
-        out.append(
-            Gcp(
-                id=g.id,
-                world=g.world,
-                image=Point2(
-                    float(intr.fx * xu[0] + intr.cx),
-                    float(intr.fy * yu[0] + intr.cy),
-                ),
-            )
-        )
+    observed = [k for k, g in enumerate(gcps) if g.image is not None]
+    xu, yu, ok = undistort_arrays(
+        intr,
+        np.array([(gcps[k].image.x - intr.cx) / intr.fx for k in observed]),
+        np.array([(gcps[k].image.y - intr.cy) / intr.fy for k in observed]),
+    )
+    if not ok.all():
+        bad = gcps[observed[int(np.argmin(ok))]]
+        raise InputError(f"gcp {bad.id}: undistortion did not converge")
+    out = list(gcps)
+    for k, u, v in zip(observed, intr.fx * xu + intr.cx, intr.fy * yu + intr.cy):
+        out[k] = Gcp(id=gcps[k].id, world=gcps[k].world, image=Point2(float(u), float(v)))
     return out
 
 
@@ -438,15 +416,13 @@ def stage_rectify(
     grid: GridGeometry | None = None,
 ) -> tuple[Path, dict]:
     """Fit the image-to-world homography from GCPs, warp the photo, write
-    rectified.ppm + rectified.wld, and report the per-axis RMSEs."""
-    img = _load_image_any(image_path)
+    rectified.ppm + rectified.wld, and report the per-axis RMSEs. The photo
+    is read last, so bad GCPs, calibration or grid size fail before it."""
     gcps = parse_gcp_csv(_read_text(gcps_path))
-    undistorted = False
+    lens = None
     if calibration_path is not None:
-        rig = read_calibration(_read_text(calibration_path))
-        img = _undistort_image(img, rig.intrinsics)
-        gcps = _undistort_gcp_observations(gcps, rig.intrinsics)
-        undistorted = True
+        lens = read_calibration(_read_text(calibration_path)).intrinsics
+        gcps = _undistort_gcp_observations(gcps, lens)
     h = fit_ground_homography(gcps)
     report = rmse_xy(h, gcps)
     observed = [g for g in gcps if g.image is not None]
@@ -455,7 +431,10 @@ def stage_rectify(
         np.array([g.world.y for g in observed]),
         cell_size, margin,
     )
-    raster = warp_to_grid(img, h, geometry)
+    img = _load_image_any(image_path)
+    if lens is not None:
+        _check_image_size("image", img, lens)
+    raster = warp_to_grid(img, h, geometry, lens=lens)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     ppm_path = out_dir / "rectified.ppm"
@@ -471,7 +450,7 @@ def stage_rectify(
             for gid, dx, dy in report.per_point_residuals
         ],
         "n_gcps": report.n,
-        "undistorted_observations": undistorted,
+        "undistorted_observations": lens is not None,
         "rectified_image": str(ppm_path),
         "world_file": str(wld_path),
     }

@@ -7,9 +7,11 @@ import pytest
 
 from shoremap import pipeline
 from shoremap.calibration import BoardSpec
+from shoremap.camera import CameraIntrinsics, distort_normalized
 from shoremap.cli import main
 from shoremap.errors import InputError, SolverError
 from shoremap.formats import (
+    write_calibration,
     write_corner_csv,
     write_gcp_csv,
     write_las,
@@ -129,6 +131,102 @@ class TestRectify:
         assert fragment["rmse_y"]["value"] < 1e-9
         assert (tmp_path / "out" / "rectified.ppm").exists()
         assert (tmp_path / "out" / "rectified.wld").exists()
+
+    # A barrel lens for the 50x40 fixture photo.
+    LENS = CameraIntrinsics(fx=60.0, fy=60.0, cx=24.5, cy=19.5, k1=-0.1,
+                            image_width=50, image_height=40)
+
+    def _calibration(self, tmp_path, lens):
+        path = tmp_path / "calib.txt"
+        path.write_text(write_calibration(lens, 0.12))
+        return path
+
+    def test_calibrated_exact_fit(self, tmp_path, capsys):
+        image, _ = self._exact_fixture(tmp_path)
+        lens = self.LENS
+        # Observations are the distorted positions of undistorted pixels
+        # (u, v), which sit at world (10 + 0.1 u, 30 - 0.1 v).
+        gcps = []
+        for i, (u, v) in enumerate([(5, 5), (45, 5), (45, 35), (5, 35), (25, 20), (12, 28)]):
+            d = distort_normalized(lens, Point2((u - lens.cx) / lens.fx, (v - lens.cy) / lens.fy))
+            gcps.append(Gcp(id=f"g{i}", world=Point3(10 + 0.1 * u, 30 - 0.1 * v, 0.0),
+                            image=Point2(lens.fx * d.x + lens.cx, lens.fy * d.y + lens.cy)))
+        gcp_path = tmp_path / "distorted.csv"
+        gcp_path.write_text(write_gcp_csv(gcps))
+        code = main([
+            "rectify", "--image", str(image), "--gcps", str(gcp_path),
+            "--calibration", str(self._calibration(tmp_path, lens)),
+            "--cell-size", "0.1", "--out-dir", str(tmp_path / "out"),
+        ])
+        assert code == 0
+        fragment = json.loads(capsys.readouterr().out)["georectification"]
+        assert fragment["undistorted_observations"] is True
+        assert fragment["rmse_x"]["value"] < 1e-8
+        assert fragment["rmse_y"]["value"] < 1e-8
+        assert (tmp_path / "out" / "rectified.ppm").exists()
+
+    def test_calibration_size_mismatch_exit_2(self, tmp_path, capsys):
+        image, gcps = self._exact_fixture(tmp_path)
+        code = main([
+            "rectify", "--image", str(image), "--gcps", str(gcps),
+            "--calibration", str(self._calibration(tmp_path, FACTORY_INTRINSICS)),
+            "--cell-size", "0.1", "--out-dir", str(tmp_path / "out"),
+        ])
+        assert code == 2
+        assert "image 50x40 does not match calibration 1920x1080" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "rectified.ppm").exists()
+
+    def test_unconvergent_observation_names_first_gcp(self, tmp_path, capsys):
+        image, _ = self._exact_fixture(tmp_path)
+        # Normalized x of 1000 is far outside the lens model; the fixed
+        # point iteration does not settle there.
+        far = self.LENS.cx + 1000.0 * self.LENS.fx
+        gcps = [
+            Gcp(id=f"g{i}", world=Point3(float(i), float(i % 2), 0.0),
+                image=Point2(far if i in (2, 4) else 5.0 * i, 5.0 * (i % 2)))
+            for i in range(6)
+        ]
+        path = tmp_path / "far.csv"
+        path.write_text(write_gcp_csv(gcps))
+        code = main([
+            "rectify", "--image", str(image), "--gcps", str(path),
+            "--calibration", str(self._calibration(tmp_path, self.LENS)),
+            "--out-dir", str(tmp_path / "out"),
+        ])
+        assert code == 2
+        assert "gcp g2: undistortion did not converge" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("calibrated", [False, True], ids=["plain", "calibrated"])
+    @pytest.mark.parametrize("case", ["three-gcps", "tiny-cell-size"])
+    def test_rejected_before_the_photo_is_read(self, tmp_path, monkeypatch, capsys,
+                                               calibrated, case):
+        image, gcps = self._exact_fixture(tmp_path)
+        args = ["rectify", "--image", str(image), "--out-dir", str(tmp_path / "out")]
+        if case == "three-gcps":
+            three = [
+                Gcp(id=f"g{i}", world=Point3(float(i), float(i), 0.0),
+                    image=Point2(float(i * 10), float(i * 5)))
+                for i in range(3)
+            ]
+            gcps = tmp_path / "three.csv"
+            gcps.write_text(write_gcp_csv(three))
+            expected = "need at least 4 GCPs"
+        else:
+            args += ["--cell-size", "1e-4"]
+            expected = "exceeds cap"
+        args += ["--gcps", str(gcps)]
+        if calibrated:
+            args += ["--calibration", str(self._calibration(tmp_path, self.LENS))]
+        calls = []
+        for name in ("read_ppm", "warp_to_grid"):
+            original = getattr(pipeline, name)
+            monkeypatch.setattr(
+                pipeline, name,
+                lambda *a, _n=name, _f=original, **k: calls.append(_n) or _f(*a, **k),
+            )
+        assert main(args) == 2
+        assert expected in capsys.readouterr().err
+        assert calls == []
 
     def test_three_gcps_exit_2(self, tmp_path):
         image, _ = self._exact_fixture(tmp_path)

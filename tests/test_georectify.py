@@ -1,9 +1,13 @@
 """Georectification tests: GCP homography fit, RMSE metric, cubic
 resampling, inverse warping."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from shoremap import georectify
+from shoremap.camera import CameraIntrinsics, _distort_xy
 from shoremap.errors import (
     DegenerateConfiguration,
     EmptyGcpSet,
@@ -15,6 +19,7 @@ from shoremap.geometry import (
     Point2,
     Point3,
     apply_homography,
+    apply_homography_many,
 )
 from shoremap.georectify import (
     Gcp,
@@ -193,7 +198,44 @@ class TestRmse:
         assert np.mean(corr) > 0
 
 
+def _bicubic_float64_reference(img, x, y):
+    """The sampler as it was with a float64 copy of the whole image."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    h, w = img.height, img.width
+    finite = np.isfinite(x) & np.isfinite(y)
+    x0 = np.floor(np.where(finite, x, 0.0)).astype(np.int64)
+    y0 = np.floor(np.where(finite, y, 0.0)).astype(np.int64)
+    inside = finite & (x0 - 1 >= 0) & (x0 + 2 <= w - 1) & (y0 - 1 >= 0) & (y0 + 2 <= h - 1)
+    xs = np.where(inside, x0, 1)
+    ys = np.where(inside, y0, 1)
+    wx = georectify._cubic_weights(np.where(inside, x, 1.0) - xs)
+    wy = georectify._cubic_weights(np.where(inside, y, 1.0) - ys)
+    px = img.pixels.astype(np.float64)
+    acc = np.zeros((x.shape[0], 4))
+    for j in range(4):
+        row = np.zeros((x.shape[0], 4))
+        for i in range(4):
+            row += wx[:, i, None] * px[ys + j - 1, xs + i - 1]
+        acc += wy[:, j, None] * row
+    out = np.clip(np.rint(acc), 0, 255).astype(np.uint8)
+    out[~inside] = 0
+    return out, inside
+
+
 class TestBicubic:
+    def test_uint8_gather_matches_float64_reference(self):
+        rng = np.random.default_rng(11)
+        img = _opaque(rng, 29, 37)
+        xs = rng.uniform(-3.0, 40.0, 5000)
+        ys = rng.uniform(-3.0, 32.0, 5000)
+        xs[::97] = np.nan
+        out, inside = bicubic_sample_many(img, xs, ys)
+        ref_out, ref_inside = _bicubic_float64_reference(img, xs, ys)
+        assert inside.any() and not inside.all()
+        assert np.array_equal(inside, ref_inside)
+        assert np.array_equal(out, ref_out)
+
     def test_integer_coordinates_exact(self):
         rng = np.random.default_rng(3)
         img = _opaque(rng, 10, 12)
@@ -283,3 +325,137 @@ class TestWarp:
         )
         warped = warp_to_grid(img, Homography.identity(), geom)
         assert (warped.bands == 0).all()
+
+
+# A barrel lens on a 160x120 sensor, and a mildly projective map from its
+# undistorted pixels to world metres (about 1 cm per pixel).
+BARREL = CameraIntrinsics(
+    fx=150.0, fy=150.0, cx=79.5, cy=59.5, k1=-0.2,
+    image_width=160, image_height=120,
+)
+H_PHOTO = Homography(
+    np.array([[0.01, 0.001, 0.0], [0.0005, -0.01, 1.5], [0.0, 2e-4, 1.0]])
+)
+
+
+def _texture(x, y):
+    """Smooth analytic RGB texture on the world plane, wavelengths of
+    about 20-35 cells at 1 cm."""
+    r = 128.0 + 90.0 * np.sin(2 * np.pi * x / 0.23) * np.cos(2 * np.pi * y / 0.31)
+    g = 128.0 + 90.0 * np.cos(2 * np.pi * (x + y) / 0.29)
+    b = 128.0 + 90.0 * np.sin(2 * np.pi * (x - 0.5 * y) / 0.35)
+    return np.stack([r, g, b], axis=-1)
+
+
+def _render_distorted_photo(lens, h):
+    """Raw photo of the texture: each raw pixel is undistorted by plain
+    fixed-point iteration (radial k1 only), mapped to the world through h,
+    and shaded there."""
+    vs, us = np.mgrid[0:lens.image_height, 0:lens.image_width].astype(np.float64)
+    xd = (us - lens.cx) / lens.fx
+    yd = (vs - lens.cy) / lens.fy
+    x, y = xd.copy(), yd.copy()
+    for _ in range(100):
+        radial = 1.0 + lens.k1 * (x * x + y * y)
+        x, y = xd / radial, yd / radial
+    uv = np.column_stack([(lens.fx * x + lens.cx).ravel(), (lens.fy * y + lens.cy).ravel()])
+    world = apply_homography_many(h, uv)
+    rgb = np.rint(_texture(world[:, 0], world[:, 1])).astype(np.uint8)
+    px = np.full((lens.image_height, lens.image_width, 4), 255, dtype=np.uint8)
+    px[:, :, :3] = rgb.reshape(lens.image_height, lens.image_width, 3)
+    return RgbaImage(px)
+
+
+def _undistort_image_two_step(img, intr):
+    """The former first resample: the whole photo onto an undistorted
+    pixel grid (undistorted pixel -> distorted source -> cubic sample)."""
+    h, w = img.height, img.width
+    us, vs = np.meshgrid(np.arange(w, dtype=np.float64),
+                         np.arange(h, dtype=np.float64))
+    xn = (us - intr.cx) / intr.fx
+    yn = (vs - intr.cy) / intr.fy
+    xd, yd = _distort_xy(intr, xn, yn)
+    src_u = intr.fx * xd + intr.cx
+    src_v = intr.fy * yd + intr.cy
+    out_of_model = (xn * xn + yn * yn) > 4.0
+    src_u[out_of_model] = np.nan
+    src_v[out_of_model] = np.nan
+    samples, _ = bicubic_sample_many(img, src_u.ravel(), src_v.ravel())
+    return RgbaImage(samples.reshape(h, w, 4))
+
+
+def _photo_grid(lens, h, cell):
+    corners = np.array([[0.0, 0.0], [lens.image_width - 1.0, 0.0],
+                        [0.0, lens.image_height - 1.0],
+                        [lens.image_width - 1.0, lens.image_height - 1.0]])
+    world = apply_homography_many(h, corners)
+    x0, y1 = world[:, 0].min(), world[:, 1].max()
+    n_cols = int(np.ceil((world[:, 0].max() - x0) / cell)) + 1
+    n_rows = int(np.ceil((y1 - world[:, 1].min()) / cell)) + 1
+    return GridGeometry(origin_x=x0, origin_y=y1, cell_size=cell,
+                        n_cols=n_cols, n_rows=n_rows)
+
+
+class TestWarpThroughLens:
+    @pytest.mark.parametrize("cell", [0.01, 0.013])
+    def test_single_resample_beats_two_step(self, cell):
+        photo = _render_distorted_photo(BARREL, H_PHOTO)
+        geom = _photo_grid(BARREL, H_PHOTO, cell)
+        single = warp_to_grid(photo, H_PHOTO, geom, lens=BARREL).bands
+        two_step = warp_to_grid(
+            _undistort_image_two_step(photo, BARREL), H_PHOTO, geom
+        ).bands
+        gx, gy = np.meshgrid(*geom.cell_centers())
+        truth = _texture(gx, gy)
+        both = (single[:, :, 3] == 255) & (two_step[:, :, 3] == 255)
+        assert both.sum() > 10000
+        mae_single = np.abs(single[both][:, :3] - truth[both]).mean()
+        mae_two = np.abs(two_step[both][:, :3] - truth[both]).mean()
+        assert mae_single <= mae_two
+        # The raw photo of a barrel lens reaches past the undistorted frame.
+        assert (single[:, :, 3] == 255).sum() > (two_step[:, :, 3] == 255).sum()
+
+    def test_cells_outside_modeled_disk_are_nodata(self):
+        # 1 px per unit around the principal point: cells 300 px away are
+        # at r^2 = 4 + 2.25 in normalized units, outside the model.
+        lens = CameraIntrinsics(fx=100.0, fy=100.0, cx=400.0, cy=400.0,
+                                k1=-0.01, image_width=800, image_height=800)
+        photo = _opaque(np.random.default_rng(12), 800, 800)
+        geom = GridGeometry(origin_x=50.0, origin_y=400.0, cell_size=50.0,
+                            n_cols=15, n_rows=1)
+        warped = warp_to_grid(photo, Homography.identity(), geom, lens=lens)
+        xs, _ = geom.cell_centers()
+        r2 = ((xs - lens.cx) / lens.fx) ** 2
+        assert np.array_equal(warped.bands[0, :, 3] == 255, r2 <= 4.0)
+
+    @pytest.mark.parametrize("lens", [None, BARREL], ids=["no-lens", "lens"])
+    @pytest.mark.parametrize("block_rows", [1, 7])
+    def test_blocks_give_the_same_bands(self, monkeypatch, lens, block_rows):
+        photo = _render_distorted_photo(BARREL, H_PHOTO)
+        geom = _photo_grid(BARREL, H_PHOTO, 0.016)
+        assert geom.n_rows % 7 and geom.n_cols * geom.n_rows <= georectify._WARP_CELLS
+        whole = warp_to_grid(photo, H_PHOTO, geom, lens=lens).bands
+        monkeypatch.setattr(georectify, "_WARP_CELLS", block_rows * geom.n_cols)
+        blocked = warp_to_grid(photo, H_PHOTO, geom, lens=lens).bands
+        assert np.array_equal(blocked, whole)
+
+    def test_memory_beyond_output_independent_of_grid_height(self):
+        photo = _render_distorted_photo(BARREL, H_PHOTO)
+        n_cols = 256
+        rows = 2 * georectify._WARP_CELLS // n_cols
+
+        def peak_beyond_output(n_rows):
+            # Every height spans the same world rows, inside the photo.
+            geom = GridGeometry(origin_x=0.1, origin_y=1.2, cell_size=1.0 / n_rows,
+                                n_cols=n_cols, n_rows=n_rows)
+            tracemalloc.start()
+            try:
+                warp_to_grid(photo, H_PHOTO, geom, lens=BARREL)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak - n_rows * n_cols * 4
+
+        base = peak_beyond_output(rows)
+        tall = peak_beyond_output(4 * rows)
+        assert tall <= 1.25 * base
