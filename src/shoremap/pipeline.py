@@ -501,12 +501,48 @@ _RUN_INPUT_KEYS = (
 _RUN_OPTIONAL_INPUT_KEYS = ("dsm.clip", "rectify.calibration")
 
 
+def _preflight(config: dict[str, str]) -> dict[str, dict]:
+    """Check that every referenced input exists and parse every typed key,
+    before any stage runs. Returns each stage's parsed keyword arguments."""
+    for key in _RUN_INPUT_KEYS:
+        path = Path(_require(config, key))
+        if not path.is_file():
+            raise InputError(f"config key {key!r}: file not found: {path}")
+    for key in _RUN_OPTIONAL_INPUT_KEYS:
+        if key in config and not Path(config[key]).is_file():
+            raise InputError(f"config key {key!r}: file not found: {config[key]}")
+    return {
+        "depth": {
+            "d_min": _get_int(config, "depth.d_min", DEFAULT_D_MIN),
+            "d_max": _get_int(config, "depth.d_max", DEFAULT_D_MAX),
+            "window": _get_int(config, "depth.window", DEFAULT_WINDOW),
+            "z_max": _get_float(config, "depth.z_max", DEFAULT_Z_MAX),
+            "write_disparity": _get_bool(config, "depth.write_disparity", False),
+        },
+        "register": {
+            "with_scale": _get_bool(config, "register.with_scale", False),
+        },
+        "dsm": {
+            "cell_size": _get_float(config, "dsm.cell_size", DEFAULT_DSM_CELL_SIZE),
+            "kill": _get_float(config, "dsm.kill", DEFAULT_KILL_DISTANCE),
+        },
+        "rectify": {
+            "cell_size": _get_float(
+                config, "rectify.cell_size", DEFAULT_RECTIFY_CELL_SIZE
+            ),
+            "margin": _get_float(config, "rectify.margin", DEFAULT_RECTIFY_MARGIN),
+        },
+    }
+
+
 def run_pipeline(config: dict[str, str], out_dir: Path, report_path: Path) -> dict:
     """Execute depth -> register -> dsm -> check -> rectify, writing the
     consolidated report (and partial results when a stage fails).
 
-    Raises the failing stage's error after writing the report; completed
-    stages' artifacts stay on disk.
+    A preflight first checks every input file and parses every typed key;
+    its failure is reported as failed_stage "preflight" before any stage
+    runs. Raises the failing step's error after writing the report;
+    completed stages' artifacts stay on disk.
     """
     out_dir = Path(out_dir)
     started = datetime.now(timezone.utc)
@@ -525,20 +561,22 @@ def run_pipeline(config: dict[str, str], out_dir: Path, report_path: Path) -> di
         },
     }
 
-    # Validate every referenced input before any stage runs.
-    for key in _RUN_INPUT_KEYS:
-        path = Path(_require(config, key))
-        if not path.is_file():
-            raise InputError(f"config key {key!r}: file not found: {path}")
-    for key in _RUN_OPTIONAL_INPUT_KEYS:
-        if key in config and not Path(config[key]).is_file():
-            raise InputError(f"config key {key!r}: file not found: {config[key]}")
-
     def finish() -> None:
         report["timing"]["finished_utc"] = datetime.now(timezone.utc).strftime(
             "%Y-%m-%dT%H:%M:%SZ"
         )
         write_report(report, report_path)
+
+    def fail(name: str, exc: Exception) -> None:
+        report["failed_stage"] = name
+        report["error"] = f"{type(exc).__name__}: {exc}"
+        finish()
+
+    try:
+        settings = _preflight(config)
+    except Exception as exc:
+        fail("preflight", exc)
+        raise
 
     state: dict[str, Path] = {}
 
@@ -547,10 +585,8 @@ def run_pipeline(config: dict[str, str], out_dir: Path, report_path: Path) -> di
         try:
             fn()
         except Exception as exc:
-            report["failed_stage"] = name
-            report["error"] = f"{type(exc).__name__}: {exc}"
             report["timing"]["stage_seconds"][name] = time.perf_counter() - t0
-            finish()
+            fail(name, exc)
             raise
         report["timing"]["stage_seconds"][name] = time.perf_counter() - t0
         report["stages_completed"].append(name)
@@ -561,11 +597,7 @@ def run_pipeline(config: dict[str, str], out_dir: Path, report_path: Path) -> di
             right_path=Path(config["depth.right"]),
             calibration_path=Path(config["depth.calibration"]),
             out_dir=out_dir,
-            d_min=_get_int(config, "depth.d_min", DEFAULT_D_MIN),
-            d_max=_get_int(config, "depth.d_max", DEFAULT_D_MAX),
-            window=_get_int(config, "depth.window", DEFAULT_WINDOW),
-            z_max=_get_float(config, "depth.z_max", DEFAULT_Z_MAX),
-            write_disparity=_get_bool(config, "depth.write_disparity", False),
+            **settings["depth"],
         )
         report["stages"]["depth"] = metrics
         state["cloud"] = cloud_path
@@ -575,7 +607,7 @@ def run_pipeline(config: dict[str, str], out_dir: Path, report_path: Path) -> di
             cloud_path=state["cloud"],
             pairs_path=Path(config["register.pairs"]),
             out_dir=out_dir,
-            with_scale=_get_bool(config, "register.with_scale", False),
+            **settings["register"],
         )
         report["stages"]["registration"] = metrics
         state["registered"] = registered
@@ -584,9 +616,8 @@ def run_pipeline(config: dict[str, str], out_dir: Path, report_path: Path) -> di
         _, metrics = stage_dsm(
             cloud_path=state["registered"],
             out_dir=out_dir,
-            cell_size=_get_float(config, "dsm.cell_size", DEFAULT_DSM_CELL_SIZE),
-            kill=_get_float(config, "dsm.kill", DEFAULT_KILL_DISTANCE),
             clip_path=Path(config["dsm.clip"]) if "dsm.clip" in config else None,
+            **settings["dsm"],
         )
         report["stages"]["dsm"] = metrics
 
@@ -606,10 +637,7 @@ def run_pipeline(config: dict[str, str], out_dir: Path, report_path: Path) -> di
                 if "rectify.calibration" in config
                 else None
             ),
-            cell_size=_get_float(
-                config, "rectify.cell_size", DEFAULT_RECTIFY_CELL_SIZE
-            ),
-            margin=_get_float(config, "rectify.margin", DEFAULT_RECTIFY_MARGIN),
+            **settings["rectify"],
         )
         report["stages"]["georectification"] = metrics
 

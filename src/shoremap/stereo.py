@@ -4,6 +4,12 @@ Matching is census transform + Hamming-cost winner-take-all with box
 aggregation, a uniqueness test, left-right consistency (1 px tolerance),
 and parabolic subpixel refinement. Pixels without a discriminative,
 consistent match are INVALID (NaN in the disparity array).
+
+Only the left eye's cost volume is computed. The right eye's cost of pixel
+x at disparity d compares the same two pixels as the left eye's cost of
+pixel x + d, so vol_r[y, x, i] == vol_l[y, x + d_min + i, i] where
+x + d_min + i < width, and _BIG_COST elsewhere; a second volume would
+recompute the same window sums.
 """
 
 from __future__ import annotations
@@ -18,8 +24,8 @@ from .errors import DimensionMismatch, EmptyRange, SizeMismatch, WindowTooLarge
 _ALLOWED_WINDOWS = (3, 5, 7, 9)
 # Largest real aggregated cost: 80 census bits x 81 window cells = 6480.
 _BIG_COST = np.uint16(0xFFFF)
-# Cost cells (strip rows x width x disparities) per eye and strip: about
-# 50 rows of a 640-wide image with 65 disparities, 4 MB of uint16 per eye.
+# Cost cells (strip rows x width x disparities) per strip: about 50 rows
+# of a 640-wide image with 65 disparities, 4 MB of uint16.
 _STRIP_CELLS = 1 << 21
 _POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
 
@@ -189,10 +195,17 @@ def census_transform(img: GrayImage, window: int = DEFAULT_WINDOW) -> CensusImag
 
 
 def _cost_volume(
-    ref: CensusImage, other: CensusImage, d_min: int, d_max: int, sign: int
+    ref: CensusImage, other: CensusImage, d_min: int, d_max: int
 ) -> np.ndarray:
-    """Aggregated matching cost (h, w, n_d) uint16; cost[y, x, i] compares
-    the reference pixel x with the other image's pixel x + sign * (d_min + i).
+    """Aggregated matching cost (h, w, n_d) uint16 of the left eye;
+    cost[y, x, i] compares the reference pixel x with the other image's
+    pixel x - (d_min + i).
+
+    This is the only cost volume the matcher builds. The right eye's cost
+    of pixel x at disparity d_min + i compares the pair that
+    cost[y, x + d_min + i, i] compares, so vol_r[y, x, i] equals that cell
+    (or _BIG_COST past the right edge); a second volume would recompute the
+    same window sums, and _right_volume reads it from this one instead.
 
     Both census images mark the same rectangle valid: census_transform's
     [half, h - half) x [half, w - half), or a row slice of it in a strip's
@@ -200,7 +213,7 @@ def _cost_volume(
     rectangle, and a cell's window holds only valid pairs exactly when the
     cell lies in that rectangle shrunk by half on every side. Those cells
     get the window sum of the Hamming costs; every other cell _BIG_COST."""
-    h, w, _ = ref.bits.shape
+    h, w, n_bytes = ref.bits.shape
     k = ref.window
     half = k // 2
     n_d = d_max - d_min + 1
@@ -211,28 +224,57 @@ def _cost_volume(
         return volume
     y0, y1 = rows[0], rows[-1] + 1
     for i, d in enumerate(range(d_min, d_max + 1)):
-        shift = sign * d
-        x0 = max(cols[0], cols[0] - shift)
-        x1 = min(cols[-1] + 1, cols[-1] + 1 - shift)
+        x0, x1 = cols[0] + d, cols[-1] + 1
         if x1 - x0 < k:
             continue
         xor = np.bitwise_xor(
-            ref.bits[y0:y1, x0:x1], other.bits[y0:y1, x0 + shift: x1 + shift]
+            ref.bits[y0:y1, x0:x1], other.bits[y0:y1, x0 - d: x1 - d]
         )
-        raw = _POPCOUNT[xor].sum(axis=-1, dtype=np.uint16)
-        # Window sums as differences of cumulative sums, first down the
-        # rows, then along them; only full windows are formed. NumPy reads
-        # an overlapping right-hand side before the in-place subtraction.
-        agg = raw.cumsum(axis=0, dtype=np.int64)
-        agg[k:] -= agg[:-k]
-        agg = agg[k - 1:].cumsum(axis=1, dtype=np.int64)
-        agg[:, k:] -= agg[:, :-k]
-        volume[y0 + half: y1 - half, x0 + half: x1 - half, i] = agg[:, k - 1:]
+        # Popcount byte by byte: a reduction over the 1-10 census bytes
+        # would run one short inner loop per pixel.
+        raw = _POPCOUNT.take(xor[..., 0]).astype(np.uint16)
+        for byte in range(1, n_bytes):
+            raw += _POPCOUNT.take(xor[..., byte])
+        volume[y0 + half: y1 - half, x0 + half: x1 - half, i] = _window_sums(raw, k)
     return volume
 
 
+def _window_sums(raw: np.ndarray, k: int) -> np.ndarray:
+    """Sum over every full k x k window of raw, first down the rows, then
+    along them, as k - 1 shifted adds per axis. The largest cost, 6480,
+    fits the uint16 accumulator."""
+    n_y, n_x = raw.shape[0] - k + 1, raw.shape[1] - k + 1
+    col = raw[:n_y].copy()
+    for j in range(1, k):
+        col += raw[j: j + n_y]
+    agg = col[:, :n_x].copy()
+    for j in range(1, k):
+        agg += col[:, j: j + n_x]
+    return agg
+
+
+def _right_volume(vol_l: np.ndarray, d_min: int) -> np.ndarray:
+    """The right eye's cost volume, vol_r[y, x, i] == vol_l[y, x + d_min + i, i]
+    and _BIG_COST past the right edge, as a read-only view: vol_l is copied
+    once into a buffer with d_max columns of _BIG_COST on the right, and
+    the view steps one column further along with each disparity."""
+    s, w, n_d = vol_l.shape
+    padded = np.full((s, w + d_min + n_d - 1, n_d), _BIG_COST, dtype=np.uint16)
+    padded[:, :w] = vol_l
+    sy, sx, sd = padded.strides
+    return np.lib.stride_tricks.as_strided(
+        padded[:, d_min:], shape=vol_l.shape, strides=(sy, sx, sx + sd),
+        writeable=False,
+    )
+
+
 def _winner_take_all(volume: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    best = np.argmin(volume, axis=2)
+    """Lowest-cost disparity index (first on ties) and its cost per pixel.
+    argmin copies a view whose last axis is not contiguous, so it runs one
+    row at a time to keep that copy one row long."""
+    best = np.empty(volume.shape[:2], dtype=np.intp)
+    for y in range(volume.shape[0]):
+        np.argmin(volume[y], axis=1, out=best[y])
     best_cost = np.take_along_axis(volume, best[:, :, None], axis=2)[:, :, 0]
     return best, best_cost
 
@@ -253,11 +295,12 @@ def match_disparity(
 
     Memory is bounded by design: every step after the census is local to
     one image row within a half window, so the image is matched in
-    horizontal strips of about _STRIP_CELLS cost cells per eye (at least
-    one row). Beyond the census bits and the output, which grow with
-    height x width, the working set is two uint16 cost volumes of
-    (strip rows + window - 1) x width x disparities, whatever the image
-    height. The result does not depend on the strip height.
+    horizontal strips of about _STRIP_CELLS cost cells (at least one row).
+    Beyond the census bits and the output, which grow with height x width,
+    the working set is one uint16 cost volume of (strip rows + window - 1)
+    x width x disparities and its copy padded by d_max columns, from
+    which the right eye's costs are read, whatever the image height. The
+    result does not depend on the strip height.
     """
     if left.pixels.shape != right.pixels.shape:
         raise SizeMismatch(
@@ -289,11 +332,13 @@ def _match_strip(
 ) -> np.ndarray:
     """Disparities of rows [r0, r1), NaN where INVALID.
 
-    The cost volumes are built from the census rows within a half window
-    of the strip, clipped to the image. That halo holds every image row of
-    a kept row's window, and its valid rows are the image's valid rows
+    The cost volume is built from the census rows within a half window of
+    the strip, clipped to the image. That halo holds every image row of a
+    kept row's window, and its valid rows are the image's valid rows
     within it, so _cost_volume gives the kept rows the whole image's
-    costs."""
+    costs. It is built once, for the left eye: the right eye's costs
+    compare the same pixel pairs, shifted by the disparity, so its winners
+    are read from a view of the same volume (_right_volume)."""
     h = census_l.bits.shape[0]
     half = census_l.window // 2
     a, b = max(r0 - half, 0), min(r1 + half, h)
@@ -302,10 +347,10 @@ def _match_strip(
         return CensusImage(bits=c.bits[a:b], valid=c.valid[a:b], window=c.window)
 
     keep = slice(r0 - a, r1 - a)
-    vol_l = _cost_volume(halo(census_l), halo(census_r), d_min, d_max, sign=-1)[keep]
-    vol_r = _cost_volume(halo(census_r), halo(census_l), d_min, d_max, sign=+1)[keep]
+    vol_l = _cost_volume(halo(census_l), halo(census_r), d_min, d_max)[keep]
     best_l, cost_l = _winner_take_all(vol_l)
-    best_r, cost_r = _winner_take_all(vol_r)
+    # Read before the uniqueness test below overwrites vol_l.
+    best_r, cost_r = _winner_take_all(_right_volume(vol_l, d_min))
 
     n_d = d_max - d_min + 1
     valid = cost_l < _BIG_COST

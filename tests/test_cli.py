@@ -1,7 +1,9 @@
 """CLI contract tests: exit codes, artifacts, report fragments."""
 
 import json
+from importlib import resources
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -34,6 +36,11 @@ def scene_dir(tmp_path_factory):
     root = tmp_path_factory.mktemp("scene")
     paths = scene.write_fixture(root)
     return scene, paths
+
+
+def _run_report_schema():
+    schema = resources.files("shoremap").joinpath("schemas/run_report.schema.json")
+    return json.loads(schema.read_text())
 
 
 def _write_corner_fixture(path, n_views=5, noise=0.0, seed=0):
@@ -341,6 +348,49 @@ class TestRun:
         code = main(["run", "--config", str(conf), "--out-dir", str(out_dir)])
         assert code == 2
         assert not (out_dir / "cloud.las").exists()
+        report = json.loads((out_dir / "run_report.json").read_text())
+        jsonschema.validate(report, _run_report_schema())
+        assert report["failed_stage"] == "preflight"
+        assert report["error"].startswith("InputError: ")
+        assert "missing.csv" in report["error"]
+        assert report["stages_completed"] == []
+        assert report["stages"] == {}
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("depth.d_min", "one"),
+            ("depth.d_max", "6.5"),
+            ("depth.window", "abc"),
+            ("depth.z_max", "far"),
+            ("depth.write_disparity", "maybe"),
+            ("register.with_scale", "2"),
+            ("dsm.cell_size", "abc"),
+            ("dsm.kill", "1m"),
+            ("rectify.cell_size", "abc"),
+            ("rectify.margin", "10%"),
+        ],
+    )
+    def test_bad_typed_key_fails_before_stages(
+        self, scene_dir, tmp_path, monkeypatch, key, value
+    ):
+        _, paths = scene_dir
+
+        def no_match(*args, **kwargs):
+            raise AssertionError("matcher called before the config was parsed")
+
+        monkeypatch.setattr(pipeline, "match_disparity", no_match)
+        out_dir = tmp_path / "out"
+        code = main([
+            "run", "--config", str(paths["config"]), "--out-dir", str(out_dir),
+            "--set", f"{key}={value}",
+        ])
+        assert code == 2
+        report = json.loads((out_dir / "run_report.json").read_text())
+        jsonschema.validate(report, _run_report_schema())
+        assert report["failed_stage"] == "preflight"
+        assert report["error"].startswith(f"InputError: config key {key!r}: bad ")
+        assert report["stages_completed"] == []
 
     def test_collinear_pairs_fail_register_after_depth(
         self, scene_dir, tmp_path, capsys

@@ -302,6 +302,68 @@ class TestStripMatcher:
         assert peak(480) <= 1.25 * peak(240)
 
 
+@st.composite
+def _halo_cases(draw):
+    window = draw(st.sampled_from((3, 5, 7, 9)))
+    h = draw(st.integers(window + 3, window + 24))
+    w = draw(st.integers(window + 2, 40))
+    d_min = draw(st.one_of(st.just(0), st.integers(1, (w - 2) // 2)))
+    d_max = draw(st.integers(d_min + 1, w - 1))
+    a = draw(st.integers(1, h - 2))  # the halo starts below the first row
+    b = draw(st.integers(a + 1, h - 1))  # and ends above the last
+    shift = draw(st.integers(0, d_max + 1))
+    levels = draw(st.sampled_from((0, 2, 5)))
+    seed = draw(st.integers(0, 2 ** 16))
+    return window, h, w, (d_min, d_max), (a, b), shift, levels, seed
+
+
+class TestRightVolume:
+    @settings(max_examples=60, deadline=None)
+    @given(case=_halo_cases())
+    @example(case=(9, 14, 20, (0, 10), (1, 13), 3, 0, 0))  # 10 census bytes
+    @example(case=(9, 24, 40, (2, 30), (1, 23), 5, 0, 1))  # d_min > 0, real costs
+    @example(case=(5, 20, 30, (1, 29), (2, 17), 2, 2, 2))  # widest shifts
+    @example(case=(3, 8, 12, (1, 11), (3, 4), 1, 0, 3))  # one-row halo
+    def test_right_eye_read_from_left_volume(self, case):
+        """The right eye's costs, read from the one volume built per strip,
+        equal a right-eye volume built on its own, _BIG_COST border
+        included, and so do its winners and their costs."""
+        window, h, w, (d_min, d_max), (a, b), shift, levels, seed = case
+        left, right = _textured_pair(seed, h, w, shift, levels)
+
+        def halo(c):
+            return stereo.CensusImage(c.bits[a:b], c.valid[a:b], window)
+
+        census_l = halo(census_transform(left, window))
+        census_r = halo(census_transform(right, window))
+        vol_l = stereo._cost_volume(census_l, census_r, d_min, d_max)
+        vol_r = stereo._right_volume(vol_l, d_min)
+        oracle = _oracle_cost_volume(census_r, census_l, d_min, d_max, sign=+1)
+
+        def as_uint16(costs):
+            return np.where(costs == _ORACLE_BIG, int(stereo._BIG_COST), costs)
+
+        assert vol_r.dtype == np.uint16
+        assert np.array_equal(vol_r, as_uint16(oracle))
+        best, cost = stereo._winner_take_all(vol_r)
+        best_o, cost_o = _oracle_wta(oracle)
+        assert np.array_equal(best, best_o)
+        assert np.array_equal(cost, as_uint16(cost_o))
+
+    def test_one_cost_volume_per_strip(self, monkeypatch):
+        calls = []
+        cost_volume = stereo._cost_volume
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return cost_volume(*args, **kwargs)
+
+        monkeypatch.setattr(stereo, "_cost_volume", counted)
+        left, right = _textured_pair(0, 23, 30, 3, 0)
+        _match_in_strips(left, right, (0, 12), 5, strip_rows=4)
+        assert len(calls) == 6  # ceil(23 / 4) strips
+
+
 def _beach_pair():
     scene = BeachScene(seed=0, width=64, height=48)
     left = scene._to_rgba(scene.render(scene.t_left)[0]).to_gray()
