@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._dlt import estimate_homography
-from .camera import CameraIntrinsics
+from .camera import INTRINSIC_FIELDS, CameraIntrinsics, LensParams, project_many
 from .errors import (
     BehindCamera,
     DegenerateConfiguration,
@@ -36,6 +36,7 @@ LM_GRAD_TOL = 1e-10
 LM_MAX_REJECTIONS = 10
 
 _FD_STEP = 6.0554544523933395e-06  # cbrt(double eps)
+_N_INTR = len(INTRINSIC_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -241,21 +242,12 @@ def axis_angle_to_rotation(aa: np.ndarray) -> np.ndarray:
     return np.eye(3) + np.sin(theta) * k + (1.0 - np.cos(theta)) * (k @ k)
 
 
-def _intrinsics_from_vector(vec: np.ndarray, image_size: tuple[int, int]):
-    v = [float(x) for x in vec]
-    return CameraIntrinsics(
-        fx=v[0], fy=v[1], cx=v[2], cy=v[3],
-        k1=v[4], k2=v[5], k3=v[6], p1=v[7], p2=v[8],
-        image_width=image_size[0], image_height=image_size[1],
-    )
-
-
 class _ReprojectionProblem:
     """Residuals and finite-difference Jacobian for the refinement.
 
-    Parameter vector: 9 intrinsics followed by 6 per view (axis-angle,
-    translation). Residuals are the per-corner pixel differences,
-    observed minus projected, flattened view-major.
+    Parameter vector: the 9 intrinsics in INTRINSIC_FIELDS order, then 6
+    per view (axis-angle, translation). Residuals are the per-corner pixel
+    differences, observed minus projected, flattened view-major.
     """
 
     def __init__(self, obj_points: np.ndarray, observed: np.ndarray,
@@ -269,36 +261,20 @@ class _ReprojectionProblem:
     def residuals(self, params: np.ndarray) -> np.ndarray:
         """Full residual vector, or None if a trial point leaves the model
         domain (treated by LM as a rejected step)."""
-        intr = params[:9]
+        lens = LensParams(*params[:_N_INTR])
         out = np.empty((self.n_views, self.n_points, 2))
         try:
             for v in range(self.n_views):
-                pose = params[9 + 6 * v: 15 + 6 * v]
-                proj = self._project_view(intr, pose)
+                pose = params[_N_INTR + 6 * v: _N_INTR + 6 + 6 * v]
+                proj = self._project_view(lens, pose)
                 out[v] = self.observed[v] - proj
         except (BehindCamera, OutOfModelRange):
             return None
         return out.ravel()
 
-    def _project_view(self, intr_vec: np.ndarray, pose: np.ndarray) -> np.ndarray:
-        fx, fy, cx, cy, k1, k2, k3, p1, p2 = intr_vec
+    def _project_view(self, lens: LensParams, pose: np.ndarray) -> np.ndarray:
         r = axis_angle_to_rotation(pose[:3])
-        cam = self.obj @ r.T + pose[3:]
-        z = cam[:, 2]
-        if np.any(z <= 1e-9):
-            raise BehindCamera("trial pose places corners behind the camera")
-        x = cam[:, 0] / z
-        y = cam[:, 1] / z
-        r2 = x * x + y * y
-        if np.any(r2 > 4.0):
-            raise OutOfModelRange("trial pose leaves the modeled disk")
-        radial = 1.0 + r2 * (k1 + r2 * (k2 + r2 * k3))
-        x_d = x * radial + 2.0 * p1 * x * y + p2 * (r2 + 2.0 * x * x)
-        y_d = y * radial + p1 * (r2 + 2.0 * y * y) + 2.0 * p2 * x * y
-        proj = np.empty((self.n_points, 2))
-        proj[:, 0] = fx * x_d + cx
-        proj[:, 1] = fy * y_d + cy
-        return proj
+        return project_many(lens, self.obj @ r.T + pose[3:])
 
     def jacobian(self, params: np.ndarray, step_scale: float = 1.0) -> np.ndarray:
         """Central-difference Jacobian, exploiting the block structure:
@@ -312,7 +288,7 @@ class _ReprojectionProblem:
         def step_of(x):
             return _FD_STEP * step_scale * max(abs(x), 1.0)
 
-        for j in range(9):
+        for j in range(_N_INTR):
             h = step_of(params[j])
             pp = params.copy(); pp[j] += h
             pm = params.copy(); pm[j] -= h
@@ -328,9 +304,9 @@ class _ReprojectionProblem:
                 continue
             jac[:, j] = (rp - rm) / (2.0 * h)
 
-        intr = params[:9]
+        lens = LensParams(*params[:_N_INTR])
         for v in range(self.n_views):
-            base = 9 + 6 * v
+            base = _N_INTR + 6 * v
             row0 = v * block
             pose = params[base: base + 6]
             for j in range(6):
@@ -338,8 +314,8 @@ class _ReprojectionProblem:
                 pp = pose.copy(); pp[j] += h
                 pm = pose.copy(); pm[j] -= h
                 try:
-                    proj_p = self._project_view(intr, pp)
-                    proj_m = self._project_view(intr, pm)
+                    proj_p = self._project_view(lens, pp)
+                    proj_m = self._project_view(lens, pm)
                 except (BehindCamera, OutOfModelRange):
                     continue
                 # d(residual)/dp = -d(projection)/dp
@@ -433,16 +409,7 @@ def refine(
     image_size = (seed_intrinsics.image_width, seed_intrinsics.image_height)
 
     params0 = np.concatenate(
-        [
-            np.array(
-                [
-                    seed_intrinsics.fx, seed_intrinsics.fy,
-                    seed_intrinsics.cx, seed_intrinsics.cy,
-                    seed_intrinsics.k1, seed_intrinsics.k2, seed_intrinsics.k3,
-                    seed_intrinsics.p1, seed_intrinsics.p2,
-                ]
-            )
-        ]
+        [np.array([getattr(seed_intrinsics, name) for name in INTRINSIC_FIELDS])]
         + [
             np.concatenate([rotation_to_axis_angle(r), np.asarray(t, dtype=float)])
             for r, t in seed_poses
@@ -453,14 +420,17 @@ def refine(
     params, _ = _levenberg_marquardt(problem, params0)
 
     try:
-        intrinsics = _intrinsics_from_vector(params[:9], image_size)
+        intrinsics = CameraIntrinsics(
+            **{name: float(x) for name, x in zip(INTRINSIC_FIELDS, params)},
+            image_width=image_size[0], image_height=image_size[1],
+        )
     except ValueError as exc:
         raise UnstableSolution(f"refined intrinsics invalid: {exc}") from exc
     poses = []
     residual = problem.residuals(params).reshape(observed.shape)
     per_view_errors = []
     for v in range(len(views)):
-        pose = params[9 + 6 * v: 15 + 6 * v]
+        pose = params[_N_INTR + 6 * v: _N_INTR + 6 + 6 * v]
         poses.append((axis_angle_to_rotation(pose[:3]), pose[3:].copy()))
         per_view_errors.append(float(np.linalg.norm(residual[v], axis=1).mean()))
     mean_error = float(np.linalg.norm(residual.reshape(-1, 2), axis=1).mean())

@@ -1,20 +1,24 @@
 """Pinhole camera with polynomial radial/tangential lens distortion, plus
 stereo depth conversion for a rectified pair with known baseline.
 
+The one owner of the lens model (field order, pixel <-> normalized maps,
+distortion, domain limits, projection, undistortion): calibration,
+back-projection, GCP undistortion and the rectification warp call it.
 Distortion convention (applied to normalized image-plane coordinates):
 
     x_d = x*(1 + k1*r^2 + k2*r^4 + k3*r^6) + 2*p1*x*y + p2*(r^2 + 2*x^2)
     y_d = y*(1 + k1*r^2 + k2*r^4 + k3*r^6) + p1*(r^2 + 2*y^2) + 2*p2*x*y
 
-with r^2 = x^2 + y^2. The same convention is used for calibration and
-undistortion throughout the toolkit. The polynomial is only trusted on
-the r^2 <= 4 disk; evaluation outside raises OutOfModelRange rather than
-returning a silently diverged value (wide lenses invite such calls).
+with r^2 = x^2 + y^2. The polynomial is only trusted on the r^2 <= 4
+disk. Projection raises OutOfModelRange outside it rather than return a
+silently diverged value; distort_pixels returns NaN there, which the
+rectification warp turns into NODATA cells.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +30,12 @@ R2_MAX = 4.0
 MIN_DEPTH = 1e-9
 UNDISTORT_TOL = 1e-10
 UNDISTORT_MAX_ITER = 50
+
+# Order of the intrinsics in the calibration parameter vector and file.
+INTRINSIC_FIELDS = ("fx", "fy", "cx", "cy", "k1", "k2", "k3", "p1", "p2")
+# The lens kernels read the fields by name, so they also take these
+# unvalidated values: a wild LM trial step must fail as a domain error.
+LensParams = namedtuple("LensParams", INTRINSIC_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -52,7 +62,7 @@ class CameraIntrinsics:
             raise ValueError("image dimensions must be positive")
         if not (0 <= self.cx < self.image_width and 0 <= self.cy < self.image_height):
             raise ValueError("principal point must lie inside the image")
-        for name in ("fx", "fy", "cx", "cy", "k1", "k2", "k3", "p1", "p2"):
+        for name in INTRINSIC_FIELDS:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
 
@@ -61,9 +71,6 @@ class CameraIntrinsics:
         return np.array(
             [[self.fx, 0.0, self.cx], [0.0, self.fy, self.cy], [0.0, 0.0, 1.0]]
         )
-
-    def distortion_vector(self) -> np.ndarray:
-        return np.array([self.k1, self.k2, self.k3, self.p1, self.p2])
 
 
 @dataclass(frozen=True)
@@ -76,6 +83,16 @@ class StereoRig:
     def __post_init__(self):
         if not (math.isfinite(self.baseline) and self.baseline > 0):
             raise ValueError("baseline must be positive")
+
+
+def pixels_to_normalized(i: CameraIntrinsics, u, v):
+    """Pixel coordinates to normalized image-plane coordinates."""
+    return (u - i.cx) / i.fx, (v - i.cy) / i.fy
+
+
+def normalized_to_pixels(i: CameraIntrinsics, x, y):
+    """Normalized image-plane coordinates to pixel coordinates."""
+    return i.fx * x + i.cx, i.fy * y + i.cy
 
 
 def _distort_xy(i: CameraIntrinsics, x, y):
@@ -94,6 +111,15 @@ def distort_normalized(i: CameraIntrinsics, p: Point2) -> Point2:
         raise OutOfModelRange(f"r^2 = {r2:g} exceeds the modeled disk (r^2 <= {R2_MAX})")
     x_d, y_d = _distort_xy(i, p.x, p.y)
     return Point2(float(x_d), float(y_d))
+
+
+def distort_pixels(i: CameraIntrinsics, u: np.ndarray, v: np.ndarray):
+    """Map undistorted pixel arrays to raw-photo pixels. Points outside
+    the modeled disk (r^2 > R2_MAX) come back as NaN instead of raising."""
+    x, y = pixels_to_normalized(i, u, v)
+    u_d, v_d = normalized_to_pixels(i, *_distort_xy(i, x, y))
+    outside = x * x + y * y > R2_MAX
+    return np.where(outside, np.nan, u_d), np.where(outside, np.nan, v_d)
 
 
 def undistort_arrays(i: CameraIntrinsics, x_d: np.ndarray, y_d: np.ndarray):
@@ -170,35 +196,34 @@ def undistort_normalized(i: CameraIntrinsics, p_d: Point2) -> Point2:
     return Point2(float(x[0]), float(y[0]))
 
 
+def undistort_pixels(i: CameraIntrinsics, u: np.ndarray, v: np.ndarray):
+    """Raw-photo pixel arrays to undistorted normalized coordinates.
+    Returns (x, y, converged) as :func:`undistort_arrays` does."""
+    return undistort_arrays(i, *pixels_to_normalized(i, u, v))
+
+
 def project(i: CameraIntrinsics, p: Point3) -> Point2:
     """Project a camera-frame point to pixel coordinates."""
-    if p.z <= MIN_DEPTH:
-        raise BehindCamera(f"z = {p.z:g} is not in front of the camera")
-    x_n, y_n = p.x / p.z, p.y / p.z
-    d = distort_normalized(i, Point2(x_n, y_n))
-    return Point2(i.fx * d.x + i.cx, i.fy * d.y + i.cy)
+    u, v = project_many(i, np.array([[p.x, p.y, p.z]]))[0]
+    return Point2(float(u), float(v))
 
 
 def project_many(i: CameraIntrinsics, pts: np.ndarray) -> np.ndarray:
     """Project an (n, 3) array of camera-frame points to (n, 2) pixels.
 
-    Raises BehindCamera / OutOfModelRange if any point violates the
-    domain, mirroring the scalar operation.
+    Raises BehindCamera when a point is not in front of the camera
+    (z <= MIN_DEPTH) and OutOfModelRange when one falls outside the
+    modeled disk.
     """
     pts = np.asarray(pts, dtype=np.float64)
     z = pts[:, 2]
     if np.any(z <= MIN_DEPTH):
-        raise BehindCamera("at least one point is not in front of the camera")
+        raise BehindCamera("a point is not in front of the camera")
     x_n = pts[:, 0] / z
     y_n = pts[:, 1] / z
-    r2 = x_n * x_n + y_n * y_n
-    if np.any(r2 > R2_MAX):
-        raise OutOfModelRange("at least one point falls outside the modeled disk")
-    x_d, y_d = _distort_xy(i, x_n, y_n)
-    out = np.empty((pts.shape[0], 2))
-    out[:, 0] = i.fx * x_d + i.cx
-    out[:, 1] = i.fy * y_d + i.cy
-    return out
+    if np.any(x_n * x_n + y_n * y_n > R2_MAX):
+        raise OutOfModelRange("a point falls outside the modeled disk")
+    return np.column_stack(normalized_to_pixels(i, *_distort_xy(i, x_n, y_n)))
 
 
 def disparity_to_depth(r: StereoRig, d: float) -> float:
@@ -212,17 +237,16 @@ def pixel_depth_to_point(i: CameraIntrinsics, u: float, v: float, z: float) -> P
     """Back-project a pixel at known depth into the camera frame."""
     if z <= 0:
         raise BehindCamera(f"depth {z:g} is not positive")
-    n = undistort_normalized(i, Point2((u - i.cx) / i.fx, (v - i.cy) / i.fy))
-    return Point3(n.x * z, n.y * z, z)
+    pts, ok = pixels_depth_to_points(i, np.array([u]), np.array([v]), np.array([z]))
+    if not ok[0]:
+        raise NonConvergence(f"undistortion of pixel ({u:g}, {v:g}) did not converge")
+    return Point3(*map(float, pts[0]))
 
 
 def pixels_depth_to_points(
     i: CameraIntrinsics, u: np.ndarray, v: np.ndarray, z: np.ndarray
 ):
     """Vectorized back-projection. Returns ((n, 3) points, converged mask)."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    z = np.asarray(z, dtype=np.float64)
-    x_n, y_n, ok = undistort_arrays(i, (u - i.cx) / i.fx, (v - i.cy) / i.fy)
-    pts = np.stack([x_n * z, y_n * z, z], axis=-1)
-    return pts, ok
+    u, v, z = (np.asarray(a, dtype=np.float64) for a in (u, v, z))
+    x_n, y_n, ok = undistort_pixels(i, u, v)
+    return np.stack([x_n * z, y_n * z, z], axis=-1), ok

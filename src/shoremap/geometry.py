@@ -143,22 +143,20 @@ class GridGeometry:
 
 
 def apply_homography(h: Homography, p: Point2) -> Point2:
-    """Map a point through a homography.
+    """Map a point through a homography: a one-row
+    :func:`apply_homography_many`.
 
     Raises DegenerateProjection when the point lands on the line at
-    infinity (projective denominator below 1e-12).
+    infinity (projective denominator within 1e-12 of zero).
     """
-    m = h.h
-    w = m[2, 0] * p.x + m[2, 1] * p.y + m[2, 2]
-    if abs(w) <= PROJECTIVE_EPS:
-        raise DegenerateProjection(f"point {p} maps to infinity (w={w:g})")
-    x = (m[0, 0] * p.x + m[0, 1] * p.y + m[0, 2]) / w
-    y = (m[1, 0] * p.x + m[1, 1] * p.y + m[1, 2]) / w
-    return Point2(x, y)
+    x, y = apply_homography_many(h, np.array([[p.x, p.y]]))[0]
+    if np.isnan(x):
+        raise DegenerateProjection(f"point {p} maps to infinity")
+    return Point2(float(x), float(y))
 
 
 def apply_homography_many(h: Homography, xy: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`apply_homography` over an (n, 2) array.
+    """Map an (n, 2) array of points through a homography.
 
     Rows whose projective denominator is within 1e-12 of zero come back
     as NaN instead of raising, so callers can mask them.

@@ -16,14 +16,13 @@ from typing import Optional
 import numpy as np
 
 from ._dlt import estimate_homography
-from .camera import R2_MAX, CameraIntrinsics, _distort_xy
-from .errors import EmptyGcpSet, InsufficientGcps
+from .camera import CameraIntrinsics, distort_pixels
+from .errors import DegenerateProjection, EmptyGcpSet, InsufficientGcps
 from .geometry import (
     GridGeometry,
     Homography,
     Point2,
     Point3,
-    apply_homography,
     apply_homography_many,
     invert_homography,
 )
@@ -110,17 +109,20 @@ def rmse_xy(h: Homography, gcps: list[Gcp]) -> RmseReport:
     obs = _observed_gcps(gcps)
     if not obs:
         raise EmptyGcpSet("no GCPs with image observations")
-    residuals = []
-    for g in obs:
-        mapped = apply_homography(h, g.image)
-        residuals.append((g.id, mapped.x - g.world.x, mapped.y - g.world.y))
-    dx = np.array([r[1] for r in residuals])
-    dy = np.array([r[2] for r in residuals])
-    n = len(residuals)
+    mapped = apply_homography_many(h, np.array([g.image for g in obs]))
+    at_infinity = np.isnan(mapped[:, 0])
+    if at_infinity.any():
+        bad = obs[int(np.argmax(at_infinity))]
+        raise DegenerateProjection(f"gcp {bad.id}: point {bad.image} maps to infinity")
+    d = mapped - np.array([(g.world.x, g.world.y) for g in obs])
+    dx, dy = d[:, 0], d[:, 1]
+    n = len(obs)
     return RmseReport(
         rmse_x=float(np.sqrt((dx * dx).sum() / n)),
         rmse_y=float(np.sqrt((dy * dy).sum() / n)),
-        per_point_residuals=tuple(residuals),
+        per_point_residuals=tuple(
+            (g.id, float(ex), float(ey)) for g, ex, ey in zip(obs, dx, dy)
+        ),
     )
 
 
@@ -193,12 +195,7 @@ def warp_to_grid(img: RgbaImage, h: Homography, geom: GridGeometry,
         uv = apply_homography_many(h_inv, np.column_stack([gx.ravel(), gy.ravel()]))
         u, v = uv[:, 0], uv[:, 1]
         if lens is not None:
-            xn = (u - lens.cx) / lens.fx
-            yn = (v - lens.cy) / lens.fy
-            xd, yd = _distort_xy(lens, xn, yn)
-            out_of_model = xn * xn + yn * yn > R2_MAX
-            u = np.where(out_of_model, np.nan, lens.fx * xd + lens.cx)
-            v = np.where(out_of_model, np.nan, lens.fy * yd + lens.cy)
+            u, v = distort_pixels(lens, u, v)
         samples, _ = bicubic_sample_many(img, u, v)
         bands[r0:r0 + step] = samples.reshape(-1, geom.n_cols, 4)
     return RectifiedRaster(geometry=geom, bands=bands)

@@ -19,8 +19,10 @@ import numpy as np
 
 from . import __version__
 from .calibration import BoardSpec, CalibrationView, calibrate
-# _distort_xy and bicubic_sample_many stay imported for perfbench/spans.py.
-from .camera import CameraIntrinsics, StereoRig, undistort_arrays, _distort_xy
+from .camera import CameraIntrinsics, StereoRig, normalized_to_pixels, undistort_pixels
+# _distort_xy, undistort_arrays and bicubic_sample_many stay imported for
+# perfbench/spans.py, which patches these names here.
+from .camera import _distort_xy, undistort_arrays
 from .errors import InputError, MalformedHeader, TooFewPoints
 from .geometry import GridGeometry, Homography, Point2
 from .georectify import (
@@ -50,6 +52,7 @@ from .surface import (
     rasterize_tin,
     vertical_check,
 )
+from .formats._text import parse_key_values
 from .formats import (
     parse_corner_csv,
     parse_gcp_csv,
@@ -91,28 +94,15 @@ def _las_bytes(cloud) -> bytes:
     return write_las(cloud, scale=0.0001, offset=offset)
 
 
-def parse_config_text(text: str) -> dict[str, str]:
-    """Parse line-based `key = value` configuration with stage prefixes."""
-    config: dict[str, str] = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise MalformedHeader(f"config line {line_no}: expected 'key = value'")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if not key or not value:
-            raise MalformedHeader(f"config line {line_no}: empty key or value")
-        if key in config:
-            raise MalformedHeader(f"config line {line_no}: duplicate key {key!r}")
-        config[key] = value
-    return config
+# The run configuration: `key = value` lines with stage-prefixed keys.
+parse_config_text = parse_key_values
 
 
 def load_config(path: Path) -> dict[str, str]:
-    return parse_config_text(_read_text(path))
+    try:
+        return parse_config_text(_read_text(path))
+    except MalformedHeader as exc:
+        raise MalformedHeader(f"config {path}: {exc}") from exc
 
 
 def _read_text(path: Path) -> str:
@@ -150,8 +140,7 @@ def _load_image_any(path: Path) -> RgbaImage:
 
 # --- stages --------------------------------------------------------------------
 
-def _calibrate_one(board: BoardSpec, corners_path: Path,
-                   image_size: tuple[int, int]):
+def _read_views(board: BoardSpec, corners_path: Path) -> list[CalibrationView]:
     views_raw = parse_corner_csv(_read_text(corners_path))
     if len(views_raw) < 3:
         raise InputError(
@@ -163,8 +152,7 @@ def _calibrate_one(board: BoardSpec, corners_path: Path,
                 f"{corners_path}: view {v} has {len(corners)} corners, board "
                 f"expects {board.corner_count}"
             )
-    views = [CalibrationView(image_points=tuple(c)) for c in views_raw]
-    return calibrate(board, views, image_size), len(views)
+    return [CalibrationView(image_points=tuple(c)) for c in views_raw]
 
 
 def stage_calibrate(
@@ -179,24 +167,33 @@ def stage_calibrate(
 
     With a single corner file the calibration lands at out_path; with
     several (a stereo pair calibrated as two monocular runs), each output
-    gets the corner file's stem as a suffix. The report carries per-eye
-    errors plus the corner-weighted pooled mean.
+    gets the corner file's stem as a suffix, and corner files whose
+    outputs would collide are rejected. Every corner file is parsed and
+    checked before the first calibration runs. The report carries
+    per-eye errors plus the corner-weighted pooled mean.
     """
     if not corners_paths:
         raise InputError("at least one corner file is required")
     out_path = Path(out_path)
+    if len(corners_paths) == 1:
+        targets = [out_path]
+    else:
+        targets = [
+            out_path.with_name(f"{out_path.stem}.{Path(c).stem}{out_path.suffix}")
+            for c in corners_paths
+        ]
+    clash = [t for k, t in enumerate(targets) if t in targets[:k]]
+    if clash:
+        raise InputError(f"two corner files would both write {clash[0]}")
+    all_views = [_read_views(board, Path(c)) for c in corners_paths]
     out_path.parent.mkdir(parents=True, exist_ok=True)
     eyes = []
     total_err = 0.0
     total_corners = 0
-    for corners_path in corners_paths:
-        result, n_views = _calibrate_one(board, Path(corners_path), image_size)
-        if len(corners_paths) == 1:
-            target = out_path
-        else:
-            stem = Path(corners_path).stem
-            target = out_path.with_name(f"{out_path.stem}.{stem}{out_path.suffix}")
+    for corners_path, target, views in zip(corners_paths, targets, all_views):
+        result = calibrate(board, views, image_size)
         target.write_text(write_calibration(result.intrinsics, baseline_m))
+        n_views = len(views)
         n_corners = n_views * board.corner_count
         total_err += result.mean_reprojection_error * n_corners
         total_corners += n_corners
@@ -392,16 +389,13 @@ def _undistort_gcp_observations(
     gcps: list[Gcp], intr: CameraIntrinsics
 ) -> list[Gcp]:
     observed = [k for k, g in enumerate(gcps) if g.image is not None]
-    xu, yu, ok = undistort_arrays(
-        intr,
-        np.array([(gcps[k].image.x - intr.cx) / intr.fx for k in observed]),
-        np.array([(gcps[k].image.y - intr.cy) / intr.fy for k in observed]),
-    )
+    uv = np.array([gcps[k].image for k in observed]).reshape(-1, 2)
+    xu, yu, ok = undistort_pixels(intr, uv[:, 0], uv[:, 1])
     if not ok.all():
         bad = gcps[observed[int(np.argmin(ok))]]
         raise InputError(f"gcp {bad.id}: undistortion did not converge")
     out = list(gcps)
-    for k, u, v in zip(observed, intr.fx * xu + intr.cx, intr.fy * yu + intr.cy):
+    for k, u, v in zip(observed, *normalized_to_pixels(intr, xu, yu)):
         out[k] = Gcp(id=gcps[k].id, world=gcps[k].world, image=Point2(float(u), float(v)))
     return out
 

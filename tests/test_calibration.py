@@ -1,5 +1,7 @@
 """Checkerboard calibration tests against synthetic ground truth."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -16,8 +18,15 @@ from shoremap.calibration import (
     rotation_to_axis_angle,
     zhang_init,
 )
-from shoremap.camera import CameraIntrinsics, project_many
-from shoremap.errors import DegenerateConfiguration, InsufficientViews, UnstableSolution
+from shoremap.camera import CameraIntrinsics, LensParams, project_many
+from shoremap.errors import (
+    BehindCamera,
+    DegenerateConfiguration,
+    InsufficientViews,
+    OutOfModelRange,
+    UnstableSolution,
+)
+from shoremap.formats import write_calibration
 from shoremap.geometry import Homography, Point2
 
 from synth import FACTORY_INTRINSICS, RECALIBRATED_INTRINSICS, make_calibration_views
@@ -236,6 +245,78 @@ class TestRefine:
         j2 = problem.jacobian(params, step_scale=0.5)
         scale = np.abs(j1).max()
         assert np.allclose(j1, j2, rtol=1e-5, atol=1e-5 * scale)
+
+
+    def test_calibration_file_is_pinned(self):
+        # sha256 of the calibration file written from this fixture,
+        # recorded before the LM's projection moved into camera.project_many
+        # (numpy 2.4.6, OpenBLAS, x86_64). The LM solves through LAPACK,
+        # so another LAPACK build may round differently.
+        rng = np.random.default_rng(11)
+        views, _ = make_calibration_views(RECALIBRATED_INTRINSICS, BOARD, 6, 0.3, rng)
+        text = write_calibration(calibrate(BOARD, views, (1920, 1080)).intrinsics, 0.12)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "8b92bad51d5397717ce7d6661af1076ce52bb573d9cdd358b5de4d50b74ac64b"
+        )
+
+
+def _oracle_project_view(obj, intr_vec, pose):
+    """The LM's projection as written before it called camera.project_many."""
+    fx, fy, cx, cy, k1, k2, k3, p1, p2 = intr_vec
+    r = axis_angle_to_rotation(pose[:3])
+    cam = obj @ r.T + pose[3:]
+    z = cam[:, 2]
+    if np.any(z <= 1e-9):
+        raise BehindCamera("trial pose places corners behind the camera")
+    x = cam[:, 0] / z
+    y = cam[:, 1] / z
+    r2 = x * x + y * y
+    if np.any(r2 > 4.0):
+        raise OutOfModelRange("trial pose leaves the modeled disk")
+    radial = 1.0 + r2 * (k1 + r2 * (k2 + r2 * k3))
+    x_d = x * radial + 2.0 * p1 * x * y + p2 * (r2 + 2.0 * x * x)
+    y_d = y * radial + p1 * (r2 + 2.0 * y * y) + 2.0 * p2 * x * y
+    proj = np.empty((obj.shape[0], 2))
+    proj[:, 0] = fx * x_d + cx
+    proj[:, 1] = fy * y_d + cy
+    return proj
+
+
+class TestProjectViewOracle:
+    def test_matches_old_projection_bit_for_bit(self):
+        # Wild trial vectors included: negative focal lengths and a
+        # principal point off the image, which CameraIntrinsics rejects,
+        # must still project (or fail with a domain error) as before.
+        rng = np.random.default_rng(21)
+        obj = np.array([(p.x, p.y, p.z) for p in board_object_points(BOARD)])
+        observed = rng.uniform(0, 1000, (1, BOARD.corner_count, 2))
+        problem = _ReprojectionProblem(obj, observed, (1920, 1080))
+        outcomes = {None: 0, BehindCamera: 0, OutOfModelRange: 0}
+        for _ in range(600):
+            intr = np.concatenate([
+                rng.uniform(-500, 3000, 2), rng.uniform(-1000, 3000, 2),
+                rng.uniform(-1, 1, 3), rng.uniform(-0.1, 0.1, 2),
+            ])
+            pose = np.concatenate([
+                rng.uniform(-1.5, 1.5, 3), rng.uniform(-0.6, 0.6, 2),
+                rng.uniform(-0.3, 1.0, 1),
+            ])
+            try:
+                expected = _oracle_project_view(obj, intr, pose)
+                error = None
+            except (BehindCamera, OutOfModelRange) as exc:
+                error = type(exc)
+            outcomes[error] += 1
+            residual = problem.residuals(np.concatenate([intr, pose]))
+            if error is None:
+                got = problem._project_view(LensParams(*intr), pose)
+                assert got.tobytes() == expected.tobytes()
+                assert residual.tobytes() == (observed[0] - expected).ravel().tobytes()
+            else:
+                with pytest.raises(error):
+                    problem._project_view(LensParams(*intr), pose)
+                assert residual is None
+        assert min(outcomes.values()) > 50, outcomes
 
 
 class TestAxisAngle:

@@ -108,6 +108,47 @@ class TestCalibrate:
         ])
         assert code == 2
 
+    def _no_calibrate(self, monkeypatch):
+        def no_calibrate(*args, **kwargs):
+            raise AssertionError("calibrate called before every corner file was checked")
+
+        monkeypatch.setattr(pipeline, "calibrate", no_calibrate)
+
+    def _calibrate_args(self, corners, out):
+        return [
+            "calibrate", "--corners", *map(str, corners),
+            "--board-cols", "9", "--board-rows", "6", "--square-size", "0.025",
+            "--image-width", "1920", "--image-height", "1080",
+            "--out", str(out),
+        ]
+
+    def test_colliding_corner_stems_exit_2(self, tmp_path, monkeypatch, capsys):
+        # a/left.csv and b/left.csv would both write calib.left.txt.
+        corners = [tmp_path / "a" / "left.csv", tmp_path / "b" / "left.csv"]
+        for k, path in enumerate(corners):
+            path.parent.mkdir()
+            _write_corner_fixture(path, n_views=4, seed=k)
+        self._no_calibrate(monkeypatch)
+        out_dir = tmp_path / "out"
+        code = main(self._calibrate_args(corners, out_dir / "calib.txt"))
+        assert code == 2
+        assert "would both write" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_malformed_second_file_fails_before_calibrating(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        left = tmp_path / "left.csv"
+        right = tmp_path / "right.csv"
+        _write_corner_fixture(left, n_views=4)
+        right.write_text("view_index,corner_index,px,py\n0,0,12.5\n")
+        self._no_calibrate(monkeypatch)
+        out_dir = tmp_path / "out"
+        code = main(self._calibrate_args([left, right], out_dir / "calib.txt"))
+        assert code == 2
+        assert "expected 4 columns" in capsys.readouterr().err
+        assert not out_dir.exists()
+
 
 class TestRectify:
     def _exact_fixture(self, tmp_path):
@@ -355,6 +396,29 @@ class TestRun:
         assert "missing.csv" in report["error"]
         assert report["stages_completed"] == []
         assert report["stages"] == {}
+
+    @pytest.mark.parametrize(
+        "bad_line, reason",
+        [
+            ("dsm.kill 2.0", "expected 'key = value'"),
+            ("dsm.kill =", "empty key or value"),
+            ("dsm.kill = 0.1", "duplicate key"),
+        ],
+    )
+    def test_malformed_config_exit_2(
+        self, scene_dir, tmp_path, capsys, bad_line, reason
+    ):
+        _, paths = scene_dir
+        conf = tmp_path / "bad.conf"
+        conf.write_text(paths["config"].read_text() + bad_line + "\n")
+        out_dir = tmp_path / "out"
+        code = main(["run", "--config", str(conf), "--out-dir", str(out_dir)])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: config {conf}: line ")
+        assert reason in err[0]
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize(
         "key, value",

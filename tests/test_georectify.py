@@ -10,6 +10,7 @@ from shoremap import georectify
 from shoremap.camera import CameraIntrinsics, _distort_xy
 from shoremap.errors import (
     DegenerateConfiguration,
+    DegenerateProjection,
     EmptyGcpSet,
     InsufficientGcps,
 )
@@ -23,6 +24,7 @@ from shoremap.geometry import (
 )
 from shoremap.georectify import (
     Gcp,
+    RmseReport,
     bicubic_sample,
     bicubic_sample_many,
     fit_ground_homography,
@@ -196,6 +198,111 @@ class TestRmse:
             rank_m = np.argsort(np.argsort(mags))
             corr.append(np.corrcoef(rank_d, rank_m)[0, 1])
         assert np.mean(corr) > 0
+
+
+def _oracle_apply_homography(h, p):
+    """The scalar projective division as written before apply_homography
+    became a one-row apply_homography_many."""
+    m = h.h
+    w = m[2, 0] * p.x + m[2, 1] * p.y + m[2, 2]
+    if abs(w) <= 1e-12:
+        raise DegenerateProjection(f"point {p} maps to infinity (w={w:g})")
+    x = (m[0, 0] * p.x + m[0, 1] * p.y + m[0, 2]) / w
+    y = (m[1, 0] * p.x + m[1, 1] * p.y + m[1, 2]) / w
+    return Point2(x, y)
+
+
+def _oracle_rmse_xy(h, gcps):
+    """rmse_xy as written before it made one array call: a Python loop of
+    scalar homography applications."""
+    obs = [g for g in gcps if g.image is not None]
+    if not obs:
+        raise EmptyGcpSet("no GCPs with image observations")
+    residuals = []
+    for g in obs:
+        mapped = _oracle_apply_homography(h, g.image)
+        residuals.append((g.id, mapped.x - g.world.x, mapped.y - g.world.y))
+    dx = np.array([r[1] for r in residuals])
+    dy = np.array([r[2] for r in residuals])
+    n = len(residuals)
+    return RmseReport(
+        rmse_x=float(np.sqrt((dx * dx).sum() / n)),
+        rmse_y=float(np.sqrt((dy * dy).sum() / n)),
+        per_point_residuals=tuple(residuals),
+    )
+
+
+def _outcome(fn, *args):
+    """(error type, None) or (None, the float64 bytes of the result)."""
+    try:
+        result = fn(*args)
+    except Exception as exc:  # the error type is part of the comparison
+        return type(exc), None
+    if isinstance(result, RmseReport):
+        values = [result.rmse_x, result.rmse_y]
+        for _, dx, dy in result.per_point_residuals:
+            values += [dx, dy]
+        ids = [gid for gid, _, _ in result.per_point_residuals]
+        return None, (np.array(values, dtype=np.float64).tobytes(), ids)
+    return None, np.array(result, dtype=np.float64).tobytes()
+
+
+def _random_homography(rng):
+    while True:
+        m = rng.normal(0.0, 1.0, (3, 3))
+        m[2, :2] *= rng.choice([1e-3, 1.0])
+        if abs(np.linalg.det(m)) > 1e-3 and abs(m[2, 2]) > 1e-3 and abs(m[2, 1]) > 1e-3:
+            return Homography(m)
+
+
+def _point_on_horizon(rng, h):
+    """A point whose projective denominator is (within rounding) zero."""
+    m = h.h
+    x = rng.uniform(-50, 50)
+    return Point2(x, -(m[2, 0] * x + m[2, 2]) / m[2, 1])
+
+
+class TestProjectiveDivisionOracle:
+    """apply_homography and rmse_xy against their scalar forms, bit for
+    bit, error types included, at and near the line at infinity."""
+
+    def test_apply_homography_matches_scalar_oracle(self):
+        rng = np.random.default_rng(8)
+        raised = 0
+        for _ in range(400):
+            h = _random_homography(rng)
+            kind = rng.integers(3)
+            if kind == 0:
+                p = Point2(*rng.uniform(-100, 100, 2))
+            else:
+                p = _point_on_horizon(rng, h)
+                if kind == 2:  # just off the line: huge but finite images
+                    p = Point2(p.x, p.y + 1e-9)
+            expected = _outcome(_oracle_apply_homography, h, p)
+            assert _outcome(apply_homography, h, p) == expected
+            raised += expected[0] is DegenerateProjection
+        assert 50 < raised < 350
+
+    def test_rmse_xy_matches_loop_oracle(self):
+        rng = np.random.default_rng(9)
+        raised = 0
+        for trial in range(200):
+            h = _random_homography(rng)
+            n = int(rng.integers(1, 9))
+            gcps = [
+                Gcp(id=f"g{k}", world=Point3(*rng.uniform(-500, 500, 3)),
+                    image=Point2(*rng.uniform(0, 2000, 2)))
+                for k in range(n)
+            ]
+            gcps.append(Gcp(id="unobserved", world=Point3(0.0, 0.0, 0.0)))
+            if trial % 3 == 0:
+                at = int(rng.integers(n))
+                gcps[at] = Gcp(id=gcps[at].id, world=gcps[at].world,
+                               image=_point_on_horizon(rng, h))
+            expected = _outcome(_oracle_rmse_xy, h, gcps)
+            assert _outcome(rmse_xy, h, gcps) == expected
+            raised += expected[0] is DegenerateProjection
+        assert raised > 30
 
 
 def _bicubic_float64_reference(img, x, y):
