@@ -217,11 +217,11 @@ def project_many(i: CameraIntrinsics, pts: np.ndarray) -> np.ndarray:
     """
     pts = np.asarray(pts, dtype=np.float64)
     z = pts[:, 2]
-    if np.any(z <= MIN_DEPTH):
+    if (z <= MIN_DEPTH).any():
         raise BehindCamera("a point is not in front of the camera")
     x_n = pts[:, 0] / z
     y_n = pts[:, 1] / z
-    if np.any(x_n * x_n + y_n * y_n > R2_MAX):
+    if (x_n * x_n + y_n * y_n > R2_MAX).any():
         raise OutOfModelRange("a point falls outside the modeled disk")
     return np.column_stack(normalized_to_pixels(i, *_distort_xy(i, x_n, y_n)))
 

@@ -19,10 +19,6 @@ from . import __version__, pipeline
 from .calibration import BoardSpec
 from .errors import InputError, ShoremapError
 from .geometry import GridGeometry
-from .georectify import DEFAULT_RECTIFY_CELL_SIZE
-from .pipeline import DEFAULT_D_MAX, DEFAULT_D_MIN, DEFAULT_RECTIFY_MARGIN
-from .stereo import DEFAULT_WINDOW, DEFAULT_Z_MAX
-from .surface import DEFAULT_DSM_CELL_SIZE, DEFAULT_KILL_DISTANCE
 
 logger = logging.getLogger(__name__)
 
@@ -45,6 +41,22 @@ def _add_out_dir(p: argparse.ArgumentParser) -> None:
 
 def _add_report(p: argparse.ArgumentParser) -> None:
     p.add_argument("--report", help="write the metrics fragment to this JSON file")
+
+
+# Subcommand help of the `run` stages; their flags come from the stage
+# signatures (pipeline.INPUTS and pipeline.SETTINGS): `--<name>` with
+# underscores as dashes.
+_STAGE_HELP = {
+    "depth": "stereo matching and point cloud",
+    "register": "align a cloud to control pairs",
+    "dsm": "TIN rasterization to an ASC grid",
+    "check": "vertical accuracy against GCPs",
+    "rectify": "projective georectification",
+}
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 def _grid_from_args(args) -> GridGeometry | None:
@@ -84,61 +96,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="calibration file to write")
     _add_report(p)
 
-    p = sub.add_parser("depth", help="stereo matching and point cloud")
-    p.add_argument("--left", required=True, help="left (reference) image, PPM/PGM")
-    p.add_argument("--right", required=True)
-    p.add_argument("--calibration", required=True)
-    p.add_argument("--d-min", type=int, default=DEFAULT_D_MIN)
-    p.add_argument("--d-max", type=int, default=DEFAULT_D_MAX)
-    p.add_argument("--window", type=int, default=DEFAULT_WINDOW)
-    p.add_argument("--z-max", type=float, default=DEFAULT_Z_MAX, help="meters")
-    p.add_argument("--write-disparity", action="store_true")
-    _add_out_dir(p)
-    _add_report(p)
-
-    p = sub.add_parser("register", help="align a cloud to control pairs")
-    p.add_argument("--cloud", required=True, help="LAS input")
-    p.add_argument("--pairs", required=True, help="pair CSV")
-    p.add_argument("--with-scale", action="store_true")
-    _add_out_dir(p)
-    _add_report(p)
-
-    p = sub.add_parser("dsm", help="TIN rasterization to an ASC grid")
-    p.add_argument("--cloud", required=True, help="LAS input")
-    p.add_argument(
-        "--cell-size", type=float, default=DEFAULT_DSM_CELL_SIZE, help="meters"
-    )
-    p.add_argument("--kill", type=float, default=DEFAULT_KILL_DISTANCE, help="meters")
-    p.add_argument("--clip", help="WKT polygon file")
-    p.add_argument(
-        "--grid", nargs=4, metavar=("OX", "OY", "NCOLS", "NROWS"),
-        help="explicit grid: origin x/y (upper-left center) and dimensions",
-    )
-    _add_out_dir(p)
-    _add_report(p)
-
-    p = sub.add_parser("check", help="vertical accuracy against GCPs")
-    p.add_argument("--cloud", required=True, help="LAS input")
-    p.add_argument("--gcps", required=True, help="GCP CSV")
-    _add_report(p)
-
-    p = sub.add_parser("rectify", help="projective georectification")
-    p.add_argument("--image", required=True, help="photo to rectify, PPM/PGM")
-    p.add_argument("--gcps", required=True, help="GCP CSV with px,py observations")
-    p.add_argument("--calibration", help="lens model to sample the raw photo through")
-    p.add_argument(
-        "--cell-size", type=float, default=DEFAULT_RECTIFY_CELL_SIZE, help="meters"
-    )
-    p.add_argument(
-        "--margin", type=float, default=DEFAULT_RECTIFY_MARGIN,
-        help="bbox margin fraction",
-    )
-    p.add_argument(
-        "--grid", nargs=4, metavar=("OX", "OY", "NCOLS", "NROWS"),
-        help="explicit grid: origin x/y (upper-left center) and dimensions",
-    )
-    _add_out_dir(p)
-    _add_report(p)
+    for name in pipeline.RUN_STAGES:
+        p = sub.add_parser(name, help=_STAGE_HELP[name])
+        for inp, required in pipeline.INPUTS[name].items():
+            p.add_argument(_flag(inp), required=required, help="input file")
+        for setting, default in pipeline.SETTINGS[name].items():
+            if type(default) is bool:
+                p.add_argument(_flag(setting), action="store_true")
+            else:
+                p.add_argument(
+                    _flag(setting), type=type(default), default=default,
+                    help="default: %(default)s",
+                )
+        if "grid" in pipeline.PARAMETERS[name]:
+            p.add_argument(
+                "--grid", nargs=4, metavar=("OX", "OY", "NCOLS", "NROWS"),
+                help="explicit grid: origin x/y (upper-left center) and dimensions",
+            )
+        if "out_dir" in pipeline.PARAMETERS[name]:
+            _add_out_dir(p)
+        _add_report(p)
 
     p = sub.add_parser("run", help="full pipeline from a config file")
     p.add_argument("--config", required=True)
@@ -175,61 +152,18 @@ def _dispatch(args) -> int:
         _emit({"calibration": fragment}, args.report)
         return EXIT_OK
 
-    if args.command == "depth":
-        _, fragment = pipeline.stage_depth(
-            left_path=Path(args.left),
-            right_path=Path(args.right),
-            calibration_path=Path(args.calibration),
-            out_dir=Path(args.out_dir),
-            d_min=args.d_min,
-            d_max=args.d_max,
-            window=args.window,
-            z_max=args.z_max,
-            write_disparity=args.write_disparity,
-        )
-        _emit({"depth": fragment}, args.report)
-        return EXIT_OK
-
-    if args.command == "register":
-        _, fragment = pipeline.stage_register(
-            cloud_path=Path(args.cloud),
-            pairs_path=Path(args.pairs),
-            out_dir=Path(args.out_dir),
-            with_scale=args.with_scale,
-        )
-        _emit({"registration": fragment}, args.report)
-        return EXIT_OK
-
-    if args.command == "dsm":
-        _, fragment = pipeline.stage_dsm(
-            cloud_path=Path(args.cloud),
-            out_dir=Path(args.out_dir),
-            cell_size=args.cell_size,
-            kill=args.kill,
-            clip_path=Path(args.clip) if args.clip else None,
-            grid=_grid_from_args(args),
-        )
-        _emit({"dsm": fragment}, args.report)
-        return EXIT_OK
-
-    if args.command == "check":
-        fragment = pipeline.stage_check(
-            cloud_path=Path(args.cloud), gcps_path=Path(args.gcps)
-        )
-        _emit({"vertical_check": fragment}, args.report)
-        return EXIT_OK
-
-    if args.command == "rectify":
-        _, fragment = pipeline.stage_rectify(
-            image_path=Path(args.image),
-            gcps_path=Path(args.gcps),
-            out_dir=Path(args.out_dir),
-            calibration_path=Path(args.calibration) if args.calibration else None,
-            cell_size=args.cell_size,
-            margin=args.margin,
-            grid=_grid_from_args(args),
-        )
-        _emit({"georectification": fragment}, args.report)
+    if args.command in pipeline.RUN_STAGES:
+        name = args.command
+        kwargs = {s: getattr(args, s) for s in pipeline.SETTINGS[name]}
+        for inp in pipeline.INPUTS[name]:
+            if getattr(args, inp) is not None:
+                kwargs[f"{inp}_path"] = Path(getattr(args, inp))
+        if "grid" in pipeline.PARAMETERS[name]:
+            kwargs["grid"] = _grid_from_args(args)
+        if "out_dir" in pipeline.PARAMETERS[name]:
+            kwargs["out_dir"] = Path(args.out_dir)
+        _, fragment = pipeline.call_stage(name, **kwargs)
+        _emit({pipeline.REPORT_KEYS[name]: fragment}, args.report)
         return EXIT_OK
 
     if args.command == "run":

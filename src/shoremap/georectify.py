@@ -28,8 +28,6 @@ from .geometry import (
 )
 from .stereo import RgbaImage
 
-DEFAULT_RECTIFY_CELL_SIZE = 0.05
-
 # Keys cubic-convolution parameter; the common geospatial resampling choice.
 CUBIC_A = -0.5
 

@@ -9,6 +9,7 @@ so that reports from identical runs are byte-identical outside it.
 
 from __future__ import annotations
 
+import inspect
 import json
 import logging
 import time
@@ -26,7 +27,6 @@ from .camera import _distort_xy, undistort_arrays
 from .errors import InputError, MalformedHeader, TooFewPoints
 from .geometry import GridGeometry, Homography, Point2
 from .georectify import (
-    DEFAULT_RECTIFY_CELL_SIZE,
     Gcp,
     bicubic_sample_many,
     fit_ground_homography,
@@ -44,7 +44,6 @@ from .stereo import (
     match_disparity,
 )
 from .surface import (
-    DEFAULT_DSM_CELL_SIZE,
     DEFAULT_KILL_DISTANCE,
     DsmGrid,
     build_tin,
@@ -73,11 +72,6 @@ from .formats import (
 logger = logging.getLogger(__name__)
 
 SCHEMA_VERSION = 1
-RUN_STAGES = ("depth", "register", "dsm", "check", "rectify")
-
-DEFAULT_D_MIN = 1
-DEFAULT_D_MAX = 64
-DEFAULT_RECTIFY_MARGIN = 0.1
 
 
 def metric(value: float, unit: str) -> dict:
@@ -225,8 +219,8 @@ def stage_depth(
     right_path: Path,
     calibration_path: Path,
     out_dir: Path,
-    d_min: int = DEFAULT_D_MIN,
-    d_max: int = DEFAULT_D_MAX,
+    d_min: int = 1,
+    d_max: int = 64,
     window: int = DEFAULT_WINDOW,
     z_max: float = DEFAULT_Z_MAX,
     write_disparity: bool = False,
@@ -315,7 +309,7 @@ def _bbox_grid(
 def stage_dsm(
     cloud_path: Path,
     out_dir: Path,
-    cell_size: float = DEFAULT_DSM_CELL_SIZE,
+    cell_size: float = 0.10,
     kill: float = DEFAULT_KILL_DISTANCE,
     clip_path: Path | None = None,
     grid: GridGeometry | None = None,
@@ -405,8 +399,8 @@ def stage_rectify(
     gcps_path: Path,
     out_dir: Path,
     calibration_path: Path | None = None,
-    cell_size: float = DEFAULT_RECTIFY_CELL_SIZE,
-    margin: float = DEFAULT_RECTIFY_MARGIN,
+    cell_size: float = 0.05,
+    margin: float = 0.1,
     grid: GridGeometry | None = None,
 ) -> tuple[Path, dict]:
     """Fit the image-to-world homography from GCPs, warp the photo, write
@@ -453,90 +447,111 @@ def stage_rectify(
 
 # --- full pipeline --------------------------------------------------------------
 
-def _require(config: dict[str, str], key: str) -> str:
-    if key not in config:
-        raise InputError(f"config key {key!r} is required")
-    return config[key]
+# The report key of each `run` stage's metrics, in chain order.
+REPORT_KEYS = {
+    "depth": "depth",
+    "register": "registration",
+    "dsm": "dsm",
+    "check": "vertical_check",
+    "rectify": "georectification",
+}
+RUN_STAGES = tuple(REPORT_KEYS)
 
+# The setting types, by the name their parse errors give.
+_KINDS = {bool: "boolean", int: "integer", float: "number"}
 
-def _get_float(config: dict[str, str], key: str, default: float) -> float:
-    if key not in config:
-        return default
-    try:
-        return float(config[key])
-    except ValueError as exc:
-        raise InputError(f"config key {key!r}: bad number {config[key]!r}") from exc
-
-
-def _get_int(config: dict[str, str], key: str, default: int) -> int:
-    if key not in config:
-        return default
-    try:
-        return int(config[key])
-    except ValueError as exc:
-        raise InputError(f"config key {key!r}: bad integer {config[key]!r}") from exc
-
-
-def _get_bool(config: dict[str, str], key: str, default: bool) -> bool:
-    if key not in config:
-        return default
-    value = config[key].lower()
-    if value in ("true", "1", "yes", "on"):
-        return True
-    if value in ("false", "0", "no", "off"):
-        return False
-    raise InputError(f"config key {key!r}: bad boolean {config[key]!r}")
-
-
-_RUN_INPUT_KEYS = (
-    "depth.left", "depth.right", "depth.calibration",
-    "register.pairs", "check.gcps", "rectify.image", "rectify.gcps",
+# What each stage takes, read once from the stage function's own signature
+# (tests and the tracer later replace the module attributes with callables
+# that have none): PARAMETERS lists its parameter names; SETTINGS maps each
+# keyword parameter whose default is of a setting type to that default;
+# INPUTS maps each `<name>_path` parameter, by <name>, to whether it is
+# required.
+_SIGNATURES = {
+    name: inspect.signature(globals()[f"stage_{name}"]).parameters.values()
+    for name in RUN_STAGES
+}
+PARAMETERS = {name: tuple(p.name for p in ps) for name, ps in _SIGNATURES.items()}
+SETTINGS = {
+    name: {p.name: p.default for p in ps if type(p.default) in _KINDS}
+    for name, ps in _SIGNATURES.items()
+}
+INPUTS = {
+    name: {
+        p.name.removesuffix("_path"): p.default is p.empty
+        for p in ps if p.name.endswith("_path")
+    }
+    for name, ps in _SIGNATURES.items()
+}
+# The `run` config keys: `<stage>.<name>` for every input and setting,
+# except the `cloud` input, which the chain supplies.
+_CHAINED_INPUT = "cloud"
+_CONFIG_KEYS = frozenset(
+    f"{stage}.{name}"
+    for stage in RUN_STAGES
+    for name in (*INPUTS[stage], *SETTINGS[stage])
+    if name != _CHAINED_INPUT
 )
-_RUN_OPTIONAL_INPUT_KEYS = ("dsm.clip", "rectify.calibration")
+
+_BOOLEANS = {
+    "true": True, "1": True, "yes": True, "on": True,
+    "false": False, "0": False, "no": False, "off": False,
+}
+
+
+def call_stage(name: str, **kwargs) -> tuple[Path | None, dict]:
+    """Call stage_<name> as this module holds it at call time, so that a
+    replaced stage is the one called. Returns (artifact path, metrics);
+    the path is None for a stage that returns its metrics alone."""
+    result = globals()[f"stage_{name}"](**kwargs)
+    return result if isinstance(result, tuple) else (None, result)
+
+
+def _parse_setting(key: str, text: str, default):
+    """Parse a config value as the type of the stage default it replaces."""
+    kind = type(default)
+    try:
+        return _BOOLEANS[text.lower()] if kind is bool else kind(text)
+    except (KeyError, ValueError) as exc:
+        raise InputError(f"config key {key!r}: bad {_KINDS[kind]} {text!r}") from exc
 
 
 def _preflight(config: dict[str, str]) -> dict[str, dict]:
-    """Check that every referenced input exists and parse every typed key,
-    before any stage runs. Returns each stage's parsed keyword arguments."""
-    for key in _RUN_INPUT_KEYS:
-        path = Path(_require(config, key))
-        if not path.is_file():
-            raise InputError(f"config key {key!r}: file not found: {path}")
-    for key in _RUN_OPTIONAL_INPUT_KEYS:
-        if key in config and not Path(config[key]).is_file():
-            raise InputError(f"config key {key!r}: file not found: {config[key]}")
-    return {
-        "depth": {
-            "d_min": _get_int(config, "depth.d_min", DEFAULT_D_MIN),
-            "d_max": _get_int(config, "depth.d_max", DEFAULT_D_MAX),
-            "window": _get_int(config, "depth.window", DEFAULT_WINDOW),
-            "z_max": _get_float(config, "depth.z_max", DEFAULT_Z_MAX),
-            "write_disparity": _get_bool(config, "depth.write_disparity", False),
-        },
-        "register": {
-            "with_scale": _get_bool(config, "register.with_scale", False),
-        },
-        "dsm": {
-            "cell_size": _get_float(config, "dsm.cell_size", DEFAULT_DSM_CELL_SIZE),
-            "kill": _get_float(config, "dsm.kill", DEFAULT_KILL_DISTANCE),
-        },
-        "rectify": {
-            "cell_size": _get_float(
-                config, "rectify.cell_size", DEFAULT_RECTIFY_CELL_SIZE
-            ),
-            "margin": _get_float(config, "rectify.margin", DEFAULT_RECTIFY_MARGIN),
-        },
-    }
+    """Reject unknown keys, check that every referenced input exists and
+    parse every setting, before any stage runs. Returns each stage's
+    keyword arguments from the config."""
+    unknown = sorted(set(config) - _CONFIG_KEYS)
+    if unknown:
+        raise InputError(
+            f"config key {unknown[0]!r} is not an input or setting of any stage"
+        )
+    kwargs = {}
+    for stage in RUN_STAGES:
+        kwargs[stage] = {}
+        for name, required in INPUTS[stage].items():
+            key = f"{stage}.{name}"
+            if name == _CHAINED_INPUT or (key not in config and not required):
+                continue
+            if key not in config:
+                raise InputError(f"config key {key!r} is required")
+            path = Path(config[key])
+            if not path.is_file():
+                raise InputError(f"config key {key!r}: file not found: {path}")
+            kwargs[stage][f"{name}_path"] = path
+        for name, default in SETTINGS[stage].items():
+            key = f"{stage}.{name}"
+            if key in config:
+                kwargs[stage][name] = _parse_setting(key, config[key], default)
+    return kwargs
 
 
 def run_pipeline(config: dict[str, str], out_dir: Path, report_path: Path) -> dict:
     """Execute depth -> register -> dsm -> check -> rectify, writing the
     consolidated report (and partial results when a stage fails).
 
-    A preflight first checks every input file and parses every typed key;
-    its failure is reported as failed_stage "preflight" before any stage
-    runs. Raises the failing step's error after writing the report;
-    completed stages' artifacts stay on disk.
+    A preflight first rejects unknown keys, checks every input file and
+    parses every setting; its failure is reported as failed_stage
+    "preflight" before any stage runs. Raises the failing step's error
+    after writing the report; completed stages' artifacts stay on disk.
     """
     out_dir = Path(out_dir)
     started = datetime.now(timezone.utc)
@@ -567,79 +582,29 @@ def run_pipeline(config: dict[str, str], out_dir: Path, report_path: Path) -> di
         finish()
 
     try:
-        settings = _preflight(config)
+        kwargs = _preflight(config)
     except Exception as exc:
         fail("preflight", exc)
         raise
 
-    state: dict[str, Path] = {}
-
-    def run_stage(name: str, fn) -> None:
+    def run_stage(name: str, **chained) -> Path | None:
         t0 = time.perf_counter()
         try:
-            fn()
+            path, metrics = call_stage(name, **kwargs[name], **chained)
         except Exception as exc:
             report["timing"]["stage_seconds"][name] = time.perf_counter() - t0
             fail(name, exc)
             raise
         report["timing"]["stage_seconds"][name] = time.perf_counter() - t0
+        report["stages"][REPORT_KEYS[name]] = metrics
         report["stages_completed"].append(name)
+        return path
 
-    def do_depth():
-        cloud_path, metrics = stage_depth(
-            left_path=Path(config["depth.left"]),
-            right_path=Path(config["depth.right"]),
-            calibration_path=Path(config["depth.calibration"]),
-            out_dir=out_dir,
-            **settings["depth"],
-        )
-        report["stages"]["depth"] = metrics
-        state["cloud"] = cloud_path
-
-    def do_register():
-        registered, metrics = stage_register(
-            cloud_path=state["cloud"],
-            pairs_path=Path(config["register.pairs"]),
-            out_dir=out_dir,
-            **settings["register"],
-        )
-        report["stages"]["registration"] = metrics
-        state["registered"] = registered
-
-    def do_dsm():
-        _, metrics = stage_dsm(
-            cloud_path=state["registered"],
-            out_dir=out_dir,
-            clip_path=Path(config["dsm.clip"]) if "dsm.clip" in config else None,
-            **settings["dsm"],
-        )
-        report["stages"]["dsm"] = metrics
-
-    def do_check():
-        report["stages"]["vertical_check"] = stage_check(
-            cloud_path=state["registered"],
-            gcps_path=Path(config["check.gcps"]),
-        )
-
-    def do_rectify():
-        _, metrics = stage_rectify(
-            image_path=Path(config["rectify.image"]),
-            gcps_path=Path(config["rectify.gcps"]),
-            out_dir=out_dir,
-            calibration_path=(
-                Path(config["rectify.calibration"])
-                if "rectify.calibration" in config
-                else None
-            ),
-            **settings["rectify"],
-        )
-        report["stages"]["georectification"] = metrics
-
-    run_stage("depth", do_depth)
-    run_stage("register", do_register)
-    run_stage("dsm", do_dsm)
-    run_stage("check", do_check)
-    run_stage("rectify", do_rectify)
+    cloud = run_stage("depth", out_dir=out_dir)
+    registered = run_stage("register", cloud_path=cloud, out_dir=out_dir)
+    run_stage("dsm", cloud_path=registered, out_dir=out_dir)
+    run_stage("check", cloud_path=registered)
+    run_stage("rectify", out_dir=out_dir)
     finish()
     return report
 

@@ -34,7 +34,6 @@ logger = logging.getLogger(__name__)
 
 NODATA = -9999.0
 DEFAULT_KILL_DISTANCE = 1.0
-DEFAULT_DSM_CELL_SIZE = 0.10
 
 _DEDUP_EPS = 1e-9
 _BARY_EPS = 1e-12

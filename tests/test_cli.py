@@ -2,6 +2,7 @@
 
 import json
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -456,6 +457,64 @@ class TestRun:
         assert report["error"].startswith(f"InputError: config key {key!r}: bad ")
         assert report["stages_completed"] == []
 
+    def _preflight_error(self, tmp_path, monkeypatch, config_text, *overrides):
+        """Run the chain on config_text with --set overrides, expect exit 2
+        from the preflight before any stage ran, and return the error."""
+
+        def no_match(*args, **kwargs):
+            raise AssertionError("matcher called before the preflight passed")
+
+        monkeypatch.setattr(pipeline, "match_disparity", no_match)
+        conf = tmp_path / "run.conf"
+        conf.write_text(config_text)
+        out_dir = tmp_path / "out"
+        argv = ["run", "--config", str(conf), "--out-dir", str(out_dir)]
+        for override in overrides:
+            argv += ["--set", override]
+        assert main(argv) == 2
+        report = json.loads((out_dir / "run_report.json").read_text())
+        jsonschema.validate(report, _run_report_schema())
+        assert report["failed_stage"] == "preflight"
+        assert report["stages_completed"] == []
+        assert report["stages"] == {}
+        return report["error"]
+
+    def test_unknown_key_fails_before_stages(self, scene_dir, tmp_path, monkeypatch):
+        _, paths = scene_dir
+        error = self._preflight_error(
+            tmp_path, monkeypatch, paths["config"].read_text(), "dsm.kil=0.5"
+        )
+        assert error.startswith("InputError: ")
+        assert "'dsm.kil'" in error
+
+    @pytest.mark.parametrize(
+        "key",
+        [
+            "depth.left", "depth.right", "depth.calibration", "register.pairs",
+            "check.gcps", "rectify.image", "rectify.gcps",
+        ],
+    )
+    def test_missing_required_key_fails_before_stages(
+        self, scene_dir, tmp_path, monkeypatch, key
+    ):
+        _, paths = scene_dir
+        lines = paths["config"].read_text().splitlines()
+        kept = [line for line in lines if not line.startswith(f"{key} =")]
+        assert len(kept) == len(lines) - 1
+        error = self._preflight_error(tmp_path, monkeypatch, "\n".join(kept) + "\n")
+        assert error == f"InputError: config key {key!r} is required"
+
+    @pytest.mark.parametrize("key", ["dsm.clip", "rectify.calibration"])
+    def test_missing_optional_input_fails_before_stages(
+        self, scene_dir, tmp_path, monkeypatch, key
+    ):
+        _, paths = scene_dir
+        absent = tmp_path / "absent.txt"
+        error = self._preflight_error(
+            tmp_path, monkeypatch, paths["config"].read_text(), f"{key}={absent}"
+        )
+        assert error == f"InputError: config key {key!r}: file not found: {absent}"
+
     def test_collinear_pairs_fail_register_after_depth(
         self, scene_dir, tmp_path, capsys
     ):
@@ -563,27 +622,195 @@ class TestEnvironment:
         assert args.out_dir == str(tmp_path / "envout")
 
 
-def test_parser_defaults_equal_stage_defaults():
-    """Every option a stage also defaults takes the stage's default."""
+# Every flag of the five stage commands, with $SHOREMAP_OUT_DIR unset:
+# option string -> (dest, default, type, nargs, required, action class).
+_IN = (None, None, None, True, "_StoreAction")
+_OPTIONAL_IN = (None, None, None, False, "_StoreAction")
+_FLAG = (False, None, 0, False, "_StoreTrueAction")
+_GRID = ("grid", None, None, 4, False, "_StoreAction")
+_OUT_DIR = ("out_dir", ".", None, None, False, "_StoreAction")
+_REPORT = ("report", None, None, None, False, "_StoreAction")
+STAGE_FLAGS = {
+    "depth": {
+        "--left": ("left", *_IN),
+        "--right": ("right", *_IN),
+        "--calibration": ("calibration", *_IN),
+        "--d-min": ("d_min", 1, int, None, False, "_StoreAction"),
+        "--d-max": ("d_max", 64, int, None, False, "_StoreAction"),
+        "--window": ("window", 5, int, None, False, "_StoreAction"),
+        "--z-max": ("z_max", 20.0, float, None, False, "_StoreAction"),
+        "--write-disparity": ("write_disparity", *_FLAG),
+        "--out-dir": _OUT_DIR,
+        "--report": _REPORT,
+    },
+    "register": {
+        "--cloud": ("cloud", *_IN),
+        "--pairs": ("pairs", *_IN),
+        "--with-scale": ("with_scale", *_FLAG),
+        "--out-dir": _OUT_DIR,
+        "--report": _REPORT,
+    },
+    "dsm": {
+        "--cloud": ("cloud", *_IN),
+        "--cell-size": ("cell_size", 0.1, float, None, False, "_StoreAction"),
+        "--kill": ("kill", 1.0, float, None, False, "_StoreAction"),
+        "--clip": ("clip", *_OPTIONAL_IN),
+        "--grid": _GRID,
+        "--out-dir": _OUT_DIR,
+        "--report": _REPORT,
+    },
+    "check": {
+        "--cloud": ("cloud", *_IN),
+        "--gcps": ("gcps", *_IN),
+        "--report": _REPORT,
+    },
+    "rectify": {
+        "--image": ("image", *_IN),
+        "--gcps": ("gcps", *_IN),
+        "--calibration": ("calibration", *_OPTIONAL_IN),
+        "--cell-size": ("cell_size", 0.05, float, None, False, "_StoreAction"),
+        "--margin": ("margin", 0.1, float, None, False, "_StoreAction"),
+        "--grid": _GRID,
+        "--out-dir": _OUT_DIR,
+        "--report": _REPORT,
+    },
+}
+
+# Every `run` config key, and the error a bad value of it gives in the
+# preflight: a missing file for an input, "x" for a setting.
+RUN_CONFIG_KEYS = {
+    "depth.left": "file not found",
+    "depth.right": "file not found",
+    "depth.calibration": "file not found",
+    "depth.d_min": "bad integer 'x'",
+    "depth.d_max": "bad integer 'x'",
+    "depth.window": "bad integer 'x'",
+    "depth.z_max": "bad number 'x'",
+    "depth.write_disparity": "bad boolean 'x'",
+    "register.pairs": "file not found",
+    "register.with_scale": "bad boolean 'x'",
+    "dsm.cell_size": "bad number 'x'",
+    "dsm.kill": "bad number 'x'",
+    "dsm.clip": "file not found",
+    "check.gcps": "file not found",
+    "rectify.image": "file not found",
+    "rectify.gcps": "file not found",
+    "rectify.calibration": "file not found",
+    "rectify.cell_size": "bad number 'x'",
+    "rectify.margin": "bad number 'x'",
+}
+
+
+def test_parser_defaults_equal_stage_defaults(tmp_path, monkeypatch):
+    """The stage commands' flags and the `run` config keys, pinned; every
+    option a stage also defaults takes the stage's default."""
+    import argparse
     import inspect
 
     from shoremap.cli import build_parser
 
-    commands = {
-        "depth": (
-            pipeline.stage_depth,
-            ["--left", "l", "--right", "r", "--calibration", "c"],
-            ("d_min", "d_max", "window", "z_max"),
-        ),
-        "dsm": (pipeline.stage_dsm, ["--cloud", "c"], ("cell_size", "kill")),
-        "rectify": (
-            pipeline.stage_rectify,
-            ["--image", "i", "--gcps", "g"],
-            ("cell_size", "margin"),
-        ),
+    monkeypatch.delenv("SHOREMAP_OUT_DIR", raising=False)
+    subparsers = next(
+        a for a in build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    )
+    for command, flags in STAGE_FLAGS.items():
+        actions = [
+            a for a in subparsers.choices[command]._actions
+            if not isinstance(a, argparse._HelpAction)
+        ]
+        got = {
+            tuple(a.option_strings): (
+                a.dest, a.default, a.type, a.nargs, a.required, type(a).__name__
+            )
+            for a in actions
+        }
+        assert got == {(flag,): spec for flag, spec in flags.items()}, command
+        params = inspect.signature(getattr(pipeline, f"stage_{command}")).parameters
+        for dest, default, *_ in flags.values():
+            if dest in params and params[dest].default is not params[dest].empty:
+                assert default == params[dest].default, (command, dest)
+
+    present = tmp_path / "present.txt"
+    present.write_text("")
+    base = {
+        key: str(present) for key in (
+            "depth.left", "depth.right", "depth.calibration", "register.pairs",
+            "check.gcps", "rectify.image", "rectify.gcps",
+        )
     }
-    for command, (stage, required, names) in commands.items():
-        args = build_parser().parse_args([command, *required])
-        params = inspect.signature(stage).parameters
-        for name in names:
-            assert getattr(args, name) == params[name].default, (command, name)
+    for key, error in RUN_CONFIG_KEYS.items():
+        bad = str(tmp_path / "absent.txt") if error == "file not found" else "x"
+        with pytest.raises(InputError, match=f"^config key '{key}': {error}"):
+            pipeline.run_pipeline(
+                {**base, key: bad}, tmp_path / "out", tmp_path / "out" / "report.json"
+            )
+
+
+@pytest.mark.parametrize(
+    "command, argv, expected, report_key",
+    [
+        (
+            "depth",
+            ["--left", "l", "--right", "r", "--calibration", "c", "--d-min", "2",
+             "--d-max", "9", "--window", "3", "--z-max", "4.5", "--write-disparity",
+             "--out-dir", "o"],
+            {"left_path": "l", "right_path": "r", "calibration_path": "c",
+             "d_min": 2, "d_max": 9, "window": 3, "z_max": 4.5,
+             "write_disparity": True, "out_dir": "o"},
+            "depth",
+        ),
+        (
+            "register",
+            ["--cloud", "c", "--pairs", "p", "--with-scale", "--out-dir", "o"],
+            {"cloud_path": "c", "pairs_path": "p", "with_scale": True, "out_dir": "o"},
+            "registration",
+        ),
+        (
+            "dsm",
+            ["--cloud", "c", "--cell-size", "0.5", "--kill", "2", "--clip", "w",
+             "--grid", "1", "2", "3", "4", "--out-dir", "o"],
+            {"cloud_path": "c", "cell_size": 0.5, "kill": 2.0, "clip_path": "w",
+             "grid": (1.0, 2.0, 0.5, 3, 4), "out_dir": "o"},
+            "dsm",
+        ),
+        (
+            "check",
+            ["--cloud", "c", "--gcps", "g"],
+            {"cloud_path": "c", "gcps_path": "g"},
+            "vertical_check",
+        ),
+        (
+            "rectify",
+            ["--image", "i", "--gcps", "g", "--calibration", "k", "--cell-size",
+             "0.25", "--margin", "0.3", "--grid", "5", "6", "7", "8", "--out-dir", "o"],
+            {"image_path": "i", "gcps_path": "g", "calibration_path": "k",
+             "cell_size": 0.25, "margin": 0.3, "grid": (5.0, 6.0, 0.25, 7, 8),
+             "out_dir": "o"},
+            "georectification",
+        ),
+    ],
+)
+def test_stage_command_passes_every_flag(
+    monkeypatch, capsys, command, argv, expected, report_key
+):
+    """Each stage command hands every flag to its stage, paths as Path and
+    --grid as a grid of --cell-size, and emits the stage's metrics under
+    its report key."""
+    seen = {}
+
+    def fake(**kwargs):
+        seen.update(kwargs)
+        return {"n": 1} if command == "check" else (Path("artifact"), {"n": 1})
+
+    monkeypatch.setattr(pipeline, f"stage_{command}", fake)
+    assert main([command, *argv]) == 0
+    assert json.loads(capsys.readouterr().out) == {report_key: {"n": 1}}
+    if "grid" in seen:
+        g = seen["grid"]
+        seen["grid"] = (g.origin_x, g.origin_y, g.cell_size, g.n_cols, g.n_rows)
+    for name, value in seen.items():
+        if name.endswith("_path") or name == "out_dir":
+            assert isinstance(value, Path), name
+            seen[name] = str(value)
+    assert seen == expected
