@@ -250,11 +250,9 @@ class _ReprojectionProblem:
     differences, observed minus projected, flattened view-major.
     """
 
-    def __init__(self, obj_points: np.ndarray, observed: np.ndarray,
-                 image_size: tuple[int, int]):
+    def __init__(self, obj_points: np.ndarray, observed: np.ndarray):
         self.obj = obj_points            # (N, 3)
         self.observed = observed         # (V, N, 2)
-        self.image_size = image_size
         self.n_views = observed.shape[0]
         self.n_points = obj_points.shape[0]
 
@@ -343,7 +341,6 @@ def _levenberg_marquardt(problem: _ReprojectionProblem, params0: np.ndarray):
             break
         jtj = jac.T @ jac
         diag = np.maximum(np.diag(jtj), 1e-12)
-        accepted = False
         while True:
             try:
                 delta = np.linalg.solve(jtj + lam * np.diag(diag), -grad)
@@ -367,7 +364,6 @@ def _levenberg_marquardt(problem: _ReprojectionProblem, params0: np.ndarray):
                 residual = trial_residual
                 prev_cost = cost
                 cost = trial_cost
-                accepted = True
                 break
             if last_trial_cost is not None and trial_cost >= last_trial_cost:
                 rejections += 1
@@ -380,7 +376,7 @@ def _levenberg_marquardt(problem: _ReprojectionProblem, params0: np.ndarray):
                     f"consecutive damping escalations (cost {cost:g})"
                 )
             lam *= 10.0
-        if accepted and prev_cost > 0:
+        if prev_cost > 0:
             if abs(prev_cost - cost) / prev_cost < LM_COST_TOL:
                 logger.debug("LM converged on cost change at iteration %d", iteration)
                 break
@@ -416,7 +412,7 @@ def refine(
         ]
     )
 
-    problem = _ReprojectionProblem(obj, observed, image_size)
+    problem = _ReprojectionProblem(obj, observed)
     params, _ = _levenberg_marquardt(problem, params0)
 
     try:

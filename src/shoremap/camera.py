@@ -23,8 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BehindCamera, NonConvergence, NonPositiveDisparity, OutOfModelRange
-from .geometry import Point2, Point3
+from .errors import BehindCamera, NonPositiveDisparity, OutOfModelRange
 
 R2_MAX = 4.0
 MIN_DEPTH = 1e-9
@@ -104,15 +103,6 @@ def _distort_xy(i: CameraIntrinsics, x, y):
     return x_d, y_d
 
 
-def distort_normalized(i: CameraIntrinsics, p: Point2) -> Point2:
-    """Apply the distortion model to a normalized image-plane point."""
-    r2 = p.x * p.x + p.y * p.y
-    if r2 > R2_MAX:
-        raise OutOfModelRange(f"r^2 = {r2:g} exceeds the modeled disk (r^2 <= {R2_MAX})")
-    x_d, y_d = _distort_xy(i, p.x, p.y)
-    return Point2(float(x_d), float(y_d))
-
-
 def distort_pixels(i: CameraIntrinsics, u: np.ndarray, v: np.ndarray):
     """Map undistorted pixel arrays to raw-photo pixels. Points outside
     the modeled disk (r^2 > R2_MAX) come back as NaN instead of raising."""
@@ -182,30 +172,10 @@ def undistort_arrays(i: CameraIntrinsics, x_d: np.ndarray, y_d: np.ndarray):
     return x, y, done
 
 
-def undistort_normalized(i: CameraIntrinsics, p_d: Point2) -> Point2:
-    """Invert the distortion model for one point; raises NonConvergence
-    when 50 iterations do not reach a 1e-10 step."""
-    x, y, ok = undistort_arrays(
-        i, np.array([p_d.x]), np.array([p_d.y])
-    )
-    if not ok[0]:
-        raise NonConvergence(
-            f"undistortion of {p_d} did not reach {UNDISTORT_TOL:g} in "
-            f"{UNDISTORT_MAX_ITER} iterations"
-        )
-    return Point2(float(x[0]), float(y[0]))
-
-
 def undistort_pixels(i: CameraIntrinsics, u: np.ndarray, v: np.ndarray):
     """Raw-photo pixel arrays to undistorted normalized coordinates.
     Returns (x, y, converged) as :func:`undistort_arrays` does."""
     return undistort_arrays(i, *pixels_to_normalized(i, u, v))
-
-
-def project(i: CameraIntrinsics, p: Point3) -> Point2:
-    """Project a camera-frame point to pixel coordinates."""
-    u, v = project_many(i, np.array([[p.x, p.y, p.z]]))[0]
-    return Point2(float(u), float(v))
 
 
 def project_many(i: CameraIntrinsics, pts: np.ndarray) -> np.ndarray:
@@ -226,21 +196,17 @@ def project_many(i: CameraIntrinsics, pts: np.ndarray) -> np.ndarray:
     return np.column_stack(normalized_to_pixels(i, *_distort_xy(i, x_n, y_n)))
 
 
-def disparity_to_depth(r: StereoRig, d: float) -> float:
-    """Depth along the optical axis from a disparity, Z = fx * B / d."""
-    if d <= 0:
-        raise NonPositiveDisparity(f"disparity {d:g} is not positive")
+def disparity_to_depth(r: StereoRig, d) -> np.ndarray:
+    """Depth along the optical axis from disparities, Z = fx * B / d.
+
+    Raises NonPositiveDisparity when any disparity is zero or negative.
+    """
+    d = np.asarray(d, dtype=np.float64)
+    if (d <= 0).any():
+        raise NonPositiveDisparity(
+            f"{np.count_nonzero(d <= 0)} of {d.size} disparities are not positive"
+        )
     return r.intrinsics.fx * r.baseline / d
-
-
-def pixel_depth_to_point(i: CameraIntrinsics, u: float, v: float, z: float) -> Point3:
-    """Back-project a pixel at known depth into the camera frame."""
-    if z <= 0:
-        raise BehindCamera(f"depth {z:g} is not positive")
-    pts, ok = pixels_depth_to_points(i, np.array([u]), np.array([v]), np.array([z]))
-    if not ok[0]:
-        raise NonConvergence(f"undistortion of pixel ({u:g}, {v:g}) did not converge")
-    return Point3(*map(float, pts[0]))
 
 
 def pixels_depth_to_points(

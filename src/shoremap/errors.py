@@ -34,10 +34,6 @@ class OutOfModelRange(SolverError):
     """Normalized point lies outside the calibrated distortion domain."""
 
 
-class NonConvergence(SolverError):
-    """Iterative undistortion failed to converge."""
-
-
 class BehindCamera(SolverError):
     """Point has non-positive depth and cannot be projected."""
 
@@ -117,7 +113,7 @@ class CollinearInput(SolverError):
 
 
 class GridTooLarge(InputError, ValueError):
-    """Requested raster exceeds the configured cell cap; also a ValueError,
+    """Requested raster exceeds the cell cap; also a ValueError,
     like the grid's other validation failures."""
 
 

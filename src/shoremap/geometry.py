@@ -7,18 +7,18 @@ here is safe for concurrent use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateProjection, GridTooLarge, SingularMatrix
+from .errors import GridTooLarge, SingularMatrix
 
 PROJECTIVE_EPS = 1e-12
 DETERMINANT_EPS = 1e-12
 
-# Default cap on raster size (cells); guards accidental huge allocations.
-DEFAULT_CELL_CAP = 100_000_000
+# Cap on raster size (cells); guards accidental huge allocations.
+CELL_CAP = 100_000_000
 
 
 class Point2(NamedTuple):
@@ -64,17 +64,6 @@ class Homography:
         m.flags.writeable = False
         object.__setattr__(self, "h", m)
 
-    @staticmethod
-    def identity() -> "Homography":
-        return Homography(np.eye(3))
-
-    @staticmethod
-    def translation(tx: float, ty: float) -> "Homography":
-        m = np.eye(3)
-        m[0, 2] = tx
-        m[1, 2] = ty
-        return Homography(m)
-
 
 @dataclass(frozen=True)
 class SimilarityTransform:
@@ -100,10 +89,6 @@ class SimilarityTransform:
         object.__setattr__(self, "rotation", r)
         object.__setattr__(self, "translation", t)
 
-    @staticmethod
-    def identity() -> "SimilarityTransform":
-        return SimilarityTransform(1.0, np.eye(3), np.zeros(3))
-
 
 @dataclass(frozen=True)
 class GridGeometry:
@@ -121,7 +106,6 @@ class GridGeometry:
     cell_size: float
     n_cols: int
     n_rows: int
-    cell_cap: int = field(default=DEFAULT_CELL_CAP, compare=False)
 
     def __post_init__(self):
         if not (np.isfinite(self.cell_size) and self.cell_size > 0):
@@ -130,9 +114,9 @@ class GridGeometry:
             raise ValueError("grid dimensions must be positive")
         if not (np.isfinite(self.origin_x) and np.isfinite(self.origin_y)):
             raise ValueError("grid origin must be finite")
-        if self.n_cols * self.n_rows > self.cell_cap:
+        if self.n_cols * self.n_rows > CELL_CAP:
             raise GridTooLarge(
-                f"grid of {self.n_cols}x{self.n_rows} cells exceeds cap {self.cell_cap}"
+                f"grid of {self.n_cols}x{self.n_rows} cells exceeds cap {CELL_CAP}"
             )
 
     def cell_centers(self) -> tuple[np.ndarray, np.ndarray]:
@@ -140,19 +124,6 @@ class GridGeometry:
         xs = self.origin_x + np.arange(self.n_cols) * self.cell_size
         ys = self.origin_y - np.arange(self.n_rows) * self.cell_size
         return xs, ys
-
-
-def apply_homography(h: Homography, p: Point2) -> Point2:
-    """Map a point through a homography: a one-row
-    :func:`apply_homography_many`.
-
-    Raises DegenerateProjection when the point lands on the line at
-    infinity (projective denominator within 1e-12 of zero).
-    """
-    x, y = apply_homography_many(h, np.array([[p.x, p.y]]))[0]
-    if np.isnan(x):
-        raise DegenerateProjection(f"point {p} maps to infinity")
-    return Point2(float(x), float(y))
 
 
 def apply_homography_many(h: Homography, xy: np.ndarray) -> np.ndarray:
@@ -184,24 +155,3 @@ def apply_similarity_many(t: SimilarityTransform, pts: np.ndarray) -> np.ndarray
     """Vectorized similarity application over an (n, 3) array."""
     pts = np.asarray(pts, dtype=np.float64)
     return t.scale * (pts @ t.rotation.T) + t.translation
-
-
-def invert_similarity(t: SimilarityTransform) -> SimilarityTransform:
-    inv_scale = 1.0 / t.scale
-    rot = t.rotation.T.copy()
-    return SimilarityTransform(inv_scale, rot, -inv_scale * (rot @ t.translation))
-
-
-def compose_similarity(
-    outer: SimilarityTransform, inner: SimilarityTransform
-) -> SimilarityTransform:
-    """Transform applying ``inner`` first, then ``outer``."""
-    scale = outer.scale * inner.scale
-    rot = outer.rotation @ inner.rotation
-    trans = outer.scale * (outer.rotation @ inner.translation) + outer.translation
-    return SimilarityTransform(scale, rot, trans)
-
-
-def rotation_about_z(angle_rad: float) -> np.ndarray:
-    c, s = np.cos(angle_rad), np.sin(angle_rad)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])

@@ -167,15 +167,6 @@ def bicubic_sample_many(img: RgbaImage, x: np.ndarray, y: np.ndarray):
     return out, inside
 
 
-def bicubic_sample(img: RgbaImage, x: float, y: float):
-    """Sample one position; returns an (r, g, b, a) tuple or None when the
-    4x4 support leaves the image (NODATA)."""
-    out, inside = bicubic_sample_many(img, np.array([x]), np.array([y]))
-    if not inside[0]:
-        return None
-    return tuple(int(v) for v in out[0])
-
-
 def warp_to_grid(img: RgbaImage, h: Homography, geom: GridGeometry,
                  lens: Optional[CameraIntrinsics] = None) -> RectifiedRaster:
     """Inverse-map each grid cell center through h^-1 to an (undistorted)

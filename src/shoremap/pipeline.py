@@ -292,6 +292,10 @@ def _bbox_grid(
 ) -> GridGeometry:
     """Grid over the points' bounding box, grown on each side by margin
     times the span (at least one cell). With margin 0 the box is exact."""
+    if not (np.isfinite(cell_size) and cell_size > 0):
+        raise InputError(f"cell size must be positive and finite, got {cell_size:g}")
+    if not (np.isfinite(margin) and margin >= 0):
+        raise InputError(f"grid margin must be finite and not negative, got {margin:g}")
     span_x = max(float(xs.max() - xs.min()), cell_size)
     span_y = max(float(ys.max() - ys.min()), cell_size)
     min_x = float(xs.min()) - margin * span_x

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .camera import StereoRig, pixels_depth_to_points
+from .camera import StereoRig, disparity_to_depth, pixels_depth_to_points
 from .errors import DimensionMismatch, EmptyRange, SizeMismatch, WindowTooLarge
 
 _ALLOWED_WINDOWS = (3, 5, 7, 9)
@@ -424,8 +424,7 @@ def cloud_from_disparity(
         )
     mask = d.valid_mask() & (d.values > 0)
     vs, us = np.nonzero(mask)
-    disp = d.values[vs, us]
-    z = intr.fx * rig.baseline / disp
+    z = disparity_to_depth(rig, d.values[vs, us])
     keep = z <= z_max
     us, vs, z = us[keep], vs[keep], z[keep]
     pts, ok = pixels_depth_to_points(

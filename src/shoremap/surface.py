@@ -538,14 +538,6 @@ def _interpolate_points(
     return _interpolate(tin, px.size, qid, px[qid], py[qid], tids)
 
 
-def interpolate_z(tin: Tin, xy: Point2) -> Optional[float]:
-    """Linear TIN interpolation at a point; None outside the hull."""
-    claim, z = _interpolate_points(
-        tin, np.array([float(xy[0])]), np.array([float(xy[1])])
-    )
-    return float(z[0]) if claim[0] >= 0 else None
-
-
 def _claim_grid(tin: Tin, geom: GridGeometry) -> tuple[np.ndarray, np.ndarray]:
     """Lowest-index containing triangle per cell center (-1 where none)
     and the interpolated z there (NaN where none).

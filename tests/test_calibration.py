@@ -178,7 +178,7 @@ class TestRefine:
         )
         obj = np.array([(p.x, p.y, p.z) for p in board_object_points(BOARD)])
         observed = np.stack([v.as_array() for v in views])
-        problem = _ReprojectionProblem(obj, observed, (1920, 1080))
+        problem = _ReprojectionProblem(obj, observed)
 
         def cost_of(intr, pose_list):
             params = np.concatenate(
@@ -231,7 +231,7 @@ class TestRefine:
         )
         obj = np.array([(p.x, p.y, p.z) for p in board_object_points(BOARD)])
         observed = np.stack([v.as_array() for v in views])
-        problem = _ReprojectionProblem(obj, observed, (1920, 1080))
+        problem = _ReprojectionProblem(obj, observed)
         params = np.concatenate(
             [
                 np.array([1065.0, 1055.0, 948.0, 575.0,
@@ -290,7 +290,7 @@ class TestProjectViewOracle:
         rng = np.random.default_rng(21)
         obj = np.array([(p.x, p.y, p.z) for p in board_object_points(BOARD)])
         observed = rng.uniform(0, 1000, (1, BOARD.corner_count, 2))
-        problem = _ReprojectionProblem(obj, observed, (1920, 1080))
+        problem = _ReprojectionProblem(obj, observed)
         outcomes = {None: 0, BehindCamera: 0, OutOfModelRange: 0}
         for _ in range(600):
             intr = np.concatenate([

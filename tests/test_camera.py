@@ -6,22 +6,15 @@ import pytest
 from shoremap.camera import (
     CameraIntrinsics,
     StereoRig,
+    _distort_xy,
     disparity_to_depth,
-    distort_normalized,
-    pixel_depth_to_point,
+    distort_pixels,
+    normalized_to_pixels,
     pixels_depth_to_points,
-    project,
     project_many,
     undistort_arrays,
-    undistort_normalized,
 )
-from shoremap.errors import (
-    BehindCamera,
-    NonConvergence,
-    NonPositiveDisparity,
-    OutOfModelRange,
-)
-from shoremap.geometry import Point2, Point3
+from shoremap.errors import BehindCamera, NonPositiveDisparity, OutOfModelRange
 
 FACTORY = CameraIntrinsics(
     fx=1060.70, fy=1060.70, cx=950.42, cy=572.89,
@@ -36,33 +29,39 @@ RECAL = CameraIntrinsics(
 
 class TestDistort:
     def test_zero_coefficients_identity(self):
-        p = distort_normalized(FACTORY, Point2(0.3, -0.2))
-        assert p == Point2(0.3, -0.2)
+        x_d, y_d = _distort_xy(FACTORY, np.array([0.3]), np.array([-0.2]))
+        assert (x_d[0], y_d[0]) == (0.3, -0.2)
 
     def test_on_axis_fixed_point(self):
-        assert distort_normalized(RECAL, Point2(0.0, 0.0)) == Point2(0.0, 0.0)
+        x_d, y_d = _distort_xy(RECAL, np.array([0.0]), np.array([0.0]))
+        assert (x_d[0], y_d[0]) == (0.0, 0.0)
 
     def test_polynomial_value(self):
         # Frozen from evaluating the model by hand at (0.5, 0):
         # r2 = 0.25; radial = 1 + 0.0046/4 - 0.0715/16 + 0.1904/64
         # x_d = 0.5*radial + p2*(r2 + 2*0.25) = 0.498403125
         # y_d = p1*r2 = -7.5e-05
-        p = distort_normalized(RECAL, Point2(0.5, 0.0))
-        assert p.x == pytest.approx(0.498403125, abs=1e-15)
-        assert p.y == pytest.approx(-7.5e-5, abs=1e-18)
+        x_d, y_d = _distort_xy(RECAL, np.array([0.5]), np.array([0.0]))
+        assert x_d[0] == pytest.approx(0.498403125, abs=1e-15)
+        assert y_d[0] == pytest.approx(-7.5e-5, abs=1e-18)
 
     def test_out_of_model_range(self):
+        # Normalized (2.5, 1.0): r^2 = 7.25, outside the modeled disk.
+        u, v = normalized_to_pixels(RECAL, np.array([2.5]), np.array([1.0]))
+        u_d, v_d = distort_pixels(RECAL, u, v)
+        assert np.isnan(u_d[0]) and np.isnan(v_d[0])
         with pytest.raises(OutOfModelRange):
-            distort_normalized(RECAL, Point2(2.5, 1.0))
+            project_many(RECAL, np.array([[2.5, 1.0, 1.0]]))
 
 
 class TestUndistort:
     def test_zero_coefficients_identity(self):
-        p = undistort_normalized(FACTORY, Point2(0.7, -0.4))
-        assert p == Point2(0.7, -0.4)
+        x, y, ok = undistort_arrays(FACTORY, np.array([0.7]), np.array([-0.4]))
+        assert ok[0] and (x[0], y[0]) == (0.7, -0.4)
 
     def test_origin_fixed_point(self):
-        assert undistort_normalized(RECAL, Point2(0.0, 0.0)) == Point2(0.0, 0.0)
+        x, y, ok = undistort_arrays(RECAL, np.array([0.0]), np.array([0.0]))
+        assert ok[0] and (x[0], y[0]) == (0.0, 0.0)
 
     def test_round_trip_grid(self):
         xs = np.linspace(-0.9, 0.9, 32)
@@ -70,9 +69,10 @@ class TestUndistort:
         keep = gx * gx + gy * gy <= 1.0
         worst = 0.0
         for x, y in zip(gx[keep].ravel(), gy[keep].ravel()):
-            d = distort_normalized(RECAL, Point2(x, y))
-            u = undistort_normalized(RECAL, d)
-            worst = max(worst, abs(u.x - x), abs(u.y - y))
+            x_d, y_d = _distort_xy(RECAL, np.array([x]), np.array([y]))
+            u, w, ok = undistort_arrays(RECAL, x_d, y_d)
+            assert ok[0]
+            worst = max(worst, abs(u[0] - x), abs(w[0] - y))
         assert worst < 1e-8
 
     def test_non_convergence_on_pathological_model(self):
@@ -82,8 +82,8 @@ class TestUndistort:
             fx=1000, fy=1000, cx=500, cy=400, k1=-2.5, p1=0.4, p2=-0.3,
             image_width=1000, image_height=800,
         )
-        with pytest.raises(NonConvergence):
-            undistort_normalized(bad, Point2(0.3, 0.21))
+        _, _, ok = undistort_arrays(bad, np.array([0.3]), np.array([0.21]))
+        assert not ok[0]
 
     def test_vectorized_matches_scalar_bitwise(self):
         # Convergence freezing makes results independent of batching.
@@ -92,35 +92,34 @@ class TestUndistort:
         xs, ys, ok = undistort_arrays(RECAL, pts[:, 0], pts[:, 1])
         assert ok.all()
         for i in range(50):
-            p = undistort_normalized(RECAL, Point2(pts[i, 0], pts[i, 1]))
-            assert p.x == xs[i]
-            assert p.y == ys[i]
+            x, y, _ = undistort_arrays(RECAL, pts[i:i + 1, 0], pts[i:i + 1, 1])
+            assert (x[0], y[0]) == (xs[i], ys[i])
 
 
 class TestProject:
     def test_principal_ray(self):
-        p = project(FACTORY, Point3(0, 0, 5))
-        assert p == Point2(950.42, 572.89)
+        u, v = project_many(FACTORY, np.array([[0.0, 0.0, 5.0]]))[0]
+        assert (u, v) == (950.42, 572.89)
 
     def test_unit_offset(self):
-        p = project(FACTORY, Point3(1, 0, 2))
-        assert p.x == pytest.approx(950.42 + 530.35, abs=1e-9)
-        assert p.y == pytest.approx(572.89, abs=1e-12)
+        u, v = project_many(FACTORY, np.array([[1.0, 0.0, 2.0]]))[0]
+        assert u == pytest.approx(950.42 + 530.35, abs=1e-9)
+        assert v == pytest.approx(572.89, abs=1e-12)
 
     def test_behind_camera(self):
         with pytest.raises(BehindCamera):
-            project(FACTORY, Point3(0, 0, 0))
+            project_many(FACTORY, np.array([[0.0, 0.0, 0.0]]))
         with pytest.raises(BehindCamera):
-            project(FACTORY, Point3(0, 0, -1))
+            project_many(FACTORY, np.array([[0.0, 0.0, -1.0]]))
 
     def test_zero_distortion_equals_linear_pinhole(self):
         rng = np.random.default_rng(11)
         for _ in range(200):
             x, y = rng.uniform(-1, 1, 2)
             z = rng.uniform(0.5, 10)
-            p = project(FACTORY, Point3(x * z, y * z, z))
-            assert abs(p.x - (FACTORY.fx * x + FACTORY.cx)) < 1e-12 * max(1, abs(p.x))
-            assert abs(p.y - (FACTORY.fy * y + FACTORY.cy)) < 1e-12 * max(1, abs(p.y))
+            u, v = project_many(FACTORY, np.array([[x * z, y * z, z]]))[0]
+            assert abs(u - (FACTORY.fx * x + FACTORY.cx)) < 1e-12 * max(1, abs(u))
+            assert abs(v - (FACTORY.fy * y + FACTORY.cy)) < 1e-12 * max(1, abs(v))
 
     def test_project_many_matches_scalar(self):
         rng = np.random.default_rng(4)
@@ -129,9 +128,7 @@ class TestProject:
         )
         px = project_many(RECAL, pts)
         for i in range(20):
-            p = project(RECAL, Point3(*pts[i]))
-            assert abs(p.x - px[i, 0]) < 1e-12
-            assert abs(p.y - px[i, 1]) < 1e-12
+            assert np.array_equal(project_many(RECAL, pts[i:i + 1])[0], px[i])
 
 
 class TestStereoDepth:
@@ -146,12 +143,24 @@ class TestStereoDepth:
             disparity_to_depth(rig, 0.0)
         with pytest.raises(NonPositiveDisparity):
             disparity_to_depth(rig, -2.0)
+        # One bad value rejects the whole array.
+        for bad in (0.0, -0.5, -np.inf):
+            with pytest.raises(NonPositiveDisparity):
+                disparity_to_depth(rig, np.array([3.0, bad, 12.0]))
 
     def test_strictly_decreasing_in_disparity(self):
         rig = StereoRig(intrinsics=FACTORY, baseline=0.12)
-        ds = np.linspace(0.5, 200, 400)
-        zs = [disparity_to_depth(rig, d) for d in ds]
-        assert all(a > b for a, b in zip(zs, zs[1:]))
+        zs = disparity_to_depth(rig, np.linspace(0.5, 200, 400))
+        assert (np.diff(zs) < 0).all()
+
+    def test_array_matches_per_element(self):
+        rig = StereoRig(intrinsics=FACTORY, baseline=0.12)
+        ds = np.array([0.37, 1.0, 7.25, 64.0, 127.284, 190.5])
+        zs = disparity_to_depth(rig, ds)
+        assert zs.shape == ds.shape
+        for d, z in zip(ds, zs):
+            assert z == disparity_to_depth(rig, d)
+            assert z == FACTORY.fx * 0.12 / d
 
     def test_baseline_validation(self):
         with pytest.raises(ValueError):
@@ -160,14 +169,20 @@ class TestStereoDepth:
 
 class TestBackProjection:
     def test_principal_ray(self):
-        p = pixel_depth_to_point(FACTORY, 950.42, 572.89, 5.0)
-        assert p == Point3(0.0, 0.0, 5.0)
+        pts, ok = pixels_depth_to_points(
+            FACTORY, np.array([950.42]), np.array([572.89]), np.array([5.0])
+        )
+        assert ok[0] and pts[0].tolist() == [0.0, 0.0, 5.0]
 
     def test_unit_normalized_offset(self):
-        p = pixel_depth_to_point(FACTORY, 950.42 + 1060.70, 572.89, 2.0)
-        assert p.x == pytest.approx(2.0, abs=1e-9)
-        assert p.y == pytest.approx(0.0, abs=1e-12)
-        assert p.z == 2.0
+        pts, ok = pixels_depth_to_points(
+            FACTORY, np.array([950.42 + 1060.70]), np.array([572.89]), np.array([2.0])
+        )
+        assert ok[0]
+        x, y, z = pts[0]
+        assert x == pytest.approx(2.0, abs=1e-9)
+        assert y == pytest.approx(0.0, abs=1e-12)
+        assert z == 2.0
 
     def test_round_trip_with_project(self):
         rng = np.random.default_rng(9)
@@ -176,14 +191,13 @@ class TestBackProjection:
             u = rng.uniform(200, 1700)
             v = rng.uniform(100, 1000)
             z = rng.uniform(0.5, 15)
-            p = pixel_depth_to_point(RECAL, u, v, z)
-            q = project(RECAL, p)
-            worst = max(worst, abs(q.x - u), abs(q.y - v))
+            pts, ok = pixels_depth_to_points(
+                RECAL, np.array([u]), np.array([v]), np.array([z])
+            )
+            assert ok[0]
+            q = project_many(RECAL, pts)[0]
+            worst = max(worst, abs(q[0] - u), abs(q[1] - v))
         assert worst < 1e-6
-
-    def test_non_positive_depth(self):
-        with pytest.raises(BehindCamera):
-            pixel_depth_to_point(FACTORY, 900, 500, 0.0)
 
     def test_vectorized(self):
         pts, ok = pixels_depth_to_points(

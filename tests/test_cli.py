@@ -10,7 +10,7 @@ import pytest
 
 from shoremap import pipeline
 from shoremap.calibration import BoardSpec
-from shoremap.camera import CameraIntrinsics, distort_normalized
+from shoremap.camera import CameraIntrinsics, distort_pixels
 from shoremap.cli import main
 from shoremap.errors import InputError, SolverError
 from shoremap.formats import (
@@ -195,11 +195,13 @@ class TestRectify:
         lens = self.LENS
         # Observations are the distorted positions of undistorted pixels
         # (u, v), which sit at world (10 + 0.1 u, 30 - 0.1 v).
-        gcps = []
-        for i, (u, v) in enumerate([(5, 5), (45, 5), (45, 35), (5, 35), (25, 20), (12, 28)]):
-            d = distort_normalized(lens, Point2((u - lens.cx) / lens.fx, (v - lens.cy) / lens.fy))
-            gcps.append(Gcp(id=f"g{i}", world=Point3(10 + 0.1 * u, 30 - 0.1 * v, 0.0),
-                            image=Point2(lens.fx * d.x + lens.cx, lens.fy * d.y + lens.cy)))
+        px = np.array([(5, 5), (45, 5), (45, 35), (5, 35), (25, 20), (12, 28)], dtype=float)
+        raw_u, raw_v = distort_pixels(lens, px[:, 0], px[:, 1])
+        gcps = [
+            Gcp(id=f"g{i}", world=Point3(10 + 0.1 * u, 30 - 0.1 * v, 0.0),
+                image=Point2(ru, rv))
+            for i, ((u, v), ru, rv) in enumerate(zip(px, raw_u, raw_v))
+        ]
         gcp_path = tmp_path / "distorted.csv"
         gcp_path.write_text(write_gcp_csv(gcps))
         code = main([
@@ -611,6 +613,28 @@ class TestRun:
         assert report["failed_stage"] == "dsm"
         assert report["error"].startswith("GridTooLarge: ")
         assert report["stages_completed"] == ["depth", "register"]
+
+    @pytest.mark.parametrize("setting, stage", [
+        ("dsm.cell_size=0", "dsm"),
+        ("rectify.cell_size=0", "rectify"),
+        ("rectify.margin=inf", "rectify"),
+    ])
+    def test_bad_grid_setting_exit_2(self, tmp_path, monkeypatch, setting, stage):
+        paths = BeachScene(seed=0, width=64, height=48).write_fixture(tmp_path / "in")
+        if stage == "dsm":
+            def no_tin(cloud):
+                raise AssertionError("build_tin called before the grid was validated")
+
+            monkeypatch.setattr(pipeline, "build_tin", no_tin)
+        out_dir = tmp_path / "out"
+        code = main([
+            "run", "--config", str(paths["config"]), "--out-dir", str(out_dir),
+            "--set", setting,
+        ])
+        assert code == 2
+        report = json.loads((out_dir / "run_report.json").read_text())
+        assert report["failed_stage"] == stage
+        assert report["error"].startswith("InputError: ")
 
 
 class TestEnvironment:

@@ -19,13 +19,11 @@ from shoremap.geometry import (
     Homography,
     Point2,
     Point3,
-    apply_homography,
     apply_homography_many,
 )
 from shoremap.georectify import (
     Gcp,
     RmseReport,
-    bicubic_sample,
     bicubic_sample_many,
     fit_ground_homography,
     rmse_xy,
@@ -43,13 +41,11 @@ SEVEN_PX = [
 
 
 def _gcps_through(h, px_list, z=0.0):
-    gcps = []
-    for i, (u, v) in enumerate(px_list):
-        w = apply_homography(h, Point2(u, v))
-        gcps.append(
-            Gcp(id=f"g{i}", world=Point3(w.x, w.y, z), image=Point2(u, v))
-        )
-    return gcps
+    world = apply_homography_many(h, np.array(px_list, dtype=np.float64))
+    return [
+        Gcp(id=f"g{i}", world=Point3(wx, wy, z), image=Point2(u, v))
+        for i, ((u, v), (wx, wy)) in enumerate(zip(px_list, world))
+    ]
 
 
 def _opaque(rng, h, w):
@@ -67,10 +63,9 @@ class TestFitGroundHomography:
             Gcp(id="d", world=Point3(10.0, 22.0, 0), image=Point2(0, 100)),
         ]
         h = fit_ground_homography(gcps)
-        for g in gcps:
-            m = apply_homography(h, g.image)
-            assert abs(m.x - g.world.x) < 1e-9
-            assert abs(m.y - g.world.y) < 1e-9
+        mapped = apply_homography_many(h, np.array([g.image for g in gcps]))
+        world = np.array([(g.world.x, g.world.y) for g in gcps])
+        assert np.abs(mapped - world).max() < 1e-9
 
     def test_seven_point_projective_recovery(self):
         h = fit_ground_homography(_gcps_through(H_TRUE, SEVEN_PX))
@@ -107,11 +102,10 @@ class TestFitGroundHomography:
         ]
         h0 = fit_ground_homography(gcps)
         h1 = fit_ground_homography(shifted)
-        for u, v in SEVEN_PX:
-            a = apply_homography(h0, Point2(u, v))
-            b = apply_homography(h1, Point2(u, v))
-            assert abs((b.x - a.x) - tx) < 1e-9
-            assert abs((b.y - a.y) - ty) < 1e-9
+        px = np.array(SEVEN_PX, dtype=np.float64)
+        d = apply_homography_many(h1, px) - apply_homography_many(h0, px)
+        assert np.abs(d[:, 0] - tx).max() < 1e-9
+        assert np.abs(d[:, 1] - ty).max() < 1e-9
 
 
 class TestRmse:
@@ -128,18 +122,18 @@ class TestRmse:
             Gcp(id="a", world=Point3(-0.03, 0.0, 0), image=Point2(0, 0)),
             Gcp(id="b", world=Point3(1 - 0.04, 1.0, 0), image=Point2(1, 1)),
         ]
-        rep = rmse_xy(Homography.identity(), gcps)
+        rep = rmse_xy(Homography(np.eye(3)), gcps)
         assert rep.rmse_x == pytest.approx(0.035355339059327376, abs=1e-12)
         assert rep.rmse_y == pytest.approx(0.0, abs=1e-12)
 
     def test_rooted_identity_relation(self):
         rng = np.random.default_rng(2)
         gcps = []
-        for i, (u, v) in enumerate(SEVEN_PX):
-            w = apply_homography(H_TRUE, Point2(u, v))
+        world = apply_homography_many(H_TRUE, np.array(SEVEN_PX, dtype=np.float64))
+        for i, ((u, v), (wx, wy)) in enumerate(zip(SEVEN_PX, world)):
             gcps.append(
                 Gcp(id=f"g{i}",
-                    world=Point3(w.x + rng.normal(0, 0.05), w.y + rng.normal(0, 0.05), 0),
+                    world=Point3(wx + rng.normal(0, 0.05), wy + rng.normal(0, 0.05), 0),
                     image=Point2(u, v))
             )
         rep = rmse_xy(H_TRUE, gcps)
@@ -148,7 +142,7 @@ class TestRmse:
 
     def test_empty_set(self):
         with pytest.raises(EmptyGcpSet):
-            rmse_xy(Homography.identity(), [Gcp(id="x", world=Point3(0, 0, 0))])
+            rmse_xy(Homography(np.eye(3)), [Gcp(id="x", world=Point3(0, 0, 0))])
 
     def test_survey_noise_band(self):
         # sigma = 3 cm world noise on 7 GCPs; the rooted per-axis RMSE must
@@ -177,18 +171,18 @@ class TestRmse:
         rng = np.random.default_rng(5)
         cam_xy = np.array([0.0, 0.0])
         h = Homography(np.array([[0.01, 0, 0], [0, 0.01, 0], [0, 0, 1.0]]))
+        world = apply_homography_many(h, np.array(SEVEN_PX, dtype=np.float64))
         corr = []
         for _ in range(20):
             gcps = []
             dists = []
-            for i, (u, v) in enumerate(SEVEN_PX):
-                w = apply_homography(h, Point2(u, v))
-                dist = np.hypot(w.x - cam_xy[0], w.y - cam_xy[1])
+            for i, ((u, v), (wx, wy)) in enumerate(zip(SEVEN_PX, world)):
+                dist = np.hypot(wx - cam_xy[0], wy - cam_xy[1])
                 sigma = 0.002 * dist
                 gcps.append(
                     Gcp(id=f"g{i}",
-                        world=Point3(w.x + rng.normal(0, sigma),
-                                     w.y + rng.normal(0, sigma), 0),
+                        world=Point3(wx + rng.normal(0, sigma),
+                                     wy + rng.normal(0, sigma), 0),
                         image=Point2(u, v))
                 )
                 dists.append(dist)
@@ -201,8 +195,8 @@ class TestRmse:
 
 
 def _oracle_apply_homography(h, p):
-    """The scalar projective division as written before apply_homography
-    became a one-row apply_homography_many."""
+    """The scalar projective division as written before the library kept
+    only apply_homography_many."""
     m = h.h
     w = m[2, 0] * p.x + m[2, 1] * p.y + m[2, 2]
     if abs(w) <= 1e-12:
@@ -263,8 +257,9 @@ def _point_on_horizon(rng, h):
 
 
 class TestProjectiveDivisionOracle:
-    """apply_homography and rmse_xy against their scalar forms, bit for
-    bit, error types included, at and near the line at infinity."""
+    """apply_homography_many and rmse_xy against their scalar forms, bit
+    for bit, at and near the line at infinity: a row the oracle rejects
+    comes back NaN, and rmse_xy raises the oracle's error type."""
 
     def test_apply_homography_matches_scalar_oracle(self):
         rng = np.random.default_rng(8)
@@ -278,9 +273,13 @@ class TestProjectiveDivisionOracle:
                 p = _point_on_horizon(rng, h)
                 if kind == 2:  # just off the line: huge but finite images
                     p = Point2(p.x, p.y + 1e-9)
-            expected = _outcome(_oracle_apply_homography, h, p)
-            assert _outcome(apply_homography, h, p) == expected
-            raised += expected[0] is DegenerateProjection
+            error, expected = _outcome(_oracle_apply_homography, h, p)
+            got = apply_homography_many(h, np.array([p]))[0]
+            if error is DegenerateProjection:
+                assert np.isnan(got).all()
+                raised += 1
+            else:
+                assert got.tobytes() == expected
         assert 50 < raised < 350
 
     def test_rmse_xy_matches_loop_oracle(self):
@@ -346,8 +345,10 @@ class TestBicubic:
     def test_integer_coordinates_exact(self):
         rng = np.random.default_rng(3)
         img = _opaque(rng, 10, 12)
-        for x, y in ((5, 4), (1, 1), (9, 7)):
-            assert bicubic_sample(img, float(x), float(y)) == tuple(img.pixels[y, x])
+        pts = np.array([(5, 4), (1, 1), (9, 7)])
+        out, inside = bicubic_sample_many(img, pts[:, 0], pts[:, 1])
+        assert inside.all()
+        assert np.array_equal(out, img.pixels[pts[:, 1], pts[:, 0]])
 
     def test_constant_image_constant_everywhere(self):
         px = np.full((9, 9, 4), 200, dtype=np.uint8)
@@ -375,9 +376,11 @@ class TestBicubic:
 
     def test_out_of_support_is_nodata(self):
         img = _opaque(np.random.default_rng(5), 10, 12)
-        assert bicubic_sample(img, 0.5, 5.0) is None
-        assert bicubic_sample(img, 10.0, 5.0) is None
-        assert bicubic_sample(img, -3.0, 2.0) is None
+        out, inside = bicubic_sample_many(
+            img, np.array([0.5, 10.0, -3.0]), np.array([5.0, 5.0, 2.0])
+        )
+        assert not inside.any()
+        assert (out == 0).all()
 
 
 class TestWarp:
@@ -387,7 +390,7 @@ class TestWarp:
         geom = GridGeometry(
             origin_x=0.0, origin_y=9.0, cell_size=1.0, n_cols=12, n_rows=10
         )
-        warped = warp_to_grid(img, Homography.identity(), geom)
+        warped = warp_to_grid(img, Homography(np.eye(3)), geom)
         # Output row r samples source row 9 - r (north-up grid), giving a
         # vertically flipped copy; valid support is the 4x4-interior.
         flip = img.pixels[::-1]
@@ -403,13 +406,13 @@ class TestWarp:
         geom = GridGeometry(
             origin_x=0.0, origin_y=5.0, cell_size=1.0, n_cols=12, n_rows=1
         )
-        warped = warp_to_grid(img, Homography.identity(), geom)
+        warped = warp_to_grid(img, Homography(np.eye(3)), geom)
         assert np.array_equal(warped.bands[0, 1:10], img.pixels[5, 1:10])
 
     def test_translation_shifted_copy_with_vacated_strip(self):
         rng = np.random.default_rng(8)
         img = _opaque(rng, 10, 12)
-        h = Homography.translation(5, 7)
+        h = Homography(np.array([[1.0, 0, 5.0], [0, 1.0, 7.0], [0, 0, 1.0]]))
         aligned = GridGeometry(
             origin_x=5.0, origin_y=16.0, cell_size=1.0, n_cols=12, n_rows=10
         )
@@ -430,7 +433,7 @@ class TestWarp:
         geom = GridGeometry(
             origin_x=500.0, origin_y=500.0, cell_size=1.0, n_cols=6, n_rows=6
         )
-        warped = warp_to_grid(img, Homography.identity(), geom)
+        warped = warp_to_grid(img, Homography(np.eye(3)), geom)
         assert (warped.bands == 0).all()
 
 
@@ -530,7 +533,7 @@ class TestWarpThroughLens:
         photo = _opaque(np.random.default_rng(12), 800, 800)
         geom = GridGeometry(origin_x=50.0, origin_y=400.0, cell_size=50.0,
                             n_cols=15, n_rows=1)
-        warped = warp_to_grid(photo, Homography.identity(), geom, lens=lens)
+        warped = warp_to_grid(photo, Homography(np.eye(3)), geom, lens=lens)
         xs, _ = geom.cell_centers()
         r2 = ((xs - lens.cx) / lens.fx) ** 2
         assert np.array_equal(warped.bands[0, :, 3] == 255, r2 <= 4.0)

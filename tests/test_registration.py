@@ -4,12 +4,8 @@ import numpy as np
 import pytest
 
 from shoremap.errors import CollinearPoints, InsufficientPairs
-from shoremap.geometry import (
-    SimilarityTransform,
-    apply_similarity_many,
-    invert_similarity,
-    rotation_about_z,
-)
+from shoremap.calibration import axis_angle_to_rotation
+from shoremap.geometry import SimilarityTransform, apply_similarity_many
 from shoremap.registration import PointPairSet, apply_alignment, estimate_alignment
 from shoremap.stereo import PointCloud
 
@@ -38,7 +34,8 @@ class TestEstimateAlignment:
         rng = np.random.default_rng(1)
         src = rng.random((8, 3)) * 5
         truth = SimilarityTransform(
-            1.02, rotation_about_z(np.deg2rad(30)), np.array([5.0, -3.0, 0.2])
+            1.02, axis_angle_to_rotation(np.array([0.0, 0.0, np.deg2rad(30)])),
+            np.array([5.0, -3.0, 0.2]),
         )
         tgt = apply_similarity_many(truth, src)
         rep = estimate_alignment(_pairs(src, tgt), with_scale=True)
@@ -164,7 +161,7 @@ class TestApplyAlignment:
 
     def test_identity_bit_exact(self):
         cloud = self._cloud(np.random.default_rng(9))
-        out = apply_alignment(cloud, SimilarityTransform.identity())
+        out = apply_alignment(cloud, SimilarityTransform(1.0, np.eye(3), np.zeros(3)))
         assert np.array_equal(out.xyz, cloud.xyz)
         assert np.array_equal(out.colors, cloud.colors)
 
@@ -179,7 +176,10 @@ class TestApplyAlignment:
         rng = np.random.default_rng(11)
         cloud = self._cloud(rng)
         t = SimilarityTransform(1.3, _random_rotation(rng), rng.normal(size=3))
-        back = apply_alignment(apply_alignment(cloud, t), invert_similarity(t))
+        moved = apply_alignment(cloud, t)
+        # The inverse, estimated from the moved points back to the originals.
+        inverse = estimate_alignment(_pairs(moved.xyz, cloud.xyz), with_scale=True)
+        back = apply_alignment(moved, inverse.transform)
         np.testing.assert_allclose(back.xyz, cloud.xyz, atol=1e-9)
 
 

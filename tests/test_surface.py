@@ -21,7 +21,6 @@ from shoremap.surface import (
     Tin,
     build_tin,
     clip_dsm,
-    interpolate_z,
     rasterize_tin,
     vertical_check,
 )
@@ -276,9 +275,10 @@ class TestInterpolate:
         rng = np.random.default_rng(1)
         pts = np.column_stack([rng.random((50, 2)) * 4, np.full(50, 5.0)])
         tin = build_tin(_cloud(pts))
-        for _ in range(50):
-            q = Point2(*rng.uniform(1.0, 3.0, 2))
-            z = interpolate_z(tin, q)
+        qs = rng.uniform(1.0, 3.0, (50, 2))
+        rep = vertical_check(tin, [Gcp(id=f"q{i}", world=Point3(x, y, 0.0))
+                                   for i, (x, y) in enumerate(qs)])
+        for _, z, _ in rep.per_gcp:
             if z is not None:
                 assert z == pytest.approx(5.0, abs=1e-9)
 
@@ -287,15 +287,17 @@ class TestInterpolate:
         xy = rng.random((80, 2)) * 6
         z = 2 * xy[:, 0] + 3 * xy[:, 1] + 1
         tin = build_tin(_cloud(np.column_stack([xy, z])))
-        for _ in range(100):
-            q = Point2(*rng.uniform(1.5, 4.5, 2))
-            got = interpolate_z(tin, q)
+        qs = rng.uniform(1.5, 4.5, (100, 2))
+        rep = vertical_check(tin, [Gcp(id=f"q{i}", world=Point3(x, y, 0.0))
+                                   for i, (x, y) in enumerate(qs)])
+        for (x, y), (_, got, _) in zip(qs, rep.per_gcp):
             if got is not None:
-                assert got == pytest.approx(2 * q.x + 3 * q.y + 1, abs=1e-9)
+                assert got == pytest.approx(2 * x + 3 * y + 1, abs=1e-9)
 
     def test_outside_hull(self):
         tin = build_tin(_cloud([[0, 0, 0], [1, 0, 0], [0, 1, 0]]))
-        assert interpolate_z(tin, Point2(5.0, 5.0)) is None
+        rep = vertical_check(tin, [Gcp(id="q", world=Point3(5.0, 5.0, 0.0))])
+        assert rep.per_gcp == (("q", None, None),)
 
 
 class TestRasterize:
@@ -350,16 +352,16 @@ class TestRasterize:
         # The cell cap is enforced once, by the grid itself.
         with pytest.raises(GridTooLarge):
             GridGeometry(
-                origin_x=0.0, origin_y=1.0, cell_size=0.001, n_cols=2000,
-                n_rows=2000, cell_cap=1_000_000,
+                origin_x=0.0, origin_y=1.0, cell_size=0.001, n_cols=20_000,
+                n_rows=20_000,
             )
 
     @pytest.mark.parametrize("lattice", [False, True])
     def test_point_interpolation_matches_raster(self, lattice):
-        """interpolate_z and the scalar oracle at each cell center
-        reproduce rasterize_tin bit for bit, and are None exactly on the
-        NODATA cells. The lattice puts cell centers on vertices and shared
-        edges, where the lowest-index tie-break decides."""
+        """vertical_check with one GCP per cell center and the scalar
+        oracle reproduce rasterize_tin bit for bit, and are None exactly on
+        the NODATA cells. The lattice puts cell centers on vertices and
+        shared edges, where the lowest-index tie-break decides."""
         rng = np.random.default_rng(7)
         if lattice:
             gx, gy = np.meshgrid(np.arange(12) * 0.4, np.arange(12) * 0.4)
@@ -372,17 +374,18 @@ class TestRasterize:
             origin_x=-0.4, origin_y=4.8, cell_size=0.2, n_cols=26, n_rows=26
         )
         dsm = rasterize_tin(tin, geom, kill=np.inf)
-        xs, ys = geom.cell_centers()
+        gx, gy = np.meshgrid(*geom.cell_centers())
         assert (dsm.values == NODATA).any() and (dsm.values != NODATA).any()
-        for r, y in enumerate(ys):
-            for c, x in enumerate(xs):
-                z = interpolate_z(tin, Point2(x, y))
-                assert z == _reference_z(tin, x, y)
-                if dsm.values[r, c] == NODATA:
-                    assert z is None
-                else:
-                    assert z is not None
-                    assert np.float64(z).tobytes() == dsm.values[r, c].tobytes()
+        centers = np.column_stack([gx.ravel(), gy.ravel()])
+        rep = vertical_check(tin, [Gcp(id=f"c{i}", world=Point3(x, y, 0.0))
+                                   for i, (x, y) in enumerate(centers)])
+        for (x, y), (_, z, _), cell in zip(centers, rep.per_gcp, dsm.values.ravel()):
+            assert z == _reference_z(tin, x, y)
+            if cell == NODATA:
+                assert z is None
+            else:
+                assert z is not None
+                assert np.float64(z).tobytes() == cell.tobytes()
 
     def test_kill_must_be_positive(self):
         tin = build_tin(_cloud([[0, 0, 0], [1, 0, 0], [0, 1, 0]]))
