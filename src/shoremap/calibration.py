@@ -5,6 +5,11 @@ intrinsic matrix from the image of the absolute conic, per-view poses are
 decomposed from the homographies, and a Levenberg-Marquardt refinement
 over intrinsics, distortion, and poses minimizes total squared
 reprojection error.
+
+The refinement evaluates all views at once. The camera-frame corners of
+every view are built once per evaluation and projected in one stacked
+call; the central-difference Jacobian reuses them for its 18 intrinsic
+steps, and projects the 12 pose steps of every view in one more call.
 """
 
 from __future__ import annotations
@@ -15,7 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._dlt import estimate_homography
-from .camera import INTRINSIC_FIELDS, CameraIntrinsics, LensParams, project_many
+from .camera import (
+    INTRINSIC_FIELDS,
+    CameraIntrinsics,
+    LensParams,
+    in_model_domain,
+    project_many,
+)
 from .errors import (
     BehindCamera,
     DegenerateConfiguration,
@@ -248,6 +259,11 @@ class _ReprojectionProblem:
     Parameter vector: the 9 intrinsics in INTRINSIC_FIELDS order, then 6
     per view (axis-angle, translation). Residuals are the per-corner pixel
     differences, observed minus projected, flattened view-major.
+
+    Each evaluation projects stacked arrays: the camera-frame corners of
+    all views, or of all perturbed views, go through one `project_many`
+    call. Every step is elementwise on the same operands as a per-view
+    projection (:meth:`_project_view`), so the bits are the same.
     """
 
     def __init__(self, obj_points: np.ndarray, observed: np.ndarray):
@@ -256,70 +272,74 @@ class _ReprojectionProblem:
         self.n_views = observed.shape[0]
         self.n_points = obj_points.shape[0]
 
+    def _rotated_board(self, rvecs: np.ndarray) -> np.ndarray:
+        """(K, N, 3) board corners rotated by each of K axis-angle vectors:
+        one Rodrigues and one 2-D product per vector."""
+        return np.stack([self.obj @ axis_angle_to_rotation(a).T for a in rvecs])
+
+    def _project_view(self, lens: LensParams, pose: np.ndarray) -> np.ndarray:
+        """One view's (N, 2) projection, the reference for the stacked ones."""
+        return project_many(lens, self._rotated_board(pose[None, :3])[0] + pose[3:])
+
     def residuals(self, params: np.ndarray) -> np.ndarray:
         """Full residual vector, or None if a trial point leaves the model
         domain (treated by LM as a rejected step)."""
-        lens = LensParams(*params[:_N_INTR])
-        out = np.empty((self.n_views, self.n_points, 2))
+        poses = params[_N_INTR:].reshape(self.n_views, 6)
+        cam = self._rotated_board(poses[:, :3]) + poses[:, None, 3:]
         try:
-            for v in range(self.n_views):
-                pose = params[_N_INTR + 6 * v: _N_INTR + 6 + 6 * v]
-                proj = self._project_view(lens, pose)
-                out[v] = self.observed[v] - proj
+            proj = project_many(LensParams(*params[:_N_INTR]), cam.reshape(-1, 3))
         except (BehindCamera, OutOfModelRange):
             return None
-        return out.ravel()
-
-    def _project_view(self, lens: LensParams, pose: np.ndarray) -> np.ndarray:
-        r = axis_angle_to_rotation(pose[:3])
-        return project_many(lens, self.obj @ r.T + pose[3:])
+        return (self.observed - proj.reshape(self.observed.shape)).ravel()
 
     def jacobian(self, params: np.ndarray, step_scale: float = 1.0) -> np.ndarray:
-        """Central-difference Jacobian, exploiting the block structure:
-        intrinsic columns touch every residual, pose columns only their
-        own view's block."""
-        n_params = params.size
-        m = self.n_views * self.n_points * 2
-        jac = np.zeros((m, n_params))
-        block = self.n_points * 2
+        """Central-difference Jacobian at parameters whose residual exists,
+        exploiting the block structure: intrinsic columns touch every
+        residual, pose columns only their own view's block.
 
-        def step_of(x):
-            return _FD_STEP * step_scale * max(abs(x), 1.0)
+        The model's domain depends only on the camera-frame points, which
+        the intrinsics do not move, so every intrinsic step stays inside
+        it. A pose column whose + or - step leaves the domain stays zero.
+        """
+        n_views, n_points = self.n_views, self.n_points
+        block = n_points * 2
+        jac = np.zeros((n_views * block, params.size))
+        steps = _FD_STEP * step_scale * np.maximum(np.abs(params), 1.0)
+        poses = params[_N_INTR:].reshape(n_views, 6)
+        rotated = self._rotated_board(poses[:, :3])
+        cam = (rotated + poses[:, None, 3:]).reshape(-1, 3)
+        observed = self.observed.ravel()
 
         for j in range(_N_INTR):
-            h = step_of(params[j])
-            pp = params.copy(); pp[j] += h
-            pm = params.copy(); pm[j] -= h
-            rp = self.residuals(pp)
-            rm = self.residuals(pm)
-            if rp is None or rm is None:
-                # One-sided fallback at a domain boundary.
-                r0 = self.residuals(params)
-                if rp is not None:
-                    jac[:, j] = (rp - r0) / h
-                elif rm is not None:
-                    jac[:, j] = (r0 - rm) / h
-                continue
+            h = steps[j]
+            lp = params[:_N_INTR].copy(); lp[j] += h
+            lm = params[:_N_INTR].copy(); lm[j] -= h
+            rp = observed - project_many(LensParams(*lp), cam).ravel()
+            rm = observed - project_many(LensParams(*lm), cam).ravel()
             jac[:, j] = (rp - rm) / (2.0 * h)
 
+        # Each view's 6 steps, + then -, as 12 perturbed poses per view.
+        # Translation steps move the view's rotated board; only the
+        # rotation steps need a new rotation.
+        h = steps[_N_INTR:].reshape(n_views, 6)
+        pert = np.broadcast_to(poses[:, None, None], (n_views, 6, 2, 6)).copy()
+        v_idx, j_idx = np.indices((n_views, 6))
+        pert[v_idx, j_idx, 0, j_idx] = poses + h
+        pert[v_idx, j_idx, 1, j_idx] = poses - h
+        shape = (n_views, 6, 2, n_points, 3)
+        board = np.broadcast_to(rotated[:, None, None], shape).copy()
+        turned = self._rotated_board(pert[:, :3, :, :3].reshape(-1, 3))
+        board[:, :3] = turned.reshape(n_views, 3, 2, n_points, 3)
+        cam = board + pert[..., None, 3:]
+        ok = in_model_domain(cam).all(axis=(2, 3))
         lens = LensParams(*params[:_N_INTR])
-        for v in range(self.n_views):
+        proj = project_many(lens, cam[ok].reshape(-1, 3)).reshape(-1, 2, block)
+        # d(residual)/dp = -d(projection)/dp
+        cols = np.zeros((n_views, 6, block))
+        cols[ok] = (proj[:, 1] - proj[:, 0]) / (2.0 * h[ok])[:, None]
+        for v in range(n_views):
             base = _N_INTR + 6 * v
-            row0 = v * block
-            pose = params[base: base + 6]
-            for j in range(6):
-                h = step_of(pose[j])
-                pp = pose.copy(); pp[j] += h
-                pm = pose.copy(); pm[j] -= h
-                try:
-                    proj_p = self._project_view(lens, pp)
-                    proj_m = self._project_view(lens, pm)
-                except (BehindCamera, OutOfModelRange):
-                    continue
-                # d(residual)/dp = -d(projection)/dp
-                jac[row0: row0 + block, base + j] = (
-                    (proj_m - proj_p) / (2.0 * h)
-                ).ravel()
+            jac[v * block: (v + 1) * block, base: base + 6] = cols[v].T
         return jac
 
 

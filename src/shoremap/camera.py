@@ -178,6 +178,27 @@ def undistort_pixels(i: CameraIntrinsics, u: np.ndarray, v: np.ndarray):
     return undistort_arrays(i, *pixels_to_normalized(i, u, v))
 
 
+def _normalize(pts: np.ndarray):
+    """Camera-frame points (..., 3) to normalized coordinates (x_n, y_n),
+    with the two ways a point leaves the model's domain: `behind`
+    (z <= MIN_DEPTH) and `outside` (r^2 > R2_MAX). A point behind the
+    camera is divided by 1 instead of its depth, so no division by a bad
+    depth happens; its x_n, y_n and `outside` mean nothing."""
+    z = pts[..., 2]
+    behind = z <= MIN_DEPTH
+    z = np.where(behind, 1.0, z)
+    x_n = pts[..., 0] / z
+    y_n = pts[..., 1] / z
+    return x_n, y_n, behind, x_n * x_n + y_n * y_n > R2_MAX
+
+
+def in_model_domain(pts: np.ndarray) -> np.ndarray:
+    """Mask over (..., 3) camera-frame points: True where
+    :func:`project_many` would project the point rather than raise."""
+    _, _, behind, outside = _normalize(np.asarray(pts, dtype=np.float64))
+    return ~(behind | outside)
+
+
 def project_many(i: CameraIntrinsics, pts: np.ndarray) -> np.ndarray:
     """Project an (n, 3) array of camera-frame points to (n, 2) pixels.
 
@@ -185,13 +206,10 @@ def project_many(i: CameraIntrinsics, pts: np.ndarray) -> np.ndarray:
     (z <= MIN_DEPTH) and OutOfModelRange when one falls outside the
     modeled disk.
     """
-    pts = np.asarray(pts, dtype=np.float64)
-    z = pts[:, 2]
-    if (z <= MIN_DEPTH).any():
+    x_n, y_n, behind, outside = _normalize(np.asarray(pts, dtype=np.float64))
+    if behind.any():
         raise BehindCamera("a point is not in front of the camera")
-    x_n = pts[:, 0] / z
-    y_n = pts[:, 1] / z
-    if (x_n * x_n + y_n * y_n > R2_MAX).any():
+    if outside.any():
         raise OutOfModelRange("a point falls outside the modeled disk")
     return np.column_stack(normalized_to_pixels(i, *_distort_xy(i, x_n, y_n)))
 

@@ -24,8 +24,8 @@ from .camera import CameraIntrinsics, StereoRig, normalized_to_pixels, undistort
 # _distort_xy, undistort_arrays and bicubic_sample_many stay imported for
 # perfbench/spans.py, which patches these names here.
 from .camera import _distort_xy, undistort_arrays
-from .errors import InputError, MalformedHeader, TooFewPoints
-from .geometry import GridGeometry, Homography, Point2
+from .errors import GridTooLarge, InputError, MalformedHeader, TooFewPoints
+from .geometry import CELL_CAP, GridGeometry, Homography, Point2
 from .georectify import (
     Gcp,
     bicubic_sample_many,
@@ -302,11 +302,17 @@ def _bbox_grid(
     max_x = float(xs.max()) + margin * span_x
     min_y = float(ys.min()) - margin * span_y
     max_y = float(ys.max()) + margin * span_y
-    n_cols = int(np.floor((max_x - min_x) / cell_size)) + 1
-    n_rows = int(np.floor((max_y - min_y) / cell_size)) + 1
+    n_cols = float(np.floor((max_x - min_x) / cell_size)) + 1
+    n_rows = float(np.floor((max_y - min_y) / cell_size)) + 1
+    # An extreme but finite setting can make the counts infinite, so
+    # check them as floats before they become integers.
+    if not n_cols * n_rows <= CELL_CAP:
+        raise GridTooLarge(
+            f"grid of {n_cols:.0f}x{n_rows:.0f} cells exceeds cap {CELL_CAP}"
+        )
     return GridGeometry(
         origin_x=min_x, origin_y=max_y, cell_size=cell_size,
-        n_cols=n_cols, n_rows=n_rows,
+        n_cols=int(n_cols), n_rows=int(n_rows),
     )
 
 

@@ -319,6 +319,124 @@ class TestProjectViewOracle:
         assert min(outcomes.values()) > 50, outcomes
 
 
+_FD_STEP = 6.0554544523933395e-06
+
+
+def _oracle_residuals(obj, observed, params):
+    """Residuals as written before the views were stacked: one
+    projection per view."""
+    out = np.empty(observed.shape)
+    try:
+        for v in range(observed.shape[0]):
+            pose = params[9 + 6 * v: 15 + 6 * v]
+            out[v] = observed[v] - _oracle_project_view(obj, params[:9], pose)
+    except (BehindCamera, OutOfModelRange):
+        return None
+    return out.ravel()
+
+
+def _oracle_jacobian(obj, observed, params, step_scale=1.0):
+    """The LM's central-difference Jacobian as written before the views
+    were stacked: one column at a time, one view at a time."""
+    n_views, n_points = observed.shape[:2]
+    jac = np.zeros((n_views * n_points * 2, params.size))
+    block = n_points * 2
+
+    def step_of(x):
+        return _FD_STEP * step_scale * max(abs(x), 1.0)
+
+    for j in range(9):
+        h = step_of(params[j])
+        pp = params.copy(); pp[j] += h
+        pm = params.copy(); pm[j] -= h
+        rp = _oracle_residuals(obj, observed, pp)
+        rm = _oracle_residuals(obj, observed, pm)
+        if rp is None or rm is None:
+            r0 = _oracle_residuals(obj, observed, params)
+            if rp is not None:
+                jac[:, j] = (rp - r0) / h
+            elif rm is not None:
+                jac[:, j] = (r0 - rm) / h
+            continue
+        jac[:, j] = (rp - rm) / (2.0 * h)
+
+    for v in range(n_views):
+        base = 9 + 6 * v
+        row0 = v * block
+        pose = params[base: base + 6]
+        for j in range(6):
+            h = step_of(pose[j])
+            pp = pose.copy(); pp[j] += h
+            pm = pose.copy(); pm[j] -= h
+            try:
+                proj_p = _oracle_project_view(obj, params[:9], pp)
+                proj_m = _oracle_project_view(obj, params[:9], pm)
+            except (BehindCamera, OutOfModelRange):
+                continue
+            jac[row0: row0 + block, base + j] = (
+                (proj_m - proj_p) / (2.0 * h)
+            ).ravel()
+    return jac
+
+
+class TestJacobianOracle:
+    def _problem(self, seed):
+        rng = np.random.default_rng(seed)
+        views, poses = make_calibration_views(
+            RECALIBRATED_INTRINSICS, BOARD, 5, 0.2, rng
+        )
+        obj = np.array([(p.x, p.y, p.z) for p in board_object_points(BOARD)])
+        observed = np.stack([v.as_array() for v in views])
+        params = np.concatenate(
+            [np.array([1065.0, 1055.0, 948.0, 575.0,
+                       0.004, -0.07, 0.19, -0.0002, -0.002])]
+            + [np.concatenate([rotation_to_axis_angle(r), t]) for r, t in poses]
+        )
+        params = params * (1.0 + rng.uniform(-1e-3, 1e-3, params.size))
+        return obj, observed, params
+
+    @pytest.mark.parametrize("seed", [22, 23])
+    @pytest.mark.parametrize("step_scale", [1.0, 0.5])
+    def test_generic_parameters_bit_for_bit(self, seed, step_scale):
+        obj, observed, params = self._problem(seed)
+        problem = _ReprojectionProblem(obj, observed)
+        expected = _oracle_jacobian(obj, observed, params, step_scale)
+        assert not np.all(expected == 0, axis=0).any()
+        got = problem.jacobian(params, step_scale)
+        assert got.tobytes() == expected.tobytes()
+        residual = problem.residuals(params)
+        assert residual.tobytes() == _oracle_residuals(obj, observed, params).tobytes()
+
+    def test_domain_edge_columns_stay_zero(self):
+        # Slide view 2 along x until its outermost corner sits on the
+        # r^2 = 4 rim: its +x translation step leaves the modeled disk.
+        obj, observed, params = self._problem(24)
+        tx = 9 + 6 * 2 + 3
+
+        def inside(x):
+            trial = params.copy()
+            trial[tx] = x
+            return _oracle_residuals(obj, observed, trial) is not None
+
+        lo, hi = params[tx], params[tx] + 2.0
+        assert inside(lo) and not inside(hi)
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if mid in (lo, hi):
+                break
+            lo, hi = (mid, hi) if inside(mid) else (lo, mid)
+        params[tx] = lo
+        problem = _ReprojectionProblem(obj, observed)
+        expected = _oracle_jacobian(obj, observed, params)
+        dead = np.flatnonzero(np.all(expected == 0, axis=0))
+        assert tx in dead
+        assert all(9 + 6 * 2 <= c < 9 + 6 * 3 for c in dead)
+        got = problem.jacobian(params)
+        assert got.tobytes() == expected.tobytes()
+        residual = problem.residuals(params)
+        assert residual.tobytes() == _oracle_residuals(obj, observed, params).tobytes()
+
+
 class TestAxisAngle:
     def test_round_trip(self):
         rng = np.random.default_rng(21)

@@ -636,6 +636,30 @@ class TestRun:
         assert report["failed_stage"] == stage
         assert report["error"].startswith("InputError: ")
 
+    @pytest.mark.parametrize("setting, stage", [
+        ("dsm.cell_size=1e-320", "dsm"),
+        ("rectify.margin=1e308", "rectify"),
+    ])
+    def test_overflowing_grid_setting_exit_2(
+        self, tmp_path, monkeypatch, setting, stage
+    ):
+        # Finite settings whose row or column count overflows to infinity.
+        paths = BeachScene(seed=0, width=64, height=48).write_fixture(tmp_path / "in")
+        if stage == "dsm":
+            def no_tin(cloud):
+                raise AssertionError("build_tin called before the grid was validated")
+
+            monkeypatch.setattr(pipeline, "build_tin", no_tin)
+        out_dir = tmp_path / "out"
+        code = main([
+            "run", "--config", str(paths["config"]), "--out-dir", str(out_dir),
+            "--set", setting,
+        ])
+        assert code == 2
+        report = json.loads((out_dir / "run_report.json").read_text())
+        assert report["failed_stage"] == stage
+        assert report["error"].startswith("GridTooLarge: ")
+
 
 class TestEnvironment:
     def test_out_dir_env_default(self, monkeypatch, tmp_path):
