@@ -6,7 +6,6 @@ Only the POLYGON geometry is supported; ring orientation is normalized
 
 from __future__ import annotations
 
-import math
 import re
 
 from ..errors import WktSyntaxError
@@ -17,8 +16,8 @@ from ._text import _decode
 
 def parse_wkt_polygon(text) -> ClipPolygon:
     """Parse `POLYGON ((x y, ...), (hole ...))` text. Syntax errors raise
-    WktSyntaxError; ClipPolygon validates the rings themselves (OpenRing,
-    SelfIntersection)."""
+    WktSyntaxError; ClipPolygon validates the rings themselves
+    (InvalidPolygon, OpenRing, SelfIntersection)."""
     s = _decode(text, WktSyntaxError).strip()
     m = re.match(r"(?is)^POLYGON\s*\((.*)\)$", s)
     if not m:
@@ -58,11 +57,7 @@ def parse_wkt_polygon(text) -> ClipPolygon:
                 x, y = float(parts[0]), float(parts[1])
             except ValueError as exc:
                 raise WktSyntaxError(f"non-numeric coordinate in {pair!r}") from exc
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise WktSyntaxError(f"non-finite coordinate in {pair!r}")
             coords.append(Point2(x, y))
-        if len(coords) < 4:
-            raise WktSyntaxError("ring needs at least 4 vertices (closed triangle)")
         rings.append(tuple(coords))
     return ClipPolygon(rings=tuple(rings))
 

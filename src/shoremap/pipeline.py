@@ -45,6 +45,7 @@ from .stereo import (
 )
 from .surface import (
     DEFAULT_KILL_DISTANCE,
+    NODATA,
     DsmGrid,
     build_tin,
     clip_dsm,
@@ -244,7 +245,7 @@ def stage_depth(
                 origin_x=0.0, origin_y=float(disp.height - 1), cell_size=1.0,
                 n_cols=disp.width, n_rows=disp.height,
             ),
-            values=np.where(disp.valid_mask(), disp.values, -9999.0),
+            values=np.where(disp.valid_mask(), disp.values, NODATA),
         )
         (out_dir / "disparity.asc").write_text(write_asc(dgrid))
     n_valid = int(disp.valid_mask().sum())

@@ -320,8 +320,10 @@ class _Triangulator:
 
     Triangle t has counterclockwise vertices ``tv[3t:3t+3]``; ``tn[3t+k]``
     is the triangle across its edge ``(tv[3t+k], tv[3t+(k+1)%3])``, or -1
-    on the super-triangle's hull. ``alive[t]`` says whether slot t holds a
-    triangle; the slots of deleted triangles go on ``free`` for reuse.
+    on the super-triangle's hull. Every slot holds a live triangle: a
+    cavity of k triangles is a disk with no interior vertex, so its
+    boundary has k + 2 edges, and the fan that replaces it refills the k
+    slots and appends two. After n inserts there are 2n + 1 slots.
     Every triangle keeps the rotation it was created with, last-inserted
     vertex last, so the output does not depend on slot numbering.
     """
@@ -340,16 +342,14 @@ class _Triangulator:
         self.ys = ys.tolist() + [cy - m, cy - m, cy + 2.0 * m]
         self.tv = [n, n + 1, n + 2]
         self.tn = [-1, -1, -1]
-        self.alive = [True]
-        self.free: list[int] = []
         self.last = 0
 
     def _locate(self, px: float, py: float) -> int:
         """Walk toward the triangle containing (px, py)."""
         xs, ys, tv, tn = self.xs, self.ys, self.tv, self.tn
         t = self.last
-        max_steps = 4 * (len(self.alive) - len(self.free)) + 16
-        for _ in range(max_steps):
+        n_slots = len(tv) // 3
+        for _ in range(4 * n_slots + 16):
             base = 3 * t
             for k in range(3):
                 nb = tn[base + k]
@@ -360,9 +360,9 @@ class _Triangulator:
             else:
                 return t
         # Degenerate walk; fall back to scanning everything.
-        for t, live in enumerate(self.alive):
+        for t in range(n_slots):
             a, b, c = tv[3 * t:3 * t + 3]
-            if live and all(
+            if all(
                 _orient2d(xs[i], ys[i], xs[j], ys[j], px, py) >= 0
                 for i, j in ((a, b), (b, c), (c, a))
             ):
@@ -371,7 +371,6 @@ class _Triangulator:
 
     def insert(self, p: int):
         xs, ys, tv, tn = self.xs, self.ys, self.tv, self.tn
-        alive, free = self.alive, self.free
         px, py = xs[p], ys[p]
         seed = self._locate(px, py)
         # Flood the strict in-circle cavity; its boundary edges, (i, j)
@@ -393,29 +392,27 @@ class _Triangulator:
                         stack.append(nb)
                         continue
                 boundary.append((tv[base + k], tv[base + (k + 1) % 3], nb))
-        for i, j, _ in boundary:
-            if _orient2d(xs[i], ys[i], xs[j], ys[j], px, py) <= 0:
-                raise CollinearInput(
-                    "degenerate cavity boundary; duplicate or collinear input"
-                )
-        for t in cavity:
-            alive[t] = False
-        free.extend(cavity)
+        if len(boundary) != len(cavity) + 2 or any(
+            _orient2d(xs[i], ys[i], xs[j], ys[j], px, py) <= 0
+            for i, j, _ in boundary
+        ):
+            raise CollinearInput(
+                "degenerate cavity boundary; duplicate or collinear input"
+            )
         # Fan the boundary to p: triangle (i, j, p) takes over edge (i, j)
         # from the outer neighbour, and its edges (j, p) and (p, i) face
         # the fan triangles starting at j and ending at i.
+        slots = list(cavity)
         starting_at = {}
         for i, j, nb in boundary:
-            if free:
-                t = free.pop()
+            if slots:
+                t = slots.pop()
                 tv[3 * t:3 * t + 3] = i, j, p
                 tn[3 * t] = nb
-                alive[t] = True
             else:
-                t = len(alive)
+                t = len(tv) // 3
                 tv += (i, j, p)
                 tn += (nb, -1, -1)
-                alive.append(True)
             if nb >= 0:
                 nbase = 3 * nb
                 tn[nbase + tv[nbase:nbase + 3].index(j)] = t
@@ -426,15 +423,11 @@ class _Triangulator:
             tn[3 * u + 2] = t
         self.last = t
 
-    def real_triangles(self) -> list[tuple[int, int, int]]:
-        n, tv = self.n_real, self.tv
-        out = [
-            tuple(tv[3 * t:3 * t + 3])
-            for t, live in enumerate(self.alive)
-            if live and max(tv[3 * t:3 * t + 3]) < n
-        ]
-        out.sort()
-        return out
+    def real_triangles(self) -> np.ndarray:
+        """Rows with no super-triangle vertex, in lexicographic order."""
+        tri = np.array(self.tv, dtype=np.int64).reshape(-1, 3)
+        tri = tri[tri.max(axis=1) < self.n_real]
+        return tri[np.lexsort(tri.T[::-1])]
 
 
 def build_tin(cloud: PointCloud) -> Tin:

@@ -370,6 +370,19 @@ class TestDepthRegisterDsmCheck:
             "--out-dir", str(tmp_path),
         ]) == 2
 
+    @pytest.mark.parametrize("ring", ["0 0, 1 0, 0 0", "0 0, 4 0, inf 4, 0 0"])
+    def test_dsm_invalid_clip_exit_2(self, tmp_path, ring):
+        rng = np.random.default_rng(2)
+        las = tmp_path / "c.las"
+        las.write_bytes(write_las(PointCloud(xyz=rng.random((50, 3)))))
+        clip = tmp_path / "clip.wkt"
+        clip.write_text(f"POLYGON (({ring}))")
+        assert main([
+            "dsm", "--cloud", str(las), "--clip", str(clip),
+            "--out-dir", str(tmp_path),
+        ]) == 2
+        assert not (tmp_path / "dsm.asc").exists()
+
     def test_register_missing_cloud_exit_2(self, scene_dir, tmp_path, capsys):
         _, paths = scene_dir
         code = main([

@@ -14,6 +14,7 @@ from shoremap.errors import (
     CoordinateOverflow,
     DimensionMismatch,
     DuplicateId,
+    InvalidPolygon,
     MalformedHeader,
     MalformedRow,
     OpenRing,
@@ -427,6 +428,15 @@ class TestWkt:
     def test_self_intersection(self):
         with pytest.raises(SelfIntersection):
             parse_wkt_polygon("POLYGON ((0 0, 2 2, 2 0, 0 2, 0 0))")
+
+    @pytest.mark.parametrize("text", [
+        "POLYGON ((0 0, 1 0, 0 0))",
+        "POLYGON ((0 0, 4 0, inf 4, 0 0))",
+    ])
+    def test_invalid_ring(self, text):
+        # ClipPolygon is the one validator of rings; the parser checks syntax.
+        with pytest.raises(InvalidPolygon):
+            parse_wkt_polygon(text)
 
     def test_syntax_errors(self):
         for text in ("LINESTRING (0 0, 1 1)", "POLYGON 0 0", "POLYGON (())",

@@ -24,7 +24,7 @@ from shoremap.surface import (
     rasterize_tin,
     vertical_check,
 )
-from shoremap.surface import _dedupe_xy
+from shoremap.surface import _dedupe_xy, _incircle, _orient2d
 
 from synth import BeachScene
 
@@ -191,6 +191,31 @@ def test_tin_pinned_bit_for_bit(name):
     assert (len(tin.vertices), len(tin.triangles)) == (n_vertices, n_triangles)
     assert hashlib.sha256(tin.triangles.tobytes()).hexdigest() == tri_digest
     assert _digest(*tin.vertices.T) == vertex_digest
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_TINS))
+def test_tin_certificate(name):
+    """Why the pinned TINs are right, checked with the exact predicates
+    on the centered coordinates that build_tin triangulates."""
+    tin = build_tin(_cloud(PINNED_TINS[name][0]()))
+    x, y = tin.vertices[:, 0], tin.vertices[:, 1]
+    xs, ys = (x - float(x.mean())).tolist(), (y - float(y.mean())).tolist()
+    rows = [tuple(r) for r in tin.triangles.tolist()]
+    assert all(r < s for r, s in zip(rows, rows[1:]))
+    faces: dict[tuple[int, int], list] = {}  # edge -> [(triangle, opposite)]
+    for a, b, c in rows:
+        assert _orient2d(xs[a], ys[a], xs[b], ys[b], xs[c], ys[c]) == 1
+        for i, j, k in ((a, b, c), (b, c, a), (c, a, b)):
+            faces.setdefault((min(i, j), max(i, j)), []).append(((a, b, c), k))
+    assert max(len(f) for f in faces.values()) <= 2
+    for f in faces.values():
+        if len(f) == 2:
+            for ((a, b, c), _), (_, k) in (f, f[::-1]):
+                assert _incircle(
+                    xs[a], ys[a], xs[b], ys[b], xs[c], ys[c], xs[k], ys[k]
+                ) <= 0
+    n_hull = sum(len(f) == 1 for f in faces.values())
+    assert len(rows) == 2 * len(xs) - 2 - n_hull
 
 
 def _dedupe_loop(xyz: np.ndarray) -> np.ndarray:
