@@ -155,9 +155,10 @@ def _dispatch(args) -> int:
     if args.command in pipeline.RUN_STAGES:
         name = args.command
         kwargs = {s: getattr(args, s) for s in pipeline.SETTINGS[name]}
-        for inp in pipeline.INPUTS[name]:
-            if getattr(args, inp) is not None:
-                kwargs[f"{inp}_path"] = Path(getattr(args, inp))
+        kwargs.update(pipeline.read_inputs({
+            inp: Path(getattr(args, inp))
+            for inp in pipeline.INPUTS[name] if getattr(args, inp) is not None
+        }))
         if "grid" in pipeline.PARAMETERS[name]:
             kwargs["grid"] = _grid_from_args(args)
         if "out_dir" in pipeline.PARAMETERS[name]:
@@ -167,17 +168,9 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "run":
-        config = pipeline.load_config(Path(args.config))
-        for override in args.set:
-            if "=" not in override:
-                raise InputError(f"--set needs KEY=VALUE, got {override!r}")
-            key, _, value = override.partition("=")
-            config[key.strip()] = value.strip()
         out_dir = Path(args.out_dir)
-        report_path = (
-            Path(args.report) if args.report else out_dir / "run_report.json"
-        )
-        report = pipeline.run_pipeline(config, out_dir, report_path)
+        report_path = Path(args.report) if args.report else out_dir / "run_report.json"
+        report = pipeline.run_pipeline(Path(args.config), out_dir, report_path, args.set)
         sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
         return EXIT_OK
 

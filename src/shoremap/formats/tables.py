@@ -13,8 +13,31 @@ from ..registration import PointPairSet
 from ._text import _decode
 
 
-def _data_lines(text: str) -> list[str]:
-    return [ln.strip() for ln in text.splitlines() if ln.strip()]
+def _csv_rows(text, what: str, *headers: list[str]):
+    """Yield the (line number, stripped cells) of each data row of an
+    ASCII CSV whose header is one of headers, matched case-blind. Blank
+    lines are skipped. A row whose column count differs from its header's
+    raises MalformedRow when it is reached, and so does a file with no
+    data rows once the rows are exhausted."""
+    text = _decode(text, MalformedHeader)
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise MalformedHeader(f"empty {what} file")
+    header = [c.strip().lower() for c in lines[0].split(",")]
+    if header not in headers:
+        raise MalformedHeader(
+            f"header must be {' or '.join(','.join(h) for h in headers)}, "
+            f"got {lines[0]!r}"
+        )
+    for line_no, line in enumerate(lines[1:], start=2):
+        cells = [c.strip() for c in line.split(",")]
+        if len(cells) != len(header):
+            raise MalformedRow(
+                f"line {line_no}: expected {len(header)} columns, got {len(cells)}"
+            )
+        yield line_no, cells
+    if len(lines) == 1:
+        raise MalformedRow(f"{what} file has no data rows")
 
 
 def _parse_float(token: str, line_no: int) -> float:
@@ -34,28 +57,9 @@ GCP_HEADER_FULL = GCP_HEADER_BASE + ["px", "py"]
 def parse_gcp_csv(text) -> list[Gcp]:
     """Parse GCPs. Header is `id,easting,northing,elevation` optionally
     followed by `,px,py`; image columns may be left empty per row."""
-    lines = _data_lines(_decode(text, MalformedHeader))
-    if not lines:
-        raise MalformedHeader("empty GCP file")
-    header = [c.strip().lower() for c in lines[0].split(",")]
-    if header == GCP_HEADER_FULL:
-        with_image = True
-    elif header == GCP_HEADER_BASE:
-        with_image = False
-    else:
-        raise MalformedHeader(
-            f"header must be {','.join(GCP_HEADER_FULL)} or "
-            f"{','.join(GCP_HEADER_BASE)}, got {lines[0]!r}"
-        )
     gcps = []
     seen = set()
-    for line_no, line in enumerate(lines[1:], start=2):
-        cells = [c.strip() for c in line.split(",")]
-        expected = 6 if with_image else 4
-        if len(cells) != expected:
-            raise MalformedRow(
-                f"line {line_no}: expected {expected} columns, got {len(cells)}"
-            )
+    for line_no, cells in _csv_rows(text, "GCP", GCP_HEADER_FULL, GCP_HEADER_BASE):
         gid = cells[0]
         if not gid:
             raise MalformedRow(f"line {line_no}: empty id")
@@ -68,7 +72,7 @@ def parse_gcp_csv(text) -> list[Gcp]:
             _parse_float(cells[3], line_no),
         )
         image = None
-        if with_image and (cells[4] or cells[5]):
+        if len(cells) == 6 and (cells[4] or cells[5]):
             if not (cells[4] and cells[5]):
                 raise MalformedRow(
                     f"line {line_no}: px and py must both be present or both empty"
@@ -103,21 +107,8 @@ PAIR_HEADER = ["id", "sx", "sy", "sz", "tx", "ty", "tz"]
 
 def parse_pair_csv(text) -> PointPairSet:
     """Parse explicit source-to-target 3-d correspondences."""
-    lines = _data_lines(_decode(text, MalformedHeader))
-    if not lines:
-        raise MalformedHeader("empty pair file")
-    header = [c.strip().lower() for c in lines[0].split(",")]
-    if header != PAIR_HEADER:
-        raise MalformedHeader(
-            f"header must be {','.join(PAIR_HEADER)}, got {lines[0]!r}"
-        )
     ids, source, target = [], [], []
-    for line_no, line in enumerate(lines[1:], start=2):
-        cells = [c.strip() for c in line.split(",")]
-        if len(cells) != 7:
-            raise MalformedRow(
-                f"line {line_no}: expected 7 columns, got {len(cells)}"
-            )
+    for line_no, cells in _csv_rows(text, "pair", PAIR_HEADER):
         pid = cells[0]
         if not pid:
             raise MalformedRow(f"line {line_no}: empty id")
@@ -127,8 +118,6 @@ def parse_pair_csv(text) -> PointPairSet:
         vals = [_parse_float(c, line_no) for c in cells[1:]]
         source.append(vals[0:3])
         target.append(vals[3:6])
-    if not ids:
-        raise MalformedRow("pair file has no data rows")
     try:
         return PointPairSet(
             ids=tuple(ids), source=np.array(source), target=np.array(target)
@@ -158,21 +147,8 @@ def parse_corner_csv(text) -> list[list[Point2]]:
     every view carries the same corner indices 0..N-1 exactly once.
     Returns one corner list per view, ordered by corner index.
     """
-    lines = _data_lines(_decode(text, MalformedHeader))
-    if not lines:
-        raise MalformedHeader("empty corner file")
-    header = [c.strip().lower() for c in lines[0].split(",")]
-    if header != CORNER_HEADER:
-        raise MalformedHeader(
-            f"header must be {','.join(CORNER_HEADER)}, got {lines[0]!r}"
-        )
     rows: dict[int, dict[int, Point2]] = {}
-    for line_no, line in enumerate(lines[1:], start=2):
-        cells = [c.strip() for c in line.split(",")]
-        if len(cells) != 4:
-            raise MalformedRow(
-                f"line {line_no}: expected 4 columns, got {len(cells)}"
-            )
+    for line_no, cells in _csv_rows(text, "corner", CORNER_HEADER):
         try:
             view_idx = int(cells[0])
             corner_idx = int(cells[1])
@@ -187,8 +163,6 @@ def parse_corner_csv(text) -> list[list[Point2]]:
                 f"corner {corner_idx} of view {view_idx} appears more than once"
             )
         view[corner_idx] = p
-    if not rows:
-        raise MalformedRow("corner file has no data rows")
     n_views = max(rows) + 1
     if set(rows) != set(range(n_views)):
         raise MalformedRow("view indices must be dense (0..V-1)")

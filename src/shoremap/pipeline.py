@@ -1,4 +1,5 @@
-"""Pipeline stages behind the CLI: each stage reads its inputs, runs one
+"""Pipeline stages behind the CLI: each stage takes its text inputs parsed
+(by read_inputs, before it runs), reads its image or cloud, runs one
 module, writes its artifacts, and contributes a metrics fragment to the
 run report.
 
@@ -13,6 +14,7 @@ import inspect
 import json
 import logging
 import time
+from collections.abc import Sequence
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -33,7 +35,7 @@ from .georectify import (
     rmse_xy,
     warp_to_grid,
 )
-from .registration import apply_alignment, estimate_alignment
+from .registration import PointPairSet, apply_alignment, estimate_alignment
 from .stereo import (
     DEFAULT_WINDOW,
     DEFAULT_Z_MAX,
@@ -46,6 +48,7 @@ from .stereo import (
 from .surface import (
     DEFAULT_KILL_DISTANCE,
     NODATA,
+    ClipPolygon,
     DsmGrid,
     build_tin,
     clip_dsm,
@@ -95,16 +98,9 @@ parse_config_text = parse_key_values
 
 def load_config(path: Path) -> dict[str, str]:
     try:
-        return parse_config_text(_read_text(path))
-    except MalformedHeader as exc:
+        return parse_config_text(_read_bytes(path).decode())
+    except (MalformedHeader, UnicodeDecodeError) as exc:
         raise MalformedHeader(f"config {path}: {exc}") from exc
-
-
-def _read_text(path: Path) -> str:
-    path = Path(path)
-    if not path.is_file():
-        raise InputError(f"input file not found: {path}")
-    return path.read_text()
 
 
 def _read_bytes(path: Path) -> bytes:
@@ -136,7 +132,7 @@ def _load_image_any(path: Path) -> RgbaImage:
 # --- stages --------------------------------------------------------------------
 
 def _read_views(board: BoardSpec, corners_path: Path) -> list[CalibrationView]:
-    views_raw = parse_corner_csv(_read_text(corners_path))
+    views_raw = parse_corner_csv(_read_bytes(corners_path))
     if len(views_raw) < 3:
         raise InputError(
             f"{corners_path}: at least 3 views required, got {len(views_raw)}"
@@ -218,7 +214,7 @@ def stage_calibrate(
 def stage_depth(
     left_path: Path,
     right_path: Path,
-    calibration_path: Path,
+    calibration: StereoRig,
     out_dir: Path,
     d_min: int = 1,
     d_max: int = 64,
@@ -227,14 +223,13 @@ def stage_depth(
     write_disparity: bool = False,
 ) -> tuple[Path, dict]:
     """Match a stereo pair, build the colorized cloud, write cloud.las."""
-    rig = read_calibration(_read_text(calibration_path))
     left_rgba = _load_image_any(left_path)
     right_rgba = _load_image_any(right_path)
-    _check_image_size("left image", left_rgba, rig.intrinsics)
+    _check_image_size("left image", left_rgba, calibration.intrinsics)
     disp = match_disparity(
         left_rgba.to_gray(), right_rgba.to_gray(), (d_min, d_max), window
     )
-    cloud = cloud_from_disparity(disp, rig, left_rgba, z_max=z_max)
+    cloud = cloud_from_disparity(disp, calibration, left_rgba, z_max=z_max)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     cloud_path = out_dir / "cloud.las"
@@ -262,13 +257,12 @@ def stage_depth(
 
 def stage_register(
     cloud_path: Path,
-    pairs_path: Path,
+    pairs: PointPairSet,
     out_dir: Path,
     with_scale: bool = False,
 ) -> tuple[Path, dict]:
     """Estimate the similarity from control pairs, transform the cloud."""
     cloud = read_las(_read_bytes(cloud_path))
-    pairs = parse_pair_csv(_read_text(pairs_path))
     report = estimate_alignment(pairs, with_scale=with_scale)
     registered = apply_alignment(cloud, report.transform)
     out_dir = Path(out_dir)
@@ -322,13 +316,13 @@ def stage_dsm(
     out_dir: Path,
     cell_size: float = 0.10,
     kill: float = DEFAULT_KILL_DISTANCE,
-    clip_path: Path | None = None,
+    clip: ClipPolygon | None = None,
     grid: GridGeometry | None = None,
 ) -> tuple[Path, dict]:
     """Triangulate the cloud, rasterize, optionally clip, write dsm.asc.
 
-    The grid and the clip polygon are validated before the triangulation,
-    so bad settings fail before the expensive step."""
+    The grid is validated before the triangulation, so bad settings fail
+    before the expensive step."""
     if not kill > 0:
         raise InputError(f"kill distance must be positive, got {kill:g}")
     cloud = read_las(_read_bytes(cloud_path))
@@ -337,11 +331,10 @@ def stage_dsm(
     geometry = grid if grid is not None else _bbox_grid(
         cloud.xyz[:, 0], cloud.xyz[:, 1], cell_size, 0.0
     )
-    poly = parse_wkt_polygon(_read_text(clip_path)) if clip_path is not None else None
     tin = build_tin(cloud)
     dsm = rasterize_tin(tin, geometry, kill=kill)
-    if poly is not None:
-        dsm = clip_dsm(dsm, poly)
+    if clip is not None:
+        dsm = clip_dsm(dsm, clip)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / "dsm.asc"
@@ -358,10 +351,9 @@ def stage_dsm(
     return out_path, metrics
 
 
-def stage_check(cloud_path: Path, gcps_path: Path) -> dict:
+def stage_check(cloud_path: Path, gcps: list[Gcp]) -> dict:
     """Vertical accuracy of the cloud surface against surveyed GCPs."""
     cloud = read_las(_read_bytes(cloud_path))
-    gcps = parse_gcp_csv(_read_text(gcps_path))
     tin = build_tin(cloud)
     report = vertical_check(tin, gcps)
     per_gcp = []
@@ -407,20 +399,18 @@ def _undistort_gcp_observations(
 
 def stage_rectify(
     image_path: Path,
-    gcps_path: Path,
+    gcps: list[Gcp],
     out_dir: Path,
-    calibration_path: Path | None = None,
+    calibration: StereoRig | None = None,
     cell_size: float = 0.05,
     margin: float = 0.1,
     grid: GridGeometry | None = None,
 ) -> tuple[Path, dict]:
     """Fit the image-to-world homography from GCPs, warp the photo, write
     rectified.ppm + rectified.wld, and report the per-axis RMSEs. The photo
-    is read last, so bad GCPs, calibration or grid size fail before it."""
-    gcps = parse_gcp_csv(_read_text(gcps_path))
-    lens = None
-    if calibration_path is not None:
-        lens = read_calibration(_read_text(calibration_path)).intrinsics
+    is read last, so too few GCPs or a bad grid size fail before it."""
+    lens = calibration.intrinsics if calibration is not None else None
+    if lens is not None:
         gcps = _undistort_gcp_observations(gcps, lens)
     h = fit_ground_homography(gcps)
     report = rmse_xy(h, gcps)
@@ -471,12 +461,22 @@ RUN_STAGES = tuple(REPORT_KEYS)
 # The setting types, by the name their parse errors give.
 _KINDS = {bool: "boolean", int: "integer", float: "number"}
 
+# The format reader of each text input, by input name. A stage takes the
+# parsed object as its `<name>` parameter; read_inputs looks the reader up
+# in this module at call time, so that a replaced reader is the one called.
+READERS = {
+    "calibration": "read_calibration",
+    "pairs": "parse_pair_csv",
+    "gcps": "parse_gcp_csv",
+    "clip": "parse_wkt_polygon",
+}
+
 # What each stage takes, read once from the stage function's own signature
 # (tests and the tracer later replace the module attributes with callables
 # that have none): PARAMETERS lists its parameter names; SETTINGS maps each
 # keyword parameter whose default is of a setting type to that default;
-# INPUTS maps each `<name>_path` parameter, by <name>, to whether it is
-# required.
+# INPUTS maps each input file, a `<name>_path` parameter or a parameter
+# named in READERS, by <name>, to whether it is required.
 _SIGNATURES = {
     name: inspect.signature(globals()[f"stage_{name}"]).parameters.values()
     for name in RUN_STAGES
@@ -489,7 +489,7 @@ SETTINGS = {
 INPUTS = {
     name: {
         p.name.removesuffix("_path"): p.default is p.empty
-        for p in ps if p.name.endswith("_path")
+        for p in ps if p.name.endswith("_path") or p.name in READERS
     }
     for name, ps in _SIGNATURES.items()
 }
@@ -526,18 +526,36 @@ def _parse_setting(key: str, text: str, default):
         raise InputError(f"config key {key!r}: bad {_KINDS[kind]} {text!r}") from exc
 
 
+def read_inputs(files: dict[str, Path]) -> dict:
+    """Stage keyword arguments for input files by input name: a text input
+    read as bytes and parsed by its reader in READERS (a typed InputError
+    on bad or non-ASCII content), any other input as its `<name>_path`."""
+    kwargs = {}
+    for name, path in files.items():
+        if name in READERS:
+            kwargs[name] = globals()[READERS[name]](_read_bytes(path))
+        else:
+            kwargs[f"{name}_path"] = path
+    return kwargs
+
+
 def _preflight(config: dict[str, str]) -> dict[str, dict]:
-    """Reject unknown keys, check that every referenced input exists and
-    parse every setting, before any stage runs. Returns each stage's
-    keyword arguments from the config."""
+    """Check the config cheapest first: reject unknown keys, parse every
+    setting, check that every input file exists, then read each text
+    input. Returns each stage's keyword arguments."""
     unknown = sorted(set(config) - _CONFIG_KEYS)
     if unknown:
         raise InputError(
             f"config key {unknown[0]!r} is not an input or setting of any stage"
         )
-    kwargs = {}
+    kwargs = {stage: {} for stage in RUN_STAGES}
     for stage in RUN_STAGES:
-        kwargs[stage] = {}
+        for name, default in SETTINGS[stage].items():
+            key = f"{stage}.{name}"
+            if key in config:
+                kwargs[stage][name] = _parse_setting(key, config[key], default)
+    files = {}
+    for stage in RUN_STAGES:
         for name, required in INPUTS[stage].items():
             key = f"{stage}.{name}"
             if name == _CHAINED_INPUT or (key not in config and not required):
@@ -547,29 +565,35 @@ def _preflight(config: dict[str, str]) -> dict[str, dict]:
             path = Path(config[key])
             if not path.is_file():
                 raise InputError(f"config key {key!r}: file not found: {path}")
-            kwargs[stage][f"{name}_path"] = path
-        for name, default in SETTINGS[stage].items():
-            key = f"{stage}.{name}"
-            if key in config:
-                kwargs[stage][name] = _parse_setting(key, config[key], default)
+            files[key] = (stage, name, path)
+    for key, (stage, name, path) in files.items():
+        try:
+            kwargs[stage].update(read_inputs({name: path}))
+        except InputError as exc:
+            raise type(exc)(f"config key {key!r}: {exc}") from exc
     return kwargs
 
 
-def run_pipeline(config: dict[str, str], out_dir: Path, report_path: Path) -> dict:
+def run_pipeline(
+    config: dict[str, str] | Path, out_dir: Path, report_path: Path,
+    overrides: Sequence[str] = (),
+) -> dict:
     """Execute depth -> register -> dsm -> check -> rectify, writing the
     consolidated report (and partial results when a stage fails).
 
-    A preflight first rejects unknown keys, checks every input file and
-    parses every setting; its failure is reported as failed_stage
-    "preflight" before any stage runs. Raises the failing step's error
-    after writing the report; completed stages' artifacts stay on disk.
+    config is the run configuration or its file; `KEY=VALUE` overrides
+    apply on top, in order. A preflight reads them and then checks them
+    as _preflight does; its failure is reported as failed_stage
+    "preflight", with the config as far as it was read, before any stage
+    runs. Raises the failing step's error after writing the report;
+    completed stages' artifacts stay on disk.
     """
     out_dir = Path(out_dir)
     started = datetime.now(timezone.utc)
     report = {
         "tool_version": __version__,
         "schema_version": SCHEMA_VERSION,
-        "config": dict(sorted(config.items())),
+        "config": {},
         "stages": {},
         "stages_completed": [],
         "failed_stage": None,
@@ -593,6 +617,12 @@ def run_pipeline(config: dict[str, str], out_dir: Path, report_path: Path) -> di
         finish()
 
     try:
+        config = load_config(config) if isinstance(config, Path) else dict(config)
+        report["config"] = config
+        for key, equals, value in (o.partition("=") for o in overrides):
+            if not equals:
+                raise InputError(f"--set needs KEY=VALUE, got {key!r}")
+            config[key.strip()] = value.strip()
         kwargs = _preflight(config)
     except Exception as exc:
         fail("preflight", exc)

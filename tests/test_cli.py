@@ -14,6 +14,7 @@ from shoremap.camera import CameraIntrinsics, distort_pixels
 from shoremap.cli import main
 from shoremap.errors import InputError, SolverError
 from shoremap.formats import (
+    polygon_to_wkt,
     write_calibration,
     write_corner_csv,
     write_gcp_csv,
@@ -434,7 +435,32 @@ class TestRun:
         assert len(err) == 1
         assert err[0].startswith(f"error: config {conf}: line ")
         assert reason in err[0]
-        assert not out_dir.exists()
+        report = json.loads((out_dir / "run_report.json").read_text())
+        jsonschema.validate(report, _run_report_schema())
+        assert report["failed_stage"] == "preflight"
+        assert report["error"] == "MalformedHeader: " + err[0].removeprefix("error: ")
+        assert report["config"] == {}
+        assert report["stages_completed"] == []
+
+    @pytest.mark.parametrize("case", ["missing-config", "set-without-equals"])
+    def test_unread_config_writes_report(self, scene_dir, tmp_path, case):
+        _, paths = scene_dir
+        out_dir = tmp_path / "out"
+        if case == "missing-config":
+            argv = ["run", "--config", str(tmp_path / "absent.conf")]
+            expected = ("InputError: input file not found", {})
+        else:
+            argv = ["run", "--config", str(paths["config"]),
+                    "--set", "dsm.kill=0.5", "--set", "foo"]
+            config = pipeline.load_config(paths["config"])
+            expected = ("InputError: --set needs KEY=VALUE", {**config, "dsm.kill": "0.5"})
+        assert main([*argv, "--out-dir", str(out_dir)]) == 2
+        report = json.loads((out_dir / "run_report.json").read_text())
+        jsonschema.validate(report, _run_report_schema())
+        assert report["failed_stage"] == "preflight"
+        assert report["error"].startswith(expected[0])
+        assert report["config"] == expected[1]
+        assert report["stages_completed"] == []
 
     @pytest.mark.parametrize(
         "key, value",
@@ -529,6 +555,43 @@ class TestRun:
             tmp_path, monkeypatch, paths["config"].read_text(), f"{key}={absent}"
         )
         assert error == f"InputError: config key {key!r}: file not found: {absent}"
+
+    # Per text input: content its reader rejects, and the error type.
+    MALFORMED = {
+        "calibration": ("fx = 300.0\n", "MalformedHeader"),
+        "pairs": ("id,sx,sy,sz,tx,ty,tz\np1,0,0,0\n", "MalformedRow"),
+        "clip": ("POLYGON ((0 0, 4 0, 4 4", "WktSyntaxError"),
+        "gcps": ("id,easting,northing,elevation,px,py\n", "MalformedRow"),
+    }
+
+    @pytest.mark.parametrize("fault", ["malformed", "non-ascii"])
+    @pytest.mark.parametrize(
+        "key",
+        [
+            "depth.calibration", "register.pairs", "dsm.clip", "check.gcps",
+            "rectify.gcps", "rectify.calibration",
+        ],
+    )
+    def test_bad_text_input_fails_before_stages(
+        self, scene_dir, tmp_path, monkeypatch, key, fault
+    ):
+        _, paths = scene_dir
+        name = key.split(".")[1]
+        text, error_type = self.MALFORMED[name]
+        bad = tmp_path / f"bad.{name}"
+        if fault == "malformed":
+            bad.write_text(text)
+        else:
+            # A valid file with one Latin-1 byte: not ASCII, and not UTF-8.
+            data = paths[name].read_bytes()
+            bad.write_bytes(data[:1] + b"\xb9" + data[1:])
+            error_type = "WktSyntaxError" if name == "clip" else "MalformedHeader"
+        error = self._preflight_error(
+            tmp_path, monkeypatch, paths["config"].read_text(), f"{key}={bad}"
+        )
+        assert error.startswith(f"{error_type}: config key {key!r}: ")
+        if fault == "non-ascii":
+            assert "not ASCII text" in error
 
     def test_collinear_pairs_fail_register_after_depth(
         self, scene_dir, tmp_path, capsys
@@ -808,15 +871,38 @@ def test_parser_defaults_equal_stage_defaults(tmp_path, monkeypatch):
             )
 
 
+# The text-input files of the stage command test, by file name, and how
+# the test prints a parsed input back as its file's text.
+STAGE_TEXT_FILES = {
+    "k": write_calibration(FACTORY_INTRINSICS, 0.12),
+    "p": write_pair_csv(PointPairSet(
+        ids=("a", "b", "c"),
+        source=np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.5]]),
+        target=np.array([[5.0, 5.0, 1.0], [6.0, 5.0, 1.0], [5.0, 6.0, 1.5]]),
+    )),
+    "w": "POLYGON ((0.0 0.0, 4.0 0.0, 4.0 4.0, 0.0 4.0, 0.0 0.0))",
+    "g": write_gcp_csv([
+        Gcp(id="g1", world=Point3(1.0, 2.0, 3.0), image=Point2(4.0, 5.0)),
+        Gcp(id="g2", world=Point3(6.0, 7.0, 8.0)),
+    ]),
+}
+PRINT_TEXT_INPUT = {
+    "calibration": lambda rig: write_calibration(rig.intrinsics, rig.baseline),
+    "pairs": write_pair_csv,
+    "clip": polygon_to_wkt,
+    "gcps": write_gcp_csv,
+}
+
+
 @pytest.mark.parametrize(
     "command, argv, expected, report_key",
     [
         (
             "depth",
-            ["--left", "l", "--right", "r", "--calibration", "c", "--d-min", "2",
+            ["--left", "l", "--right", "r", "--calibration", "k", "--d-min", "2",
              "--d-max", "9", "--window", "3", "--z-max", "4.5", "--write-disparity",
              "--out-dir", "o"],
-            {"left_path": "l", "right_path": "r", "calibration_path": "c",
+            {"left_path": "l", "right_path": "r", "calibration": "k",
              "d_min": 2, "d_max": 9, "window": 3, "z_max": 4.5,
              "write_disparity": True, "out_dir": "o"},
             "depth",
@@ -824,28 +910,28 @@ def test_parser_defaults_equal_stage_defaults(tmp_path, monkeypatch):
         (
             "register",
             ["--cloud", "c", "--pairs", "p", "--with-scale", "--out-dir", "o"],
-            {"cloud_path": "c", "pairs_path": "p", "with_scale": True, "out_dir": "o"},
+            {"cloud_path": "c", "pairs": "p", "with_scale": True, "out_dir": "o"},
             "registration",
         ),
         (
             "dsm",
             ["--cloud", "c", "--cell-size", "0.5", "--kill", "2", "--clip", "w",
              "--grid", "1", "2", "3", "4", "--out-dir", "o"],
-            {"cloud_path": "c", "cell_size": 0.5, "kill": 2.0, "clip_path": "w",
+            {"cloud_path": "c", "cell_size": 0.5, "kill": 2.0, "clip": "w",
              "grid": (1.0, 2.0, 0.5, 3, 4), "out_dir": "o"},
             "dsm",
         ),
         (
             "check",
             ["--cloud", "c", "--gcps", "g"],
-            {"cloud_path": "c", "gcps_path": "g"},
+            {"cloud_path": "c", "gcps": "g"},
             "vertical_check",
         ),
         (
             "rectify",
             ["--image", "i", "--gcps", "g", "--calibration", "k", "--cell-size",
              "0.25", "--margin", "0.3", "--grid", "5", "6", "7", "8", "--out-dir", "o"],
-            {"image_path": "i", "gcps_path": "g", "calibration_path": "k",
+            {"image_path": "i", "gcps": "g", "calibration": "k",
              "cell_size": 0.25, "margin": 0.3, "grid": (5.0, 6.0, 0.25, 7, 8),
              "out_dir": "o"},
             "georectification",
@@ -853,11 +939,15 @@ def test_parser_defaults_equal_stage_defaults(tmp_path, monkeypatch):
     ],
 )
 def test_stage_command_passes_every_flag(
-    monkeypatch, capsys, command, argv, expected, report_key
+    tmp_path, monkeypatch, capsys, command, argv, expected, report_key
 ):
-    """Each stage command hands every flag to its stage, paths as Path and
-    --grid as a grid of --cell-size, and emits the stage's metrics under
+    """Each stage command hands every flag to its stage: a text input
+    parsed from its file, an image or cloud and --out-dir as a Path, and
+    --grid as a grid of --cell-size. It emits the stage's metrics under
     its report key."""
+    monkeypatch.chdir(tmp_path)
+    for name, text in STAGE_TEXT_FILES.items():
+        Path(name).write_text(text)
     seen = {}
 
     def fake(**kwargs):
@@ -874,4 +964,7 @@ def test_stage_command_passes_every_flag(
         if name.endswith("_path") or name == "out_dir":
             assert isinstance(value, Path), name
             seen[name] = str(value)
+        elif name in PRINT_TEXT_INPUT:
+            seen[name] = PRINT_TEXT_INPUT[name](value)
+            expected = {**expected, name: STAGE_TEXT_FILES[expected[name]]}
     assert seen == expected

@@ -350,6 +350,8 @@ class TestGcpCsv:
             parse_gcp_csv("id,easting,northing,elevation,px,py\ng1,a,2,3,,\n")
         with pytest.raises(MalformedRow):
             parse_gcp_csv("id,easting,northing,elevation,px,py\ng1,nan,2,3,,\n")
+        with pytest.raises(MalformedRow, match="^GCP file has no data rows$"):
+            parse_gcp_csv("id,easting,northing,elevation,px,py\n\n")
 
     def test_round_trip(self):
         text = (
