@@ -155,10 +155,12 @@ def _dispatch(args) -> int:
     if args.command in pipeline.RUN_STAGES:
         name = args.command
         kwargs = {s: getattr(args, s) for s in pipeline.SETTINGS[name]}
-        kwargs.update(pipeline.read_inputs({
+        files = {
             inp: Path(getattr(args, inp))
             for inp in pipeline.INPUTS[name] if getattr(args, inp) is not None
-        }))
+        }
+        labels = {inp: f"{_flag(inp)} {path}" for inp, path in files.items()}
+        kwargs.update(pipeline.read_inputs(files, labels, {}))
         if "grid" in pipeline.PARAMETERS[name]:
             kwargs["grid"] = _grid_from_args(args)
         if "out_dir" in pipeline.PARAMETERS[name]:

@@ -33,7 +33,7 @@ def write_asc(d: DsmGrid) -> str:
         row = d.values[r]
         lines.append(
             " ".join(
-                "-9999" if v == d.nodata else f"{v:.3f}" for v in row
+                "-9999" if v == NODATA else f"{v:.3f}" for v in row
             )
         )
     return "\n".join(lines) + "\n"

@@ -54,7 +54,7 @@ GCP_HEADER_BASE = ["id", "easting", "northing", "elevation"]
 GCP_HEADER_FULL = GCP_HEADER_BASE + ["px", "py"]
 
 
-def parse_gcp_csv(text) -> list[Gcp]:
+def parse_gcp_csv(text) -> tuple[Gcp, ...]:
     """Parse GCPs. Header is `id,easting,northing,elevation` optionally
     followed by `,px,py`; image columns may be left empty per row."""
     gcps = []
@@ -84,7 +84,7 @@ def parse_gcp_csv(text) -> list[Gcp]:
             gcps.append(Gcp(id=gid, world=world, image=image))
         except ValueError as exc:
             raise MalformedRow(f"line {line_no}: {exc}") from exc
-    return gcps
+    return tuple(gcps)
 
 
 def write_gcp_csv(gcps: list[Gcp]) -> str:

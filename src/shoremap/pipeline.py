@@ -351,7 +351,7 @@ def stage_dsm(
     return out_path, metrics
 
 
-def stage_check(cloud_path: Path, gcps: list[Gcp]) -> dict:
+def stage_check(cloud_path: Path, gcps: Sequence[Gcp]) -> dict:
     """Vertical accuracy of the cloud surface against surveyed GCPs."""
     cloud = read_las(_read_bytes(cloud_path))
     tin = build_tin(cloud)
@@ -399,7 +399,7 @@ def _undistort_gcp_observations(
 
 def stage_rectify(
     image_path: Path,
-    gcps: list[Gcp],
+    gcps: Sequence[Gcp],
     out_dir: Path,
     calibration: StereoRig | None = None,
     cell_size: float = 0.05,
@@ -526,23 +526,35 @@ def _parse_setting(key: str, text: str, default):
         raise InputError(f"config key {key!r}: bad {_KINDS[kind]} {text!r}") from exc
 
 
-def read_inputs(files: dict[str, Path]) -> dict:
+def read_inputs(
+    files: dict[str, Path], labels: dict[str, str], parsed: dict
+) -> dict:
     """Stage keyword arguments for input files by input name: a text input
-    read as bytes and parsed by its reader in READERS (a typed InputError
-    on bad or non-ASCII content), any other input as its `<name>_path`."""
+    read as bytes and parsed by its reader in READERS, any other input as
+    its `<name>_path`. A text input's read or parse error (a typed
+    InputError, also on non-ASCII content) keeps its type and is prefixed
+    with labels[name]. parsed holds the result of each (reader, path)
+    already read, so a file named twice is read and parsed once and every
+    stage gets the same object."""
     kwargs = {}
     for name, path in files.items():
-        if name in READERS:
-            kwargs[name] = globals()[READERS[name]](_read_bytes(path))
-        else:
+        if name not in READERS:
             kwargs[f"{name}_path"] = path
+            continue
+        key = (READERS[name], path)
+        if key not in parsed:
+            try:
+                parsed[key] = globals()[READERS[name]](_read_bytes(path))
+            except InputError as exc:
+                raise type(exc)(f"{labels[name]}: {exc}") from exc
+        kwargs[name] = parsed[key]
     return kwargs
 
 
 def _preflight(config: dict[str, str]) -> dict[str, dict]:
     """Check the config cheapest first: reject unknown keys, parse every
-    setting, check that every input file exists, then read each text
-    input. Returns each stage's keyword arguments."""
+    setting, check that every input file exists, then read each distinct
+    text input once. Returns each stage's keyword arguments."""
     unknown = sorted(set(config) - _CONFIG_KEYS)
     if unknown:
         raise InputError(
@@ -566,11 +578,10 @@ def _preflight(config: dict[str, str]) -> dict[str, dict]:
             if not path.is_file():
                 raise InputError(f"config key {key!r}: file not found: {path}")
             files[key] = (stage, name, path)
+    parsed = {}
     for key, (stage, name, path) in files.items():
-        try:
-            kwargs[stage].update(read_inputs({name: path}))
-        except InputError as exc:
-            raise type(exc)(f"config key {key!r}: {exc}") from exc
+        label = {name: f"config key {key!r}"}
+        kwargs[stage].update(read_inputs({name: path}, label, parsed))
     return kwargs
 
 

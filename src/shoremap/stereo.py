@@ -10,6 +10,11 @@ x at disparity d compares the same two pixels as the left eye's cost of
 pixel x + d, so vol_r[y, x, i] == vol_l[y, x + d_min + i, i] where
 x + d_min + i < width, and _BIG_COST elsewhere; a second volume would
 recompute the same window sums.
+
+The census window alone fixes where costs exist: pixels within half a
+window of the border have no census pattern, so the costs at disparity d
+fill rows [2 * half, h - 2 * half) and columns [2 * half + d, w - 2 * half),
+a rectangle computed from the window and the shift, not from a mask.
 """
 
 from __future__ import annotations
@@ -149,32 +154,19 @@ class PointCloud:
         return self.xyz.shape[0]
 
 
-@dataclass(frozen=True)
-class CensusImage:
+def census_transform(img: GrayImage, window: int = DEFAULT_WINDOW) -> np.ndarray:
     """Packed census bit patterns: (h, w, n_bytes) uint8, little-endian
     bit order; bit b corresponds to the b-th window neighbor in row-major
     order (center excluded) and is set when that neighbor is darker than
-    the center."""
-
-    bits: np.ndarray
-    valid: np.ndarray
-    window: int
-
-    @property
-    def n_bits(self) -> int:
-        return self.window * self.window - 1
-
-
-def census_transform(img: GrayImage, window: int = DEFAULT_WINDOW) -> CensusImage:
-    """Census transform; border pixels (half-window margin) are invalid."""
+    the center. Border pixels (half-window margin) have no pattern; their
+    bits stay zero and the matcher never reads them."""
     if window not in _ALLOWED_WINDOWS:
         raise WindowTooLarge(f"window must be one of {_ALLOWED_WINDOWS}, got {window}")
     h, w = img.height, img.width
     if h <= window or w <= window:
         raise WindowTooLarge(f"image {w}x{h} too small for window {window}")
     half = window // 2
-    n_bits = window * window - 1
-    n_bytes = (n_bits + 7) // 8
+    n_bytes = (window * window - 1 + 7) // 8
     bits = np.zeros((h, w, n_bytes), dtype=np.uint8)
     px = img.pixels
     center = px[half: h - half, half: w - half]
@@ -189,17 +181,16 @@ def census_transform(img: GrayImage, window: int = DEFAULT_WINDOW) -> CensusImag
                 cmp.astype(np.uint8) << np.uint8(bit % 8)
             )
             bit += 1
-    valid = np.zeros((h, w), dtype=bool)
-    valid[half: h - half, half: w - half] = True
-    return CensusImage(bits=bits, valid=valid, window=window)
+    return bits
 
 
 def _cost_volume(
-    ref: CensusImage, other: CensusImage, d_min: int, d_max: int
+    ref: np.ndarray, other: np.ndarray, window: int, y0: int, y1: int,
+    d_min: int, d_max: int,
 ) -> np.ndarray:
-    """Aggregated matching cost (h, w, n_d) uint16 of the left eye;
-    cost[y, x, i] compares the reference pixel x with the other image's
-    pixel x - (d_min + i).
+    """Aggregated matching cost (h, w, n_d) uint16 of the left eye from two
+    census bit arrays; cost[y, x, i] compares the reference pixel x with
+    the other image's pixel x - (d_min + i).
 
     This is the only cost volume the matcher builds. The right eye's cost
     of pixel x at disparity d_min + i compares the pair that
@@ -207,35 +198,30 @@ def _cost_volume(
     (or _BIG_COST past the right edge); a second volume would recompute the
     same window sums, and _right_volume reads it from this one instead.
 
-    Both census images mark the same rectangle valid: census_transform's
-    [half, h - half) x [half, w - half), or a row slice of it in a strip's
-    halo. So for each shift the pairs valid in both images also fill one
-    rectangle, and a cell's window holds only valid pairs exactly when the
-    cell lies in that rectangle shrunk by half on every side. Those cells
-    get the window sum of the Hamming costs; every other cell _BIG_COST."""
-    h, w, n_bytes = ref.bits.shape
-    k = ref.window
-    half = k // 2
-    n_d = d_max - d_min + 1
-    volume = np.full((h, w, n_d), _BIG_COST, dtype=np.uint16)
-    rows = np.flatnonzero(ref.valid.any(axis=1))
-    cols = np.flatnonzero(ref.valid.any(axis=0))
-    if rows.size < k:
+    The census window fixes where patterns exist: rows [y0, y1) (the
+    caller's share of census_transform's [half, h - half)) and columns
+    [half, w - half) in both images. So for shift d the pairs with a
+    pattern on both sides fill rows [y0, y1) and reference columns
+    [half + d, w - half), and a cell's window holds only such pairs exactly
+    when the cell lies in that rectangle shrunk by half on every side.
+    Those cells get the window sum of the Hamming costs; every other cell
+    _BIG_COST."""
+    h, w, n_bytes = ref.shape
+    half = window // 2
+    volume = np.full((h, w, d_max - d_min + 1), _BIG_COST, dtype=np.uint16)
+    if y1 - y0 < window:
         return volume
-    y0, y1 = rows[0], rows[-1] + 1
     for i, d in enumerate(range(d_min, d_max + 1)):
-        x0, x1 = cols[0] + d, cols[-1] + 1
-        if x1 - x0 < k:
+        x0, x1 = half + d, w - half
+        if x1 - x0 < window:
             continue
-        xor = np.bitwise_xor(
-            ref.bits[y0:y1, x0:x1], other.bits[y0:y1, x0 - d: x1 - d]
-        )
+        xor = np.bitwise_xor(ref[y0:y1, x0:x1], other[y0:y1, x0 - d: x1 - d])
         # Popcount byte by byte: a reduction over the 1-10 census bytes
         # would run one short inner loop per pixel.
         raw = _POPCOUNT.take(xor[..., 0]).astype(np.uint16)
         for byte in range(1, n_bytes):
             raw += _POPCOUNT.take(xor[..., byte])
-        volume[y0 + half: y1 - half, x0 + half: x1 - half, i] = _window_sums(raw, k)
+        volume[y0 + half: y1 - half, x0 + half: x1 - half, i] = _window_sums(raw, window)
     return volume
 
 
@@ -318,13 +304,14 @@ def match_disparity(
     disp = np.empty((h, w), dtype=np.float64)
     for r0 in range(0, h, rows):
         r1 = min(r0 + rows, h)
-        disp[r0:r1] = _match_strip(census_l, census_r, r0, r1, d_min, d_max)
+        disp[r0:r1] = _match_strip(census_l, census_r, window, r0, r1, d_min, d_max)
     return DisparityMap(values=disp, min_disparity=d_min, max_disparity=d_max)
 
 
 def _match_strip(
-    census_l: CensusImage,
-    census_r: CensusImage,
+    census_l: np.ndarray,
+    census_r: np.ndarray,
+    window: int,
     r0: int,
     r1: int,
     d_min: int,
@@ -334,23 +321,21 @@ def _match_strip(
 
     The cost volume is built from the census rows within a half window of
     the strip, clipped to the image. That halo holds every image row of a
-    kept row's window, and its valid rows are the image's valid rows
-    within it, so _cost_volume gives the kept rows the whole image's
-    costs. It is built once, for the left eye: the right eye's costs
-    compare the same pixel pairs, shifted by the disparity, so its winners
-    are read from a view of the same volume (_right_volume)."""
-    h = census_l.bits.shape[0]
-    half = census_l.window // 2
+    kept row's window, and its rows with a pattern are the image's rows
+    [half, h - half) within it, so _cost_volume gives the kept rows the
+    whole image's costs. It is built once, for the left eye: the right
+    eye's costs compare the same pixel pairs, shifted by the disparity, so
+    its winners are read from a view of the same volume (_right_volume)."""
+    h = census_l.shape[0]
+    half = window // 2
     a, b = max(r0 - half, 0), min(r1 + half, h)
-
-    def halo(c: CensusImage) -> CensusImage:
-        return CensusImage(bits=c.bits[a:b], valid=c.valid[a:b], window=c.window)
-
-    keep = slice(r0 - a, r1 - a)
-    vol_l = _cost_volume(halo(census_l), halo(census_r), d_min, d_max)[keep]
+    y0, y1 = max(half, a) - a, min(h - half, b) - a
+    vol_l = _cost_volume(
+        census_l[a:b], census_r[a:b], window, y0, y1, d_min, d_max
+    )[r0 - a: r1 - a]
     best_l, cost_l = _winner_take_all(vol_l)
     # Read before the uniqueness test below overwrites vol_l.
-    best_r, cost_r = _winner_take_all(_right_volume(vol_l, d_min))
+    best_r, _ = _winner_take_all(_right_volume(vol_l, d_min))
 
     n_d = d_max - d_min + 1
     valid = cost_l < _BIG_COST
@@ -374,29 +359,23 @@ def _match_strip(
         np.put_along_axis(vol_l, near, _BIG_COST, axis=2)
     valid &= cost_l < vol_l.min(axis=2)
 
-    # Left-right consistency, 1 px tolerance on integer winners.
+    # Left-right consistency, 1 px tolerance on integer winners. A valid
+    # winner's cell lies in _cost_volume's rectangle, so its match x - d
+    # is at least 2 * half, and the right eye's best cost there is at most
+    # the winner's own, below _BIG_COST.
     disp_int = best_l + d_min
-    x_r = np.arange(best_l.shape[1])[None, :] - disp_int
-    in_bounds = x_r >= 0
-    x_r_safe = np.maximum(x_r, 0)
+    x_r = np.maximum(np.arange(best_l.shape[1])[None, :] - disp_int, 0)
     ys = np.arange(best_l.shape[0])[:, None]
-    d_r = best_r[ys, x_r_safe] + d_min
-    cost_r_there = cost_r[ys, x_r_safe]
-    valid &= in_bounds & (np.abs(d_r - disp_int) <= 1) & (cost_r_there < _BIG_COST)
+    valid &= np.abs(best_r[ys, x_r] + d_min - disp_int) <= 1
 
-    # Parabolic subpixel refinement on the aggregated cost.
+    # Parabolic subpixel refinement on the aggregated cost, for winners
+    # inside the search range; only cells with denom > 0 are divided, and
+    # the step of at most 0.5 px keeps the result in [d_min, d_max].
+    denom = cm - 2 * c0 + cp
+    ok = valid & (best_l > 0) & (best_l < n_d - 1) & (denom > 0)
+    ok &= (cm < _BIG_COST) & (cp < _BIG_COST)
     disp = disp_int.astype(np.float64)
-    interior = valid & (best_l > 0) & (best_l < n_d - 1)
-    if np.any(interior):
-        denom = (cm - 2 * c0 + cp).astype(np.float64)
-        ok = interior & (denom > 0) & (cm < _BIG_COST) & (cp < _BIG_COST)
-        delta = np.zeros_like(disp)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            delta[ok] = (cm - cp)[ok] / (2.0 * denom[ok])
-        delta = np.clip(delta, -0.5, 0.5)
-        disp = disp + np.where(ok, delta, 0.0)
-
-    disp = np.clip(disp, d_min, d_max)
+    disp[ok] += np.clip((cm - cp)[ok] / (2.0 * denom[ok]), -0.5, 0.5)
     disp[~valid] = np.nan
     return disp
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -132,7 +132,7 @@ class DsmGrid:
 
     geometry: GridGeometry
     values: np.ndarray
-    nodata: float = NODATA
+    nodata: ClassVar[float] = NODATA
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
@@ -611,7 +611,7 @@ def clip_dsm(d: DsmGrid, poly: ClipPolygon) -> DsmGrid:
     gx, gy = np.meshgrid(xs, ys)
     inside = _points_in_rings(poly, gx, gy)
     values = np.where(inside, d.values, NODATA)
-    return DsmGrid(geometry=d.geometry, values=values, nodata=d.nodata)
+    return DsmGrid(geometry=d.geometry, values=values)
 
 
 def vertical_check(tin: Tin, gcps: list[Gcp]) -> VerticalCheckReport:

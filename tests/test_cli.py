@@ -8,24 +8,28 @@ import jsonschema
 import numpy as np
 import pytest
 
-from shoremap import pipeline
+from shoremap import cli, errors, pipeline
 from shoremap.calibration import BoardSpec
 from shoremap.camera import CameraIntrinsics, distort_pixels
 from shoremap.cli import main
 from shoremap.errors import InputError, SolverError
 from shoremap.formats import (
     polygon_to_wkt,
+    read_asc,
+    read_ppm,
     write_calibration,
     write_corner_csv,
     write_gcp_csv,
     write_las,
     write_pair_csv,
+    write_pgm,
     write_ppm,
 )
 from shoremap.geometry import Point2, Point3
 from shoremap.georectify import Gcp
 from shoremap.registration import PointPairSet
-from shoremap.stereo import PointCloud, RgbaImage
+from shoremap.stereo import GrayImage, PointCloud, RgbaImage, match_disparity
+from shoremap.surface import NODATA
 
 from synth import FACTORY_INTRINSICS, BeachScene, make_calibration_views
 
@@ -182,6 +186,16 @@ class TestRectify:
         assert (tmp_path / "out" / "rectified.ppm").exists()
         assert (tmp_path / "out" / "rectified.wld").exists()
 
+    def test_report_file_equals_stdout(self, tmp_path, capsys):
+        image, gcps = self._exact_fixture(tmp_path)
+        report = tmp_path / "sub" / "fragment.json"
+        assert main([
+            "rectify", "--image", str(image), "--gcps", str(gcps),
+            "--cell-size", "0.1", "--out-dir", str(tmp_path / "out"),
+            "--report", str(report),
+        ]) == 0
+        assert report.read_text() == capsys.readouterr().out
+
     # A barrel lens for the 50x40 fixture photo.
     LENS = CameraIntrinsics(fx=60.0, fy=60.0, cx=24.5, cy=19.5, k1=-0.1,
                             image_width=50, image_height=40)
@@ -331,6 +345,53 @@ class TestDepthRegisterDsmCheck:
         fragment = json.loads(capsys.readouterr().out)["depth"]
         assert fragment["points"] > 1000
         assert (tmp_path / "cloud.las").exists()
+
+    def _depth(self, paths, left, right, out_dir, *flags):
+        return main([
+            "depth", "--left", str(left), "--right", str(right),
+            "--calibration", str(paths["calibration"]),
+            "--d-min", "15", "--d-max", "32", "--z-max", "2.2",
+            "--out-dir", str(out_dir), *flags,
+        ])
+
+    def test_depth_pgm_inputs_equal_gray_ppm(self, scene_dir, tmp_path, capsys):
+        """PGM (P5) inputs give the cloud.las of PPM inputs whose three
+        channels all equal the PGM's samples."""
+        _, paths = scene_dir
+        for eye in ("left", "right"):
+            v = read_ppm(paths[eye].read_bytes()).pixels[:, :, 0]
+            rgba = np.stack([v, v, v, np.full_like(v, 255)], axis=2)
+            (tmp_path / f"{eye}.ppm").write_bytes(write_ppm(RgbaImage(rgba)))
+            (tmp_path / f"{eye}.pgm").write_bytes(write_pgm(GrayImage(v / 255.0)))
+        for ext in ("ppm", "pgm"):
+            assert self._depth(
+                paths, tmp_path / f"left.{ext}", tmp_path / f"right.{ext}",
+                tmp_path / ext,
+            ) == 0
+            assert json.loads(capsys.readouterr().out)["depth"]["points"] > 1000
+        ppm_cloud = (tmp_path / "ppm" / "cloud.las").read_bytes()
+        assert (tmp_path / "pgm" / "cloud.las").read_bytes() == ppm_cloud
+
+    def test_depth_writes_disparity_grid(self, scene_dir, tmp_path, capsys):
+        """--write-disparity writes disparity.asc: it reads back as the
+        matcher's disparities to the grid's 3 decimals, north row first,
+        with NODATA at exactly the invalid pixels."""
+        _, paths = scene_dir
+        assert self._depth(
+            paths, paths["left"], paths["right"], tmp_path, "--write-disparity"
+        ) == 0
+        fragment = json.loads(capsys.readouterr().out)["depth"]
+        grid = read_asc((tmp_path / "disparity.asc").read_bytes())
+        left, right = (
+            read_ppm(paths[eye].read_bytes()).to_gray() for eye in ("left", "right")
+        )
+        disp = match_disparity(left, right, (15, 32), 5).values
+        valid = np.isfinite(disp)
+        assert valid.sum() == fragment["valid_disparities"] > 0
+        assert (~valid).any()
+        assert grid.values.shape == disp.shape
+        assert np.array_equal(grid.values == NODATA, ~valid)
+        assert np.abs(grid.values[valid] - disp[valid]).max() <= 0.0005 + 1e-9
 
     def test_register_dsm_check_chain(self, scene_dir, tmp_path, capsys):
         scene, paths = scene_dir
@@ -593,6 +654,26 @@ class TestRun:
         if fault == "non-ascii":
             assert "not ASCII text" in error
 
+    def test_each_text_file_parsed_once(self, tmp_path, monkeypatch):
+        """The C9 config names one gcps.csv for both check and rectify: the
+        preflight reads and parses it once and hands both stages the same
+        frozen object."""
+        paths = BeachScene(seed=0, width=320, height=240).write_fixture(tmp_path)
+        calls = []
+        parse = pipeline.parse_gcp_csv
+
+        def counted(data):
+            calls.append(data)
+            return parse(data)
+
+        monkeypatch.setattr(pipeline, "parse_gcp_csv", counted)
+        config = pipeline.load_config(paths["config"])
+        assert config["check.gcps"] == config["rectify.gcps"]
+        kwargs = pipeline._preflight(config)
+        assert len(calls) == 1
+        assert kwargs["check"]["gcps"] is kwargs["rectify"]["gcps"]
+        assert isinstance(kwargs["check"]["gcps"], tuple)
+
     def test_collinear_pairs_fail_register_after_depth(
         self, scene_dir, tmp_path, capsys
     ):
@@ -735,6 +816,39 @@ class TestRun:
         report = json.loads((out_dir / "run_report.json").read_text())
         assert report["failed_stage"] == stage
         assert report["error"].startswith("GridTooLarge: ")
+
+
+@pytest.mark.parametrize(
+    "command, flag, others",
+    [
+        ("depth", "--calibration", ["--left", "l.ppm", "--right", "r.ppm"]),
+        ("register", "--pairs", ["--cloud", "c.las"]),
+        ("dsm", "--clip", ["--cloud", "c.las"]),
+        ("check", "--gcps", ["--cloud", "c.las"]),
+        ("rectify", "--gcps", ["--image", "p.ppm", "--calibration", "calibration"]),
+        ("rectify", "--calibration", ["--image", "p.ppm", "--gcps", "gcps"]),
+    ],
+)
+def test_stage_command_names_bad_text_input(
+    scene_dir, tmp_path, capsys, command, flag, others
+):
+    """A text input that its reader rejects fails the stage command with
+    exit 2 and an error naming the flag and the file; the error keeps the
+    reader's type. Images and clouds are never read, so they may be
+    absent; the other text input is the fixture's valid file."""
+    _, paths = scene_dir
+    name = flag[2:]
+    text, error_type = TestRun.MALFORMED[name]
+    bad = tmp_path / f"bad.{name}"
+    bad.write_text(text)
+    argv = [command, *(str(paths.get(a, a)) for a in others), flag, str(bad)]
+    if "out_dir" in pipeline.PARAMETERS[command]:
+        argv += ["--out-dir", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {flag} {bad}: ")
+    with pytest.raises(getattr(errors, error_type)) as excinfo:
+        cli._dispatch(cli.build_parser().parse_args(argv))
+    assert type(excinfo.value).__name__ == error_type
 
 
 class TestEnvironment:

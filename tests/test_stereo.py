@@ -46,8 +46,7 @@ class TestCensus:
 
     def test_constant_image_all_zero_patterns(self):
         img = GrayImage(np.full((12, 15), 0.42))
-        c = census_transform(img, 5)
-        assert c.bits[c.valid].max() == 0
+        assert census_transform(img, 5).max() == 0
 
     def test_bright_center_pattern(self):
         # 5x5 zeros with a bright center: the center's 8 bits are all set
@@ -55,36 +54,40 @@ class TestCensus:
         # except... the corner enumeration is checked bit by bit below.
         px = np.zeros((5, 5))
         px[2, 2] = 1.0
-        c = census_transform(GrayImage(px), 3)
-        assert c.bits[2, 2, 0] == 0xFF
+        bits = census_transform(GrayImage(px), 3)
+        assert bits[2, 2, 0] == 0xFF
         # A pixel next to the bright one: all its neighbors are >= itself,
         # so no bits set.
-        assert c.bits[2, 1, 0] == 0
+        assert bits[2, 1, 0] == 0
 
     def test_single_darker_neighbor_sets_matching_bit(self):
         # Window neighbors enumerate row-major; check two positions.
         px = np.full((5, 5), 0.5)
         px[1, 1] = 0.1   # upper-left neighbor of center -> bit 0
-        c = census_transform(GrayImage(px), 3)
-        assert c.bits[2, 2, 0] == 0b00000001
+        assert census_transform(GrayImage(px), 3)[2, 2, 0] == 0b00000001
         px2 = np.full((5, 5), 0.5)
         px2[3, 3] = 0.1  # lower-right neighbor -> bit 7
-        c2 = census_transform(GrayImage(px2), 3)
-        assert c2.bits[2, 2, 0] == 0b10000000
+        assert census_transform(GrayImage(px2), 3)[2, 2, 0] == 0b10000000
 
     def test_pattern_bit_count(self):
         img = GrayImage(np.random.default_rng(1).random((16, 16)))
         for window in (3, 5, 7, 9):
-            c = census_transform(img, window)
-            assert c.n_bits == window * window - 1
-            assert c.bits.shape[2] == (c.n_bits + 7) // 8
+            bits = census_transform(img, window)
+            assert bits.shape == (16, 16, (window * window - 1 + 7) // 8)
 
     def test_border_invalid(self):
-        img = GrayImage(np.random.default_rng(2).random((10, 10)))
-        c = census_transform(img, 5)
-        assert not c.valid[0].any()
-        assert not c.valid[:, -2].any()
-        assert c.valid[2:-2, 2:-2].all()
+        """The half-window border has no pattern: its bits stay zero, and
+        no disparity is found where a cost window reaches into it."""
+        rng = np.random.default_rng(2)
+        bits = census_transform(GrayImage(rng.random((10, 10))), 5)
+        assert not bits[:2].any() and not bits[-2:].any()
+        assert not bits[:, :2].any() and not bits[:, -2:].any()
+        assert bits[2:-2, 2:-2].any(axis=2).mean() > 0.9
+        left, right = _shifted_pair(rng, 40, 60, 6)
+        d = match_disparity(left, right, (3, 12), window=5).valid_mask()
+        assert d[4:-4, 4 + 3:-4].any()
+        assert not d[:4].any() and not d[-4:].any()
+        assert not d[:, :4 + 3].any() and not d[:, -4:].any()
 
 
 class TestMatchDisparity:
@@ -126,8 +129,17 @@ class TestMatchDisparity:
 
 
 # Reference: the whole-image matcher with int64 cost volumes that the
-# strip-wise uint16 matcher replaced, copied unchanged apart from names.
+# strip-wise uint16 matcher replaced, copied unchanged apart from names and
+# the census border, which it masks itself: pixels within half a window of
+# the image border carry no pattern.
 _ORACLE_BIG = np.int64(1) << 40
+
+
+def _oracle_border_mask(h, w, window):
+    half = window // 2
+    valid = np.zeros((h, w), dtype=bool)
+    valid[half: h - half, half: w - half] = True
+    return valid
 
 
 def _oracle_box_sum(img, half):
@@ -144,9 +156,9 @@ def _oracle_box_sum(img, half):
     )
 
 
-def _oracle_cost_volume(ref, other, d_min, d_max, sign):
-    h, w, _ = ref.bits.shape
-    half = ref.window // 2
+def _oracle_cost_volume(ref, other, valid, window, d_min, d_max, sign):
+    h, w, _ = ref.shape
+    half = window // 2
     full_window = (2 * half + 1) ** 2
     n_d = d_max - d_min + 1
     volume = np.full((h, w, n_d), _ORACLE_BIG, dtype=np.int64)
@@ -160,9 +172,9 @@ def _oracle_cost_volume(ref, other, d_min, d_max, sign):
             oth_sl = slice(shift, w)
         if ref_sl.stop - ref_sl.start <= 0:
             continue
-        xor = np.bitwise_xor(ref.bits[:, ref_sl], other.bits[:, oth_sl])
+        xor = np.bitwise_xor(ref[:, ref_sl], other[:, oth_sl])
         raw = stereo._POPCOUNT[xor].sum(axis=-1).astype(np.int64)
-        ok = ref.valid[:, ref_sl] & other.valid[:, oth_sl]
+        ok = valid[:, ref_sl] & valid[:, oth_sl]
         agg = _oracle_box_sum(np.where(ok, raw, 0), half)
         count = _oracle_box_sum(ok, half)
         volume[:, ref_sl, i] = np.where(count == full_window, agg, _ORACLE_BIG)
@@ -179,13 +191,14 @@ def _oracle_match(left, right, d_range, window):
     d_min, d_max = int(d_range[0]), int(d_range[1])
     census_l = census_transform(left, window)
     census_r = census_transform(right, window)
+    h, w = left.pixels.shape
+    border = _oracle_border_mask(h, w, window)
 
-    vol_l = _oracle_cost_volume(census_l, census_r, d_min, d_max, sign=-1)
-    vol_r = _oracle_cost_volume(census_r, census_l, d_min, d_max, sign=+1)
+    vol_l = _oracle_cost_volume(census_l, census_r, border, window, d_min, d_max, -1)
+    vol_r = _oracle_cost_volume(census_r, census_l, border, window, d_min, d_max, +1)
     best_l, cost_l = _oracle_wta(vol_l)
     best_r, _ = _oracle_wta(vol_r)
 
-    h, w = left.pixels.shape
     n_d = d_max - d_min + 1
     valid = cost_l < _ORACLE_BIG
 
@@ -330,15 +343,16 @@ class TestRightVolume:
         included, and so do its winners and their costs."""
         window, h, w, (d_min, d_max), (a, b), shift, levels, seed = case
         left, right = _textured_pair(seed, h, w, shift, levels)
-
-        def halo(c):
-            return stereo.CensusImage(c.bits[a:b], c.valid[a:b], window)
-
-        census_l = halo(census_transform(left, window))
-        census_r = halo(census_transform(right, window))
-        vol_l = stereo._cost_volume(census_l, census_r, d_min, d_max)
+        census_l = census_transform(left, window)[a:b]
+        census_r = census_transform(right, window)[a:b]
+        half = window // 2
+        y0, y1 = max(half, a) - a, min(h - half, b) - a
+        vol_l = stereo._cost_volume(census_l, census_r, window, y0, y1, d_min, d_max)
         vol_r = stereo._right_volume(vol_l, d_min)
-        oracle = _oracle_cost_volume(census_r, census_l, d_min, d_max, sign=+1)
+        border = _oracle_border_mask(h, w, window)[a:b]
+        oracle = _oracle_cost_volume(
+            census_r, census_l, border, window, d_min, d_max, sign=+1
+        )
 
         def as_uint16(costs):
             return np.where(costs == _ORACLE_BIG, int(stereo._BIG_COST), costs)

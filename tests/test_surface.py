@@ -24,7 +24,7 @@ from shoremap.surface import (
     rasterize_tin,
     vertical_check,
 )
-from shoremap.surface import _dedupe_xy, _incircle, _orient2d
+from shoremap.surface import _dedupe_xy, _incircle, _orient2d, _segments_intersect
 
 from synth import BeachScene
 
@@ -480,6 +480,31 @@ class TestClip:
         once = clip_dsm(dsm, poly)
         twice = clip_dsm(once, poly)
         assert np.array_equal(once.values, twice.values)
+
+    def test_nodata_is_a_class_constant(self):
+        from shoremap.surface import DsmGrid
+
+        dsm = self._dsm()
+        assert dsm.nodata == DsmGrid.nodata == NODATA
+        with pytest.raises(TypeError):
+            DsmGrid(geometry=dsm.geometry, values=dsm.values, nodata=0.0)
+
+    @pytest.mark.parametrize(
+        "a, b, expected",
+        [
+            (((0, 0), (2, 0)), ((1, 0), (3, 0)), True),  # overlapping
+            (((0, 0), (1, 1)), ((1, 1), (3, 3)), True),  # touching end to end
+            (((0, 0), (1, 0)), ((2, 0), (3, 0)), False),  # disjoint, one line
+            (((0, 2), (0, 1)), ((0, 4), (0, 3)), False),  # disjoint, vertical
+        ],
+    )
+    def test_collinear_segments(self, a, b, expected):
+        """Collinear segments share a point only where their extents meet,
+        whichever way round either segment or the pair is given."""
+        for p, q in ((a, b), (b, a)):
+            for p1, p2 in (p, p[::-1]):
+                for p3, p4 in (q, q[::-1]):
+                    assert _segments_intersect(p1, p2, p3, p4) is expected
 
     def test_invalid_polygon(self):
         with pytest.raises(InvalidPolygon):
