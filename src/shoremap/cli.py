@@ -9,7 +9,6 @@ solver error, or out of memory.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
@@ -19,8 +18,6 @@ from . import __version__, pipeline
 from .calibration import BoardSpec
 from .errors import InputError, ShoremapError
 from .geometry import GridGeometry
-
-logger = logging.getLogger(__name__)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -130,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(fragment: dict, report_path: str | None) -> None:
-    text = json.dumps(fragment, indent=2, sort_keys=True) + "\n"
+    text = pipeline.report_text(fragment)
     if report_path:
         Path(report_path).parent.mkdir(parents=True, exist_ok=True)
         Path(report_path).write_text(text)
@@ -173,7 +170,7 @@ def _dispatch(args) -> int:
         out_dir = Path(args.out_dir)
         report_path = Path(args.report) if args.report else out_dir / "run_report.json"
         report = pipeline.run_pipeline(Path(args.config), out_dir, report_path, args.set)
-        sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(pipeline.report_text(report))
         return EXIT_OK
 
     raise AssertionError(f"unhandled command {args.command}")
@@ -187,18 +184,12 @@ def main(argv=None) -> int:
     )
     try:
         return _dispatch(args)
-    except InputError as exc:
+    except (InputError, OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
     except ShoremapError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_SOLVER
-    except OSError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INPUT
-    except ValueError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INPUT
     except MemoryError:
         sys.stderr.write("error: out of memory\n")
         return EXIT_SOLVER

@@ -1,7 +1,9 @@
 """Projective georectification: fit an image-to-world plane map from
 ground control points, inverse-map each cell of a world-aligned grid
 (through the lens model, if given) into the photo and resample it there
-once with cubic convolution, and report per-axis RMSEs.
+once with cubic convolution, and report per-axis RMSEs. The rectified
+photo is an RgbaImage laid out on the grid, one pixel per cell, with
+alpha 0 at NODATA cells.
 
 The RMSE here is the rooted form sqrt(sum(d^2)/n). The two-axis metric is
 computed against the GCP world coordinates from the fitted map's forward
@@ -54,23 +56,6 @@ class Gcp:
             if not all(np.isfinite(c) for c in im):
                 raise ValueError(f"gcp {self.id}: image coordinates must be finite")
             object.__setattr__(self, "image", im)
-
-
-@dataclass(frozen=True)
-class RectifiedRaster:
-    """World-aligned RGBA raster; alpha 0 marks cells outside the source
-    image's footprint."""
-
-    geometry: GridGeometry
-    bands: np.ndarray  # (n_rows, n_cols, 4) uint8
-
-    def __post_init__(self):
-        b = np.asarray(self.bands, dtype=np.uint8)
-        if b.shape != (self.geometry.n_rows, self.geometry.n_cols, 4):
-            raise ValueError("band array does not match grid geometry")
-        b = np.ascontiguousarray(b)
-        b.flags.writeable = False
-        object.__setattr__(self, "bands", b)
 
 
 @dataclass(frozen=True)
@@ -168,12 +153,14 @@ def bicubic_sample_many(img: RgbaImage, x: np.ndarray, y: np.ndarray):
 
 
 def warp_to_grid(img: RgbaImage, h: Homography, geom: GridGeometry,
-                 lens: Optional[CameraIntrinsics] = None) -> RectifiedRaster:
-    """Inverse-map each grid cell center through h^-1 to an (undistorted)
+                 lens: Optional[CameraIntrinsics] = None) -> RgbaImage:
+    """The rectified image, whose row r and column c are grid cell (r, c).
+    Each cell center is inverse-mapped through h^-1 to an (undistorted)
     pixel and, given a lens, through its distortion model to a raw-photo
-    pixel; sample the photo there once. Cells outside the source footprint
-    or the modeled disk (r^2 > R2_MAX) get alpha 0. Rows go in blocks of
-    about _WARP_CELLS cells, so memory beyond the output stays bounded.
+    pixel; the photo is sampled there once. Cells outside the source
+    footprint or the modeled disk (r^2 > R2_MAX) are NODATA, alpha 0. Rows
+    go in blocks of about _WARP_CELLS cells, so memory beyond the output
+    stays bounded.
     """
     xs, ys = geom.cell_centers()
     h_inv = invert_homography(h)
@@ -187,4 +174,4 @@ def warp_to_grid(img: RgbaImage, h: Homography, geom: GridGeometry,
             u, v = distort_pixels(lens, u, v)
         samples, _ = bicubic_sample_many(img, u, v)
         bands[r0:r0 + step] = samples.reshape(-1, geom.n_cols, 4)
-    return RectifiedRaster(geometry=geom, bands=bands)
+    return RgbaImage(bands)

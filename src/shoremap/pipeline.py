@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import inspect
 import json
-import logging
 import time
 from collections.abc import Sequence
 from datetime import datetime, timezone
@@ -27,7 +26,7 @@ from .camera import CameraIntrinsics, StereoRig, normalized_to_pixels, undistort
 # perfbench/spans.py, which patches these names here.
 from .camera import _distort_xy, undistort_arrays
 from .errors import GridTooLarge, InputError, MalformedHeader, TooFewPoints
-from .geometry import CELL_CAP, GridGeometry, Homography, Point2
+from .geometry import CELL_CAP, GridGeometry, Point2
 from .georectify import (
     Gcp,
     bicubic_sample_many,
@@ -39,8 +38,6 @@ from .registration import PointPairSet, apply_alignment, estimate_alignment
 from .stereo import (
     DEFAULT_WINDOW,
     DEFAULT_Z_MAX,
-    DisparityMap,
-    GrayImage,
     RgbaImage,
     cloud_from_disparity,
     match_disparity,
@@ -72,8 +69,6 @@ from .formats import (
     write_ppm,
     write_world_file,
 )
-
-logger = logging.getLogger(__name__)
 
 SCHEMA_VERSION = 1
 
@@ -383,18 +378,17 @@ def stage_check(cloud_path: Path, gcps: Sequence[Gcp]) -> dict:
 
 
 def _undistort_gcp_observations(
-    gcps: list[Gcp], intr: CameraIntrinsics
+    observed: list[Gcp], intr: CameraIntrinsics
 ) -> list[Gcp]:
-    observed = [k for k, g in enumerate(gcps) if g.image is not None]
-    uv = np.array([gcps[k].image for k in observed]).reshape(-1, 2)
+    uv = np.array([g.image for g in observed]).reshape(-1, 2)
     xu, yu, ok = undistort_pixels(intr, uv[:, 0], uv[:, 1])
     if not ok.all():
-        bad = gcps[observed[int(np.argmin(ok))]]
+        bad = observed[int(np.argmin(ok))]
         raise InputError(f"gcp {bad.id}: undistortion did not converge")
-    out = list(gcps)
-    for k, u, v in zip(observed, *normalized_to_pixels(intr, xu, yu)):
-        out[k] = Gcp(id=gcps[k].id, world=gcps[k].world, image=Point2(float(u), float(v)))
-    return out
+    return [
+        Gcp(id=g.id, world=g.world, image=Point2(float(u), float(v)))
+        for g, u, v in zip(observed, *normalized_to_pixels(intr, xu, yu))
+    ]
 
 
 def stage_rectify(
@@ -409,12 +403,12 @@ def stage_rectify(
     """Fit the image-to-world homography from GCPs, warp the photo, write
     rectified.ppm + rectified.wld, and report the per-axis RMSEs. The photo
     is read last, so too few GCPs or a bad grid size fail before it."""
+    observed = [g for g in gcps if g.image is not None]
     lens = calibration.intrinsics if calibration is not None else None
     if lens is not None:
-        gcps = _undistort_gcp_observations(gcps, lens)
-    h = fit_ground_homography(gcps)
-    report = rmse_xy(h, gcps)
-    observed = [g for g in gcps if g.image is not None]
+        observed = _undistort_gcp_observations(observed, lens)
+    h = fit_ground_homography(observed)
+    report = rmse_xy(h, observed)
     geometry = grid if grid is not None else _bbox_grid(
         np.array([g.world.x for g in observed]),
         np.array([g.world.y for g in observed]),
@@ -423,12 +417,12 @@ def stage_rectify(
     img = _load_image_any(image_path)
     if lens is not None:
         _check_image_size("image", img, lens)
-    raster = warp_to_grid(img, h, geometry, lens=lens)
+    rectified = warp_to_grid(img, h, geometry, lens=lens)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     ppm_path = out_dir / "rectified.ppm"
     wld_path = out_dir / "rectified.wld"
-    ppm_path.write_bytes(write_ppm(RgbaImage(raster.bands)))
+    ppm_path.write_bytes(write_ppm(rectified))
     wld_path.write_text(write_world_file(geometry))
     metrics = {
         "rmse_x": metric(report.rmse_x, "m"),
@@ -661,7 +655,13 @@ def run_pipeline(
     return report
 
 
+def report_text(report: dict) -> str:
+    """The one serialization of every JSON report and fragment: sorted keys
+    and a fixed layout, so identical runs give identical bytes."""
+    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
 def write_report(report: dict, path: Path) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    path.write_text(report_text(report))

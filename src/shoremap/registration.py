@@ -33,7 +33,7 @@ class PointPairSet:
             raise ValueError("pair coordinates must be finite")
         for i in range(src.shape[0]):
             for j in range(i + 1, src.shape[0]):
-                if np.allclose(src[i], src[j], atol=0.0):
+                if np.array_equal(src[i], src[j]):
                     raise ValueError(
                         f"duplicated source point for ids {self.ids[i]!r}, "
                         f"{self.ids[j]!r}"

@@ -11,7 +11,6 @@ naive float predicates would corrupt the topology.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import ClassVar, Optional
@@ -29,8 +28,6 @@ from .errors import (
 from .geometry import GridGeometry, Point2
 from .georectify import Gcp
 from .stereo import PointCloud
-
-logger = logging.getLogger(__name__)
 
 NODATA = -9999.0
 DEFAULT_KILL_DISTANCE = 1.0

@@ -139,12 +139,12 @@ def test_c4_warp_identity_and_bicubic_exactness():
     # North-up grid rows sample source rows in reverse; on the cells with
     # full bicubic support the source pixels come back bit-exactly.
     flip = img.pixels[::-1]
-    valid = warped.bands[:, :, 3] == 255
+    valid = warped.pixels[:, :, 3] == 255
     expected = np.zeros((12, 16), dtype=bool)
     expected[2:11, 1:14] = True  # cells whose 4x4 source support is inside
     assert np.array_equal(valid, expected)
-    assert np.array_equal(warped.bands[valid], flip[valid])
-    assert (warped.bands[~valid] == 0).all()
+    assert np.array_equal(warped.pixels[valid], flip[valid])
+    assert (warped.pixels[~valid] == 0).all()
 
     pts = np.array([(5, 4), (1, 1), (13, 8)])
     out, inside = bicubic_sample_many(img, pts[:, 0], pts[:, 1])

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from shoremap.calibration import (
+    LM_MAX_REJECTIONS,
     BoardSpec,
     CalibrationView,
+    _levenberg_marquardt,
     _ReprojectionProblem,
     axis_angle_to_rotation,
     board_object_points,
@@ -22,6 +24,7 @@ from shoremap.camera import CameraIntrinsics, LensParams, project_many
 from shoremap.errors import (
     BehindCamera,
     DegenerateConfiguration,
+    DivergedRefinement,
     InsufficientViews,
     OutOfModelRange,
     UnstableSolution,
@@ -451,3 +454,70 @@ class TestAxisAngle:
         r = axis_angle_to_rotation(aa)
         back = axis_angle_to_rotation(rotation_to_axis_angle(r))
         np.testing.assert_allclose(back, r, atol=1e-6)
+
+    def test_identity_gives_zero_vector(self):
+        assert np.array_equal(rotation_to_axis_angle(np.eye(3)), np.zeros(3))
+
+    @pytest.mark.parametrize("axis", [(1.0, -2.0, 3.0), (-3.0, 1.0, 2.0)])
+    def test_near_pi_mixed_sign_axis(self, axis):
+        # Within 1e-6 of pi the axis comes from R + I, and the signs of
+        # its smaller components from the off-diagonal products.
+        unit = np.array(axis) / np.linalg.norm(axis)
+        r = axis_angle_to_rotation(unit * (np.pi - 1e-7))
+        aa = rotation_to_axis_angle(r)
+        assert np.pi - np.linalg.norm(aa) < 1e-6
+        assert abs(abs(aa @ unit) - np.linalg.norm(aa)) < 1e-6
+        np.testing.assert_allclose(axis_angle_to_rotation(aa), r, atol=1e-6)
+
+    def test_first_order_below_1e_12(self):
+        aa = np.array([3e-13, -2e-13, 1e-13])
+        expected = np.array([
+            [1.0, -aa[2], aa[1]],
+            [aa[2], 1.0, -aa[0]],
+            [-aa[1], aa[0], 1.0],
+        ])
+        assert np.array_equal(axis_angle_to_rotation(aa), expected)
+        assert np.array_equal(axis_angle_to_rotation(np.zeros(3)), np.eye(3))
+
+
+class _StubProblem:
+    """A least-squares problem with fixed residuals and Jacobian; residuals
+    at any point but the seed are None (outside the model domain) when
+    domain_is_seed is set. Counts the calls."""
+
+    def __init__(self, seed, jac, domain_is_seed=False):
+        self.seed = seed
+        self.jac = jac
+        self.domain_is_seed = domain_is_seed
+        self.residual_calls = 0
+        self.jacobian_calls = 0
+
+    def residuals(self, params):
+        self.residual_calls += 1
+        if self.domain_is_seed and not np.array_equal(params, self.seed):
+            return None
+        return np.array([1.0, 2.0, 3.0])
+
+    def jacobian(self, params):
+        self.jacobian_calls += 1
+        return self.jac
+
+
+class TestLevenbergMarquardt:
+    def test_zero_gradient_returns_seed_at_iteration_0(self):
+        seed = np.array([0.5, -1.0])
+        problem = _StubProblem(seed, np.zeros((3, 2)))
+        params, cost = _levenberg_marquardt(problem, seed)
+        assert np.array_equal(params, seed) and params is not seed
+        assert cost == 14.0
+        assert (problem.residual_calls, problem.jacobian_calls) == (1, 1)
+
+    def test_every_trial_outside_domain_diverges(self):
+        seed = np.array([0.5, -1.0])
+        jac = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        problem = _StubProblem(seed, jac, domain_is_seed=True)
+        with pytest.raises(DivergedRefinement, match=f"through {LM_MAX_REJECTIONS} "):
+            _levenberg_marquardt(problem, seed)
+        # The seed's residuals, then one trial per damping escalation.
+        assert problem.residual_calls == 1 + LM_MAX_REJECTIONS
+        assert problem.jacobian_calls == 1

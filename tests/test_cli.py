@@ -1,6 +1,7 @@
 """CLI contract tests: exit codes, artifacts, report fragments."""
 
 import json
+import struct
 from importlib import resources
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from shoremap.errors import InputError, SolverError
 from shoremap.formats import (
     polygon_to_wkt,
     read_asc,
+    read_las,
     read_ppm,
     write_calibration,
     write_corner_csv,
@@ -25,6 +27,7 @@ from shoremap.formats import (
     write_pgm,
     write_ppm,
 )
+from shoremap.formats.las import HEADER_SIZE
 from shoremap.geometry import Point2, Point3
 from shoremap.georectify import Gcp
 from shoremap.registration import PointPairSet
@@ -752,6 +755,27 @@ class TestRun:
         assert report["error"] == f"{error.__name__}: injected"
         assert report["stages_completed"] == stages[: stages.index(stage)]
         assert stage in report["timing"]["stage_seconds"]
+
+    def test_depth_keeping_no_point_fails_dsm(self, tmp_path, capsys):
+        paths = BeachScene(seed=0, width=64, height=48).write_fixture(tmp_path / "in")
+        out_dir = tmp_path / "out"
+        code = main([
+            "run", "--config", str(paths["config"]), "--out-dir", str(out_dir),
+            "--set", "depth.z_max=0.001",
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == "error: need at least 3 points, got 0\n"
+        report = json.loads((out_dir / "run_report.json").read_text())
+        assert report["stages"]["depth"]["points"] == 0
+        assert report["failed_stage"] == "dsm"
+        assert report["error"] == "TooFewPoints: need at least 3 points, got 0"
+        assert report["stages_completed"] == ["depth", "register"]
+        # An empty cloud is a bare header with a zero offset.
+        for name in ("cloud.las", "registered.las"):
+            data = (out_dir / name).read_bytes()
+            assert len(data) == HEADER_SIZE
+            assert struct.unpack_from("<3d", data, 155) == (0.0, 0.0, 0.0)
+            assert len(read_las(data)) == 0
 
     def test_tiny_cell_fails_dsm_before_triangulating(self, tmp_path, monkeypatch):
         paths = BeachScene(seed=0, width=64, height=48).write_fixture(tmp_path / "in")

@@ -375,6 +375,18 @@ class TestPairCsv:
         np.testing.assert_array_equal(back.source, pairs.source)
         np.testing.assert_array_equal(back.target, pairs.target)
 
+    def test_utm_scale_sources_accepted(self):
+        # Sources a and b lie 3.6 m apart at projected-world scale.
+        text = (
+            "id,sx,sy,sz,tx,ty,tz\n"
+            "a,500000,4000000,12,500001,4000001,13\n"
+            "b,500002,4000003,12,500003,4000004,13\n"
+            "c,500040,4000010,11,500041,4000011,12\n"
+        )
+        pairs = parse_pair_csv(text)
+        assert pairs.ids == ("a", "b", "c")
+        np.testing.assert_array_equal(pairs.source[1], [500002.0, 4000003.0, 12.0])
+
     def test_duplicate_id(self):
         text = "id,sx,sy,sz,tx,ty,tz\np,0,0,0,1,1,1\np,1,0,0,2,1,1\n"
         with pytest.raises(DuplicateId):

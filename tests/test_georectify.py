@@ -394,11 +394,11 @@ class TestWarp:
         # Output row r samples source row 9 - r (north-up grid), giving a
         # vertically flipped copy; valid support is the 4x4-interior.
         flip = img.pixels[::-1]
-        valid = warped.bands[:, :, 3] == 255
+        valid = warped.pixels[:, :, 3] == 255
         expected = np.zeros((10, 12), dtype=bool)
         expected[2:9, 1:10] = True
         assert np.array_equal(valid, expected)
-        assert np.array_equal(warped.bands[valid], flip[valid])
+        assert np.array_equal(warped.pixels[valid], flip[valid])
 
     def test_identity_row_aligned_overlap(self):
         rng = np.random.default_rng(7)
@@ -407,7 +407,7 @@ class TestWarp:
             origin_x=0.0, origin_y=5.0, cell_size=1.0, n_cols=12, n_rows=1
         )
         warped = warp_to_grid(img, Homography(np.eye(3)), geom)
-        assert np.array_equal(warped.bands[0, 1:10], img.pixels[5, 1:10])
+        assert np.array_equal(warped.pixels[0, 1:10], img.pixels[5, 1:10])
 
     def test_translation_shifted_copy_with_vacated_strip(self):
         rng = np.random.default_rng(8)
@@ -418,15 +418,15 @@ class TestWarp:
         )
         w_aligned = warp_to_grid(img, h, aligned)
         flip = img.pixels[::-1]
-        valid = w_aligned.bands[:, :, 3] == 255
-        assert np.array_equal(w_aligned.bands[valid], flip[valid])
+        valid = w_aligned.pixels[:, :, 3] == 255
+        assert np.array_equal(w_aligned.pixels[valid], flip[valid])
         # Grid 3 columns further west: the extra strip has no source data.
         west = GridGeometry(
             origin_x=2.0, origin_y=16.0, cell_size=1.0, n_cols=12, n_rows=10
         )
         w_west = warp_to_grid(img, h, west)
-        assert (w_west.bands[:, :4, 3] == 0).all()
-        assert np.array_equal(w_west.bands[2:9, 4:12], w_aligned.bands[2:9, 1:9])
+        assert (w_west.pixels[:, :4, 3] == 0).all()
+        assert np.array_equal(w_west.pixels[2:9, 4:12], w_aligned.pixels[2:9, 1:9])
 
     def test_grid_outside_footprint_all_nodata(self):
         img = _opaque(np.random.default_rng(9), 10, 12)
@@ -434,7 +434,7 @@ class TestWarp:
             origin_x=500.0, origin_y=500.0, cell_size=1.0, n_cols=6, n_rows=6
         )
         warped = warp_to_grid(img, Homography(np.eye(3)), geom)
-        assert (warped.bands == 0).all()
+        assert (warped.pixels == 0).all()
 
 
 # A barrel lens on a 160x120 sensor, and a mildly projective map from its
@@ -511,10 +511,10 @@ class TestWarpThroughLens:
     def test_single_resample_beats_two_step(self, cell):
         photo = _render_distorted_photo(BARREL, H_PHOTO)
         geom = _photo_grid(BARREL, H_PHOTO, cell)
-        single = warp_to_grid(photo, H_PHOTO, geom, lens=BARREL).bands
+        single = warp_to_grid(photo, H_PHOTO, geom, lens=BARREL).pixels
         two_step = warp_to_grid(
             _undistort_image_two_step(photo, BARREL), H_PHOTO, geom
-        ).bands
+        ).pixels
         gx, gy = np.meshgrid(*geom.cell_centers())
         truth = _texture(gx, gy)
         both = (single[:, :, 3] == 255) & (two_step[:, :, 3] == 255)
@@ -536,7 +536,7 @@ class TestWarpThroughLens:
         warped = warp_to_grid(photo, Homography(np.eye(3)), geom, lens=lens)
         xs, _ = geom.cell_centers()
         r2 = ((xs - lens.cx) / lens.fx) ** 2
-        assert np.array_equal(warped.bands[0, :, 3] == 255, r2 <= 4.0)
+        assert np.array_equal(warped.pixels[0, :, 3] == 255, r2 <= 4.0)
 
     @pytest.mark.parametrize("lens", [None, BARREL], ids=["no-lens", "lens"])
     @pytest.mark.parametrize("block_rows", [1, 7])
@@ -544,9 +544,9 @@ class TestWarpThroughLens:
         photo = _render_distorted_photo(BARREL, H_PHOTO)
         geom = _photo_grid(BARREL, H_PHOTO, 0.016)
         assert geom.n_rows % 7 and geom.n_cols * geom.n_rows <= georectify._WARP_CELLS
-        whole = warp_to_grid(photo, H_PHOTO, geom, lens=lens).bands
+        whole = warp_to_grid(photo, H_PHOTO, geom, lens=lens).pixels
         monkeypatch.setattr(georectify, "_WARP_CELLS", block_rows * geom.n_cols)
-        blocked = warp_to_grid(photo, H_PHOTO, geom, lens=lens).bands
+        blocked = warp_to_grid(photo, H_PHOTO, geom, lens=lens).pixels
         assert np.array_equal(blocked, whole)
 
     def test_memory_beyond_output_independent_of_grid_height(self):

@@ -183,8 +183,26 @@ class TestApplyAlignment:
         np.testing.assert_allclose(back.xyz, cloud.xyz, atol=1e-9)
 
 
+UTM_SOURCES = np.array([
+    [500000.0, 4000000.0, 12.0],
+    [500002.0, 4000003.0, 12.0],
+    [500040.0, 4000010.0, 11.0],
+])
+
+
 class TestPointPairSet:
     def test_duplicate_source_rejected(self):
         src = np.array([[0.0, 0, 0], [0.0, 0, 0], [1.0, 1, 1]])
         with pytest.raises(ValueError):
             _pairs(src, src + 1)
+
+    def test_distinct_utm_scale_sources_accepted(self):
+        # Sources 3.6 m apart at projected-world scale: distinct, though
+        # within a relative tolerance of 1e-5 of each other.
+        pairs = _pairs(UTM_SOURCES, UTM_SOURCES + 1.0)
+        np.testing.assert_array_equal(pairs.source, UTM_SOURCES)
+
+    def test_exact_utm_scale_duplicate_names_first_pair(self):
+        src = UTM_SOURCES[[0, 1, 0, 1]]
+        with pytest.raises(ValueError, match="ids 'p0', 'p2'"):
+            _pairs(src, src + 1.0)
