@@ -6,7 +6,10 @@ bootstrapped from an enclosing super-triangle and kept in flat triangle
 vertex and neighbour arrays (Sloan 1987). Orientation and in-circle
 predicates use a floating-point filter with an exact rational fallback;
 point clouds derived from pixel grids are almost entirely cocircular, so
-naive float predicates would corrupt the topology.
+naive float predicates would corrupt the topology. Exact in-circle ties
+are broken by a symbolic perturbation of the vertices' lifts, so the
+triangle array is a function of the deduplicated vertex array alone:
+the insertion order affects only speed.
 """
 
 from __future__ import annotations
@@ -95,6 +98,20 @@ def _incircle(ax, ay, bx, by, cx, cy, dx, dy) -> int:
         + la * (fb[0] * fc[1] - fc[0] * fb[1])
     )
     return (det_exact > 0) - (det_exact < 0)
+
+
+def _incircle_tie(xs, ys, a, b, c, d) -> int:
+    """:func:`_incircle` of vertices (a, b, c, d) where it returns 0,
+    decided by simulation of simplicity (Edelsbrunner & Mücke 1990): each
+    vertex i's lift x^2 + y^2 is raised by eps^(i+1), eps -> 0, so the
+    lowest index decides, by the orientation of the other three, signed
+    (+, -, +, -) by its position. Four distinct cocircular points have no
+    three collinear, so the answer is never 0."""
+    quad = (a, b, c, d)
+    pos = quad.index(min(quad))
+    i, j, k = quad[:pos] + quad[pos + 1:]
+    sign = _orient2d(xs[i], ys[i], xs[j], ys[j], xs[k], ys[k])
+    return -sign if pos % 2 else sign
 
 
 # --- types -------------------------------------------------------------------
@@ -321,8 +338,9 @@ class _Triangulator:
     cavity of k triangles is a disk with no interior vertex, so its
     boundary has k + 2 edges, and the fan that replaces it refills the k
     slots and appends two. After n inserts there are 2n + 1 slots.
-    Every triangle keeps the rotation it was created with, last-inserted
-    vertex last, so the output does not depend on slot numbering.
+    Ties are broken by :func:`_incircle_tie`, so the triangulation is the
+    unique Delaunay triangulation of the perturbed points whatever the
+    insertion order; :meth:`real_triangles` fixes each row's rotation.
     """
 
     def __init__(self, xs: np.ndarray, ys: np.ndarray):
@@ -342,11 +360,11 @@ class _Triangulator:
         self.last = 0
 
     def _locate(self, px: float, py: float) -> int:
-        """Walk toward the triangle containing (px, py)."""
+        """Visibility walk to the triangle containing (px, py); it ends in
+        any Delaunay triangulation (Devillers, Pion & Teillaud 2002)."""
         xs, ys, tv, tn = self.xs, self.ys, self.tv, self.tn
         t = self.last
-        n_slots = len(tv) // 3
-        for _ in range(4 * n_slots + 16):
+        while True:
             base = 3 * t
             for k in range(3):
                 nb = tn[base + k]
@@ -356,15 +374,6 @@ class _Triangulator:
                     break
             else:
                 return t
-        # Degenerate walk; fall back to scanning everything.
-        for t in range(n_slots):
-            a, b, c = tv[3 * t:3 * t + 3]
-            if all(
-                _orient2d(xs[i], ys[i], xs[j], ys[j], px, py) >= 0
-                for i, j in ((a, b), (b, c), (c, a))
-            ):
-                return t
-        raise CollinearInput("point location failed; input is degenerate")
 
     def insert(self, p: int):
         xs, ys, tv, tn = self.xs, self.ys, self.tv, self.tn
@@ -384,7 +393,10 @@ class _Triangulator:
                     continue
                 if nb >= 0:
                     a, b, c = tv[3 * nb:3 * nb + 3]
-                    if _incircle(xs[a], ys[a], xs[b], ys[b], xs[c], ys[c], px, py) > 0:
+                    inside = _incircle(
+                        xs[a], ys[a], xs[b], ys[b], xs[c], ys[c], px, py
+                    ) or _incircle_tie(xs, ys, a, b, c, p)
+                    if inside > 0:
                         cavity.add(nb)
                         stack.append(nb)
                         continue
@@ -420,10 +432,13 @@ class _Triangulator:
             tn[3 * u + 2] = t
         self.last = t
 
-    def real_triangles(self) -> np.ndarray:
-        """Rows with no super-triangle vertex, in lexicographic order."""
+    def real_triangles(self, rank: np.ndarray) -> np.ndarray:
+        """Rows with no super-triangle vertex, each rotated so that its
+        vertex of highest ``rank`` comes last, in lexicographic order."""
         tri = np.array(self.tv, dtype=np.int64).reshape(-1, 3)
         tri = tri[tri.max(axis=1) < self.n_real]
+        shift = np.argmax(rank[tri], axis=1)[:, None] + 1
+        tri = np.take_along_axis(tri, (np.arange(3) + shift) % 3, axis=1)
         return tri[np.lexsort(tri.T[::-1])]
 
 
@@ -431,8 +446,11 @@ def build_tin(cloud: PointCloud) -> Tin:
     """Delaunay TIN over the cloud's xy projection.
 
     Points within 1e-9 xy distance collapse to one vertex keeping the
-    highest z. Raises TooFewPoints / CollinearInput when no triangulation
-    exists.
+    highest z. The triangle array is a function of the deduplicated
+    vertex array: exact in-circle ties are broken by a perturbation rule
+    on the vertex indices, not by the insertion order, and each row has
+    its vertex latest in Morton order last. Raises TooFewPoints /
+    CollinearInput when no triangulation exists.
     """
     xyz = _dedupe_xy(cloud.xyz)
     if xyz.shape[0] < 3:
@@ -453,10 +471,11 @@ def build_tin(cloud: PointCloud) -> Tin:
         raise CollinearInput("all points are collinear in the xy-plane")
 
     tri = _Triangulator(xs, ys)
-    for idx in _morton_order(xs, ys):
+    order = _morton_order(xs, ys)
+    for idx in order:
         tri.insert(int(idx))
 
-    return Tin(vertices=xyz, triangles=tri.real_triangles())
+    return Tin(vertices=xyz, triangles=tri.real_triangles(np.argsort(order)))
 
 
 # --- interpolation and rasterization ------------------------------------------

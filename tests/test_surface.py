@@ -1,6 +1,7 @@
 """TIN, DSM rasterization, clipping, and vertical check tests."""
 
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -24,7 +25,15 @@ from shoremap.surface import (
     rasterize_tin,
     vertical_check,
 )
-from shoremap.surface import _dedupe_xy, _incircle, _orient2d, _segments_intersect
+from shoremap.surface import (
+    _Triangulator,
+    _dedupe_xy,
+    _incircle,
+    _incircle_tie,
+    _morton_order,
+    _orient2d,
+    _segments_intersect,
+)
 
 from synth import BeachScene
 
@@ -194,9 +203,52 @@ def test_tin_pinned_bit_for_bit(name):
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_TINS))
+def test_tin_independent_of_insertion_order(name):
+    """Driving the triangulator in Morton, reversed Morton and two seeded
+    random orders gives the pinned triangle array every time: exact
+    in-circle ties are broken by the vertex indices, not by the order."""
+    xyz = _dedupe_xy(PINNED_TINS[name][0]())
+    xs = xyz[:, 0] - float(xyz[:, 0].mean())
+    ys = xyz[:, 1] - float(xyz[:, 1].mean())
+    morton = _morton_order(xs, ys)
+    orders = {"morton": morton, "reversed": morton[::-1]}
+    for seed in (0, 1):
+        orders[f"random {seed}"] = np.random.default_rng(seed).permutation(len(xs))
+    for label, order in orders.items():
+        tri = _Triangulator(xs, ys)
+        for idx in order.tolist():
+            tri.insert(idx)
+        triangles = tri.real_triangles(np.argsort(morton))
+        digest = hashlib.sha256(triangles.tobytes()).hexdigest()
+        assert digest == PINNED_TINS[name][3], label
+
+
+def test_incircle_tie_picks_one_diagonal():
+    """Four cocircular points, a counterclockwise square (a, b, c, d),
+    under every labeling: the rule never answers 0, it answers alike for
+    the two triangles of one diagonal and oppositely for the other
+    diagonal's, so exactly one diagonal wins. It is also unchanged by a
+    rotation of the triangle, which a TIN row may take."""
+    corners = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
+    for labels in itertools.permutations(range(4)):
+        xs, ys = [0.0] * 4, [0.0] * 4
+        for label, (x, y) in zip(labels, corners):
+            xs[label], ys[label] = x, y
+        a, b, c, d = labels
+        assert _incircle(xs[a], ys[a], xs[b], ys[b], xs[c], ys[c], xs[d], ys[d]) == 0
+        tie = _incircle_tie(xs, ys, a, b, c, d)
+        assert tie != 0, labels
+        assert _incircle_tie(xs, ys, c, d, a, b) == tie, labels
+        assert _incircle_tie(xs, ys, b, c, d, a) == -tie, labels
+        assert _incircle_tie(xs, ys, b, c, a, d) == tie, labels
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_TINS))
 def test_tin_certificate(name):
     """Why the pinned TINs are right, checked with the exact predicates
-    on the centered coordinates that build_tin triangulates."""
+    on the centered coordinates that build_tin triangulates. Where an
+    in-circle test ties, the tie rule must keep the edge too, so the TIN
+    is the unique Delaunay triangulation of the perturbed points."""
     tin = build_tin(_cloud(PINNED_TINS[name][0]()))
     x, y = tin.vertices[:, 0], tin.vertices[:, 1]
     xs, ys = (x - float(x.mean())).tolist(), (y - float(y.mean())).tolist()
@@ -211,9 +263,12 @@ def test_tin_certificate(name):
     for f in faces.values():
         if len(f) == 2:
             for ((a, b, c), _), (_, k) in (f, f[::-1]):
-                assert _incircle(
+                side = _incircle(
                     xs[a], ys[a], xs[b], ys[b], xs[c], ys[c], xs[k], ys[k]
-                ) <= 0
+                )
+                assert side <= 0
+                if side == 0:
+                    assert _incircle_tie(xs, ys, a, b, c, k) < 0
     n_hull = sum(len(f) == 1 for f in faces.values())
     assert len(rows) == 2 * len(xs) - 2 - n_hull
 
