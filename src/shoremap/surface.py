@@ -1,21 +1,24 @@
 """TIN construction, linear surface interpolation, DSM rasterization with
 a kill-distance filter, polygon clipping, and vertical accuracy checks.
 
-The triangulation is incremental Bowyer-Watson over the xy-projection,
-bootstrapped from an enclosing super-triangle and kept in flat triangle
-vertex and neighbour arrays (Sloan 1987). Orientation and in-circle
-predicates use a floating-point filter with an exact rational fallback;
+The triangulation runs in array rounds over the xy-projection (GPU-DT,
+Rong et al. 2008; gDel2D, Qi, Cao & Tan 2012), inside an enclosing
+super-triangle, in int32 triangle vertex and neighbour arrays of 2n + 1
+rows: each round inserts one pending point into every triangle that
+holds some, then Lawson passes flip illegal edges until none is left.
+Orientation and in-circle predicates run a floating-point filter over
+numpy blocks and take an exact integer path only where it cannot decide;
 point clouds derived from pixel grids are almost entirely cocircular, so
 naive float predicates would corrupt the topology. Exact in-circle ties
 are broken by a symbolic perturbation of the vertices' lifts, so the
-triangle array is a function of the deduplicated vertex array alone:
-the insertion order affects only speed.
+triangle array is the unique Delaunay triangulation of the perturbed
+vertices, a function of the deduplicated vertex array alone. The tests
+hold it to a scalar Bowyer-Watson oracle bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import ClassVar, Optional
 
 import numpy as np
@@ -40,31 +43,27 @@ _BARY_EPS = 1e-12
 _ORIENT_FILTER = 1e-15
 _INCIRCLE_FILTER = 3e-15
 _SUPER_MARGIN = 1e6
+_BLOCK = 1 << 14  # predicate lanes per numpy block
+_CLAIM_PAIRS = 1 << 16  # candidate (triangle, cell) pairs per DSM claim block
+_UNCLAIMED = np.iinfo(np.int64).max
 
 
 # --- exact-fallback predicates ----------------------------------------------
+#
+# Each predicate's determinant is written once, for floats, float arrays and
+# Python ints alike. The float value decides when it clears its error bound;
+# otherwise the same expression runs on exact integers.
 
-def _orient2d(ax, ay, bx, by, cx, cy) -> int:
-    """Sign of the doubled signed area of (a, b, c): +1 CCW, -1 CW, 0
-    collinear. Exact."""
+def _orient_terms(ax, ay, bx, by, cx, cy):
+    """Doubled signed area of (a, b, c) and the sum of its two products'
+    magnitudes."""
     t1 = (bx - ax) * (cy - ay)
     t2 = (by - ay) * (cx - ax)
-    det = t1 - t2
-    bound = _ORIENT_FILTER * (abs(t1) + abs(t2))
-    if det > bound:
-        return 1
-    if det < -bound:
-        return -1
-    fa_x, fa_y = Fraction(ax), Fraction(ay)
-    det_exact = (Fraction(bx) - fa_x) * (Fraction(cy) - fa_y) - (
-        Fraction(by) - fa_y
-    ) * (Fraction(cx) - fa_x)
-    return (det_exact > 0) - (det_exact < 0)
+    return t1 - t2, abs(t1) + abs(t2)
 
 
-def _incircle(ax, ay, bx, by, cx, cy, dx, dy) -> int:
-    """+1 when d is strictly inside the circumcircle of CCW triangle
-    (a, b, c), -1 outside, 0 on the circle. Exact."""
+def _incircle_terms(ax, ay, bx, by, cx, cy, dx, dy):
+    """In-circle determinant of d against (a, b, c) and its permanent."""
     adx, ady = ax - dx, ay - dy
     bdx, bdy = bx - dx, by - dy
     cdx, cdy = cx - dx, cy - dy
@@ -81,23 +80,62 @@ def _incircle(ax, ay, bx, by, cx, cy, dx, dy) -> int:
         + abs(ady) * (abs(bdx * clift) + abs(cdx * blift))
         + abs(alift) * (abs(bdx * cdy) + abs(cdx * bdy))
     )
-    bound = _INCIRCLE_FILTER * permanent
+    return det, permanent
+
+
+def _exact_sign(terms, *coords) -> int:
+    """Sign of ``terms``' determinant in exact integer arithmetic: every
+    coordinate times the largest of their power-of-two denominators. The
+    determinant is homogeneous, so the common scale keeps its sign."""
+    ratios = [float(v).as_integer_ratio() for v in coords]
+    den = max(d for _, d in ratios)
+    det, _ = terms(*(num * (den // d) for num, d in ratios))
+    return (det > 0) - (det < 0)
+
+
+def _filtered_sign(terms, eps, *coords) -> int:
+    det, magnitude = terms(*coords)
+    bound = eps * magnitude
     if det > bound:
         return 1
     if det < -bound:
         return -1
-    fa = (Fraction(ax) - Fraction(dx), Fraction(ay) - Fraction(dy))
-    fb = (Fraction(bx) - Fraction(dx), Fraction(by) - Fraction(dy))
-    fc = (Fraction(cx) - Fraction(dx), Fraction(cy) - Fraction(dy))
-    la = fa[0] * fa[0] + fa[1] * fa[1]
-    lb = fb[0] * fb[0] + fb[1] * fb[1]
-    lc = fc[0] * fc[0] + fc[1] * fc[1]
-    det_exact = (
-        fa[0] * (fb[1] * lc - fc[1] * lb)
-        - fa[1] * (fb[0] * lc - fc[0] * lb)
-        + la * (fb[0] * fc[1] - fc[0] * fb[1])
+    return _exact_sign(terms, *coords)
+
+
+def _orient2d(ax, ay, bx, by, cx, cy) -> int:
+    """Sign of the doubled signed area of (a, b, c): +1 CCW, -1 CW, 0
+    collinear. Exact."""
+    return _filtered_sign(_orient_terms, _ORIENT_FILTER, ax, ay, bx, by, cx, cy)
+
+
+def _incircle(ax, ay, bx, by, cx, cy, dx, dy) -> int:
+    """+1 when d is strictly inside the circumcircle of CCW triangle
+    (a, b, c), -1 outside, 0 on the circle. Exact."""
+    return _filtered_sign(
+        _incircle_terms, _INCIRCLE_FILTER, ax, ay, bx, by, cx, cy, dx, dy
     )
-    return (det_exact > 0) - (det_exact < 0)
+
+
+def _signs(terms, eps, xs, ys, *idx) -> np.ndarray:
+    """int8 signs of ``terms`` over vertex index arrays, one per corner:
+    the float filter runs on numpy blocks of at most ``_BLOCK`` lanes, and
+    only the lanes it leaves undecided take the exact path."""
+    out = np.empty(len(idx[0]), np.int8)
+    for start in range(0, out.size, _BLOCK):
+        coords = []
+        for v in idx:
+            v = v[start:start + _BLOCK]
+            coords += (xs[v], ys[v])
+        # An overflow leaves the lane undecided, as in Python floats.
+        with np.errstate(over="ignore", invalid="ignore"):
+            det, magnitude = terms(*coords)
+            bound = eps * magnitude
+        sign = (det > bound).astype(np.int8) - (det < -bound)
+        for lane in np.flatnonzero(sign == 0).tolist():
+            sign[lane] = _exact_sign(terms, *(c[lane] for c in coords))
+        out[start:start + sign.size] = sign
+    return out
 
 
 def _incircle_tie(xs, ys, a, b, c, d) -> int:
@@ -328,22 +366,38 @@ def _morton_order(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     return np.argsort(key, kind="stable")
 
 
-class _Triangulator:
-    """Bowyer-Watson incremental Delaunay over centered xy coordinates,
-    stored in flat arrays after Sloan (1987).
+def _next(h: np.ndarray) -> np.ndarray:
+    """The half-edge after h in its triangle."""
+    return h + np.where(h % 3 == 2, -2, 1)
 
-    Triangle t has counterclockwise vertices ``tv[3t:3t+3]``; ``tn[3t+k]``
-    is the triangle across its edge ``(tv[3t+k], tv[3t+(k+1)%3])``, or -1
-    on the super-triangle's hull. Every slot holds a live triangle: a
-    cavity of k triangles is a disk with no interior vertex, so its
-    boundary has k + 2 edges, and the fan that replaces it refills the k
-    slots and appends two. After n inserts there are 2n + 1 slots.
-    Ties are broken by :func:`_incircle_tie`, so the triangulation is the
-    unique Delaunay triangulation of the perturbed points whatever the
-    insertion order; :meth:`real_triangles` fixes each row's rotation.
+
+def _prev(h: np.ndarray) -> np.ndarray:
+    """The half-edge before h in its triangle."""
+    return h + np.where(h % 3 == 0, 2, -1)
+
+
+class _Triangulator:
+    """Delaunay triangulation of centered xy coordinates in array rounds,
+    after GPU-DT (Rong, Tan, Cao & Stephanus 2008) and gDel2D (Qi, Cao &
+    Tan 2012).
+
+    Triangle t has counterclockwise vertices ``tv[t]``. Half-edge
+    ``3t + k`` is its edge ``(tv[t, k], tv[t, (k + 1) % 3])``, and
+    ``tn[t, k]`` is the half-edge of the same edge in the neighbouring
+    triangle, or -1 on the super-triangle's hull. Every pending point
+    knows a triangle that contains it, boundary included. Each round,
+    every triangle that holds pending points inserts the one of median
+    Morton rank: a 1-3 split, or a 2-4 split of it and its neighbour when
+    the point lies on an edge, both triangles claimed by the lowest
+    point index. Lawson passes then flip every illegal edge that is the
+    lowest illegal edge of both its triangles, until no edge is illegal.
+    Each insert adds two rows, so n points fill 2n + 1 (int32 half-edge
+    ids hold up to about 357 million points). The result is
+    the unique Delaunay triangulation of the points perturbed as in
+    :func:`_incircle_tie`, which no insertion order changes.
     """
 
-    def __init__(self, xs: np.ndarray, ys: np.ndarray):
+    def __init__(self, xs: np.ndarray, ys: np.ndarray, order: np.ndarray):
         span = max(
             float(np.max(xs) - np.min(xs)),
             float(np.max(ys) - np.min(ys)),
@@ -352,94 +406,192 @@ class _Triangulator:
         cx = float((np.max(xs) + np.min(xs)) / 2.0)
         cy = float((np.max(ys) + np.min(ys)) / 2.0)
         m = span * _SUPER_MARGIN
-        n = self.n_real = len(xs)
-        self.xs = xs.tolist() + [cx - 2.0 * m, cx + 2.0 * m, cx]
-        self.ys = ys.tolist() + [cy - m, cy - m, cy + 2.0 * m]
-        self.tv = [n, n + 1, n + 2]
-        self.tn = [-1, -1, -1]
-        self.last = 0
+        n = len(xs)
+        self.xs = np.append(xs, [cx - 2.0 * m, cx + 2.0 * m, cx])
+        self.ys = np.append(ys, [cy - m, cy - m, cy + 2.0 * m])
+        rows = 2 * n + 1
+        self.tv = np.zeros((rows, 3), np.int32)
+        self.tv[0] = n, n + 1, n + 2
+        self.tn = np.full((rows, 3), -1, np.int32)
+        self.rows = 1
+        self.pending = order  # kept in Morton order
+        self.loc = np.zeros(n, np.int32)
+        # Scratch: identity, all -1 and all False between steps.
+        self.moved = np.arange(3 * rows, dtype=np.int32)
+        self.slot = np.full(rows, -1, np.int32)
+        self.dirty = np.zeros(rows, bool)
 
-    def _locate(self, px: float, py: float) -> int:
-        """Visibility walk to the triangle containing (px, py); it ends in
-        any Delaunay triangulation (Devillers, Pion & Teillaud 2002)."""
-        xs, ys, tv, tn = self.xs, self.ys, self.tv, self.tn
-        t = self.last
-        while True:
-            base = 3 * t
-            for k in range(3):
-                nb = tn[base + k]
-                i, j = tv[base + k], tv[base + (k + 1) % 3]
-                if nb >= 0 and _orient2d(xs[i], ys[i], xs[j], ys[j], px, py) < 0:
-                    t = nb
-                    break
-            else:
-                return t
+    def _orient(self, i, j, k) -> np.ndarray:
+        return _signs(_orient_terms, _ORIENT_FILTER, self.xs, self.ys, i, j, k)
 
-    def insert(self, p: int):
-        xs, ys, tv, tn = self.xs, self.ys, self.tv, self.tn
-        px, py = xs[p], ys[p]
-        seed = self._locate(px, py)
-        # Flood the strict in-circle cavity; its boundary edges, (i, j)
-        # as stored in the cavity triangle, face the triangle outside.
-        cavity = {seed}
-        stack = [seed]
-        boundary = []
-        while stack:
-            t = stack.pop()
-            base = 3 * t
-            for k in range(3):
-                nb = tn[base + k]
-                if nb in cavity:
-                    continue
-                if nb >= 0:
-                    a, b, c = tv[3 * nb:3 * nb + 3]
-                    inside = _incircle(
-                        xs[a], ys[a], xs[b], ys[b], xs[c], ys[c], px, py
-                    ) or _incircle_tie(xs, ys, a, b, c, p)
-                    if inside > 0:
-                        cavity.add(nb)
-                        stack.append(nb)
-                        continue
-                boundary.append((tv[base + k], tv[base + (k + 1) % 3], nb))
-        if len(boundary) != len(cavity) + 2 or any(
-            _orient2d(xs[i], ys[i], xs[j], ys[j], px, py) <= 0
-            for i, j, _ in boundary
-        ):
-            raise CollinearInput(
-                "degenerate cavity boundary; duplicate or collinear input"
+    def _illegal(self, a, b, c, d) -> np.ndarray:
+        """Whether d is inside the circumcircle of CCW (a, b, c), ties
+        broken by :func:`_incircle_tie`."""
+        xs, ys = self.xs, self.ys
+        side = _signs(_incircle_terms, _INCIRCLE_FILTER, xs, ys, a, b, c, d)
+        for lane in np.flatnonzero(side == 0).tolist():
+            side[lane] = _incircle_tie(
+                xs, ys, int(a[lane]), int(b[lane]), int(c[lane]), int(d[lane])
             )
-        # Fan the boundary to p: triangle (i, j, p) takes over edge (i, j)
-        # from the outer neighbour, and its edges (j, p) and (p, i) face
-        # the fan triangles starting at j and ending at i.
-        slots = list(cavity)
-        starting_at = {}
-        for i, j, nb in boundary:
-            if slots:
-                t = slots.pop()
-                tv[3 * t:3 * t + 3] = i, j, p
-                tn[3 * t] = nb
-            else:
-                t = len(tv) // 3
-                tv += (i, j, p)
-                tn += (nb, -1, -1)
-            if nb >= 0:
-                nbase = 3 * nb
-                tn[nbase + tv[nbase:nbase + 3].index(j)] = t
-            starting_at[i] = t
-        for t in starting_at.values():
-            u = starting_at[tv[3 * t + 1]]
-            tn[3 * t + 1] = u
-            tn[3 * u + 2] = t
-        self.last = t
+        return side > 0
 
-    def real_triangles(self, rank: np.ndarray) -> np.ndarray:
-        """Rows with no super-triangle vertex, each rotated so that its
-        vertex of highest ``rank`` comes last, in lexicographic order."""
-        tri = np.array(self.tv, dtype=np.int64).reshape(-1, 3)
-        tri = tri[tri.max(axis=1) < self.n_real]
-        shift = np.argmax(rank[tri], axis=1)[:, None] + 1
-        tri = np.take_along_axis(tri, (np.arange(3) + shift) % 3, axis=1)
-        return tri[np.lexsort(tri.T[::-1])]
+    def _relink(self, old: np.ndarray, new: np.ndarray):
+        """Move the edges at half-edges ``old`` to ``new`` and link both
+        sides, also where the neighbour's edge moves in the same step."""
+        tn, moved = self.tn.reshape(-1), self.moved
+        mate = tn[old]
+        moved[old] = new
+        mate = np.where(mate >= 0, moved[mate], -1)
+        moved[old] = old
+        tn[new] = mate
+        linked = mate >= 0
+        tn[mate[linked]] = new[linked]
+
+    def _pending_in(self, tris: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The pending points that triangles ``tris`` hold, and for each
+        the position of its triangle in ``tris``."""
+        self.slot[tris] = np.arange(tris.size)
+        at = self.slot[self.loc[self.pending]]
+        self.slot[tris] = -1
+        held = at >= 0
+        return self.pending[held], at[held]
+
+    def _insert_round(self) -> np.ndarray:
+        """Insert the pending point of median Morton rank into every
+        triangle that holds any, unless a lower point claimed the triangle
+        for a 2-4 split; returns the rows written."""
+        tv, tn = self.tv, self.tn
+        flat_tv = tv.reshape(-1)
+        # A stable sort by triangle keeps each triangle's points in
+        # Morton order.
+        held = self.loc[self.pending]
+        by_tri = np.argsort(held, kind="stable")
+        first = np.flatnonzero(np.diff(held[by_tri], prepend=-1))
+        count = np.diff(np.append(first, held.size))
+        pick = by_tri[first + count // 2]
+        p, t = self.pending[pick], held[pick].astype(np.int64)
+        v = tv[t]
+        o = self._orient(v.ravel(), v[:, [1, 2, 0]].ravel(), np.repeat(p, 3))
+        zero = o.reshape(-1, 3) == 0
+        # On edge h of t, p also splits the triangle u across it. On two
+        # edges it is a vertex of t; a hull edge has nothing across.
+        on_edge = zero.any(axis=1)
+        h = 3 * t + zero.argmax(axis=1)
+        m = tn.reshape(-1)[h].astype(np.int64)
+        u = np.where(on_edge, m // 3, t)
+        ok = (zero.sum(axis=1) <= 1) & ~(on_edge & (m < 0))
+        claim = np.full(self.rows, _UNCLAIMED, np.int64)
+        np.minimum.at(claim, np.append(t[ok], u[ok]), np.append(p[ok], p[ok]))
+        win = ok & (claim[t] == p) & (claim[u] == p)
+        if not win.any():
+            raise CollinearInput("no point could be inserted; duplicate or collinear input")
+        p, t, u, h, m, e = (a[win] for a in (p, t, u, h, m, on_edge))
+        r0 = self.rows + 2 * np.arange(p.size)
+        r1 = r0 + 1
+        self.rows += 2 * p.size
+        # Each fan's boundary half-edges, counterclockwise around its new
+        # point, and its rows: row s becomes (boundary edge s, point).
+        he3 = 3 * t[~e, None] + np.arange(3)
+        he4 = np.column_stack([_next(h), _prev(h), _next(m), _prev(m)])[e]
+        c3 = np.column_stack([t, r0, r1])[~e]
+        c4 = np.column_stack([t, r0, u, r1])[e]
+        w3, w4 = flat_tv[he3], flat_tv[he4]
+        edge = np.append(he3, he4)
+        rows = np.append(c3, c4)
+        after = np.append(np.roll(c3, -1, axis=1), np.roll(c4, -1, axis=1))
+        before = np.append(np.roll(c3, 1, axis=1), np.roll(c4, 1, axis=1))
+        hub = np.append(np.repeat(p[~e], 3), np.repeat(p[e], 4))
+        j = flat_tv[_next(edge)]
+        self._relink(edge, 3 * rows)
+        tv[rows] = np.column_stack([np.append(w3, w4), j, hub])
+        tn[rows, 1] = 3 * after + 2
+        tn[rows, 2] = 3 * before + 1
+        self.loc[p] = -1
+        self.pending = self.pending[self.loc[self.pending] >= 0]
+        # A pending point of a split triangle goes to the child between
+        # the spokes s and s + 1 that it lies between. Each half of a 2-4
+        # fan is a fan of two children, its third never taken.
+        lost = np.full(len(c4), -1)
+        q, k = self._pending_in(np.concatenate([c3[:, 0], c4[:, 0], c4[:, 2]]))
+        hub = np.concatenate([p[~e], p[e], p[e]])[k]
+        w = np.concatenate([w3, w4[:, :3], w4[:, [2, 3, 0]]])[k]
+        o0, o1, o2 = (self._orient(hub, w[:, s], q) for s in range(3))
+        sector = np.where((o0 >= 0) & (o1 <= 0), 0, np.where((o1 >= 0) & (o2 <= 0), 1, 2))
+        children = np.concatenate([
+            c3, np.column_stack([c4[:, :2], lost]), np.column_stack([c4[:, 2:], lost])
+        ])
+        self.loc[q] = children[k, sector]
+        return rows
+
+    def _flip(self, h: np.ndarray, m: np.ndarray):
+        """Flip the edges at half-edges h (triangles t = (a, b, c)) and m
+        (triangles u = (b, a, d)) to triangles (c, a, d) and (d, b, c)."""
+        tv, tn = self.tv, self.tn
+        flat_tv = tv.reshape(-1)
+        t, u = h // 3, m // 3
+        a, b, c, d = flat_tv[h], flat_tv[_next(h)], flat_tv[_prev(h)], flat_tv[_prev(m)]
+        self._relink(
+            np.concatenate([_prev(h), _next(m), _prev(m), _next(h)]),
+            np.concatenate([3 * t, 3 * t + 1, 3 * u, 3 * u + 1]),
+        )
+        tv[t] = np.column_stack([c, a, d])
+        tv[u] = np.column_stack([d, b, c])
+        tn[t, 2] = 3 * u + 2
+        tn[u, 2] = 3 * t + 2
+        # (c, a, d) lies left of the new diagonal d -> c.
+        q, k = self._pending_in(np.append(t, u))
+        k %= t.size
+        left = self._orient(d[k], c[k], q) >= 0
+        self.loc[q] = np.where(left, t[k], u[k])
+
+    def _legalize(self, rows: np.ndarray):
+        """Lawson passes from the edges of ``rows`` until none is illegal.
+        Each pass tests every edge of a dirty triangle once and flips the
+        illegal edges that are the lowest illegal edge of both their
+        triangles; the triangles of every illegal edge stay dirty."""
+        flat_tv, flat_tn, dirty = self.tv.reshape(-1), self.tn.reshape(-1), self.dirty
+        none = np.iinfo(np.int64).max
+        best = np.full(self.rows, none, np.int64)
+        while True:
+            dirty[rows] = True
+            h = (3 * rows[:, None] + np.arange(3)).ravel()
+            m = flat_tn[h].astype(np.int64)
+            # An edge between two dirty triangles is tested from its
+            # lower half-edge.
+            test = (m >= 0) & (~dirty[m // 3] | (h < m))
+            dirty[rows] = False
+            h, m = h[test], m[test]
+            bad = self._illegal(flat_tv[h], flat_tv[_next(h)], flat_tv[_prev(h)], flat_tv[_prev(m)])
+            if not bad.any():
+                return
+            h, m = h[bad], m[bad]
+            t, u = h // 3, m // 3
+            edge = np.minimum(h, m)
+            np.minimum.at(best, t, edge)
+            np.minimum.at(best, u, edge)
+            flip = (best[t] == edge) & (best[u] == edge)
+            best[t] = best[u] = none
+            self._flip(h[flip], m[flip])
+            rows = np.unique(np.append(t, u))
+
+    def run(self) -> np.ndarray:
+        """Insert every point; returns the (2n + 1, 3) vertex array,
+        super-triangle rows included."""
+        while self.pending.size:
+            self._legalize(self._insert_round())
+        if self.rows != len(self.tv):
+            raise CollinearInput("triangulation is incomplete; duplicate or collinear input")
+        return self.tv
+
+
+def _real_triangles(tv: np.ndarray, n_real: int, rank: np.ndarray) -> np.ndarray:
+    """Rows of ``tv`` with no super-triangle vertex, each rotated so that
+    its vertex of highest ``rank`` comes last, in lexicographic order."""
+    tri = np.asarray(tv, dtype=np.int64).reshape(-1, 3)
+    tri = tri[tri.max(axis=1) < n_real]
+    shift = np.argmax(rank[tri], axis=1)[:, None] + 1
+    tri = np.take_along_axis(tri, (np.arange(3) + shift) % 3, axis=1)
+    return tri[np.lexsort(tri.T[::-1])]
 
 
 def build_tin(cloud: PointCloud) -> Tin:
@@ -470,12 +622,9 @@ def build_tin(cloud: PointCloud) -> Tin:
     if collinear:
         raise CollinearInput("all points are collinear in the xy-plane")
 
-    tri = _Triangulator(xs, ys)
     order = _morton_order(xs, ys)
-    for idx in order:
-        tri.insert(int(idx))
-
-    return Tin(vertices=xyz, triangles=tri.real_triangles(np.argsort(order)))
+    tv = _Triangulator(xs, ys, order).run()
+    return Tin(vertices=xyz, triangles=_real_triangles(tv, len(xs), np.argsort(order)))
 
 
 # --- interpolation and rasterization ------------------------------------------
@@ -488,16 +637,17 @@ def _expand(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _interpolate(
-    tin: Tin, n: int, qid: np.ndarray, x: np.ndarray, y: np.ndarray,
-    tids: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
+    tin: Tin, claim: np.ndarray, z: np.ndarray, qid: np.ndarray,
+    x: np.ndarray, y: np.ndarray, tids: np.ndarray,
+):
     """Barycentric point location and linear interpolation, shared by
-    every surface sampler: n query points, candidate pairs (query qid[k]
-    at (x[k], y[k]), triangle tids[k]).
+    every surface sampler, over candidate pairs (query qid[k] at
+    (x[k], y[k]), triangle tids[k]).
 
-    Returns the lowest-index candidate triangle containing each query
-    point (-1 where none does) and the interpolated z there (NaN where
-    none does).
+    Lowers ``claim[q]`` (``_UNCLAIMED`` where no triangle holds query q
+    yet) to the lowest-index candidate triangle containing q and sets
+    ``z[q]`` to the interpolated z there, so the candidates may come in
+    several calls.
     """
     xs, ys, zs = tin.vertices.T
     tri = tin.triangles
@@ -514,24 +664,20 @@ def _interpolate(
     qid, tids = qid[inside], tids[inside]
     w0, w1, w2 = w0[inside], w1[inside], w2[inside]
 
-    unclaimed = np.iinfo(np.int64).max
-    claim = np.full(n, unclaimed, np.int64)
     np.minimum.at(claim, qid, tids)
     hit = tids == claim[qid]
     za, zb, zc = zs[tri[tids[hit]]].T
-    z = np.full(n, np.nan)
     z[qid[hit]] = w0[hit] * za + w1[hit] * zb + w2[hit] * zc
-    claim[claim == unclaimed] = -1
-    return claim, z
 
 
 def _interpolate_points(
     tin: Tin, px: np.ndarray, py: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_interpolate` at arbitrary points. Candidates are the
-    triangles whose xy bounding box, grown by 1e-9, holds the point; a
-    sweep over the x-sorted points finds them without a point x triangle
-    matrix."""
+    """:func:`_interpolate` at arbitrary points: the lowest-index
+    triangle containing each point (-1 where none does) and the z there
+    (NaN where none does). Candidates are the triangles whose xy bounding
+    box, grown by 1e-9, holds the point; a sweep over the x-sorted points
+    finds them without a point x triangle matrix."""
     xs, ys, _ = tin.vertices.T
     tri = tin.triangles
     order = np.argsort(px, kind="stable")
@@ -544,7 +690,11 @@ def _interpolate_points(
     ty = ys[tri[tids]]
     near = (ty.min(axis=1) - 1e-9 <= y) & (y <= ty.max(axis=1) + 1e-9)
     qid, tids = qid[near], tids[near]
-    return _interpolate(tin, px.size, qid, px[qid], py[qid], tids)
+    claim = np.full(px.size, _UNCLAIMED, np.int64)
+    z = np.full(px.size, np.nan)
+    _interpolate(tin, claim, z, qid, px[qid], py[qid], tids)
+    claim[claim == _UNCLAIMED] = -1
+    return claim, z
 
 
 def _claim_grid(tin: Tin, geom: GridGeometry) -> tuple[np.ndarray, np.ndarray]:
@@ -553,7 +703,9 @@ def _claim_grid(tin: Tin, geom: GridGeometry) -> tuple[np.ndarray, np.ndarray]:
 
     The claim is independent of the kill distance so that filtering only
     ever substitutes NODATA, never changes a retained value. Candidate
-    (triangle, cell) pairs come from the triangle bounding boxes.
+    (triangle, cell) pairs come from the triangle bounding boxes, taken
+    for consecutive triangles in blocks of about ``_CLAIM_PAIRS`` pairs,
+    so the per-pair working set does not grow with the TIN.
     """
     xs, ys, _ = tin.vertices.T
     tri = tin.triangles
@@ -574,16 +726,27 @@ def _claim_grid(tin: Tin, geom: GridGeometry) -> tuple[np.ndarray, np.ndarray]:
     n_c = np.maximum(c1 - c0 + 1, 0)
     n_r = np.maximum(r1 - r0 + 1, 0)
 
-    # Each triangle's block of cells, row-major. Rebinding cols drops the
-    # rank array, keeping the per-pair working set small.
-    tids, cols = _expand(n_c * n_r)
-    rows, cols = np.divmod(cols, n_c[tids])
-    rows += r0[tids]
-    cols += c0[tids]
-    claim, z = _interpolate(
-        tin, geom.n_rows * geom.n_cols, rows * geom.n_cols + cols,
-        geom.origin_x + cols * cell, geom.origin_y - rows * cell, tids,
+    n_pairs = n_c * n_r
+    ends = np.cumsum(n_pairs)
+    cuts = np.searchsorted(
+        ends, np.arange(_CLAIM_PAIRS, ends[-1], _CLAIM_PAIRS), side="right"
     )
+    bounds = np.unique(np.concatenate([[0], cuts, [len(tri)]])).tolist()
+    claim = np.full(geom.n_rows * geom.n_cols, _UNCLAIMED, np.int64)
+    z = np.full(claim.size, np.nan)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        # Each triangle's block of cells, row-major. Rebinding cols drops
+        # the rank array, keeping the per-pair working set small.
+        tids, cols = _expand(n_pairs[lo:hi])
+        tids += lo
+        rows, cols = np.divmod(cols, n_c[tids])
+        rows += r0[tids]
+        cols += c0[tids]
+        _interpolate(
+            tin, claim, z, rows * geom.n_cols + cols,
+            geom.origin_x + cols * cell, geom.origin_y - rows * cell, tids,
+        )
+    claim[claim == _UNCLAIMED] = -1
     shape = (geom.n_rows, geom.n_cols)
     return claim.reshape(shape), z.reshape(shape)
 

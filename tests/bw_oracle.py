@@ -1,0 +1,183 @@
+"""The scalar Bowyer-Watson triangulator that ``surface._Triangulator``
+replaced, kept as the oracle its triangle arrays are tested against.
+
+It inserts one point at a time: a visibility walk finds the triangle
+that contains the point, the cavity of triangles whose circumcircle
+holds it (ties broken by ``_incircle_tie``) is flooded, and a fan from
+the point refills it (Bowyer 1981, Watson 1981), in flat triangle vertex
+and neighbour lists after Sloan (1987). It shares the dedupe, the
+predicates and tie rule, the super-triangle margin, the Morton order and
+the row canonicalization with ``build_tin``, and nothing of its
+triangulator.
+
+    PYTHONPATH=src python tests/bw_oracle.py  # array TIN == oracle, 320x240 beach
+"""
+
+from __future__ import annotations
+
+import sys
+import time
+
+import numpy as np
+
+from shoremap.errors import CollinearInput
+from shoremap.stereo import PointCloud
+from shoremap.surface import (
+    _SUPER_MARGIN,
+    _dedupe_xy,
+    _incircle,
+    _incircle_tie,
+    _morton_order,
+    _orient2d,
+    _real_triangles,
+    build_tin,
+)
+
+
+class BowyerWatson:
+    """Bowyer-Watson incremental Delaunay over centered xy coordinates.
+
+    Triangle t has counterclockwise vertices ``tv[3t:3t+3]``; ``tn[3t+k]``
+    is the triangle across its edge ``(tv[3t+k], tv[3t+(k+1)%3])``, or -1
+    on the super-triangle's hull. A cavity of k triangles is a disk with
+    no interior vertex, so its boundary has k + 2 edges, and the fan that
+    replaces it refills the k slots and appends two.
+    """
+
+    def __init__(self, xs: np.ndarray, ys: np.ndarray):
+        span = max(
+            float(np.max(xs) - np.min(xs)),
+            float(np.max(ys) - np.min(ys)),
+            1.0,
+        )
+        cx = float((np.max(xs) + np.min(xs)) / 2.0)
+        cy = float((np.max(ys) + np.min(ys)) / 2.0)
+        m = span * _SUPER_MARGIN
+        n = self.n_real = len(xs)
+        self.xs = xs.tolist() + [cx - 2.0 * m, cx + 2.0 * m, cx]
+        self.ys = ys.tolist() + [cy - m, cy - m, cy + 2.0 * m]
+        self.tv = [n, n + 1, n + 2]
+        self.tn = [-1, -1, -1]
+        self.last = 0
+
+    def _locate(self, px: float, py: float) -> int:
+        """Visibility walk to the triangle containing (px, py); it ends in
+        any Delaunay triangulation (Devillers, Pion & Teillaud 2002)."""
+        xs, ys, tv, tn = self.xs, self.ys, self.tv, self.tn
+        t = self.last
+        while True:
+            base = 3 * t
+            for k in range(3):
+                nb = tn[base + k]
+                i, j = tv[base + k], tv[base + (k + 1) % 3]
+                if nb >= 0 and _orient2d(xs[i], ys[i], xs[j], ys[j], px, py) < 0:
+                    t = nb
+                    break
+            else:
+                return t
+
+    def insert(self, p: int):
+        xs, ys, tv, tn = self.xs, self.ys, self.tv, self.tn
+        px, py = xs[p], ys[p]
+        seed = self._locate(px, py)
+        # Flood the strict in-circle cavity; its boundary edges, (i, j)
+        # as stored in the cavity triangle, face the triangle outside.
+        cavity = {seed}
+        stack = [seed]
+        boundary = []
+        while stack:
+            t = stack.pop()
+            base = 3 * t
+            for k in range(3):
+                nb = tn[base + k]
+                if nb in cavity:
+                    continue
+                if nb >= 0:
+                    a, b, c = tv[3 * nb:3 * nb + 3]
+                    inside = _incircle(
+                        xs[a], ys[a], xs[b], ys[b], xs[c], ys[c], px, py
+                    ) or _incircle_tie(xs, ys, a, b, c, p)
+                    if inside > 0:
+                        cavity.add(nb)
+                        stack.append(nb)
+                        continue
+                boundary.append((tv[base + k], tv[base + (k + 1) % 3], nb))
+        if len(boundary) != len(cavity) + 2 or any(
+            _orient2d(xs[i], ys[i], xs[j], ys[j], px, py) <= 0
+            for i, j, _ in boundary
+        ):
+            raise CollinearInput(
+                "degenerate cavity boundary; duplicate or collinear input"
+            )
+        # Fan the boundary to p: triangle (i, j, p) takes over edge (i, j)
+        # from the outer neighbour, and its edges (j, p) and (p, i) face
+        # the fan triangles starting at j and ending at i.
+        slots = list(cavity)
+        starting_at = {}
+        for i, j, nb in boundary:
+            if slots:
+                t = slots.pop()
+                tv[3 * t:3 * t + 3] = i, j, p
+                tn[3 * t] = nb
+            else:
+                t = len(tv) // 3
+                tv += (i, j, p)
+                tn += (nb, -1, -1)
+            if nb >= 0:
+                nbase = 3 * nb
+                tn[nbase + tv[nbase:nbase + 3].index(j)] = t
+            starting_at[i] = t
+        for t in starting_at.values():
+            u = starting_at[tv[3 * t + 1]]
+            tn[3 * t + 1] = u
+            tn[3 * u + 2] = t
+        self.last = t
+
+
+def centered_xy(xyz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The deduplicated cloud's xy about its mean, as build_tin takes them."""
+    xyz = _dedupe_xy(xyz)
+    return xyz[:, 0] - float(xyz[:, 0].mean()), xyz[:, 1] - float(xyz[:, 1].mean())
+
+
+def oracle_triangles(xyz: np.ndarray, order=None) -> np.ndarray:
+    """build_tin's triangle array, computed by Bowyer-Watson inserting the
+    points in ``order`` (Morton order by default)."""
+    xs, ys = centered_xy(xyz)
+    morton = _morton_order(xs, ys)
+    tri = BowyerWatson(xs, ys)
+    for idx in (morton if order is None else order).tolist():
+        tri.insert(idx)
+    return _real_triangles(np.array(tri.tv), len(xs), np.argsort(morton))
+
+
+def beach_cloud(seed: int, width: int, height: int) -> np.ndarray:
+    """The ray-cast surface points under every pixel of a BeachScene's
+    left camera."""
+    from synth import BeachScene
+
+    scene = BeachScene(seed=seed, width=width, height=height)
+    _, _, x, y = scene.render(scene.t_left)
+    return np.column_stack([x.ravel(), y.ravel(), scene.z_surf(x, y).ravel()])
+
+
+def main() -> int:
+    failed = 0
+    for seed in (0, 7):
+        xyz = beach_cloud(seed, 320, 240)
+        t0 = time.perf_counter()
+        got = build_tin(PointCloud(xyz=xyz)).triangles
+        t1 = time.perf_counter()
+        want = oracle_triangles(xyz)
+        t2 = time.perf_counter()
+        same = np.array_equal(got, want)
+        failed += not same
+        print(
+            f"seed {seed}: {len(got)} triangles, array {t1 - t0:.2f} s, "
+            f"oracle {t2 - t1:.2f} s, {'identical' if same else 'DIFFERENT'}"
+        )
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -2,10 +2,12 @@
 
 import hashlib
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from shoremap import surface
 from shoremap.errors import (
     CollinearInput,
     EmptyGcpSet,
@@ -26,16 +28,23 @@ from shoremap.surface import (
     vertical_check,
 )
 from shoremap.surface import (
+    _INCIRCLE_FILTER,
+    _ORIENT_FILTER,
     _Triangulator,
+    _claim_grid,
     _dedupe_xy,
+    _exact_sign,
     _incircle,
+    _incircle_terms,
     _incircle_tie,
     _morton_order,
     _orient2d,
+    _orient_terms,
     _segments_intersect,
+    _signs,
 )
 
-from synth import BeachScene
+from bw_oracle import beach_cloud, centered_xy, oracle_triangles
 
 
 def _cloud(xyz):
@@ -154,9 +163,7 @@ def _random_cloud():
 
 def _beach_cloud():
     """The ray-cast surface points under every pixel of the left camera."""
-    scene = BeachScene(seed=0, width=64, height=48)
-    _, _, x, y = scene.render(scene.t_left)
-    return np.column_stack([x.ravel(), y.ravel(), scene.z_surf(x, y).ravel()])
+    return beach_cloud(0, 64, 48)
 
 
 def _digest(*arrays) -> str:
@@ -204,21 +211,17 @@ def test_tin_pinned_bit_for_bit(name):
 
 @pytest.mark.parametrize("name", sorted(PINNED_TINS))
 def test_tin_independent_of_insertion_order(name):
-    """Driving the triangulator in Morton, reversed Morton and two seeded
-    random orders gives the pinned triangle array every time: exact
-    in-circle ties are broken by the vertex indices, not by the order."""
-    xyz = _dedupe_xy(PINNED_TINS[name][0]())
-    xs = xyz[:, 0] - float(xyz[:, 0].mean())
-    ys = xyz[:, 1] - float(xyz[:, 1].mean())
-    morton = _morton_order(xs, ys)
+    """Driving the Bowyer-Watson oracle in Morton, reversed Morton and two
+    seeded random orders gives the pinned triangle array every time:
+    exact in-circle ties are broken by the vertex indices, not by the
+    order."""
+    xyz = PINNED_TINS[name][0]()
+    morton = _morton_order(*centered_xy(xyz))
     orders = {"morton": morton, "reversed": morton[::-1]}
     for seed in (0, 1):
-        orders[f"random {seed}"] = np.random.default_rng(seed).permutation(len(xs))
+        orders[f"random {seed}"] = np.random.default_rng(seed).permutation(len(morton))
     for label, order in orders.items():
-        tri = _Triangulator(xs, ys)
-        for idx in order.tolist():
-            tri.insert(idx)
-        triangles = tri.real_triangles(np.argsort(morton))
+        triangles = oracle_triangles(xyz, order)
         digest = hashlib.sha256(triangles.tobytes()).hexdigest()
         assert digest == PINNED_TINS[name][3], label
 
@@ -271,6 +274,165 @@ def test_tin_certificate(name):
                     assert _incircle_tie(xs, ys, a, b, c, k) < 0
     n_hull = sum(len(f) == 1 for f in faces.values())
     assert len(rows) == 2 * len(xs) - 2 - n_hull
+
+
+def _rotated_lattice_cloud():
+    """An integer lattice turned by 30 degrees: rows and columns stay
+    nearly collinear and nearly cocircular after rounding."""
+    gx, gy = np.meshgrid(np.arange(20.0), np.arange(15.0))
+    c, s = np.cos(np.pi / 6), np.sin(np.pi / 6)
+    x, y = gx.ravel(), gy.ravel()
+    return np.column_stack([c * x - s * y, s * x + c * y, x * y])
+
+
+def _collinear_head_cloud():
+    """200 exactly collinear points (dyadic steps on y = x / 2 + 1) ahead
+    of a random cloud around them."""
+    rng = np.random.default_rng(5)
+    t = np.arange(200) * 0.0625
+    line = np.column_stack([t, 0.5 * t + 1.0, np.zeros(200)])
+    rest = np.column_stack([rng.random((300, 2)) * [12.5, 8.0], rng.random(300)])
+    return np.vstack([line, rest])
+
+
+def _quantized_cloud():
+    """A random cloud on LAS's 1e-4 m grid, 200 cells a side, with exact
+    duplicates: many points are exactly collinear or cocircular."""
+    rng = np.random.default_rng(11)
+    xy = np.rint(rng.random((1500, 2)) * 200) * 1e-4
+    xy = np.vstack([xy, xy[rng.integers(0, 1500, 300)]])
+    return np.column_stack([xy, rng.random(len(xy))])
+
+
+MATCH_CLOUDS = {name: entry[0] for name, entry in PINNED_TINS.items()}
+MATCH_CLOUDS.update({
+    "rotated lattice": _rotated_lattice_cloud,
+    "collinear head": _collinear_head_cloud,
+    "quantized": _quantized_cloud,
+    "beach 160x120": lambda: beach_cloud(0, 160, 120),
+})
+
+
+@pytest.mark.parametrize("name", sorted(MATCH_CLOUDS))
+def test_tin_matches_bowyer_watson(name, monkeypatch):
+    """build_tin's rounds-and-flips triangulator gives the scalar
+    Bowyer-Watson oracle's triangle array bit for bit. A round that
+    writes r rows for i inserts made r - 3i edge (2-4) splits; the
+    lattice must make them."""
+    edge_splits = []
+    insert_round = _Triangulator._insert_round
+
+    def counting(self):
+        before = self.rows
+        rows = insert_round(self)
+        edge_splits.append(rows.size - 3 * (self.rows - before) // 2)
+        return rows
+
+    monkeypatch.setattr(_Triangulator, "_insert_round", counting)
+    xyz = MATCH_CLOUDS[name]()
+    got = build_tin(_cloud(xyz)).triangles
+    np.testing.assert_array_equal(got, oracle_triangles(xyz))
+    if name == "lattice":
+        assert sum(edge_splits) > 100
+
+
+def _fraction_sign(det) -> int:
+    return (det > 0) - (det < 0)
+
+
+def _orient_fraction(ax, ay, bx, by, cx, cy) -> int:
+    """The rational formula the integer exact path replaced."""
+    fa_x, fa_y = Fraction(ax), Fraction(ay)
+    return _fraction_sign((Fraction(bx) - fa_x) * (Fraction(cy) - fa_y) - (
+        Fraction(by) - fa_y
+    ) * (Fraction(cx) - fa_x))
+
+
+def _incircle_fraction(ax, ay, bx, by, cx, cy, dx, dy) -> int:
+    fa = (Fraction(ax) - Fraction(dx), Fraction(ay) - Fraction(dy))
+    fb = (Fraction(bx) - Fraction(dx), Fraction(by) - Fraction(dy))
+    fc = (Fraction(cx) - Fraction(dx), Fraction(cy) - Fraction(dy))
+    la = fa[0] * fa[0] + fa[1] * fa[1]
+    lb = fb[0] * fb[0] + fb[1] * fb[1]
+    lc = fc[0] * fc[0] + fc[1] * fc[1]
+    return _fraction_sign(
+        fa[0] * (fb[1] * lc - fc[1] * lb)
+        - fa[1] * (fb[0] * lc - fc[0] * lb)
+        + la * (fb[0] * fc[1] - fc[0] * fb[1])
+    )
+
+
+def _predicate_cases(k: int) -> np.ndarray:
+    """Rows of k points (x0, y0, x1, y1, ...): random at scales 1e-30 to
+    1e30, exactly collinear (k = 3) or cocircular (k = 4) dyadic points
+    and their one- and two-ulp nudges, subnormals, coordinates near
+    1e300 whose products overflow, and signed zeros."""
+    rng = np.random.default_rng(k)
+    cases = [rng.normal(size=(300, 2 * k)) * 10.0 ** rng.integers(-30, 31, (300, 1))]
+    if k == 3:  # a, a + d, a + 3d with dyadic a and d
+        a = rng.integers(-64, 64, (200, 2)) / 8.0
+        d = rng.integers(-64, 64, (200, 2)) / 16.0
+        exact = np.hstack([a, a + d, a + 3 * d])
+    else:  # on the circle of radius 5: twelve integer points
+        ring = np.array([(3, 4), (4, 3), (5, 0), (4, -3), (3, -4), (0, -5),
+                         (-3, -4), (-4, -3), (-5, 0), (-4, 3), (-3, 4), (0, 5)])
+        pick = np.array([rng.choice(12, 4, replace=False) for _ in range(200)])
+        scale = 2.0 ** rng.integers(-20, 21, (200, 1))
+        center = np.tile(rng.integers(-64, 64, (200, 2)) / 4.0, 4)
+        exact = ring[pick].reshape(200, 8) * scale + center
+    cases.append(exact)
+    for ulps in (1, 2):
+        nudged = exact.copy()
+        col = rng.integers(0, 2 * k, len(nudged))
+        rows = np.arange(len(nudged))
+        step = rng.choice([-np.inf, np.inf], len(nudged))
+        for _ in range(ulps):
+            nudged[rows, col] = np.nextafter(nudged[rows, col], step)
+        cases.append(nudged)
+    cases.append(rng.integers(-40, 41, (200, 2 * k)) * 5e-324)
+    cases.append(rng.uniform(-1.7, 1.7, (200, 2 * k)) * 1e300)
+    cases.append(rng.choice([0.0, -0.0, 1.0, -1.0], (200, 2 * k)))
+    return np.vstack(cases)
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_exact_predicates_match_fractions(k, monkeypatch):
+    """The exact path (integers at one power-of-two scale) gives the signs
+    of the rational formulas it replaced; so do the filtered scalar
+    predicates, and the block-wise array predicates over several blocks."""
+    terms, eps, scalar, fraction = {
+        3: (_orient_terms, _ORIENT_FILTER, _orient2d, _orient_fraction),
+        4: (_incircle_terms, _INCIRCLE_FILTER, _incircle, _incircle_fraction),
+    }[k]
+    cases = _predicate_cases(k)
+    want = [fraction(*row) for row in cases.tolist()]
+    assert {-1, 0, 1} <= set(want)
+    assert [_exact_sign(terms, *row) for row in cases.tolist()] == want
+    assert [scalar(*row) for row in cases.tolist()] == want
+    monkeypatch.setattr(surface, "_BLOCK", 7)
+    corners = [np.arange(len(cases)) * k + j for j in range(k)]
+    got = _signs(terms, eps, cases[:, 0::2].ravel(), cases[:, 1::2].ravel(), *corners)
+    assert got.tolist() == want
+
+
+@pytest.mark.parametrize("name", ["lattice", "beach"])
+def test_claim_blocks_match_one_block(name, monkeypatch):
+    """The DSM claim taken a few candidate pairs at a time equals the
+    claim over all pairs at once, cell for cell and bit for bit."""
+    tin = build_tin(_cloud(PINNED_TINS[name][0]()))
+    (x0, y0), (x1, y1) = tin.vertices[:, :2].min(axis=0), tin.vertices[:, :2].max(axis=0)
+    cell = (x1 - x0) / 37.0
+    geom = GridGeometry(
+        origin_x=x0 - cell, origin_y=y1 + cell, cell_size=cell,
+        n_cols=40, n_rows=int((y1 - y0) / cell) + 3,
+    )
+    monkeypatch.setattr(surface, "_CLAIM_PAIRS", 1 << 40)
+    claim_one, z_one = _claim_grid(tin, geom)
+    monkeypatch.setattr(surface, "_CLAIM_PAIRS", 5)
+    claim, z = _claim_grid(tin, geom)
+    assert (claim_one >= 0).sum() > 0.5 * claim_one.size
+    np.testing.assert_array_equal(claim, claim_one)
+    assert z.tobytes() == z_one.tobytes()
 
 
 def _dedupe_loop(xyz: np.ndarray) -> np.ndarray:
