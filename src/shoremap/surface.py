@@ -6,14 +6,16 @@ Rong et al. 2008; gDel2D, Qi, Cao & Tan 2012), inside an enclosing
 super-triangle, in int32 triangle vertex and neighbour arrays of 2n + 1
 rows: each round inserts one pending point into every triangle that
 holds some, then Lawson passes flip illegal edges until none is left.
-Orientation and in-circle predicates run a floating-point filter over
-numpy blocks and take an exact integer path only where it cannot decide;
-point clouds derived from pixel grids are almost entirely cocircular, so
+Every orientation and in-circle test, the tie rule and the clip rings'
+self-intersection check included, is one array predicate, :func:`_signs`:
+a float filter over numpy blocks, exact integers where it cannot decide
+(Shewchuk 1997); pixel-grid clouds are almost entirely cocircular, so
 naive float predicates would corrupt the topology. Exact in-circle ties
 are broken by a symbolic perturbation of the vertices' lifts, so the
-triangle array is the unique Delaunay triangulation of the perturbed
-vertices, a function of the deduplicated vertex array alone. The tests
-hold it to a scalar Bowyer-Watson oracle bit for bit.
+triangle array, each row starting at its lowest vertex, is the unique
+Delaunay triangulation of the perturbed vertices, a function of the
+deduplicated vertex array alone. The tests hold it bit for bit to a
+scalar Bowyer-Watson oracle that has its own scalar predicates.
 """
 
 from __future__ import annotations
@@ -93,34 +95,12 @@ def _exact_sign(terms, *coords) -> int:
     return (det > 0) - (det < 0)
 
 
-def _filtered_sign(terms, eps, *coords) -> int:
-    det, magnitude = terms(*coords)
-    bound = eps * magnitude
-    if det > bound:
-        return 1
-    if det < -bound:
-        return -1
-    return _exact_sign(terms, *coords)
-
-
-def _orient2d(ax, ay, bx, by, cx, cy) -> int:
-    """Sign of the doubled signed area of (a, b, c): +1 CCW, -1 CW, 0
-    collinear. Exact."""
-    return _filtered_sign(_orient_terms, _ORIENT_FILTER, ax, ay, bx, by, cx, cy)
-
-
-def _incircle(ax, ay, bx, by, cx, cy, dx, dy) -> int:
-    """+1 when d is strictly inside the circumcircle of CCW triangle
-    (a, b, c), -1 outside, 0 on the circle. Exact."""
-    return _filtered_sign(
-        _incircle_terms, _INCIRCLE_FILTER, ax, ay, bx, by, cx, cy, dx, dy
-    )
-
-
 def _signs(terms, eps, xs, ys, *idx) -> np.ndarray:
     """int8 signs of ``terms`` over vertex index arrays, one per corner:
-    the float filter runs on numpy blocks of at most ``_BLOCK`` lanes, and
-    only the lanes it leaves undecided take the exact path."""
+    +1, -1 or 0 as (a, b, c) turns CCW, CW or not at all, or as d lies
+    inside, outside or on the circle through CCW (a, b, c). The float
+    filter runs on numpy blocks of at most ``_BLOCK`` lanes, and only the
+    lanes it leaves undecided take the exact path."""
     out = np.empty(len(idx[0]), np.int8)
     for start in range(0, out.size, _BLOCK):
         coords = []
@@ -138,18 +118,18 @@ def _signs(terms, eps, xs, ys, *idx) -> np.ndarray:
     return out
 
 
-def _incircle_tie(xs, ys, a, b, c, d) -> int:
-    """:func:`_incircle` of vertices (a, b, c, d) where it returns 0,
-    decided by simulation of simplicity (Edelsbrunner & Mücke 1990): each
-    vertex i's lift x^2 + y^2 is raised by eps^(i+1), eps -> 0, so the
-    lowest index decides, by the orientation of the other three, signed
-    (+, -, +, -) by its position. Four distinct cocircular points have no
-    three collinear, so the answer is never 0."""
-    quad = (a, b, c, d)
-    pos = quad.index(min(quad))
-    i, j, k = quad[:pos] + quad[pos + 1:]
-    sign = _orient2d(xs[i], ys[i], xs[j], ys[j], xs[k], ys[k])
-    return -sign if pos % 2 else sign
+def _incircle_tie(xs, ys, a, b, c, d) -> np.ndarray:
+    """int8 in-circle signs of index arrays (a, b, c, d) whose exact test
+    ties, by simulation of simplicity (Edelsbrunner & Mücke 1990): vertex
+    i's lift x^2 + y^2 is raised by eps^(i+1), eps -> 0, so in each lane
+    the lowest index decides, by the orientation of the other three,
+    signed (+, -, +, -) by its position. Four distinct cocircular points
+    have no three collinear, so no answer is 0."""
+    quad = np.column_stack([a, b, c, d])
+    pos = quad.argmin(axis=1)
+    rest = quad[np.arange(4) != pos[:, None]].reshape(-1, 3).T
+    sign = _signs(_orient_terms, _ORIENT_FILTER, xs, ys, *rest)
+    return np.where(pos % 2 == 1, -sign, sign)
 
 
 # --- types -------------------------------------------------------------------
@@ -258,42 +238,33 @@ def _signed_area(ring: tuple[Point2, ...]) -> float:
     return 0.5 * s
 
 
-def _segments_intersect(p1, p2, p3, p4) -> bool:
-    """True when closed segments p1p2 and p3p4 share a point."""
-    d1 = _orient2d(p3[0], p3[1], p4[0], p4[1], p1[0], p1[1])
-    d2 = _orient2d(p3[0], p3[1], p4[0], p4[1], p2[0], p2[1])
-    d3 = _orient2d(p1[0], p1[1], p2[0], p2[1], p3[0], p3[1])
-    d4 = _orient2d(p1[0], p1[1], p2[0], p2[1], p4[0], p4[1])
-    if d1 != d2 and d3 != d4:
-        return True
-
-    def on_segment(a, b, c):
-        return (
-            min(a[0], b[0]) <= c[0] <= max(a[0], b[0])
-            and min(a[1], b[1]) <= c[1] <= max(a[1], b[1])
+def _segments_intersect(xs, ys, p1, p2, p3, p4) -> np.ndarray:
+    """Whether closed segments (p1, p2) and (p3, p4), vertex index arrays,
+    share a point: each straddles the other's line, or all four points are
+    collinear and the segments' bounding boxes meet."""
+    d1, d2, d3, d4 = _signs(
+        _orient_terms, _ORIENT_FILTER, xs, ys, np.concatenate([p3, p3, p1, p1]),
+        np.concatenate([p4, p4, p2, p2]), np.concatenate([p1, p2, p3, p4]),
+    ).reshape(4, -1)
+    boxes = True
+    for c in (xs, ys):
+        boxes &= np.maximum(np.minimum(c[p1], c[p2]), np.minimum(c[p3], c[p4])) <= (
+            np.minimum(np.maximum(c[p1], c[p2]), np.maximum(c[p3], c[p4]))
         )
-
-    if d1 == 0 and on_segment(p3, p4, p1):
-        return True
-    if d2 == 0 and on_segment(p3, p4, p2):
-        return True
-    if d3 == 0 and on_segment(p1, p2, p3):
-        return True
-    if d4 == 0 and on_segment(p1, p2, p4):
-        return True
-    return False
+    return (d1 != d2) & (d3 != d4) | ((d1 | d2 | d3 | d4) == 0) & boxes
 
 
 def _ring_self_intersects(ring: tuple[Point2, ...]) -> bool:
-    segs = list(zip(ring[:-1], ring[1:]))
-    m = len(segs)
-    for i in range(m):
-        for j in range(i + 1, m):
-            adjacent = j == i + 1 or (i == 0 and j == m - 1)
-            if adjacent:
-                continue
-            if _segments_intersect(*segs[i], *segs[j]):
-                return True
+    """Whether two non-adjacent edges of a closed ring share a point. Edge
+    i runs from vertex i to i + 1 and is tested against all later
+    non-adjacent edges in one :func:`_segments_intersect` call."""
+    xs, ys = np.array(ring, dtype=np.float64).T
+    m = len(ring) - 1
+    for i in range(m - 2):
+        later = np.arange(i + 2, m - (i == 0))  # edge m - 1 is adjacent to edge 0
+        edge = np.full_like(later, i)
+        if _segments_intersect(xs, ys, edge, edge + 1, later, later + 1).any():
+            return True
     return False
 
 
@@ -429,10 +400,8 @@ class _Triangulator:
         broken by :func:`_incircle_tie`."""
         xs, ys = self.xs, self.ys
         side = _signs(_incircle_terms, _INCIRCLE_FILTER, xs, ys, a, b, c, d)
-        for lane in np.flatnonzero(side == 0).tolist():
-            side[lane] = _incircle_tie(
-                xs, ys, int(a[lane]), int(b[lane]), int(c[lane]), int(d[lane])
-            )
+        tie = np.flatnonzero(side == 0)
+        side[tie] = _incircle_tie(xs, ys, a[tie], b[tie], c[tie], d[tie])
         return side > 0
 
     def _relink(self, old: np.ndarray, new: np.ndarray):
@@ -584,12 +553,12 @@ class _Triangulator:
         return self.tv
 
 
-def _real_triangles(tv: np.ndarray, n_real: int, rank: np.ndarray) -> np.ndarray:
+def _real_triangles(tv: np.ndarray, n_real: int) -> np.ndarray:
     """Rows of ``tv`` with no super-triangle vertex, each rotated so that
-    its vertex of highest ``rank`` comes last, in lexicographic order."""
+    its lowest vertex index comes first, in lexicographic order."""
     tri = np.asarray(tv, dtype=np.int64).reshape(-1, 3)
     tri = tri[tri.max(axis=1) < n_real]
-    shift = np.argmax(rank[tri], axis=1)[:, None] + 1
+    shift = np.argmin(tri, axis=1)[:, None]
     tri = np.take_along_axis(tri, (np.arange(3) + shift) % 3, axis=1)
     return tri[np.lexsort(tri.T[::-1])]
 
@@ -600,31 +569,32 @@ def build_tin(cloud: PointCloud) -> Tin:
     Points within 1e-9 xy distance collapse to one vertex keeping the
     highest z. The triangle array is a function of the deduplicated
     vertex array: exact in-circle ties are broken by a perturbation rule
-    on the vertex indices, not by the insertion order, and each row has
-    its vertex latest in Morton order last. Raises TooFewPoints /
-    CollinearInput when no triangulation exists.
+    on the vertex indices, not by the insertion order, each row starts at
+    its lowest vertex index, and the rows are sorted. Raises TooFewPoints
+    / CollinearInput when no triangulation exists, or when the points are
+    so nearly collinear that every triangle touches the super-triangle.
     """
     xyz = _dedupe_xy(cloud.xyz)
-    if xyz.shape[0] < 3:
-        raise TooFewPoints(f"need at least 3 distinct points, got {xyz.shape[0]}")
+    n = xyz.shape[0]
+    if n < 3:
+        raise TooFewPoints(f"need at least 3 distinct points, got {n}")
 
     cx = float(xyz[:, 0].mean())
     cy = float(xyz[:, 1].mean())
     xs = xyz[:, 0] - cx
     ys = xyz[:, 1] - cy
 
-    # All collinear -> no triangulation.
-    collinear = True
-    for k in range(2, xyz.shape[0]):
-        if _orient2d(xs[0], ys[0], xs[1], ys[1], xs[k], ys[k]) != 0:
-            collinear = False
-            break
-    if collinear:
+    # All collinear -> no triangulation; triangulating would fail slowly.
+    k = np.arange(2, n)
+    side = _signs(_orient_terms, _ORIENT_FILTER, xs, ys, np.zeros_like(k), np.ones_like(k), k)
+    if not side.any():
         raise CollinearInput("all points are collinear in the xy-plane")
 
-    order = _morton_order(xs, ys)
-    tv = _Triangulator(xs, ys, order).run()
-    return Tin(vertices=xyz, triangles=_real_triangles(tv, len(xs), np.argsort(order)))
+    tv = _Triangulator(xs, ys, _morton_order(xs, ys)).run()
+    triangles = _real_triangles(tv, n)
+    if not len(triangles):
+        raise CollinearInput("the points are nearly collinear: no triangle avoids the super-triangle")
+    return Tin(vertices=xyz, triangles=triangles)
 
 
 # --- interpolation and rasterization ------------------------------------------
@@ -727,9 +697,9 @@ def _claim_grid(tin: Tin, geom: GridGeometry) -> tuple[np.ndarray, np.ndarray]:
     n_r = np.maximum(r1 - r0 + 1, 0)
 
     n_pairs = n_c * n_r
-    ends = np.cumsum(n_pairs)
     cuts = np.searchsorted(
-        ends, np.arange(_CLAIM_PAIRS, ends[-1], _CLAIM_PAIRS), side="right"
+        np.cumsum(n_pairs), np.arange(_CLAIM_PAIRS, n_pairs.sum(), _CLAIM_PAIRS),
+        side="right",
     )
     bounds = np.unique(np.concatenate([[0], cuts, [len(tri)]])).tolist()
     claim = np.full(geom.n_rows * geom.n_cols, _UNCLAIMED, np.int64)

@@ -3,12 +3,14 @@ replaced, kept as the oracle its triangle arrays are tested against.
 
 It inserts one point at a time: a visibility walk finds the triangle
 that contains the point, the cavity of triangles whose circumcircle
-holds it (ties broken by ``_incircle_tie``) is flooded, and a fan from
-the point refills it (Bowyer 1981, Watson 1981), in flat triangle vertex
-and neighbour lists after Sloan (1987). It shares the dedupe, the
-predicates and tie rule, the super-triangle margin, the Morton order and
-the row canonicalization with ``build_tin``, and nothing of its
-triangulator.
+holds it (ties broken by :func:`incircle_tie`) is flooded, and a fan
+from the point refills it (Bowyer 1981, Watson 1981), in flat triangle
+vertex and neighbour lists after Sloan (1987). Its predicates and tie
+rule are scalar restatements of ``surface._signs`` and
+``surface._incircle_tie``, sharing only the determinants, their filter
+bounds and the exact integer path. It shares the dedupe, the
+super-triangle margin, the Morton order and the row canonicalization
+with ``build_tin``, and nothing of its triangulator.
 
     PYTHONPATH=src python tests/bw_oracle.py  # array TIN == oracle, 320x240 beach
 """
@@ -23,15 +25,52 @@ import numpy as np
 from shoremap.errors import CollinearInput
 from shoremap.stereo import PointCloud
 from shoremap.surface import (
+    _INCIRCLE_FILTER,
+    _ORIENT_FILTER,
     _SUPER_MARGIN,
     _dedupe_xy,
-    _incircle,
-    _incircle_tie,
+    _exact_sign,
+    _incircle_terms,
     _morton_order,
-    _orient2d,
+    _orient_terms,
     _real_triangles,
     build_tin,
 )
+
+
+def _filtered_sign(terms, eps, *coords) -> int:
+    det, magnitude = terms(*coords)
+    bound = eps * magnitude
+    if det > bound:
+        return 1
+    if det < -bound:
+        return -1
+    return _exact_sign(terms, *coords)
+
+
+def orient2d(ax, ay, bx, by, cx, cy) -> int:
+    """Sign of the doubled signed area of (a, b, c): +1 CCW, -1 CW, 0
+    collinear. Exact."""
+    return _filtered_sign(_orient_terms, _ORIENT_FILTER, ax, ay, bx, by, cx, cy)
+
+
+def incircle(ax, ay, bx, by, cx, cy, dx, dy) -> int:
+    """+1 when d is strictly inside the circumcircle of CCW triangle
+    (a, b, c), -1 outside, 0 on the circle. Exact."""
+    return _filtered_sign(
+        _incircle_terms, _INCIRCLE_FILTER, ax, ay, bx, by, cx, cy, dx, dy
+    )
+
+
+def incircle_tie(xs, ys, a, b, c, d) -> int:
+    """The answer for vertices (a, b, c, d) where :func:`incircle` returns
+    0: the lowest index decides, by the orientation of the other three,
+    signed (+, -, +, -) by its position (simulation of simplicity)."""
+    quad = (a, b, c, d)
+    pos = quad.index(min(quad))
+    i, j, k = quad[:pos] + quad[pos + 1:]
+    sign = orient2d(xs[i], ys[i], xs[j], ys[j], xs[k], ys[k])
+    return -sign if pos % 2 else sign
 
 
 class BowyerWatson:
@@ -70,7 +109,7 @@ class BowyerWatson:
             for k in range(3):
                 nb = tn[base + k]
                 i, j = tv[base + k], tv[base + (k + 1) % 3]
-                if nb >= 0 and _orient2d(xs[i], ys[i], xs[j], ys[j], px, py) < 0:
+                if nb >= 0 and orient2d(xs[i], ys[i], xs[j], ys[j], px, py) < 0:
                     t = nb
                     break
             else:
@@ -94,16 +133,16 @@ class BowyerWatson:
                     continue
                 if nb >= 0:
                     a, b, c = tv[3 * nb:3 * nb + 3]
-                    inside = _incircle(
+                    inside = incircle(
                         xs[a], ys[a], xs[b], ys[b], xs[c], ys[c], px, py
-                    ) or _incircle_tie(xs, ys, a, b, c, p)
+                    ) or incircle_tie(xs, ys, a, b, c, p)
                     if inside > 0:
                         cavity.add(nb)
                         stack.append(nb)
                         continue
                 boundary.append((tv[base + k], tv[base + (k + 1) % 3], nb))
         if len(boundary) != len(cavity) + 2 or any(
-            _orient2d(xs[i], ys[i], xs[j], ys[j], px, py) <= 0
+            orient2d(xs[i], ys[i], xs[j], ys[j], px, py) <= 0
             for i, j, _ in boundary
         ):
             raise CollinearInput(
@@ -144,11 +183,10 @@ def oracle_triangles(xyz: np.ndarray, order=None) -> np.ndarray:
     """build_tin's triangle array, computed by Bowyer-Watson inserting the
     points in ``order`` (Morton order by default)."""
     xs, ys = centered_xy(xyz)
-    morton = _morton_order(xs, ys)
     tri = BowyerWatson(xs, ys)
-    for idx in (morton if order is None else order).tolist():
+    for idx in (_morton_order(xs, ys) if order is None else order).tolist():
         tri.insert(idx)
-    return _real_triangles(np.array(tri.tv), len(xs), np.argsort(morton))
+    return _real_triangles(np.array(tri.tv), len(xs))
 
 
 def beach_cloud(seed: int, width: int, height: int) -> np.ndarray:

@@ -435,6 +435,19 @@ class TestDepthRegisterDsmCheck:
             "--out-dir", str(tmp_path),
         ]) == 2
 
+    def test_dsm_nearly_collinear_exit_3(self, tmp_path, capsys):
+        """Points 1e-4 m off a 10 km line leave no triangle: a solver
+        error naming collinearity, not a traceback."""
+        las = tmp_path / "nc.las"
+        xyz = np.array([[0, 0, 0], [5000, 1e-4, 0], [10000, 0, 0]], dtype=float)
+        las.write_bytes(write_las(PointCloud(xyz=xyz), scale=0.0001))
+        assert main([
+            "dsm", "--cloud", str(las), "--cell-size", "100",
+            "--out-dir", str(tmp_path),
+        ]) == 3
+        assert "collinear" in capsys.readouterr().err
+        assert not (tmp_path / "dsm.asc").exists()
+
     @pytest.mark.parametrize("ring", ["0 0, 1 0, 0 0", "0 0, 4 0, inf 4, 0 0"])
     def test_dsm_invalid_clip_exit_2(self, tmp_path, ring):
         rng = np.random.default_rng(2)

@@ -34,17 +34,23 @@ from shoremap.surface import (
     _claim_grid,
     _dedupe_xy,
     _exact_sign,
-    _incircle,
     _incircle_terms,
     _incircle_tie,
     _morton_order,
-    _orient2d,
     _orient_terms,
+    _ring_self_intersects,
     _segments_intersect,
     _signs,
 )
 
-from bw_oracle import beach_cloud, centered_xy, oracle_triangles
+from bw_oracle import (
+    beach_cloud,
+    centered_xy,
+    incircle,
+    incircle_tie,
+    oracle_triangles,
+    orient2d,
+)
 
 
 def _cloud(xyz):
@@ -122,6 +128,13 @@ class TestBuildTin:
         with pytest.raises(CollinearInput):
             build_tin(_cloud([[i, 2.0 * i, 0] for i in range(10)]))
 
+    def test_nearly_collinear_input(self):
+        """Three points 1e-4 m off a 10 km line are not exactly collinear,
+        but their circumcircle holds the finite super-triangle's corners,
+        so every triangle touches one: an error, not an empty TIN."""
+        with pytest.raises(CollinearInput, match="nearly collinear"):
+            build_tin(_cloud([[0, 0, 0], [5000, 1e-4, 0], [10000, 0, 0]]))
+
     def test_too_few_points(self):
         with pytest.raises(TooFewPoints):
             build_tin(_cloud([[0, 0, 0], [1, 1, 1]]))
@@ -174,27 +187,28 @@ def _digest(*arrays) -> str:
 
 
 # (cloud, vertices, triangles, sha256 of the triangle array, sha256 of
-# the x, y and z vertex arrays), recorded from the dict-adjacency
-# triangulator that the array-backed one replaced.
+# the x, y and z vertex arrays). The triangles are those of the
+# dict-adjacency triangulator that the array-backed one replaced, each
+# row rotated to start at its lowest index and the rows sorted.
 PINNED_TINS = {
     "lattice": (
         _lattice_cloud, 300, 532,
-        "5e4a1ad851281f4adc7789c7a634111b4ab5412c6ea7ea3e4fa0778af77eb6e6",
+        "fdd80a5979c0b8f3fdf010d5b577ea40b9cb2cd78e77673197f0732f537e3d57",
         "4717d17bbc4e6f8dc53591485a3ac9094be9f51bbd6fabc6b49133ada2eabcf9",
     ),
     "jittered": (
         _jittered_lattice_cloud, 300, 581,
-        "26ec52d70b0767c32cec758a969e3cac179858beca33f2b74dcb32a92ee435d9",
+        "6bf5742a82c1d1e0c9af79348505e8a2edb68e46d5a04585884b3886cfd770c5",
         "4168c6684222dda4f8bd5dee8a9ac8604fe528c8a42e52ce9de9323a35aa092f",
     ),
     "random": (
         _random_cloud, 1000, 1981,
-        "34e73b968474600bd7df4bc304aa2ba8cf02799d2c38698d716d5e790289a460",
+        "f968c68eb608fa131f7d2d21b298b735bddf625aa6b56b32546e5d2ab02f5edd",
         "f2ac0ba4ca3f3e50c9b03778c8d877cda3e69e67c1b2898336637cdfcd150a50",
     ),
     "beach": (
         _beach_cloud, 3072, 5922,
-        "b8fbc31e193a5236c4315bf13dd24e2a4d1fa9a28e19c0ffcb1a41019dd438ab",
+        "1512c8d3086d20d0d5f65c964b550e2832b2de1bafc0f2f6df3e71ee20699c90",
         "6865b102998b332543b777211a5ef7a3373cb819c41f169dbf5b6a790f0a1818",
     ),
 }
@@ -228,50 +242,56 @@ def test_tin_independent_of_insertion_order(name):
 
 def test_incircle_tie_picks_one_diagonal():
     """Four cocircular points, a counterclockwise square (a, b, c, d),
-    under every labeling: the rule never answers 0, it answers alike for
-    the two triangles of one diagonal and oppositely for the other
-    diagonal's, so exactly one diagonal wins. It is also unchanged by a
-    rotation of the triangle, which a TIN row may take."""
-    corners = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
-    for labels in itertools.permutations(range(4)):
-        xs, ys = [0.0] * 4, [0.0] * 4
-        for label, (x, y) in zip(labels, corners):
-            xs[label], ys[label] = x, y
-        a, b, c, d = labels
-        assert _incircle(xs[a], ys[a], xs[b], ys[b], xs[c], ys[c], xs[d], ys[d]) == 0
-        tie = _incircle_tie(xs, ys, a, b, c, d)
-        assert tie != 0, labels
-        assert _incircle_tie(xs, ys, c, d, a, b) == tie, labels
-        assert _incircle_tie(xs, ys, b, c, d, a) == -tie, labels
-        assert _incircle_tie(xs, ys, b, c, a, d) == tie, labels
+    under all 24 labelings at once: the rule never answers 0, it answers
+    alike for the two triangles of one diagonal and oppositely for the
+    other diagonal's, so exactly one diagonal wins. It is also unchanged
+    by a rotation of the triangle, which a TIN row may take. Labeling L
+    puts its vertices at indices 4L..4L+3, and the scalar restatement of
+    the rule in the oracle agrees lane for lane."""
+    corners = np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
+    labels = 4 * np.arange(24)[:, None] + list(itertools.permutations(range(4)))
+    xs, ys = np.empty(96), np.empty(96)
+    xs[labels], ys[labels] = corners[:, 0], corners[:, 1]
+    a, b, c, d = labels.T
+    assert not _signs(_incircle_terms, _INCIRCLE_FILTER, xs, ys, a, b, c, d).any()
+    tie = _incircle_tie(xs, ys, a, b, c, d)
+    assert tie.dtype == np.int8
+    assert (tie != 0).all()
+    np.testing.assert_array_equal(_incircle_tie(xs, ys, c, d, a, b), tie)
+    np.testing.assert_array_equal(_incircle_tie(xs, ys, b, c, d, a), -tie)
+    np.testing.assert_array_equal(_incircle_tie(xs, ys, b, c, a, d), tie)
+    scalar = [incircle_tie(xs, ys, *quad) for quad in labels.tolist()]
+    assert tie.tolist() == scalar
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_TINS))
 def test_tin_certificate(name):
-    """Why the pinned TINs are right, checked with the exact predicates
-    on the centered coordinates that build_tin triangulates. Where an
-    in-circle test ties, the tie rule must keep the edge too, so the TIN
-    is the unique Delaunay triangulation of the perturbed points."""
+    """Why the pinned TINs are right, checked with the oracle's exact
+    scalar predicates on the centered coordinates that build_tin
+    triangulates. Where an in-circle test ties, the tie rule must keep
+    the edge too, so the TIN is the unique Delaunay triangulation of the
+    perturbed points. Rows start at their lowest index, in sorted order."""
     tin = build_tin(_cloud(PINNED_TINS[name][0]()))
     x, y = tin.vertices[:, 0], tin.vertices[:, 1]
     xs, ys = (x - float(x.mean())).tolist(), (y - float(y.mean())).tolist()
     rows = [tuple(r) for r in tin.triangles.tolist()]
     assert all(r < s for r, s in zip(rows, rows[1:]))
+    assert all(a < b and a < c for a, b, c in rows)
     faces: dict[tuple[int, int], list] = {}  # edge -> [(triangle, opposite)]
     for a, b, c in rows:
-        assert _orient2d(xs[a], ys[a], xs[b], ys[b], xs[c], ys[c]) == 1
+        assert orient2d(xs[a], ys[a], xs[b], ys[b], xs[c], ys[c]) == 1
         for i, j, k in ((a, b, c), (b, c, a), (c, a, b)):
             faces.setdefault((min(i, j), max(i, j)), []).append(((a, b, c), k))
     assert max(len(f) for f in faces.values()) <= 2
     for f in faces.values():
         if len(f) == 2:
             for ((a, b, c), _), (_, k) in (f, f[::-1]):
-                side = _incircle(
+                side = incircle(
                     xs[a], ys[a], xs[b], ys[b], xs[c], ys[c], xs[k], ys[k]
                 )
                 assert side <= 0
                 if side == 0:
-                    assert _incircle_tie(xs, ys, a, b, c, k) < 0
+                    assert incircle_tie(xs, ys, a, b, c, k) < 0
     n_hull = sum(len(f) == 1 for f in faces.values())
     assert len(rows) == 2 * len(xs) - 2 - n_hull
 
@@ -398,11 +418,12 @@ def _predicate_cases(k: int) -> np.ndarray:
 @pytest.mark.parametrize("k", [3, 4])
 def test_exact_predicates_match_fractions(k, monkeypatch):
     """The exact path (integers at one power-of-two scale) gives the signs
-    of the rational formulas it replaced; so do the filtered scalar
-    predicates, and the block-wise array predicates over several blocks."""
+    of the rational formulas it replaced; so do the oracle's filtered
+    scalar predicates, and the block-wise array predicates over several
+    blocks."""
     terms, eps, scalar, fraction = {
-        3: (_orient_terms, _ORIENT_FILTER, _orient2d, _orient_fraction),
-        4: (_incircle_terms, _INCIRCLE_FILTER, _incircle, _incircle_fraction),
+        3: (_orient_terms, _ORIENT_FILTER, orient2d, _orient_fraction),
+        4: (_incircle_terms, _INCIRCLE_FILTER, incircle, _incircle_fraction),
     }[k]
     cases = _predicate_cases(k)
     want = [fraction(*row) for row in cases.tolist()]
@@ -629,6 +650,13 @@ class TestRasterize:
                 assert z is not None
                 assert np.float64(z).tobytes() == cell.tobytes()
 
+    def test_empty_tin_is_all_nodata(self):
+        tin = Tin(vertices=[[0, 0, 1], [1, 0, 1], [2, 0, 1]], triangles=np.empty((0, 3)))
+        geom = GridGeometry(origin_x=0, origin_y=1, cell_size=0.5, n_cols=5, n_rows=3)
+        assert (rasterize_tin(tin, geom).values == NODATA).all()
+        rep = vertical_check(tin, [Gcp(id="g", world=Point3(1.0, 0.0, 1.0))])
+        assert rep.per_gcp == (("g", None, None),)
+
     def test_kill_must_be_positive(self):
         tin = build_tin(_cloud([[0, 0, 0], [1, 0, 0], [0, 1, 0]]))
         geom = GridGeometry(origin_x=0, origin_y=1, cell_size=0.5, n_cols=3, n_rows=3)
@@ -640,6 +668,36 @@ def _square_ring(x0, y0, x1, y1):
     return (
         Point2(x0, y0), Point2(x1, y0), Point2(x1, y1), Point2(x0, y1), Point2(x0, y0)
     )
+
+
+def _ring_self_intersects_loop(ring) -> bool:
+    """Reference: every pair of non-adjacent edges, one scalar test at a
+    time, as the ring check was before it ran on arrays."""
+
+    def on_segment(a, b, c):
+        return (
+            min(a[0], b[0]) <= c[0] <= max(a[0], b[0])
+            and min(a[1], b[1]) <= c[1] <= max(a[1], b[1])
+        )
+
+    segs = list(zip(ring[:-1], ring[1:]))
+    m = len(segs)
+    for i in range(m):
+        for j in range(i + 1, m):
+            if j == i + 1 or (i == 0 and j == m - 1):
+                continue
+            (p1, p2), (p3, p4) = segs[i], segs[j]
+            d1, d2 = orient2d(*p3, *p4, *p1), orient2d(*p3, *p4, *p2)
+            d3, d4 = orient2d(*p1, *p2, *p3), orient2d(*p1, *p2, *p4)
+            if (
+                (d1 != d2 and d3 != d4)
+                or (d1 == 0 and on_segment(p3, p4, p1))
+                or (d2 == 0 and on_segment(p3, p4, p2))
+                or (d3 == 0 and on_segment(p1, p2, p3))
+                or (d4 == 0 and on_segment(p1, p2, p4))
+            ):
+                return True
+    return False
 
 
 class TestClip:
@@ -717,11 +775,40 @@ class TestClip:
     )
     def test_collinear_segments(self, a, b, expected):
         """Collinear segments share a point only where their extents meet,
-        whichever way round either segment or the pair is given."""
-        for p, q in ((a, b), (b, a)):
-            for p1, p2 in (p, p[::-1]):
-                for p3, p4 in (q, q[::-1]):
-                    assert _segments_intersect(p1, p2, p3, p4) is expected
+        whichever way round either segment or the pair is given: all eight
+        orderings in one index-array call."""
+        xs, ys = np.array(a + b, dtype=float).T  # a is vertices 0, 1; b is 2, 3
+        orders = [
+            (*e, *f)
+            for p, q in (((0, 1), (2, 3)), ((2, 3), (0, 1)))
+            for e in (p, p[::-1])
+            for f in (q, q[::-1])
+        ]
+        got = _segments_intersect(xs, ys, *np.array(orders).T)
+        assert got.tolist() == [expected] * 8
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_ring_check_matches_pairwise_loop(self, seed):
+        """The array ring check answers as the pairwise scalar loop it
+        replaced, on random closed rings of 3 to 12 vertices on a 5 x 5
+        integer grid, so collinear overlaps, shared vertices and touches
+        are common. Half the rings go round their centroid by angle, and
+        mostly do not self-intersect; some are scaled by 0.1 or shifted
+        by 5e5 m, where the float filter no longer decides every test."""
+        rng = np.random.default_rng(seed)
+        answers = []
+        for case in range(250):
+            xy = rng.integers(0, 5, (rng.integers(3, 13), 2)).astype(float)
+            if case % 2:
+                d = xy - xy.mean(axis=0)
+                xy = xy[np.argsort(np.arctan2(d[:, 1], d[:, 0]), kind="stable")]
+            xy = xy * [1.0, 0.1, 1.0][case % 3] + [0.0, 0.0, 5e5][case // 3 % 3]
+            ring = tuple(Point2(x, y) for x, y in xy.tolist())
+            ring += ring[:1]
+            want = _ring_self_intersects_loop(ring)
+            assert _ring_self_intersects(ring) is want, ring
+            answers.append(want)
+        assert 50 < sum(answers) < 200
 
     def test_invalid_polygon(self):
         with pytest.raises(InvalidPolygon):
