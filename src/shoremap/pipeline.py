@@ -349,7 +349,7 @@ def stage_dsm(
 def stage_check(cloud_path: Path, gcps: Sequence[Gcp]) -> dict:
     """Vertical accuracy of the cloud surface against surveyed GCPs."""
     cloud = read_las(_read_bytes(cloud_path))
-    tin = build_tin(cloud)
+    tin = build_tin(cloud, near=[(g.world.x, g.world.y) for g in gcps])
     report = vertical_check(tin, gcps)
     per_gcp = []
     for gid, surface_z, dz in report.per_gcp:

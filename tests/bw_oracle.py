@@ -12,6 +12,9 @@ bounds and the exact integer path. It shares the dedupe, the
 super-triangle margin, the Morton order and the row canonicalization
 with ``build_tin``, and nothing of its triangulator.
 
+Run as a script, it also holds ``build_tin``'s ``near`` TINs to the
+whole-set TIN: ``vertical_check`` must report the same at every query.
+
     PYTHONPATH=src python tests/bw_oracle.py  # array TIN == oracle, 320x240 beach
 """
 
@@ -23,6 +26,8 @@ import time
 import numpy as np
 
 from shoremap.errors import CollinearInput
+from shoremap.geometry import Point3
+from shoremap.georectify import Gcp
 from shoremap.stereo import PointCloud
 from shoremap.surface import (
     _INCIRCLE_FILTER,
@@ -35,6 +40,7 @@ from shoremap.surface import (
     _orient_terms,
     _real_triangles,
     build_tin,
+    vertical_check,
 )
 
 
@@ -199,20 +205,59 @@ def beach_cloud(seed: int, width: int, height: int) -> np.ndarray:
     return np.column_stack([x.ravel(), y.ravel(), scene.z_surf(x, y).ravel()])
 
 
+def near_queries(tin, rng, n: int = 500) -> np.ndarray:
+    """n seeded query points, a quarter of each kind: random points in the
+    vertex bounding box, vertices, edge midpoints, and points within two
+    mean spacings either side of the bounding box's boundary."""
+    v = tin.vertices[:, :2]
+    lo, hi = v.min(axis=0), v.max(axis=0)
+    spacing = np.sqrt(np.prod(hi - lo) / len(v))
+    k = n // 4
+    rows = tin.triangles[rng.integers(0, len(tin.triangles), k)]
+    corner = rng.integers(0, 3, k)
+    mid = (v[rows[np.arange(k), corner]] + v[rows[np.arange(k), (corner + 1) % 3]]) / 2
+    around = lo + rng.random((k, 2)) * (hi - lo)
+    side = rng.integers(0, 4, k)  # left, right, bottom, top
+    axis, end = side // 2, side % 2
+    around[np.arange(k), axis] = np.where(end, hi[axis], lo[axis]) + (rng.random(k) * 4 - 2) * spacing
+    return np.concatenate([
+        lo + rng.random((n - 3 * k, 2)) * (hi - lo), v[rng.integers(0, len(v), k)], mid, around,
+    ])
+
+
+def near_differences(cloud: PointCloud, tin, rng, group: int = 10) -> tuple[int, int, int]:
+    """How many groups of ``group`` queries get a different vertical check
+    from a near TIN than from the whole-set ``tin``, how many near TINs
+    were a strict subset of it, and how many groups there were."""
+    q = near_queries(tin, rng)
+    gcps = [Gcp(str(i), Point3(x, y, 0.0)) for i, (x, y) in enumerate(q.tolist())]
+    differ = subsets = 0
+    for s in range(0, len(q), group):
+        near = build_tin(cloud, near=q[s:s + group])
+        subsets += len(near.triangles) < len(tin.triangles)
+        differ += vertical_check(near, gcps[s:s + group]) != vertical_check(tin, gcps[s:s + group])
+    return differ, subsets, len(range(0, len(q), group))
+
+
 def main() -> int:
     failed = 0
     for seed in (0, 7):
         xyz = beach_cloud(seed, 320, 240)
+        cloud = PointCloud(xyz=xyz)
         t0 = time.perf_counter()
-        got = build_tin(PointCloud(xyz=xyz)).triangles
+        tin = build_tin(cloud)
         t1 = time.perf_counter()
         want = oracle_triangles(xyz)
         t2 = time.perf_counter()
-        same = np.array_equal(got, want)
-        failed += not same
+        same = np.array_equal(tin.triangles, want)
+        differ, subsets, groups = near_differences(cloud, tin, np.random.default_rng(seed))
+        t3 = time.perf_counter()
+        failed += not same or differ > 0
         print(
-            f"seed {seed}: {len(got)} triangles, array {t1 - t0:.2f} s, "
-            f"oracle {t2 - t1:.2f} s, {'identical' if same else 'DIFFERENT'}"
+            f"seed {seed}: {len(want)} triangles, array {t1 - t0:.2f} s, "
+            f"oracle {t2 - t1:.2f} s, {'identical' if same else 'DIFFERENT'}; "
+            f"near TINs ({subsets} of {groups} subsets) {t3 - t2:.2f} s, "
+            f"{'same vertical check' if not differ else f'{differ} groups DIFFERENT'}"
         )
     return 1 if failed else 0
 

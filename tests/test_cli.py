@@ -9,12 +9,13 @@ import jsonschema
 import numpy as np
 import pytest
 
-from shoremap import cli, errors, pipeline
+from shoremap import cli, errors, pipeline, surface
 from shoremap.calibration import BoardSpec
 from shoremap.camera import CameraIntrinsics, distort_pixels
 from shoremap.cli import main
 from shoremap.errors import InputError, SolverError
 from shoremap.formats import (
+    parse_gcp_csv,
     polygon_to_wkt,
     read_asc,
     read_las,
@@ -32,7 +33,7 @@ from shoremap.geometry import Point2, Point3
 from shoremap.georectify import Gcp
 from shoremap.registration import PointPairSet
 from shoremap.stereo import GrayImage, PointCloud, RgbaImage, match_disparity
-from shoremap.surface import NODATA
+from shoremap.surface import NODATA, build_tin, vertical_check
 
 from synth import FACTORY_INTRINSICS, BeachScene, make_calibration_views
 
@@ -469,6 +470,78 @@ class TestDepthRegisterDsmCheck:
         ])
         assert code == 2
         assert "absent.las" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory):
+    """`shoremap run` on the 64x48 beach fixture: its inputs and out dir."""
+    root = tmp_path_factory.mktemp("small")
+    paths = BeachScene(seed=0, width=64, height=48).write_fixture(root / "in")
+    out = root / "out"
+    assert main([
+        "run", "--config", str(paths["config"]), "--out-dir", str(out),
+        "--report", str(out / "report.json"),
+    ]) == 0
+    return paths, out
+
+
+def _check_values(fragment: dict) -> tuple:
+    """A vertical_check metrics fragment as VerticalCheckReport fields."""
+    per_gcp = tuple(
+        (g["id"], g["surface_z"]["value"], g["dz"]["value"]) if not g["outside"]
+        else (g["id"], None, None)
+        for g in fragment["per_gcp"]
+    )
+    stats = tuple(
+        fragment[k] and fragment[k]["value"] for k in ("mean_dz", "rmse_dz", "max_abs_dz")
+    )
+    return (per_gcp, *stats, fragment["n_outside"])
+
+
+class TestCheck:
+    def test_metrics_equal_whole_set_tin(self, small_run, capsys):
+        """`check` triangulates only around the GCPs, and reports what a
+        vertical check on the whole cloud's TIN gives, in `run` and alone."""
+        paths, out = small_run
+        gcps = list(parse_gcp_csv(paths["gcps"].read_text()))
+        cloud = read_las((out / "registered.las").read_bytes())
+        want = vertical_check(build_tin(cloud), gcps)
+        want = (want.per_gcp, want.mean_dz, want.rmse_dz, want.max_abs_dz, want.n_outside)
+        assert want[-1] < len(gcps)
+        report = json.loads((out / "report.json").read_text())
+        assert _check_values(report["stages"]["vertical_check"]) == want
+        assert main([
+            "check", "--cloud", str(out / "registered.las"), "--gcps", str(paths["gcps"]),
+        ]) == 0
+        assert _check_values(json.loads(capsys.readouterr().out)["vertical_check"]) == want
+
+    def test_gcps_outside_the_cloud_need_no_triangulation(
+        self, small_run, tmp_path, monkeypatch, capsys
+    ):
+        """GCPs all outside the cloud's bounding box are all reported
+        outside, and no triangulation is started; GCPs on the cloud start
+        one."""
+        paths, out = small_run
+        gcps = parse_gcp_csv(paths["gcps"].read_text())
+        far = [Gcp(g.id, Point3(g.world.x + 1000.0, g.world.y, g.world.z)) for g in gcps]
+        far_path = tmp_path / "far.csv"
+        far_path.write_text(write_gcp_csv(far))
+        built = []
+
+        class Counting(surface._Triangulator):
+            def __init__(self, *args):
+                built.append(len(args[0]))
+                super().__init__(*args)
+
+        monkeypatch.setattr(surface, "_Triangulator", Counting)
+        cloud = str(out / "registered.las")
+        assert main(["check", "--cloud", cloud, "--gcps", str(far_path)]) == 0
+        fragment = json.loads(capsys.readouterr().out)["vertical_check"]
+        assert fragment["n_outside"] == len(far)
+        assert all(g["outside"] for g in fragment["per_gcp"])
+        assert built == []
+        assert main(["check", "--cloud", cloud, "--gcps", str(paths["gcps"])]) == 0
+        assert built
 
 
 class TestRun:
