@@ -22,8 +22,8 @@ import numpy as np
 from . import __version__
 from .calibration import BoardSpec, CalibrationView, calibrate
 from .camera import CameraIntrinsics, StereoRig, normalized_to_pixels, undistort_pixels
-# _distort_xy, undistort_arrays and bicubic_sample_many stay imported for
-# perfbench/spans.py, which patches these names here.
+# _distort_xy, undistort_arrays, bicubic_sample_many and write_pgm stay
+# imported for perfbench/spans.py, which patches these names here.
 from .camera import _distort_xy, undistort_arrays
 from .errors import GridTooLarge, InputError, MalformedHeader, TooFewPoints
 from .geometry import CELL_CAP, GridGeometry, Point2

@@ -36,7 +36,6 @@ from shoremap.surface import (
     _exact_sign,
     _incircle_terms,
     _incircle_tie,
-    _morton_order,
     _orient_terms,
     _ring_self_intersects,
     _segments_intersect,
@@ -45,9 +44,9 @@ from shoremap.surface import (
 
 from bw_oracle import (
     beach_cloud,
-    centered_xy,
     incircle,
     incircle_tie,
+    morton_order,
     oracle_triangles,
     orient2d,
 )
@@ -147,6 +146,8 @@ class TestBuildTin:
             build_tin(cloud, near=[[0.2, 0.2], [np.nan, 0.5]])
 
     def test_duplicates_keep_higher_z(self):
+        """Only exactly equal xy merge: the duplicate keeps the higher z,
+        and a point 1e-10 away is a vertex of its own."""
         tin = build_tin(
             _cloud(
                 [
@@ -154,13 +155,14 @@ class TestBuildTin:
                     [0, 0, 5.0],       # same xy, higher z wins
                     [1, 0, 2.0],
                     [0, 1, 3.0],
-                    [1e-10, 1e-10, 4.0],  # within the 1e-9 merge distance
+                    [1e-10, 1e-10, 4.0],  # distinct, however close
                 ]
             )
         )
-        assert len(tin.vertices) == 3
-        zs = {(round(x, 6), round(y, 6)): z for x, y, z in tin.vertices.tolist()}
-        assert zs[(0.0, 0.0)] == 5.0
+        np.testing.assert_array_equal(
+            tin.vertices, [[0, 0, 5.0], [1, 0, 2.0], [0, 1, 3.0], [1e-10, 1e-10, 4.0]]
+        )
+        assert len(tin.triangles) == 3
 
 
 def _lattice_cloud():
@@ -232,13 +234,14 @@ def test_tin_pinned_bit_for_bit(name):
 
 @pytest.mark.parametrize("name", sorted(PINNED_TINS))
 def test_tin_independent_of_insertion_order(name):
-    """Driving the Bowyer-Watson oracle in Morton, reversed Morton and two
-    seeded random orders gives the pinned triangle array every time:
-    exact in-circle ties are broken by the vertex indices, not by the
-    order."""
+    """Driving the Bowyer-Watson oracle in Morton, reversed Morton, (x, y)
+    and two seeded random orders gives the pinned triangle array every
+    time: exact in-circle ties are broken by the vertex indices, not by
+    the order."""
     xyz = PINNED_TINS[name][0]()
-    morton = _morton_order(*centered_xy(xyz))
-    orders = {"morton": morton, "reversed": morton[::-1]}
+    xs, ys = _dedupe_xy(xyz)[:, :2].T
+    morton = morton_order(xs, ys)
+    orders = {"morton": morton, "reversed": morton[::-1], "(x, y)": np.lexsort((ys, xs))}
     for seed in (0, 1):
         orders[f"random {seed}"] = np.random.default_rng(seed).permutation(len(morton))
     for label, order in orders.items():
@@ -271,19 +274,18 @@ def test_incircle_tie_picks_one_diagonal():
     assert tie.tolist() == scalar
 
 
-@pytest.mark.parametrize("name", sorted(PINNED_TINS))
-def test_tin_certificate(name):
-    """Why the pinned TINs are right, checked with the oracle's exact
-    scalar predicates on the centered coordinates that build_tin
-    triangulates. Where an in-circle test ties, the tie rule must keep
-    the edge too, so the TIN is the unique Delaunay triangulation of the
-    perturbed points. Rows start at their lowest index, in sorted order."""
-    tin = build_tin(_cloud(PINNED_TINS[name][0]()))
-    x, y = tin.vertices[:, 0], tin.vertices[:, 1]
-    xs, ys = (x - float(x.mean())).tolist(), (y - float(y.mean())).tolist()
+def _assert_certified(tin: Tin):
+    """Why a TIN is right, checked with the oracle's exact scalar
+    predicates on the vertices' xy as the TIN stores them. Where an
+    in-circle test ties, the tie rule must keep the edge too, so the TIN
+    is the unique Delaunay triangulation of the perturbed points. Rows
+    start at their lowest index, in sorted order, and every vertex is
+    in a row."""
+    xs, ys = tin.vertices[:, 0].tolist(), tin.vertices[:, 1].tolist()
     rows = [tuple(r) for r in tin.triangles.tolist()]
     assert all(r < s for r, s in zip(rows, rows[1:]))
     assert all(a < b and a < c for a, b, c in rows)
+    assert len({v for r in rows for v in r}) == len(xs)
     faces: dict[tuple[int, int], list] = {}  # edge -> [(triangle, opposite)]
     for a, b, c in rows:
         assert orient2d(xs[a], ys[a], xs[b], ys[b], xs[c], ys[c]) == 1
@@ -301,6 +303,49 @@ def test_tin_certificate(name):
                     assert incircle_tie(xs, ys, a, b, c, k) < 0
     n_hull = sum(len(f) == 1 for f in faces.values())
     assert len(rows) == 2 * len(xs) - 2 - n_hull
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_TINS))
+def test_tin_certificate(name):
+    _assert_certified(build_tin(_cloud(PINNED_TINS[name][0]())))
+
+
+def _close_pairs_cloud(kind: str) -> np.ndarray:
+    """A random unit-scale cloud with points far closer together than its
+    spacing: a 4x4 lattice 1e-10 apart at the origin ("1e-10"); at x
+    about 5e5, points one ulp from others in x, in y or in both
+    ("ulp"); a pair 1e-20 apart near x = 0, which subtracting the mean
+    x of about 0.5 would round into one point ("1e-20")."""
+    rng = np.random.default_rng(3)
+    base = rng.random((60, 2)) * 2.0 - 1.0
+    if kind == "1e-10":
+        gx, gy = np.meshgrid(np.arange(4) * 1e-10, np.arange(4) * 1e-10)
+        close = np.column_stack([gx.ravel(), gy.ravel()])
+    elif kind == "ulp":
+        base[:, 0] += 5e5
+        up = np.nextafter(base[:10], np.inf)
+        close = np.vstack([
+            np.column_stack([up[:, 0], base[:10, 1]]),
+            np.column_stack([base[:10, 0], up[:, 1]]),
+            up,
+        ])
+    else:
+        base[:, 0] = rng.random(60)
+        close = np.array([[0.0, 0.3], [1e-20, 0.3]])
+    xy = np.vstack([base, close])
+    return np.column_stack([xy, rng.random(len(xy))])
+
+
+@pytest.mark.parametrize("kind", ["1e-10", "ulp", "1e-20"])
+def test_close_points_stay_vertices(kind):
+    """Distinct points however close are vertices of their own: the TIN
+    keeps every point, equals the Bowyer-Watson oracle's and passes the
+    certificate."""
+    xyz = _close_pairs_cloud(kind)
+    tin = build_tin(_cloud(xyz))
+    assert tin.vertices.tobytes() == xyz.tobytes()
+    np.testing.assert_array_equal(tin.triangles, oracle_triangles(xyz))
+    _assert_certified(tin)
 
 
 def _rotated_lattice_cloud():
@@ -669,43 +714,25 @@ def test_claim_blocks_match_one_block(name, monkeypatch):
 
 
 def _dedupe_loop(xyz: np.ndarray) -> np.ndarray:
-    """Reference: the one-point-at-a-time sweep that _dedupe_xy replaced."""
-    n = xyz.shape[0]
-    order = np.lexsort((xyz[:, 1], xyz[:, 0]))
-    rep_of = np.full(n, -1, dtype=np.int64)
-    window: list[int] = []
-    for idx in order:
-        x, y = xyz[idx, 0], xyz[idx, 1]
-        window = [w for w in window if x - xyz[w, 0] <= 1e-9]
-        joined = False
-        for w in window:
-            if (x - xyz[w, 0]) ** 2 + (y - xyz[w, 1]) ** 2 <= 1e-9 ** 2:
-                rep_of[idx] = w
-                joined = True
-                break
-        if not joined:
-            rep_of[idx] = idx
-            window.append(idx)
-    keep_order = []
-    best_z: dict[int, float] = {}
-    for idx in range(n):
-        rep = rep_of[idx]
-        if rep not in best_z:
-            keep_order.append(rep)
-            best_z[rep] = xyz[idx, 2]
-        else:
-            best_z[rep] = max(best_z[rep], xyz[idx, 2])
-    return np.array(
-        [(xyz[r, 0], xyz[r, 1], best_z[r]) for r in keep_order], dtype=np.float64
-    )
+    """Reference: one point at a time into a dict keyed by exact xy (so
+    0.0 and -0.0 are one key), keeping the first-seen xy and the highest
+    z, of equal z the first seen, in first-seen order."""
+    kept: dict[tuple[float, float], list[float]] = {}
+    for x, y, z in xyz.tolist():
+        if (x, y) not in kept:
+            kept[(x, y)] = [x, y, z]
+        elif z > kept[(x, y)][2]:
+            kept[(x, y)][2] = z
+    return np.array(list(kept.values()), dtype=np.float64)
 
 
 @pytest.mark.parametrize("seed", range(8))
 @pytest.mark.parametrize("quantized", [False, True])
 def test_dedupe_matches_loop(seed, quantized):
     """Survivors, their order, xy and z equal the loop's bit for bit, on
-    clouds with exact duplicates, near-duplicates inside and just outside
-    1e-9, chains of points 1e-9 apart in x and signed-zero z ties."""
+    clouds with exact duplicates, signed-zero ties in z and in x, and
+    near-duplicates 3e-10 to 2e-9 apart and chains of points 1e-9 apart
+    in x, which all survive as vertices of their own."""
     rng = np.random.default_rng(seed)
     pts = rng.random((400, 3))
     if quantized:  # LAS-style coordinates: many exact ties in x
@@ -720,12 +747,16 @@ def test_dedupe_matches_loop(seed, quantized):
     dup[kind == 2, 0] += np.arange(1, (kind == 2).sum() + 1) * 1e-9
     dup[kind == 3, 2] = rng.choice([0.0, -0.0], (kind == 3).sum())
     pts[src[kind == 3], 2] = rng.choice([0.0, -0.0], (kind == 3).sum())
+    pts[src[kind == 3], 0] = 0.0
+    dup[kind == 3, 0] = -0.0
     dup[:, 2] = np.where(kind == 0, rng.random(200), dup[:, 2])
     xyz = np.concatenate([pts, dup])[rng.permutation(600)]
     got, want = _dedupe_xy(xyz), _dedupe_loop(xyz)
     assert got.shape == want.shape
     assert got.shape[0] < xyz.shape[0]
     assert got.tobytes() == want.tobytes()
+    close = (kind == 1) & (step != 0).any(axis=1) | (kind == 2)
+    assert {tuple(p) for p in dup[close, :2].tolist()} <= {tuple(p) for p in got[:, :2].tolist()}
 
 
 def _reference_z(tin: Tin, x: float, y: float):
