@@ -4,21 +4,23 @@ a kill-distance filter, polygon clipping, and vertical accuracy checks.
 The triangulation runs in array rounds over the xy-projection (GPU-DT,
 Rong et al. 2008; gDel2D, Qi, Cao & Tan 2012), inside an enclosing
 super-triangle, in int32 triangle vertex and neighbour arrays of 2n + 1
-rows: each round inserts one pending point into every triangle that
-holds some, then Lawson passes flip illegal edges until none is left.
-Every orientation and in-circle test, the tie rule and the clip rings'
-self-intersection check included, is one array predicate, :func:`_signs`:
-a float filter over numpy blocks, exact integers where it cannot decide
-(Shewchuk 1997); pixel-grid clouds are almost entirely cocircular, so
-naive float predicates would corrupt the topology. Exact in-circle ties
-are broken by a symbolic perturbation of the vertices' lifts, so the
-triangle array, each row starting at its lowest vertex, is the unique
-Delaunay triangulation of the perturbed vertices, a function of the
-deduplicated vertex array alone. The tests hold it bit for bit to a
-scalar Bowyer-Watson oracle that has its own scalar predicates. Being
-unique, it can be read locally: for point queries, :func:`build_tin`
-triangulates only boxes around the query points and keeps the triangles
-whose circumdisk the box certifies.
+rows. The points come in along a Hilbert curve in BRIO rounds (Amenta,
+Choi & Rote 2003); each point is located once, by a visibility walk
+from a triangle near its curve neighbour, every triangle reached
+inserts one of its walkers, and Lawson passes then flip illegal edges
+until none is left. Every orientation and in-circle test, the tie rule
+and the clip rings' self-intersection check included, is one array
+predicate, :func:`_signs`: a float filter over numpy blocks, exact
+integers where it cannot decide (Shewchuk 1997); pixel-grid clouds are
+almost entirely cocircular, so naive float predicates would corrupt the
+topology. Exact in-circle ties are broken by a symbolic perturbation of
+the vertices' lifts, so the triangle array, each row starting at its
+lowest vertex, is the unique Delaunay triangulation of the perturbed
+vertices, a function of the deduplicated vertex array alone. The tests
+hold it bit for bit to a scalar Bowyer-Watson oracle that has its own
+scalar predicates. Being unique, it can be read locally: for point
+queries, :func:`build_tin` triangulates only boxes around the query
+points and keeps the triangles whose circumdisk the box certifies.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ _ORIENT_FILTER = 1e-15
 _INCIRCLE_FILTER = 3e-15
 _SUPER_MARGIN = 1e6
 _BLOCK = 1 << 14  # predicate lanes per numpy block
+_ROUND_POINTS = 1 << 16  # new points per insert round, which bounds its arrays
 _CLAIM_PAIRS = 1 << 16  # candidate (triangle, cell) pairs per DSM claim block
 _UNCLAIMED = np.iinfo(np.int64).max
 _NEAR_SPACINGS = 8.0  # first side of a query's window, in mean point spacings
@@ -346,26 +349,74 @@ def _prev(h: np.ndarray) -> np.ndarray:
     return h + np.where(h % 3 == 0, 2, -1)
 
 
+def _hilbert_order(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Indices in the order of a Hilbert curve over a 65536 x 65536 grid
+    on the points' bounding square, ties in index order."""
+    lo_x, lo_y = xs.min(), ys.min()
+    span = max(float(xs.max() - lo_x), float(ys.max() - lo_y)) or 1.0
+    x = np.minimum(((xs - lo_x) / span * 65535.0).astype(np.int64), 65535)
+    y = np.minimum(((ys - lo_y) / span * 65535.0).astype(np.int64), 65535)
+    d = np.zeros(len(xs), np.int64)
+    s = 1 << 15
+    while s:
+        rx, ry = (x & s) > 0, (y & s) > 0
+        d += s * s * ((3 * rx) ^ ry)
+        # Turn the quadrant so that the curve enters it at its origin.
+        flip = rx & ~ry
+        x, y = np.where(flip, 65535 - x, x), np.where(flip, 65535 - y, y)
+        x, y = np.where(ry, x, y), np.where(ry, y, x)
+        s >>= 1
+    return np.argsort(d, kind="stable")
+
+
 class _Triangulator:
     """Delaunay triangulation of xy coordinates in array rounds, after
     GPU-DT (Rong, Tan, Cao & Stephanus 2008) and gDel2D (Qi, Cao &
-    Tan 2012).
+    Tan 2012), in the rounds of a biased randomized insertion order
+    (BRIO; Amenta, Choi & Rote 2003), drawn along a Hilbert curve
+    instead of at random.
 
     Triangle t has counterclockwise vertices ``tv[t]``. Half-edge
     ``3t + k`` is its edge ``(tv[t, k], tv[t, (k + 1) % 3])``, and
     ``tn[t, k]`` is the half-edge of the same edge in the neighbouring
-    triangle, or -1 on the super-triangle's hull. Every pending point
-    knows a triangle that contains it, boundary included. Each round,
-    every triangle that holds pending points inserts the one of median
-    rank in (x, y) order, so near its middle: a 1-3 split, or a 2-4
-    split of it and its neighbour when the point lies on an edge, both
-    triangles claimed by the lowest point index. Lawson passes then flip
-    every illegal edge that is the lowest illegal edge of both its
-    triangles, until no edge is illegal. Each insert adds two rows, so n
+    triangle, or -1 on the super-triangle's hull. ``vt[v]`` is a row
+    holding vertex v, written wherever rows are written; for a point
+    waiting to be inserted, it is the row its last walk reached.
+
+    Level k of the curve is the positions whose lowest set bit is 2^k.
+    The levels come in from the highest k down, position 0 first, each
+    in one round, or in rounds of ``_ROUND_POINTS`` consecutive positions
+    when it holds more: that bounds a round's arrays (at 1920 x 1080 the
+    whole last level, a million points, in one round raised the build's
+    peak RSS by a third). Each point of level k walks from ``vt[h]``, h
+    the nearer of its curve neighbours i - 2^k and i + 2^k, which an
+    earlier round brought in; a waiting point walks on from where it
+    stopped. A visibility walk crosses the first edge that has the point
+    strictly on its right, until none has, so it ends in a triangle
+    holding the point, boundary included. On a Delaunay triangulation it
+    needs no step cap (Devillers, Pion & Teillaud 2002): crossing a
+    locally Delaunay edge never raises the point's power to the
+    circumcircle, and the triangles sharing one circumcircle form a
+    forest, in which a walk never turns back. Walks therefore run only
+    between legalized rounds.
+
+    Every triangle reached inserts its walker of median curve rank: a
+    1-3 split, or a 2-4 split of it and its neighbour when the point lies
+    on an edge, both triangles claimed by the lowest point index. The
+    other walkers wait for the next round. Lawson passes then flip every
+    illegal edge that is the lowest illegal edge of both its triangles,
+    until no edge is illegal. The first pass tests only the new rows'
+    edge 0, the old edge facing the new point. The spokes of a fresh fan
+    are already locally Delaunay: the point lies strictly inside the
+    circumcircle of the triangle it splits, so the vertex across a spoke
+    stays outside the circle through it, and on a split edge the halves
+    of a Delaunay edge stay Delaunay. Each insert adds two rows, so n
     points fill 2n + 1 (int32 half-edge ids hold up to about 357 million
-    points). The result is the unique Delaunay triangulation of the
-    points perturbed as in :func:`_incircle_tie`, which no insertion
-    order changes.
+    points). Beyond the rows, working memory is the vertex map, the
+    curve ranks and the schedule, O(n), and one round's walkers and
+    fans, the new points plus those still waiting. The result is the
+    unique Delaunay triangulation of the points perturbed as in
+    :func:`_incircle_tie`, which no insertion order changes.
     """
 
     def __init__(self, xs: np.ndarray, ys: np.ndarray):
@@ -384,13 +435,35 @@ class _Triangulator:
         self.tv = np.zeros((rows, 3), np.int32)
         self.tv[0] = n, n + 1, n + 2
         self.tn = np.full((rows, 3), -1, np.int32)
+        self.vt = np.zeros(n + 3, np.int32)
         self.rows = 1
-        self.pending = np.lexsort((ys, xs))  # kept in (x, y) order
-        self.loc = np.zeros(n, np.int32)
-        # Scratch: identity, all -1 and all False between steps.
+        order = _hilbert_order(xs, ys)
+        self.rank = np.empty(n, np.int64)
+        self.rank[order] = np.arange(n)
+        self.rounds = self._schedule(order)
+        self.waiting = np.empty(0, np.int64)
+        # Scratch: identity and all False between steps.
         self.moved = np.arange(3 * rows, dtype=np.int32)
-        self.slot = np.full(rows, -1, np.int32)
         self.dirty = np.zeros(rows, bool)
+
+    def _schedule(self, order: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Each round's points and the vertices whose rows their walks
+        start from, the last round first. Position 0 starts from its own
+        entry, row 0."""
+        xs, ys, n = self.xs, self.ys, order.size
+        rounds = [(order[:1].copy(),) * 2]
+        step = 1 << (n - 1).bit_length() - 1 if n > 1 else 0
+        while step:
+            i = np.arange(step, n, 2 * step)
+            p, lo = order[i], order[i - step]
+            hi = order[np.where(i + step < n, i + step, i - step)]
+            d_lo = (xs[lo] - xs[p]) ** 2 + (ys[lo] - ys[p]) ** 2
+            d_hi = (xs[hi] - xs[p]) ** 2 + (ys[hi] - ys[p]) ** 2
+            start = np.where(d_hi < d_lo, hi, lo)
+            for s in range(0, p.size, _ROUND_POINTS):
+                rounds.append((p[s:s + _ROUND_POINTS], start[s:s + _ROUND_POINTS]))
+            step >>= 1
+        return rounds[::-1]
 
     def _orient(self, i, j, k) -> np.ndarray:
         return _signs(_orient_terms, _ORIENT_FILTER, self.xs, self.ys, i, j, k)
@@ -416,32 +489,48 @@ class _Triangulator:
         linked = mate >= 0
         tn[mate[linked]] = new[linked]
 
-    def _pending_in(self, tris: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The pending points that triangles ``tris`` hold, and for each
-        the position of its triangle in ``tris``."""
-        self.slot[tris] = np.arange(tris.size)
-        at = self.slot[self.loc[self.pending]]
-        self.slot[tris] = -1
-        held = at >= 0
-        return self.pending[held], at[held]
+    def _walk(self, p: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Visibility walks of points p from rows t: the rows reached and,
+        (len(p), 3), which of their edges each point lies on. A walk that
+        entered across edge e has its point strictly left of e and tests
+        only e + 1 and e + 2."""
+        flat_tv, flat_tn = self.tv.reshape(-1), self.tn.reshape(-1)
+        t = t.astype(np.int64)
+        on = np.zeros((p.size, 3), bool)
+        lane = np.arange(p.size)
+        k = np.broadcast_to(np.arange(3), (p.size, 3))
+        while lane.size:
+            h = 3 * t[lane, None] + k
+            o = self._orient(
+                flat_tv[h].ravel(), flat_tv[_next(h)].ravel(), np.repeat(p[lane], k.shape[1])
+            ).reshape(k.shape)
+            right = o < 0
+            go = right.any(axis=1)
+            on[lane[~go, None], k[~go]] = o[~go] == 0
+            across = flat_tn[h[go, right[go].argmax(axis=1)]].astype(np.int64)
+            lane = lane[go]
+            t[lane] = across // 3
+            k = (across[:, None] + [1, 2]) % 3
+        return t, on
 
     def _insert_round(self) -> np.ndarray:
-        """Insert the pending point of median rank into every
-        triangle that holds any, unless a lower point claimed the triangle
-        for a 2-4 split; returns the rows written."""
-        tv, tn = self.tv, self.tn
+        """Walk the next round's points and the waiting ones, and insert
+        into every triangle reached its walker of median curve rank,
+        unless a lower point claimed the triangle for a 2-4 split; the
+        others wait. Returns the rows written."""
+        tv, tn, vt = self.tv, self.tn, self.vt
         flat_tv = tv.reshape(-1)
-        # A stable sort by triangle keeps each triangle's points in
-        # (x, y) order.
-        held = self.loc[self.pending]
-        by_tri = np.argsort(held, kind="stable")
-        first = np.flatnonzero(np.diff(held[by_tri], prepend=-1))
+        new, start = self.rounds.pop() if self.rounds else (self.waiting[:0],) * 2
+        walkers = np.append(self.waiting, new)
+        reached, on = self._walk(walkers, vt[np.append(self.waiting, start)])
+        # Sorting by triangle, then curve rank, groups each triangle's
+        # walkers in curve order.
+        by_tri = np.argsort(reached * self.rank.size + self.rank[walkers])
+        held = reached[by_tri]
+        first = np.flatnonzero(np.diff(held, prepend=-1))
         count = np.diff(np.append(first, held.size))
         pick = by_tri[first + count // 2]
-        p, t = self.pending[pick], held[pick].astype(np.int64)
-        v = tv[t]
-        o = self._orient(v.ravel(), v[:, [1, 2, 0]].ravel(), np.repeat(p, 3))
-        zero = o.reshape(-1, 3) == 0
+        p, t, zero = walkers[pick], reached[pick], on[pick]
         # On edge h of t, p also splits the triangle u across it. On two
         # edges it is a vertex of t; a hull edge has nothing across.
         on_edge = zero.any(axis=1)
@@ -454,6 +543,10 @@ class _Triangulator:
         win = ok & (claim[t] == p) & (claim[u] == p)
         if not win.any():
             raise CollinearInput("no point could be inserted; duplicate or collinear input")
+        wait = np.ones(walkers.size, bool)
+        wait[pick[win]] = False
+        self.waiting = walkers[wait]
+        vt[self.waiting] = reached[wait]
         p, t, u, h, m, e = (a[win] for a in (p, t, u, h, m, on_edge))
         r0 = self.rows + 2 * np.arange(p.size)
         r1 = r0 + 1
@@ -464,32 +557,17 @@ class _Triangulator:
         he4 = np.column_stack([_next(h), _prev(h), _next(m), _prev(m)])[e]
         c3 = np.column_stack([t, r0, r1])[~e]
         c4 = np.column_stack([t, r0, u, r1])[e]
-        w3, w4 = flat_tv[he3], flat_tv[he4]
         edge = np.append(he3, he4)
         rows = np.append(c3, c4)
         after = np.append(np.roll(c3, -1, axis=1), np.roll(c4, -1, axis=1))
         before = np.append(np.roll(c3, 1, axis=1), np.roll(c4, 1, axis=1))
         hub = np.append(np.repeat(p[~e], 3), np.repeat(p[e], 4))
-        j = flat_tv[_next(edge)]
+        tail, head = flat_tv[edge], flat_tv[_next(edge)]
         self._relink(edge, 3 * rows)
-        tv[rows] = np.column_stack([np.append(w3, w4), j, hub])
+        tv[rows] = np.column_stack([tail, head, hub])
         tn[rows, 1] = 3 * after + 2
         tn[rows, 2] = 3 * before + 1
-        self.loc[p] = -1
-        self.pending = self.pending[self.loc[self.pending] >= 0]
-        # A pending point of a split triangle goes to the child between
-        # the spokes s and s + 1 that it lies between. Each half of a 2-4
-        # fan is a fan of two children, its third never taken.
-        lost = np.full(len(c4), -1)
-        q, k = self._pending_in(np.concatenate([c3[:, 0], c4[:, 0], c4[:, 2]]))
-        hub = np.concatenate([p[~e], p[e], p[e]])[k]
-        w = np.concatenate([w3, w4[:, :3], w4[:, [2, 3, 0]]])[k]
-        o0, o1, o2 = (self._orient(hub, w[:, s], q) for s in range(3))
-        sector = np.where((o0 >= 0) & (o1 <= 0), 0, np.where((o1 >= 0) & (o2 <= 0), 1, 2))
-        children = np.concatenate([
-            c3, np.column_stack([c4[:, :2], lost]), np.column_stack([c4[:, 2:], lost])
-        ])
-        self.loc[q] = children[k, sector]
+        vt[tv[rows]] = rows[:, None]
         return rows
 
     def _flip(self, h: np.ndarray, m: np.ndarray):
@@ -507,23 +585,21 @@ class _Triangulator:
         tv[u] = np.column_stack([d, b, c])
         tn[t, 2] = 3 * u + 2
         tn[u, 2] = 3 * t + 2
-        # (c, a, d) lies left of the new diagonal d -> c.
-        q, k = self._pending_in(np.append(t, u))
-        k %= t.size
-        left = self._orient(d[k], c[k], q) >= 0
-        self.loc[q] = np.where(left, t[k], u[k])
+        self.vt[tv[t]] = t[:, None]
+        self.vt[tv[u]] = u[:, None]
 
     def _legalize(self, rows: np.ndarray):
-        """Lawson passes from the edges of ``rows`` until none is illegal.
-        Each pass tests every edge of a dirty triangle once and flips the
+        """Lawson passes from the new rows ``rows`` until no edge is
+        illegal. The first pass tests each row's edge 0, later passes
+        every edge of a dirty triangle, each edge once; a pass flips the
         illegal edges that are the lowest illegal edge of both their
-        triangles; the triangles of every illegal edge stay dirty."""
+        triangles, and the triangles of every illegal edge stay dirty."""
         flat_tv, flat_tn, dirty = self.tv.reshape(-1), self.tn.reshape(-1), self.dirty
         none = np.iinfo(np.int64).max
         best = np.full(self.rows, none, np.int64)
+        h = 3 * rows
         while True:
             dirty[rows] = True
-            h = (3 * rows[:, None] + np.arange(3)).ravel()
             m = flat_tn[h].astype(np.int64)
             # An edge between two dirty triangles is tested from its
             # lower half-edge.
@@ -541,12 +617,16 @@ class _Triangulator:
             flip = (best[t] == edge) & (best[u] == edge)
             best[t] = best[u] = none
             self._flip(h[flip], m[flip])
-            rows = np.unique(np.append(t, u))
+            # A sort, not np.unique: numpy 2's unique hashes integer
+            # arrays first, about 15x slower on a pass's 20k rows.
+            rows = np.sort(np.append(t, u))
+            rows = rows[np.diff(rows, prepend=-1) != 0]
+            h = (3 * rows[:, None] + np.arange(3)).ravel()
 
     def run(self) -> np.ndarray:
         """Insert every point; returns the (2n + 1, 3) vertex array,
         super-triangle rows included."""
-        while self.pending.size:
+        while self.rounds or self.waiting.size:
             self._legalize(self._insert_round())
         if self.rows != len(self.tv):
             raise CollinearInput("triangulation is incomplete; duplicate or collinear input")

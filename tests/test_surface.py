@@ -36,7 +36,9 @@ from shoremap.surface import (
     _exact_sign,
     _incircle_terms,
     _incircle_tie,
+    _next,
     _orient_terms,
+    _prev,
     _ring_self_intersects,
     _segments_intersect,
     _signs,
@@ -376,12 +378,47 @@ def _quantized_cloud():
     return np.column_stack([xy, rng.random(len(xy))])
 
 
+def _two_clusters_cloud():
+    """Two random clusters of 1,500 points in unit squares (mean spacing
+    about 0.026), with a gap of about 77 spacings between them: the
+    curve neighbours that start the walks of the first rounds straddle
+    it."""
+    rng = np.random.default_rng(3)
+    xy = rng.random((3000, 2))
+    xy[1500:] += [3.0, 1.0]
+    return np.column_stack([xy, rng.random(3000)])
+
+
+def _cluster_in_a_triangle_cloud():
+    """A 50-point coarse cloud and 2,000 points in the middle half of its
+    largest triangle: one triangle holds many walkers, and all but one of
+    them wait, round after round."""
+    rng = np.random.default_rng(4)
+    coarse = rng.random((50, 3)) * [100.0, 100.0, 1.0]
+    corners = coarse[oracle_triangles(coarse), :2]
+    (ax, ay), (bx, by), (cx, cy) = corners.transpose(1, 2, 0)
+    big = corners[np.argmax(np.abs((bx - ax) * (cy - ay) - (by - ay) * (cx - ax)))]
+    w = rng.dirichlet(np.ones(3), 2000)
+    xy = big.mean(axis=0) + 0.5 * (w @ big - big.mean(axis=0))
+    return np.vstack([coarse, np.column_stack([xy, rng.random(2000)])])
+
+
+def _integer_lattice_cloud():
+    """A 60 x 50 integer lattice: every square is cocircular, and points
+    land on edges, so rounds make edge splits and in-circle ties."""
+    gx, gy = np.meshgrid(np.arange(60.0), np.arange(50.0))
+    return np.column_stack([gx.ravel(), gy.ravel(), (gx * gy).ravel()])
+
+
 MATCH_CLOUDS = {name: entry[0] for name, entry in PINNED_TINS.items()}
 MATCH_CLOUDS.update({
     "rotated lattice": _rotated_lattice_cloud,
     "collinear head": _collinear_head_cloud,
     "quantized": _quantized_cloud,
     "beach 160x120": lambda: beach_cloud(0, 160, 120),
+    "two clusters": _two_clusters_cloud,
+    "cluster in a triangle": _cluster_in_a_triangle_cloud,
+    "integer lattice 60x50": _integer_lattice_cloud,
 })
 
 
@@ -406,6 +443,41 @@ def test_tin_matches_bowyer_watson(name, monkeypatch):
     np.testing.assert_array_equal(got, oracle_triangles(xyz))
     if name == "lattice":
         assert sum(edge_splits) > 100
+
+
+@pytest.mark.parametrize("name", ["lattice", "integer lattice 60x50", "quantized", "beach 160x120"])
+def test_fresh_fans_have_legal_spokes(name):
+    """What the first Lawson pass of a round relies on, when it tests
+    only edge 0 of each new row: after every insert round, edges 1 and 2
+    of every new row, the spokes of its fan, are legal already."""
+    xyz = _dedupe_xy(MATCH_CLOUDS[name]())
+    tri = _Triangulator(xyz[:, 0], xyz[:, 1])
+    flat_tv, flat_tn = tri.tv.reshape(-1), tri.tn.reshape(-1)
+    spokes = 0
+    while tri.rounds or tri.waiting.size:
+        rows = tri._insert_round()
+        h = (3 * rows[:, None] + [1, 2]).ravel()
+        m = flat_tn[h]
+        assert (m >= 0).all()
+        assert not tri._illegal(flat_tv[h], flat_tv[_next(h)], flat_tv[_prev(h)], flat_tv[_prev(m)]).any()
+        spokes += h.size
+        tri._legalize(rows)
+    # Every insert wrote at least three rows.
+    assert spokes >= 6 * len(xyz)
+
+
+def test_levels_cut_into_rounds_give_the_same_tin(monkeypatch):
+    """A curve level of more than ``_ROUND_POINTS`` points comes in over
+    several rounds, here of at most 100 points, and the TIN is still the
+    oracle's."""
+    monkeypatch.setattr(surface, "_ROUND_POINTS", 100)
+    for name in ("integer lattice 60x50", "cluster in a triangle"):
+        xyz = MATCH_CLOUDS[name]()
+        xs, ys = _dedupe_xy(xyz)[:, :2].T
+        rounds = _Triangulator(xs, ys).rounds
+        assert len(rounds) > 2 * len(xs).bit_length()
+        assert max(len(p) for p, _ in rounds) == 100
+        np.testing.assert_array_equal(build_tin(_cloud(xyz)).triangles, oracle_triangles(xyz))
 
 
 NEAR_CLOUDS = {name: entry[0] for name, entry in PINNED_TINS.items()}
