@@ -14,7 +14,6 @@ steps, and projects the 12 pose steps of every view in one more call.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +36,6 @@ from .errors import (
     UnstableSolution,
 )
 from .geometry import Homography, Point2, Point3
-
-logger = logging.getLogger(__name__)
 
 LM_LAMBDA0 = 1e-3
 LM_MAX_ITER = 200
@@ -292,7 +289,7 @@ class _ReprojectionProblem:
             return None
         return (self.observed - proj.reshape(self.observed.shape)).ravel()
 
-    def jacobian(self, params: np.ndarray, step_scale: float = 1.0) -> np.ndarray:
+    def jacobian(self, params: np.ndarray) -> np.ndarray:
         """Central-difference Jacobian at parameters whose residual exists,
         exploiting the block structure: intrinsic columns touch every
         residual, pose columns only their own view's block.
@@ -304,7 +301,7 @@ class _ReprojectionProblem:
         n_views, n_points = self.n_views, self.n_points
         block = n_points * 2
         jac = np.zeros((n_views * block, params.size))
-        steps = _FD_STEP * step_scale * np.maximum(np.abs(params), 1.0)
+        steps = _FD_STEP * np.maximum(np.abs(params), 1.0)
         poses = params[_N_INTR:].reshape(n_views, 6)
         rotated = self._rotated_board(poses[:, :3])
         cam = (rotated + poses[:, None, 3:]).reshape(-1, 3)
@@ -353,11 +350,10 @@ def _levenberg_marquardt(problem: _ReprojectionProblem, params0: np.ndarray):
     rejections = 0
     last_trial_cost = None
 
-    for iteration in range(LM_MAX_ITER):
+    for _ in range(LM_MAX_ITER):
         jac = problem.jacobian(params)
         grad = jac.T @ residual
         if np.max(np.abs(grad)) < LM_GRAD_TOL:
-            logger.debug("LM converged on gradient at iteration %d", iteration)
             break
         jtj = jac.T @ jac
         diag = np.maximum(np.diag(jtj), 1e-12)
@@ -398,7 +394,6 @@ def _levenberg_marquardt(problem: _ReprojectionProblem, params0: np.ndarray):
             lam *= 10.0
         if prev_cost > 0:
             if abs(prev_cost - cost) / prev_cost < LM_COST_TOL:
-                logger.debug("LM converged on cost change at iteration %d", iteration)
                 break
         if cost == 0.0:
             break

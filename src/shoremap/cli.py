@@ -9,7 +9,6 @@ solver error, or out of memory.
 from __future__ import annotations
 
 import argparse
-import logging
 import os
 import sys
 from pathlib import Path
@@ -75,7 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Stereo close-range photogrammetry pipeline",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    parser.add_argument("--verbose", action="store_true", help="debug logging")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("calibrate", help="checkerboard intrinsic calibration")
@@ -178,10 +176,6 @@ def _dispatch(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
     try:
         return _dispatch(args)
     except (InputError, OSError, ValueError) as exc:

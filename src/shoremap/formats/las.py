@@ -3,6 +3,11 @@
 Format 2 is the oldest LAS revision carrying RGB, which maximizes interop
 with las-based tooling. The format has no alpha channel; the writer notes
 the drop in the header's system-identifier text field.
+
+The writer stores every axis at a 0.1 mm quantum (SCALE) from a per-axis
+offset of floor(min), so any cloud spanning up to 2^31 x 0.1 mm (about
+214 km) per axis fits wherever it lies, survey coordinates included. The
+reader honours whatever scale and offset a file declares.
 """
 
 from __future__ import annotations
@@ -25,6 +30,9 @@ POINT_RECORD_LENGTH = 26
 POINT_FORMAT = 2
 SIGNATURE = b"LASF"
 
+# The writer's quantum on every axis (0.1 mm).
+SCALE = 0.0001
+
 _SYSTEM_ID = b"RGBA source; alpha dropped"
 _SOFTWARE = b"shoremap 0.1.0"
 
@@ -44,43 +52,27 @@ _POINT_DTYPE = np.dtype([
 ])
 
 
-def _normalize_triplet(value, name: str) -> tuple[float, float, float]:
-    if np.isscalar(value):
-        v = (float(value),) * 3
-    else:
-        v = tuple(float(x) for x in value)
-        if len(v) != 3:
-            raise ValueError(f"{name} must be a scalar or 3-tuple")
-    if name == "scale" and any(s <= 0 for s in v):
-        raise ValueError("scale components must be positive")
-    return v
-
-
-def write_las(cloud: PointCloud, scale=0.001, offset=0.0) -> bytes:
+def write_las(cloud: PointCloud) -> bytes:
     """Serialize a point cloud to LAS 1.2 / point format 2 bytes.
 
-    Coordinates are stored as round((v - offset) / scale) in 32-bit ints;
-    raises CoordinateOverflow when a value does not fit. 8-bit colors are
-    widened to 16 bits (x257); alpha is dropped.
+    Each axis is stored as round((v - floor(min)) / SCALE) in 32-bit ints,
+    with floor(min) as the header's offset (0 for an empty cloud); raises
+    CoordinateOverflow when an axis spans more than 2^31 quanta. 8-bit
+    colors are widened to 16 bits (x257); alpha is dropped.
     """
-    s = _normalize_triplet(scale, "scale")
-    o = _normalize_triplet(offset, "offset")
     xyz = cloud.xyz
     n = xyz.shape[0]
-    quantized = np.empty((n, 3), dtype=np.int64)
-    for axis in range(3):
-        q = np.rint((xyz[:, axis] - o[axis]) / s[axis])
-        if q.size and (np.abs(q) >= 2 ** 31).any():
-            raise CoordinateOverflow(
-                f"axis {axis} exceeds the 32-bit quantized range for "
-                f"scale {s[axis]:g}, offset {o[axis]:g}"
-            )
-        quantized[:, axis] = q.astype(np.int64)
-
+    offset = np.floor(xyz.min(axis=0)) if n else np.zeros(3)
+    quantized = np.rint((xyz - offset) / SCALE)
+    over = np.flatnonzero((quantized >= 2 ** 31).any(axis=0))
+    if over.size:
+        raise CoordinateOverflow(
+            f"axis {over[0]} spans more than the 32-bit quantized range "
+            f"at scale {SCALE:g}"
+        )
     if n:
-        dequant = quantized * np.array(s) + np.array(o)
-        mins = dequant.min(axis=0)
-        maxs = dequant.max(axis=0)
+        mins = quantized.min(axis=0) * SCALE + offset
+        maxs = quantized.max(axis=0) * SCALE + offset
     else:
         mins = maxs = np.zeros(3)
 
@@ -102,8 +94,8 @@ def write_las(cloud: PointCloud, scale=0.001, offset=0.0) -> bytes:
     struct.pack_into("<H", header, 105, POINT_RECORD_LENGTH)
     struct.pack_into("<I", header, 107, n)
     struct.pack_into("<5I", header, 111, n, 0, 0, 0, 0)
-    struct.pack_into("<3d", header, 131, *s)
-    struct.pack_into("<3d", header, 155, *o)
+    struct.pack_into("<3d", header, 131, SCALE, SCALE, SCALE)
+    struct.pack_into("<3d", header, 155, *offset)
     struct.pack_into(
         "<6d", header, 179,
         maxs[0], mins[0], maxs[1], mins[1], maxs[2], mins[2],

@@ -77,16 +77,6 @@ def metric(value: float, unit: str) -> dict:
     return {"value": value, "unit": unit}
 
 
-def _las_bytes(cloud) -> bytes:
-    """LAS serialization with a 0.1 mm quantum and a per-axis integer
-    offset, so world-scale coordinates fit the 32-bit range."""
-    if len(cloud):
-        offset = tuple(float(np.floor(cloud.xyz[:, a].min())) for a in range(3))
-    else:
-        offset = (0.0, 0.0, 0.0)
-    return write_las(cloud, scale=0.0001, offset=offset)
-
-
 # The run configuration: `key = value` lines with stage-prefixed keys.
 parse_config_text = parse_key_values
 
@@ -228,7 +218,7 @@ def stage_depth(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     cloud_path = out_dir / "cloud.las"
-    cloud_path.write_bytes(_las_bytes(cloud))
+    cloud_path.write_bytes(write_las(cloud))
     if write_disparity:
         dgrid = DsmGrid(
             geometry=GridGeometry(
@@ -263,7 +253,7 @@ def stage_register(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / "registered.las"
-    out_path.write_bytes(_las_bytes(registered))
+    out_path.write_bytes(write_las(registered))
     metrics = {
         "rms": metric(report.rms, "m"),
         "per_pair_residuals": [

@@ -412,9 +412,13 @@ class _Triangulator:
     stays outside the circle through it, and on a split edge the halves
     of a Delaunay edge stay Delaunay. Each insert adds two rows, so n
     points fill 2n + 1 (int32 half-edge ids hold up to about 357 million
-    points). Beyond the rows, working memory is the vertex map, the
-    curve ranks and the schedule, O(n), and one round's walkers and
-    fans, the new points plus those still waiting. The result is the
+    points). ``moved``, the identity map of half-edges that ``_relink``
+    moves edges through, is as large as ``tv``; ``dirty`` adds a flag per
+    row, and every ``_insert_round`` (``claim``) and ``_legalize``
+    (``best``) call allocates an int64 per filled row. Beyond the rows,
+    working memory is the vertex map, the curve ranks and the schedule,
+    O(n), and one round's walkers and fans, the new points plus those
+    still waiting. The result is the
     unique Delaunay triangulation of the points perturbed as in
     :func:`_incircle_tie`, which no insertion order changes.
     """

@@ -245,8 +245,16 @@ def near_queries(tin, rng, n: int = 500) -> np.ndarray:
 def near_differences(cloud: PointCloud, tin, rng, group: int = 10) -> tuple[int, int, int]:
     """How many groups of ``group`` queries get a different vertical check
     from a near TIN than from the whole-set ``tin``, how many near TINs
-    were a strict subset of it, and how many groups there were."""
+    were a strict subset of it, and how many groups there were.
+
+    The queries are grouped interior first, by their distance inside the
+    vertex bounding box: a query near its boundary may lie on the hull,
+    which sends its whole group to a whole-set build, so such queries
+    share as few groups as they can."""
     q = near_queries(tin, rng)
+    v = tin.vertices[:, :2]
+    inside = np.minimum(q - v.min(axis=0), v.max(axis=0) - q).min(axis=1)
+    q = q[np.argsort(-inside, kind="stable")]
     gcps = [Gcp(str(i), Point3(x, y, 0.0)) for i, (x, y) in enumerate(q.tolist())]
     differ = subsets = 0
     for s in range(0, len(q), group):

@@ -251,8 +251,8 @@ def test_c8_format_round_trips_and_fuzz():
     cloud = PointCloud(xyz=xyz, colors=colors)
     from shoremap.formats import read_las
 
-    back = read_las(write_las(cloud, scale=0.001, offset=0.0))
-    assert np.abs(back.xyz - cloud.xyz).max() <= 0.0005 + 1e-12
+    back = read_las(write_las(cloud))
+    assert np.abs(back.xyz - cloud.xyz).max() <= 0.00005 + 1e-12
     assert np.array_equal(back.colors[:, :3], colors[:, :3])
 
     geom = GridGeometry(origin_x=3.0, origin_y=8.0, cell_size=0.5,

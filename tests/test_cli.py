@@ -441,7 +441,7 @@ class TestDepthRegisterDsmCheck:
         error naming collinearity, not a traceback."""
         las = tmp_path / "nc.las"
         xyz = np.array([[0, 0, 0], [5000, 1e-4, 0], [10000, 0, 0]], dtype=float)
-        las.write_bytes(write_las(PointCloud(xyz=xyz), scale=0.0001))
+        las.write_bytes(write_las(PointCloud(xyz=xyz)))
         assert main([
             "dsm", "--cloud", str(las), "--cell-size", "100",
             "--out-dir", str(tmp_path),
@@ -1192,3 +1192,11 @@ def test_stage_command_passes_every_flag(
             seen[name] = PRINT_TEXT_INPUT[name](value)
             expected = {**expected, name: STAGE_TEXT_FILES[expected[name]]}
     assert seen == expected
+
+
+def test_unknown_global_flag_exit_2(tmp_path, capsys):
+    """The parser has no --verbose: argparse rejects it with exit 2."""
+    with pytest.raises(SystemExit) as exc:
+        main(["--verbose", "dsm", "--cloud", str(tmp_path / "c.las")])
+    assert exc.value.code == 2
+    assert "--verbose" in capsys.readouterr().err

@@ -67,32 +67,57 @@ class TestLas:
         assert read_las(data).xyz.shape == (0, 3)
 
     def test_quantization(self):
-        cloud = PointCloud(xyz=np.array([[1.234, 5.678, 9.012]]))
-        data = write_las(cloud, scale=0.001, offset=0.0)
-        assert struct.unpack_from("<3i", data, 227) == (1234, 5678, 9012)
+        cloud = PointCloud(xyz=np.array([[1.234, 5.678, 9.012], [1.5, 5.0, 10.0]]))
+        data = write_las(cloud)
+        assert struct.unpack_from("<3d", data, 131) == (0.0001,) * 3
+        assert struct.unpack_from("<3d", data, 155) == (1.0, 5.0, 9.0)
+        assert struct.unpack_from("<3i", data, 227) == (2340, 6780, 120)
+        assert struct.unpack_from("<3i", data, 227 + 26) == (5000, 0, 10000)
 
     def test_round_trip_within_quantum(self):
         rng = np.random.default_rng(1)
         cloud = _random_cloud(rng, 10000)
-        back = read_las(write_las(cloud, scale=0.001, offset=0.0))
-        assert np.abs(back.xyz - cloud.xyz).max() <= 0.0005 + 1e-12
+        back = read_las(write_las(cloud))
+        assert np.abs(back.xyz - cloud.xyz).max() <= 0.00005 + 1e-12
         assert np.array_equal(back.colors[:, :3], cloud.colors[:, :3])
         assert (back.colors[:, 3] == 255).all()
 
     def test_bounds_contain_points(self):
         rng = np.random.default_rng(2)
         cloud = _random_cloud(rng, 500)
-        data = write_las(cloud, scale=0.01, offset=(1.0, -2.0, 0.5))
+        data = write_las(cloud)
         max_x, min_x, max_y, min_y, max_z, min_z = struct.unpack_from("<6d", data, 179)
         back = read_las(data)
         for axis, (lo, hi) in enumerate(((min_x, max_x), (min_y, max_y), (min_z, max_z))):
-            assert back.xyz[:, axis].min() >= lo - 1e-12
-            assert back.xyz[:, axis].max() <= hi + 1e-12
+            assert back.xyz[:, axis].min() == lo
+            assert back.xyz[:, axis].max() == hi
 
     def test_coordinate_overflow(self):
-        cloud = PointCloud(xyz=np.array([[1e9, 0.0, 0.0]]))
-        with pytest.raises(CoordinateOverflow):
-            write_las(cloud, scale=0.0001, offset=0.0)
+        """An axis holds spans up to 2^31 - 1 quanta of 0.1 mm; one
+        more quantum overflows."""
+        data = write_las(_extreme_cloud())
+        q = np.frombuffer(data, dtype=las_module._POINT_DTYPE, offset=227)["xyz"]
+        assert (q.min(axis=0) == 0).all()
+        assert (q.max(axis=0) == 2 ** 31 - 1).all()
+        span = 2 ** 31 * las_module.SCALE
+        cloud = PointCloud(xyz=np.array([[7.0, 0.0, 0.0], [7.0, span, 0.0]]))
+        with pytest.raises(CoordinateOverflow, match="axis 1"):
+            write_las(cloud)
+
+    def test_survey_coordinates_round_trip(self):
+        """A cloud at UTM-sized eastings and northings fits the 32-bit
+        range through its floor offsets."""
+        rng = np.random.default_rng(4)
+        xyz = rng.random((1000, 3)) * [300.0, 200.0, 15.0]
+        xyz += [500000.25, 5200000.75, -3.5]
+        cloud = PointCloud(xyz=xyz)
+        data = write_las(cloud)
+        assert struct.unpack_from("<3d", data, 131) == (0.0001,) * 3
+        assert struct.unpack_from("<3d", data, 155) == tuple(
+            np.floor(xyz.min(axis=0))
+        )
+        back = read_las(data)
+        assert np.abs(back.xyz - cloud.xyz).max() <= 0.00005 + 1e-9
 
     def test_bad_signature(self):
         data = bytearray(write_las(PointCloud(xyz=np.zeros((0, 3)))))
@@ -118,20 +143,23 @@ class TestLas:
     def test_round_trip_property(self, n, seed):
         rng = np.random.default_rng(seed)
         cloud = _random_cloud(rng, n, span=10.0)
-        back = read_las(write_las(cloud, scale=0.0001, offset=0.0))
+        back = read_las(write_las(cloud))
         assert len(back) == n
         if n:
             assert np.abs(back.xyz - cloud.xyz).max() <= 0.00005 + 1e-12
             assert np.array_equal(back.colors[:, :3], cloud.colors[:, :3])
 
 
-def _write_las_loop(cloud: PointCloud, scale=0.001, offset=0.0) -> bytes:
+def _write_las_loop(cloud: PointCloud) -> bytes:
     """Reference: the per-point struct.pack_into writer that write_las's
-    structured-dtype body replaced."""
-    s = las_module._normalize_triplet(scale, "scale")
-    o = las_module._normalize_triplet(offset, "offset")
+    structured-dtype body replaced, at SCALE on every axis from
+    per-axis floor offsets."""
+    s = (las_module.SCALE,) * 3
     xyz = cloud.xyz
     n = xyz.shape[0]
+    o = tuple(
+        float(np.floor(xyz[:, axis].min())) if n else 0.0 for axis in range(3)
+    )
     quantized = np.empty((n, 3), dtype=np.int64)
     for axis in range(3):
         q = np.rint((xyz[:, axis] - o[axis]) / s[axis])
@@ -194,32 +222,48 @@ def _write_las_loop(cloud: PointCloud, scale=0.001, offset=0.0) -> bytes:
 
 
 def _extreme_cloud():
-    """Quantized values at +-(2**31 - 1) with scale 1, colors 0 and 255."""
-    big = 2.0 ** 31 - 1
-    xyz = np.array([[big, -big, 0.0], [-big, big, big], [0.0, 0.0, -big]])
+    """Quantized values 0 and 2**31 - 1 on every axis at survey-sized
+    offsets, colors 0 and 255."""
+    span = (2 ** 31 - 1) * las_module.SCALE
+    lo = np.array([500000.0, 5200000.0, -12.0])
+    xyz = lo + np.array([[span, 0.0, 0.0], [0.0, span, span], [0.5 * span, 0.0, 0.0]])
     colors = np.array(
         [[0, 0, 0, 0], [255, 255, 255, 255], [0, 255, 0, 128]], dtype=np.uint8
     )
     return PointCloud(xyz=xyz, colors=colors)
 
 
+def _survey_cloud():
+    """777 random points moved to E 500,000 m, N 5,200,000 m."""
+    cloud = _random_cloud(np.random.default_rng(2), 777)
+    return PointCloud(
+        xyz=cloud.xyz + [500000.3, 5200000.7, -1.5], colors=cloud.colors
+    )
+
+
+def _mixed_span_cloud():
+    """Spans of 10 km, 1 cm and 150 km on the three axes, minima on
+    both sides of zero."""
+    rng = np.random.default_rng(3)
+    xyz = rng.random((5000, 3)) * [1e4, 0.01, 1.5e5] + [-2500.5, 3.25, -7.0]
+    return PointCloud(xyz=xyz, colors=rng.integers(0, 256, (5000, 4), dtype=np.uint8))
+
+
 @pytest.mark.parametrize(
-    "make, scale, offset",
+    "make",
     [
-        (lambda: PointCloud(xyz=np.zeros((0, 3))), 0.001, 0.0),
-        (lambda: _random_cloud(np.random.default_rng(0), 1), 0.001, 0.0),
-        (lambda: _random_cloud(np.random.default_rng(1), 1000), 0.0001, 0.0),
-        (lambda: _random_cloud(np.random.default_rng(2), 777), 0.01, (1.0, -2.0, 0.5)),
-        (lambda: _random_cloud(np.random.default_rng(3), 5000, 1e4), (0.01, 0.02, 0.005), 3.0),
-        (_extreme_cloud, 1.0, 0.0),
+        lambda: PointCloud(xyz=np.zeros((0, 3))),
+        lambda: _random_cloud(np.random.default_rng(0), 1),
+        lambda: _random_cloud(np.random.default_rng(1), 1000),
+        _survey_cloud,
+        _mixed_span_cloud,
+        _extreme_cloud,
     ],
     ids=["empty", "one", "random", "offset", "mixed_scale", "extremes"],
 )
-def test_write_las_matches_loop(make, scale, offset):
+def test_write_las_matches_loop(make):
     cloud = make()
-    assert write_las(cloud, scale=scale, offset=offset) == _write_las_loop(
-        cloud, scale=scale, offset=offset
-    )
+    assert write_las(cloud) == _write_las_loop(cloud)
 
 
 class TestAsc:
