@@ -29,13 +29,13 @@ def write_asc(d: DsmGrid) -> str:
         f"cellsize {float(g.cell_size)!r}",
         "nodata_value -9999",
     ]
-    for r in range(g.n_rows):
-        row = d.values[r]
-        lines.append(
-            " ".join(
-                "-9999" if v == NODATA else f"{v:.3f}" for v in row
-            )
-        )
+    # One % operation per row: "%.3f" writes what f"{v:.3f}" writes, and a
+    # NODATA cell's place in the row's format holds the literal -9999.
+    cell = np.array(["%.3f", "-9999"])
+    for row in d.values:
+        nodata = row == NODATA
+        fmt = " ".join(cell[nodata.astype(np.intp)].tolist())
+        lines.append(fmt % tuple(row[~nodata].tolist()))
     return "\n".join(lines) + "\n"
 
 

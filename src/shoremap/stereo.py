@@ -5,11 +5,12 @@ aggregation, a uniqueness test, left-right consistency (1 px tolerance),
 and parabolic subpixel refinement. Pixels without a discriminative,
 consistent match are INVALID (NaN in the disparity array).
 
-Only the left eye's cost volume is computed. The right eye's cost of pixel
-x at disparity d compares the same two pixels as the left eye's cost of
-pixel x + d, so vol_r[y, x, i] == vol_l[y, x + d_min + i, i] where
-x + d_min + i < width, and _BIG_COST elsewhere; a second volume would
-recompute the same window sums.
+The cost volume is stored disparity-major, one contiguous (rows, width)
+plane per disparity, and only the left eye's is computed. The right eye's
+cost of pixel x at disparity d compares the same two pixels as the left
+eye's cost of pixel x + d, so the right eye's plane i is the left eye's
+plane i read d_min + i columns further right, and _BIG_COST past the
+right edge; a second volume would recompute the same window sums.
 
 The census window alone fixes where costs exist: pixels within half a
 window of the border have no census pattern, so the costs at disparity d
@@ -32,7 +33,7 @@ _BIG_COST = np.uint16(0xFFFF)
 # Cost cells (strip rows x width x disparities) per strip: about 50 rows
 # of a 640-wide image with 65 disparities, 4 MB of uint16.
 _STRIP_CELLS = 1 << 21
-_POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
+_POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint16)
 
 DEFAULT_WINDOW = 5
 DEFAULT_Z_MAX = 20.0
@@ -188,15 +189,13 @@ def _cost_volume(
     ref: np.ndarray, other: np.ndarray, window: int, y0: int, y1: int,
     d_min: int, d_max: int,
 ) -> np.ndarray:
-    """Aggregated matching cost (h, w, n_d) uint16 of the left eye from two
-    census bit arrays; cost[y, x, i] compares the reference pixel x with
-    the other image's pixel x - (d_min + i).
+    """Aggregated matching cost (n_d, h, w) uint16 of the left eye from two
+    plane-major census arrays (n_bytes, h, w); cost[i, y, x] compares the
+    reference pixel x with the other image's pixel x - (d_min + i).
 
-    This is the only cost volume the matcher builds. The right eye's cost
+    This is the only cost volume the matcher builds: the right eye's cost
     of pixel x at disparity d_min + i compares the pair that
-    cost[y, x + d_min + i, i] compares, so vol_r[y, x, i] equals that cell
-    (or _BIG_COST past the right edge); a second volume would recompute the
-    same window sums, and _right_volume reads it from this one instead.
+    cost[i, y, x + d_min + i] compares (see _winner_take_all).
 
     The census window fixes where patterns exist: rows [y0, y1) (the
     caller's share of census_transform's [half, h - half)) and columns
@@ -206,22 +205,22 @@ def _cost_volume(
     when the cell lies in that rectangle shrunk by half on every side.
     Those cells get the window sum of the Hamming costs; every other cell
     _BIG_COST."""
-    h, w, n_bytes = ref.shape
+    n_bytes, h, w = ref.shape
     half = window // 2
-    volume = np.full((h, w, d_max - d_min + 1), _BIG_COST, dtype=np.uint16)
+    volume = np.full((d_max - d_min + 1, h, w), _BIG_COST, dtype=np.uint16)
     if y1 - y0 < window:
         return volume
     for i, d in enumerate(range(d_min, d_max + 1)):
         x0, x1 = half + d, w - half
         if x1 - x0 < window:
             continue
-        xor = np.bitwise_xor(ref[y0:y1, x0:x1], other[y0:y1, x0 - d: x1 - d])
-        # Popcount byte by byte: a reduction over the 1-10 census bytes
-        # would run one short inner loop per pixel.
-        raw = _POPCOUNT.take(xor[..., 0]).astype(np.uint16)
+        xor = np.bitwise_xor(ref[:, y0:y1, x0:x1], other[:, y0:y1, x0 - d: x1 - d])
+        # Popcount one byte plane at a time: the table is uint16, so the
+        # lookups add straight into the window sums' dtype.
+        raw = _POPCOUNT.take(xor[0])
         for byte in range(1, n_bytes):
-            raw += _POPCOUNT.take(xor[..., byte])
-        volume[y0 + half: y1 - half, x0 + half: x1 - half, i] = _window_sums(raw, window)
+            raw += _POPCOUNT.take(xor[byte])
+        volume[i, y0 + half: y1 - half, x0 + half: x1 - half] = _window_sums(raw, window)
     return volume
 
 
@@ -239,30 +238,34 @@ def _window_sums(raw: np.ndarray, k: int) -> np.ndarray:
     return agg
 
 
-def _right_volume(vol_l: np.ndarray, d_min: int) -> np.ndarray:
-    """The right eye's cost volume, vol_r[y, x, i] == vol_l[y, x + d_min + i, i]
-    and _BIG_COST past the right edge, as a read-only view: vol_l is copied
-    once into a buffer with d_max columns of _BIG_COST on the right, and
-    the view steps one column further along with each disparity."""
-    s, w, n_d = vol_l.shape
-    padded = np.full((s, w + d_min + n_d - 1, n_d), _BIG_COST, dtype=np.uint16)
-    padded[:, :w] = vol_l
-    sy, sx, sd = padded.strides
-    return np.lib.stride_tricks.as_strided(
-        padded[:, d_min:], shape=vol_l.shape, strides=(sy, sx, sx + sd),
-        writeable=False,
-    )
+def _winner_take_all(
+    volume: np.ndarray, d_min: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Lowest-cost disparity index (first on ties, as argmin) and its cost
+    per pixel, for the left eye and then the right, from one pass of
+    running strict minima over the planes of the left eye's volume.
 
-
-def _winner_take_all(volume: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest-cost disparity index (first on ties) and its cost per pixel.
-    argmin copies a view whose last axis is not contiguous, so it runs one
-    row at a time to keep that copy one row long."""
-    best = np.empty(volume.shape[:2], dtype=np.intp)
-    for y in range(volume.shape[0]):
-        np.argmin(volume[y], axis=1, out=best[y])
-    best_cost = np.take_along_axis(volume, best[:, :, None], axis=2)[:, :, 0]
-    return best, best_cost
+    The right eye's plane i is the left eye's plane i read d_min + i
+    columns further right, since both compare the same two pixels, and
+    _BIG_COST past the right edge, which never beats the running minimum."""
+    n_d, s, w = volume.shape
+    cost_l = np.full((s, w), _BIG_COST, dtype=np.uint16)
+    cost_r = cost_l.copy()
+    best_l = np.zeros((s, w), dtype=np.intp)
+    best_r = best_l.copy()
+    better = np.empty((s, w), dtype=bool)
+    for i in range(n_d):
+        plane = volume[i]
+        np.less(plane, cost_l, out=better)
+        np.minimum(cost_l, plane, out=cost_l)
+        np.copyto(best_l, i, where=better)
+        c = d_min + i
+        if c < w:
+            shifted, running = plane[:, c:], cost_r[:, : w - c]
+            np.less(shifted, running, out=better[:, : w - c])
+            np.minimum(running, shifted, out=running)
+            np.copyto(best_r[:, : w - c], i, where=better[:, : w - c])
+    return best_l, cost_l, best_r, cost_r
 
 
 def match_disparity(
@@ -283,10 +286,10 @@ def match_disparity(
     one image row within a half window, so the image is matched in
     horizontal strips of about _STRIP_CELLS cost cells (at least one row).
     Beyond the census bits and the output, which grow with height x width,
-    the working set is one uint16 cost volume of (strip rows + window - 1)
-    x width x disparities and its copy padded by d_max columns, from
-    which the right eye's costs are read, whatever the image height. The
-    result does not depend on the strip height.
+    the working set is one uint16 cost volume of disparities x (strip rows
+    + window - 1) x width, from which both eyes' costs are read, and a few
+    strip-sized planes, whatever the image height. The result does not
+    depend on the strip height.
     """
     if left.pixels.shape != right.pixels.shape:
         raise SizeMismatch(
@@ -296,8 +299,9 @@ def match_disparity(
     if not (0 <= d_min < d_max < left.width):
         raise EmptyRange(f"invalid disparity range [{d_min}, {d_max}]")
 
-    census_l = census_transform(left, window)
-    census_r = census_transform(right, window)
+    # Plane-major copies (n_bytes, h, w): each byte plane is contiguous.
+    census_l = np.ascontiguousarray(census_transform(left, window).transpose(2, 0, 1))
+    census_r = np.ascontiguousarray(census_transform(right, window).transpose(2, 0, 1))
 
     h, w = left.pixels.shape
     rows = max(1, _STRIP_CELLS // (w * (d_max - d_min + 1)))
@@ -325,17 +329,15 @@ def _match_strip(
     [half, h - half) within it, so _cost_volume gives the kept rows the
     whole image's costs. It is built once, for the left eye: the right
     eye's costs compare the same pixel pairs, shifted by the disparity, so
-    its winners are read from a view of the same volume (_right_volume)."""
-    h = census_l.shape[0]
+    _winner_take_all reads both eyes' winners from the same planes."""
+    h = census_l.shape[1]
     half = window // 2
     a, b = max(r0 - half, 0), min(r1 + half, h)
     y0, y1 = max(half, a) - a, min(h - half, b) - a
     vol_l = _cost_volume(
-        census_l[a:b], census_r[a:b], window, y0, y1, d_min, d_max
-    )[r0 - a: r1 - a]
-    best_l, cost_l = _winner_take_all(vol_l)
-    # Read before the uniqueness test below overwrites vol_l.
-    best_r, _ = _winner_take_all(_right_volume(vol_l, d_min))
+        census_l[:, a:b], census_r[:, a:b], window, y0, y1, d_min, d_max
+    )[:, r0 - a: r1 - a]
+    best_l, cost_l, best_r, _ = _winner_take_all(vol_l, d_min)
 
     n_d = d_max - d_min + 1
     valid = cost_l < _BIG_COST
@@ -344,20 +346,20 @@ def _match_strip(
     # read before the uniqueness test overwrites them.
     c0 = cost_l.astype(np.int64)
     cm = np.take_along_axis(
-        vol_l, np.maximum(best_l - 1, 0)[:, :, None], axis=2
-    )[:, :, 0].astype(np.int64)
+        vol_l, np.maximum(best_l - 1, 0)[None], axis=0
+    )[0].astype(np.int64)
     cp = np.take_along_axis(
-        vol_l, np.minimum(best_l + 1, n_d - 1)[:, :, None], axis=2
-    )[:, :, 0].astype(np.int64)
+        vol_l, np.minimum(best_l + 1, n_d - 1)[None], axis=0
+    )[0].astype(np.int64)
 
     # Uniqueness: the winner must strictly beat every candidate more than
     # 1 px away; flat cost curves (e.g. textureless input) fail here. The
     # candidates within 1 px are masked in place; with none left, the
     # minimum is _BIG_COST, which a valid winner beats.
     for step in (-1, 0, 1):
-        near = np.clip(best_l + step, 0, n_d - 1)[:, :, None]
-        np.put_along_axis(vol_l, near, _BIG_COST, axis=2)
-    valid &= cost_l < vol_l.min(axis=2)
+        near = np.clip(best_l + step, 0, n_d - 1)[None]
+        np.put_along_axis(vol_l, near, _BIG_COST, axis=0)
+    valid &= cost_l < vol_l.min(axis=0)
 
     # Left-right consistency, 1 px tolerance on integer winners. A valid
     # winner's cell lies in _cost_volume's rectangle, so its match x - d

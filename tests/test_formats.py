@@ -266,6 +266,61 @@ def test_write_las_matches_loop(make):
     assert write_las(cloud) == _write_las_loop(cloud)
 
 
+def _write_asc_loop(d: DsmGrid) -> str:
+    """Reference: write_asc as it was, one f-string per cell."""
+    g = d.geometry
+    yll = g.origin_y - (g.n_rows - 1) * g.cell_size
+    lines = [
+        f"ncols {g.n_cols}",
+        f"nrows {g.n_rows}",
+        f"xllcenter {float(g.origin_x)!r}",
+        f"yllcenter {float(yll)!r}",
+        f"cellsize {float(g.cell_size)!r}",
+        "nodata_value -9999",
+    ]
+    for row in d.values:
+        lines.append(" ".join("-9999" if v == -9999.0 else f"{v:.3f}" for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def _asc_random():
+    rng = np.random.default_rng(12)
+    values = rng.normal(0.0, 50.0, (7, 13))
+    values[rng.random(values.shape) < 0.3] = -9999.0
+    return values
+
+
+def _asc_edges():
+    """Signed zeros, -0.0005, the rounding-edge halves (none exact in
+    binary) and 1e15, beside NODATA cells."""
+    row = [0.0, -0.0, -0.0005, 0.0005, 0.0015, 2.0005, -2.0005, 1e15, -1e15]
+    return np.array([row, row[::-1], [-9999.0] * 4 + row[4:]])
+
+
+def _asc_whole_rows():
+    """An all-NODATA row between two all-data rows."""
+    values = np.arange(24.0).reshape(3, 8) / 7.0 - 1.5
+    values[1] = -9999.0
+    return values
+
+
+@pytest.mark.parametrize(
+    "make",
+    [_asc_random, _asc_edges, _asc_whole_rows,
+     lambda: np.array([[-9999.0], [0.0015], [-9999.0]])],
+    ids=["random", "edges", "whole_rows", "one_column"],
+)
+def test_write_asc_matches_loop(make):
+    values = make()
+    n_rows, n_cols = values.shape
+    geom = GridGeometry(
+        origin_x=500000.25, origin_y=5200000.5, cell_size=0.25,
+        n_cols=n_cols, n_rows=n_rows,
+    )
+    grid = DsmGrid(geometry=geom, values=values)
+    assert write_asc(grid) == _write_asc_loop(grid)
+
+
 class TestAsc:
     def test_single_cell_format(self):
         geom = GridGeometry(origin_x=0.0, origin_y=0.0, cell_size=1.0, n_cols=1, n_rows=1)

@@ -330,6 +330,15 @@ def _halo_cases(draw):
     return window, h, w, (d_min, d_max), (a, b), shift, levels, seed
 
 
+def _planes(census):
+    """The matcher's plane-major copy (n_bytes, h, w) of census bits."""
+    return np.ascontiguousarray(census.transpose(2, 0, 1))
+
+
+def _as_uint16(costs):
+    return np.where(costs == _ORACLE_BIG, int(stereo._BIG_COST), costs)
+
+
 class TestRightVolume:
     @settings(max_examples=60, deadline=None)
     @given(case=_halo_cases())
@@ -338,31 +347,73 @@ class TestRightVolume:
     @example(case=(5, 20, 30, (1, 29), (2, 17), 2, 2, 2))  # widest shifts
     @example(case=(3, 8, 12, (1, 11), (3, 4), 1, 0, 3))  # one-row halo
     def test_right_eye_read_from_left_volume(self, case):
-        """The right eye's costs, read from the one volume built per strip,
-        equal a right-eye volume built on its own, _BIG_COST border
-        included, and so do its winners and their costs."""
+        """Every plane of the one volume built per strip equals the left
+        eye's volume built on its own, _BIG_COST border included; the
+        winners read from it equal argmin's over the left eye's volume
+        and over a right-eye volume built on its own, and so do their
+        costs."""
         window, h, w, (d_min, d_max), (a, b), shift, levels, seed = case
         left, right = _textured_pair(seed, h, w, shift, levels)
         census_l = census_transform(left, window)[a:b]
         census_r = census_transform(right, window)[a:b]
         half = window // 2
         y0, y1 = max(half, a) - a, min(h - half, b) - a
-        vol_l = stereo._cost_volume(census_l, census_r, window, y0, y1, d_min, d_max)
-        vol_r = stereo._right_volume(vol_l, d_min)
+        volume = stereo._cost_volume(
+            _planes(census_l), _planes(census_r), window, y0, y1, d_min, d_max
+        )
         border = _oracle_border_mask(h, w, window)[a:b]
-        oracle = _oracle_cost_volume(
+        oracle_l = _oracle_cost_volume(
+            census_l, census_r, border, window, d_min, d_max, sign=-1
+        )
+        oracle_r = _oracle_cost_volume(
             census_r, census_l, border, window, d_min, d_max, sign=+1
         )
 
-        def as_uint16(costs):
-            return np.where(costs == _ORACLE_BIG, int(stereo._BIG_COST), costs)
+        assert volume.dtype == np.uint16
+        assert np.array_equal(volume, _as_uint16(oracle_l).transpose(2, 0, 1))
+        best_l, cost_l, best_r, cost_r = stereo._winner_take_all(volume, d_min)
+        for (best, cost), oracle in (
+            ((best_l, cost_l), oracle_l), ((best_r, cost_r), oracle_r)
+        ):
+            best_o, cost_o = _oracle_wta(oracle)
+            assert np.array_equal(best, best_o)
+            assert np.array_equal(cost, _as_uint16(cost_o))
 
-        assert vol_r.dtype == np.uint16
-        assert np.array_equal(vol_r, as_uint16(oracle))
-        best, cost = stereo._winner_take_all(vol_r)
-        best_o, cost_o = _oracle_wta(oracle)
-        assert np.array_equal(best, best_o)
-        assert np.array_equal(cost, as_uint16(cost_o))
+    @pytest.mark.parametrize("flat", [True, False])
+    def test_ties_keep_first_index(self, flat):
+        """Where several disparities share the lowest cost, both eyes'
+        winners are the first of them, as argmin's are. A flat pair ties
+        every disparity; a pair of 3 grey levels repeating every 4
+        columns, shifted by 3, ties disparities 3, 7, 11 and 15."""
+        window, (d_min, d_max) = 5, (2, 16)
+        if flat:
+            left = right = GrayImage(np.full((14, 40), 0.5))
+        else:
+            tile = np.random.default_rng(5).integers(0, 3, (14, 4)) / 2
+            base = np.tile(tile, 11)
+            left, right = GrayImage(base[:, :40]), GrayImage(base[:, 3:43])
+        census_l = census_transform(left, window)
+        census_r = census_transform(right, window)
+        h, w = left.pixels.shape
+        half = window // 2
+        volume = stereo._cost_volume(
+            _planes(census_l), _planes(census_r), window, half, h - half,
+            d_min, d_max,
+        )
+        border = _oracle_border_mask(h, w, window)
+        best_l, _, best_r, _ = stereo._winner_take_all(volume, d_min)
+        for best, oracle in (
+            (best_l, _oracle_cost_volume(
+                census_l, census_r, border, window, d_min, d_max, sign=-1
+            )),
+            (best_r, _oracle_cost_volume(
+                census_r, census_l, border, window, d_min, d_max, sign=+1
+            )),
+        ):
+            real = oracle.min(axis=2) < _ORACLE_BIG
+            ties = (oracle == oracle.min(axis=2, keepdims=True)).sum(axis=2) > 1
+            assert (ties & real).sum() >= 20  # the case exercises real ties
+            assert np.array_equal(best, _oracle_wta(oracle)[0])
 
     def test_one_cost_volume_per_strip(self, monkeypatch):
         calls = []
