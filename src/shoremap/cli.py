@@ -125,11 +125,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(fragment: dict, report_path: str | None) -> None:
-    text = pipeline.report_text(fragment)
     if report_path:
-        Path(report_path).parent.mkdir(parents=True, exist_ok=True)
-        Path(report_path).write_text(text)
-    sys.stdout.write(text)
+        pipeline.write_report(fragment, Path(report_path))
+    sys.stdout.write(pipeline.report_text(fragment))
 
 
 def _dispatch(args) -> int:

@@ -47,6 +47,7 @@ from .surface import (
     NODATA,
     ClipPolygon,
     DsmGrid,
+    Tin,
     build_tin,
     clip_dsm,
     rasterize_tin,
@@ -303,8 +304,9 @@ def stage_dsm(
     kill: float = DEFAULT_KILL_DISTANCE,
     clip: ClipPolygon | None = None,
     grid: GridGeometry | None = None,
-) -> tuple[Path, dict]:
+) -> tuple[Tin, dict]:
     """Triangulate the cloud, rasterize, optionally clip, write dsm.asc.
+    Returns the TIN, which the vertical check of a run reuses.
 
     The grid is validated before the triangulation, so bad settings fail
     before the expensive step."""
@@ -333,13 +335,17 @@ def stage_dsm(
         "triangles": len(tin.triangles),
         "dsm_file": str(out_path),
     }
-    return out_path, metrics
+    return tin, metrics
 
 
-def stage_check(cloud_path: Path, gcps: Sequence[Gcp]) -> dict:
-    """Vertical accuracy of the cloud surface against surveyed GCPs."""
+def stage_check(cloud_path: Path, gcps: Sequence[Gcp], tin: Tin | None = None) -> dict:
+    """Vertical accuracy of the cloud surface against surveyed GCPs.
+
+    ``tin``, the TIN a run's dsm stage built, is used as it is when its
+    vertices are this cloud's (see :func:`build_tin`'s ``reuse``);
+    otherwise, as in a standalone check, the whole cloud is triangulated."""
     cloud = read_las(_read_bytes(cloud_path))
-    tin = build_tin(cloud, near=[(g.world.x, g.world.y) for g in gcps])
+    tin = build_tin(cloud, reuse=tin)
     report = vertical_check(tin, gcps)
     per_gcp = []
     for gid, surface_z, dz in report.per_gcp:
@@ -493,10 +499,11 @@ _BOOLEANS = {
 }
 
 
-def call_stage(name: str, **kwargs) -> tuple[Path | None, dict]:
+def call_stage(name: str, **kwargs) -> tuple[object, dict]:
     """Call stage_<name> as this module holds it at call time, so that a
-    replaced stage is the one called. Returns (artifact path, metrics);
-    the path is None for a stage that returns its metrics alone."""
+    replaced stage is the one called. Returns (what the chain passes on,
+    metrics): an artifact path, the dsm stage's TIN, or None for a stage
+    that returns its metrics alone."""
     result = globals()[f"stage_{name}"](**kwargs)
     return result if isinstance(result, tuple) else (None, result)
 
@@ -574,7 +581,9 @@ def run_pipeline(
     overrides: Sequence[str] = (),
 ) -> dict:
     """Execute depth -> register -> dsm -> check -> rectify, writing the
-    consolidated report (and partial results when a stage fails).
+    consolidated report (and partial results when a stage fails). The
+    dsm stage's TIN goes to check, so a run triangulates once, and is
+    dropped before rectify.
 
     config is the run configuration or its file; `KEY=VALUE` overrides
     apply on top, in order. A preflight reads them and then checks them
@@ -623,10 +632,10 @@ def run_pipeline(
         fail("preflight", exc)
         raise
 
-    def run_stage(name: str, **chained) -> Path | None:
+    def run_stage(name: str, **chained):
         t0 = time.perf_counter()
         try:
-            path, metrics = call_stage(name, **kwargs[name], **chained)
+            passed_on, metrics = call_stage(name, **kwargs[name], **chained)
         except Exception as exc:
             report["timing"]["stage_seconds"][name] = time.perf_counter() - t0
             fail(name, exc)
@@ -634,12 +643,13 @@ def run_pipeline(
         report["timing"]["stage_seconds"][name] = time.perf_counter() - t0
         report["stages"][REPORT_KEYS[name]] = metrics
         report["stages_completed"].append(name)
-        return path
+        return passed_on
 
     cloud = run_stage("depth", out_dir=out_dir)
     registered = run_stage("register", cloud_path=cloud, out_dir=out_dir)
-    run_stage("dsm", cloud_path=registered, out_dir=out_dir)
-    run_stage("check", cloud_path=registered)
+    tin = run_stage("dsm", cloud_path=registered, out_dir=out_dir)
+    run_stage("check", cloud_path=registered, tin=tin)
+    del tin
     run_stage("rectify", out_dir=out_dir)
     finish()
     return report

@@ -106,10 +106,11 @@ class DisparityMap:
         v = np.asarray(self.values, dtype=np.float64)
         if v.ndim != 2:
             raise ValueError("disparity map must be 2-d")
-        valid = v[np.isfinite(v)]
-        if valid.size and (
-            valid.min() < self.min_disparity or valid.max() > self.max_disparity
-        ):
+        # Reduced in place over the finite values: no copy of them.
+        finite = np.isfinite(v)
+        lo = np.minimum.reduce(v, axis=None, where=finite, initial=np.inf)
+        hi = np.maximum.reduce(v, axis=None, where=finite, initial=-np.inf)
+        if lo < self.min_disparity or hi > self.max_disparity:
             raise ValueError("valid disparities outside the declared range")
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
@@ -309,6 +310,7 @@ def match_disparity(
     for r0 in range(0, h, rows):
         r1 = min(r0 + rows, h)
         disp[r0:r1] = _match_strip(census_l, census_r, window, r0, r1, d_min, d_max)
+    del census_l, census_r
     return DisparityMap(values=disp, min_disparity=d_min, max_disparity=d_max)
 
 

@@ -6,7 +6,7 @@ Rong et al. 2008; gDel2D, Qi, Cao & Tan 2012), inside an enclosing
 super-triangle, in int32 triangle vertex and neighbour arrays of 2n + 1
 rows. The points come in along a Hilbert curve in BRIO rounds (Amenta,
 Choi & Rote 2003); each point is located once, by a visibility walk
-from a triangle near its curve neighbour, every triangle reached
+from a triangle close to its curve neighbour, every triangle reached
 inserts one of its walkers, and Lawson passes then flip illegal edges
 until none is left. Every orientation and in-circle test, the tie rule
 and the clip rings' self-intersection check included, is one array
@@ -18,9 +18,10 @@ the vertices' lifts, so the triangle array, each row starting at its
 lowest vertex, is the unique Delaunay triangulation of the perturbed
 vertices, a function of the deduplicated vertex array alone. The tests
 hold it bit for bit to a scalar Bowyer-Watson oracle that has its own
-scalar predicates. Being unique, it can be read locally: for point
-queries, :func:`build_tin` triangulates only boxes around the query
-points and keeps the triangles whose circumdisk the box certifies.
+scalar predicates. Being unique, it can be handed on: :func:`build_tin`
+returns a TIN given to it as ``reuse`` when its vertices are the cloud's
+deduplicated vertices bit for bit, so one pipeline run triangulates
+once for its DSM and its vertical check.
 """
 
 from __future__ import annotations
@@ -53,9 +54,6 @@ _BLOCK = 1 << 14  # predicate lanes per numpy block
 _ROUND_POINTS = 1 << 16  # new points per insert round, which bounds its arrays
 _CLAIM_PAIRS = 1 << 16  # candidate (triangle, cell) pairs per DSM claim block
 _UNCLAIMED = np.iinfo(np.int64).max
-_NEAR_SPACINGS = 8.0  # first side of a query's window, in mean point spacings
-_NEAR_BUDGET = 0.25  # what all windows may cost, as a share of the vertices
-_WINDOW_COST = 1024  # a window's fixed cost, in vertices of a whole-set build
 
 
 # --- exact-fallback predicates ----------------------------------------------
@@ -146,16 +144,12 @@ def _incircle_tie(xs, ys, a, b, c, d) -> np.ndarray:
 class Tin:
     """Triangulated surface, all arrays read-only: vertices (n, 3) float64
     x, y, z and triangles (m, 3) int64 vertex indices, oriented
-    counterclockwise in the xy-plane.
-
-    ``queries`` is None for a whole-set TIN. A TIN that ``build_tin``
-    made for point queries (``near``) holds a certified subset of the
-    whole-set rows and keeps those query points, (k, 2) xy: the point
-    samplers answer only them, and :func:`rasterize_tin` refuses it."""
+    counterclockwise in the xy-plane. From :func:`build_tin`, the
+    triangles are the whole Delaunay triangulation of the vertices, a
+    function of the vertex array alone."""
 
     vertices: np.ndarray
     triangles: np.ndarray
-    queries: Optional[np.ndarray] = None
 
     def __post_init__(self):
         v = np.asarray(self.vertices, dtype=np.float64).reshape(-1, 3)
@@ -164,10 +158,6 @@ class Tin:
         t.flags.writeable = False
         object.__setattr__(self, "vertices", v)
         object.__setattr__(self, "triangles", t)
-        if self.queries is not None:
-            q = np.array(self.queries, dtype=np.float64).reshape(-1, 2)
-            q.flags.writeable = False
-            object.__setattr__(self, "queries", q)
 
     def max_edge_lengths(self) -> np.ndarray:
         """Longest xy edge per triangle, one edge at a time so that no
@@ -654,139 +644,7 @@ def _all_collinear(xs: np.ndarray, ys: np.ndarray) -> bool:
     return not _signs(_orient_terms, _ORIENT_FILTER, xs, ys, np.zeros_like(k), np.ones_like(k), k).any()
 
 
-def _triangulate(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Canonical rows of the Delaunay triangulation of points that are not
-    all collinear."""
-    return _real_triangles(_Triangulator(xs, ys).run(), len(xs))
-
-
-def _circumdisks(xs, ys, tri):
-    """Float centre (x, y) and reach of each row's closed circumdisk: the
-    exact disk lies within ``reach`` of the centre.
-
-    The float circumcentre, taken relative to the first vertex, is off by
-    at most a few ulps of R (1 + L^2 / |d|) (R the circumradius, L the
-    longer edge from that vertex, d = 2 (b - a) x (c - a)), and the
-    radius is the float distance to the farthest vertex. The reach adds
-    2^-32 of that scale plus the centre's magnitude, far more than the
-    rounding, and also covers the rounding of a comparison with a box
-    edge. A row whose float area is 0 reaches NaN or infinity."""
-    ax, ay = xs[tri[:, 0]], ys[tri[:, 0]]
-    bx, by = xs[tri[:, 1]] - ax, ys[tri[:, 1]] - ay
-    cx, cy = xs[tri[:, 2]] - ax, ys[tri[:, 2]] - ay
-    b2, c2 = bx * bx + by * by, cx * cx + cy * cy
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        d = 2.0 * (bx * cy - by * cx)
-        ux = (cy * b2 - by * c2) / d
-        uy = (bx * c2 - cx * b2) / d
-        r = np.sqrt(np.maximum.reduce([
-            ux * ux + uy * uy, (ux - bx) ** 2 + (uy - by) ** 2, (ux - cx) ** 2 + (uy - cy) ** 2,
-        ]))
-        ux, uy = ux + ax, uy + ay
-        reach = r + 2.0 ** -32 * (r * (1.0 + np.maximum(b2, c2) / np.abs(d)) + np.abs(ux) + np.abs(uy))
-    return ux, uy, reach
-
-
-def _box_meets(x_lo, x_hi, y_lo, y_hi, x, y, rho) -> np.ndarray:
-    """Whether each box [x_lo, x_hi] x [y_lo, y_hi] meets the query box of
-    half-width ``rho`` around (x, y)."""
-    return (x_lo <= x + rho) & (x_hi >= x - rho) & (y_lo <= y + rho) & (y_hi >= y - rho)
-
-
-def _hull_meets(wx, wy, tri, x, y, rho) -> bool:
-    """Whether an edge on the hull of a window TIN (rows ``tri`` of
-    window-local indices) has a bounding box meeting the query box. Edge
-    k of a row runs from corner k to corner k + 1; a hull edge has no
-    reverse among the rows."""
-    tail, head = tri.ravel(), np.roll(tri, -1, axis=1).ravel()
-    hull = ~np.isin(head * len(wx) + tail, tail * len(wx) + head)
-    ex, ey = wx[np.stack([tail[hull], head[hull]])], wy[np.stack([tail[hull], head[hull]])]
-    return bool(_box_meets(ex.min(axis=0), ex.max(axis=0), ey.min(axis=0), ey.max(axis=0), x, y, rho).any())
-
-
-def _settled(wx, wy, tri, certified, x, y, rho) -> bool:
-    """Whether a window TIN whose hull keeps out of the query box (see
-    :func:`_hull_meets`) has, among its certified rows, every row of the
-    whole-set TIN that meets that box: the point lies in one of the rows
-    whose bounding box meets the query box, and every such row is
-    certified. The query box then lies inside certified rows, which are
-    whole-set rows, and any whole-set row meeting it overlaps one of
-    them, so is one."""
-    tx, ty = wx[tri], wy[tri]
-    near = _box_meets(tx.min(axis=1), tx.max(axis=1), ty.min(axis=1), ty.max(axis=1), x, y, rho)
-    if not near.any() or not certified[near].all():
-        return False
-    # The point as vertex len(wx), against each near row's three edges.
-    v = tri[near]
-    side = _signs(
-        _orient_terms, _ORIENT_FILTER, np.append(wx, x), np.append(wy, y),
-        v.ravel(), np.roll(v, -1, axis=1).ravel(), np.full(v.size, len(wx)),
-    ).reshape(-1, 3)
-    return bool((side >= 0).all(axis=1).any())
-
-
-def _near_rows(xs: np.ndarray, ys: np.ndarray, qx: np.ndarray, qy: np.ndarray):
-    """Certified rows of the Delaunay TIN of (xs, ys) around the query
-    points, a lexsorted subset of the whole-set rows, or None where the
-    whole set is needed or cheaper.
-
-    A query's box has half-width an eighth of a mean point spacing, far
-    beyond the reach of the barycentric test outside a triangle (1e-12
-    of its size, and rounding), so every row that could claim the query
-    meets it. A query whose box misses the vertex bounding box needs no
-    rows. Otherwise the query triangulates the vertices in its window, a
-    box of ``_NEAR_SPACINGS`` mean spacings a side around it at first,
-    indices kept ascending so that the tie rule, the row rotation and the
-    row order match the whole set's. A row whose closed circumdisk lies
-    inside the window is a whole-set row: no vertex outside the window
-    can be inside or on its circle, and the Delaunay triangulation is
-    unique (after Isenburg, Liu, Shewchuk & Snoeyink 2006). Until no
-    hull edge of the window TIN meets the query box and the query is
-    :func:`_settled`, its window doubles.
-
-    The answer is None, so the caller triangulates the whole set, when
-    the windows would cost more than ``_NEAR_BUDGET`` of the vertices,
-    each counted as its vertices plus ``_WINDOW_COST``; then the windows
-    cost at most about that share of a whole-set build. It is also None
-    at once when a window that reaches past the vertex bounding box
-    still has a hull edge in the query box: the query is taken to lie on
-    the cloud's own hull, which no window gets rid of. Queries nearest
-    the bounding box's boundary go first, so such a query spends no
-    other query's windows."""
-    lo_x, hi_x, lo_y, hi_y = xs.min(), xs.max(), ys.min(), ys.max()
-    spacing = float(np.sqrt((hi_x - lo_x) * (hi_y - lo_y) / len(xs)))
-    rho = spacing / 8.0
-    on = _box_meets(lo_x, hi_x, lo_y, hi_y, qx, qy, rho)
-    qx, qy = qx[on], qy[on]
-    budget = _NEAR_BUDGET * len(xs)
-    if qx.size * _WINDOW_COST > budget:
-        return None
-    rows = [np.empty((0, 3), np.int64)]
-    first = np.argsort(np.minimum.reduce([qx - lo_x, hi_x - qx, qy - lo_y, hi_y - qy]), kind="stable")
-    for x, y in zip(qx[first].tolist(), qy[first].tolist()):
-        h = _NEAR_SPACINGS * spacing / 2.0
-        while True:
-            x0, y0, x1, y1 = x - h, y - h, x + h, y + h
-            idx = np.flatnonzero((xs >= x0) & (xs <= x1) & (ys >= y0) & (ys <= y1))
-            budget -= idx.size + _WINDOW_COST
-            if budget < 0:
-                return None
-            wx, wy = xs[idx], ys[idx]
-            if not _all_collinear(wx, wy):
-                tri = _triangulate(wx, wy)
-                ux, uy, reach = _circumdisks(wx, wy, tri)
-                certified = (ux - reach > x0) & (ux + reach < x1) & (uy - reach > y0) & (uy + reach < y1)
-                rows.append(idx[tri[certified]])
-                if not _hull_meets(wx, wy, tri, x, y, rho):
-                    if _settled(wx, wy, tri, certified, x, y, rho):
-                        break
-                elif x0 <= lo_x or x1 >= hi_x or y0 <= lo_y or y1 >= hi_y:
-                    return None
-            h *= 2.0
-    return np.unique(np.concatenate(rows), axis=0)
-
-
-def build_tin(cloud: PointCloud, near=None) -> Tin:
+def build_tin(cloud: PointCloud, reuse: Optional[Tin] = None) -> Tin:
     """Delaunay TIN over the cloud's xy projection.
 
     Points of exactly equal xy collapse to one vertex keeping the highest
@@ -798,16 +656,14 @@ def build_tin(cloud: PointCloud, near=None) -> Tin:
     / CollinearInput when no triangulation exists, or when the points are
     so nearly collinear that every triangle touches the super-triangle.
 
-    ``near``, an (m, 2) array of xy query points, asks for a TIN for
-    those point queries only (``Tin.queries``): it holds every vertex but
-    only a certified subset of the whole-set rows, in the same order,
-    which includes every row that :func:`vertical_check` could claim at
-    a query point, so it reads the same z. Queries outside the vertex
-    bounding box need no rows; when a query needs the whole set, or the
-    windows would cost more than about a quarter of it, the whole set is
-    triangulated. A query point that is not finite raises ValueError.
+    The triangle array is a function of the deduplicated vertices alone,
+    so ``reuse``, a TIN built earlier, is returned as it is when its
+    vertices equal them byte for byte (0.0 and -0.0 differ); otherwise
+    the cloud is triangulated.
     """
     xyz = _dedupe_xy(cloud.xyz)
+    if reuse is not None and reuse.vertices.tobytes() == xyz.tobytes():
+        return reuse
     n = xyz.shape[0]
     if n < 3:
         raise TooFewPoints(f"need at least 3 distinct points, got {n}")
@@ -816,18 +672,10 @@ def build_tin(cloud: PointCloud, near=None) -> Tin:
     # All collinear -> no triangulation; triangulating would fail slowly.
     if _all_collinear(xs, ys):
         raise CollinearInput("all points are collinear in the xy-plane")
-
-    q = triangles = None
-    if near is not None:
-        q = np.asarray(near, dtype=np.float64).reshape(-1, 2)
-        if not np.isfinite(q).all():
-            raise ValueError("query points must be finite")
-        triangles = _near_rows(xs, ys, q[:, 0], q[:, 1])
-    if triangles is None:
-        triangles = _triangulate(xs, ys)
-        if not len(triangles):
-            raise CollinearInput("the points are nearly collinear: no triangle avoids the super-triangle")
-    return Tin(vertices=xyz, triangles=triangles, queries=q)
+    triangles = _real_triangles(_Triangulator(xs, ys).run(), n)
+    if not len(triangles):
+        raise CollinearInput("the points are nearly collinear: no triangle avoids the super-triangle")
+    return Tin(vertices=xyz, triangles=triangles)
 
 
 # --- interpolation and rasterization ------------------------------------------
@@ -873,12 +721,7 @@ def _interpolate_points(
     triangle containing each point (-1 where none does) and the z there
     (NaN where none does). Candidates are the triangles whose xy bounding
     box, grown by 1e-9, holds the point; a sweep over the x-sorted points
-    finds them without a point x triangle matrix. A TIN built for point
-    queries answers only those points; any other raises ValueError."""
-    if tin.queries is not None and not set(zip(px.tolist(), py.tolist())) <= set(
-        map(tuple, tin.queries.tolist())
-    ):
-        raise ValueError("a TIN built for point queries answers only those points")
+    finds them without a point x triangle matrix."""
     xs, ys, _ = tin.vertices.T
     tri = tin.triangles
     order = np.argsort(px, kind="stable")
@@ -889,8 +732,8 @@ def _interpolate_points(
     qid = order[lo[tids] + rank]
     y = py[qid]
     ty = ys[tri[tids]]
-    near = (ty.min(axis=1) - 1e-9 <= y) & (y <= ty.max(axis=1) + 1e-9)
-    qid, tids = qid[near], tids[near]
+    overlap = (ty.min(axis=1) - 1e-9 <= y) & (y <= ty.max(axis=1) + 1e-9)
+    qid, tids = qid[overlap], tids[overlap]
     claim = np.full(px.size, _UNCLAIMED, np.int64)
     z = np.full(px.size, np.nan)
     _interpolate(tin, claim, z, qid, px[qid], py[qid], tids)
@@ -953,10 +796,7 @@ def rasterize_tin(
 ) -> DsmGrid:
     """Sample the TIN at cell centers. Cells whose containing triangle has
     an xy edge longer than the kill distance become NODATA, suppressing
-    interpolation bridges across data gaps. A TIN built for point
-    queries holds only some rows and raises ValueError."""
-    if tin.queries is not None:
-        raise ValueError("a TIN built for point queries cannot be rasterized")
+    interpolation bridges across data gaps."""
     if not kill > 0:
         raise ValueError("kill distance must be positive")
     claim, values = _claim_grid(tin, geom)

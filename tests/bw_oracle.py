@@ -15,9 +15,6 @@ the visibility walk starts from the last triangle made, so it needs
 spatially close consecutive points (on the 320x240 beach cloud a walk
 in (x, y) order took about nine times as long).
 
-Run as a script, it also holds ``build_tin``'s ``near`` TINs to the
-whole-set TIN: ``vertical_check`` must report the same at every query.
-
     PYTHONPATH=src python tests/bw_oracle.py  # array TIN == oracle, 320x240 and 640x480 beach
 """
 
@@ -29,8 +26,6 @@ import time
 import numpy as np
 
 from shoremap.errors import CollinearInput
-from shoremap.geometry import Point3
-from shoremap.georectify import Gcp
 from shoremap.stereo import PointCloud
 from shoremap.surface import (
     _INCIRCLE_FILTER,
@@ -42,7 +37,6 @@ from shoremap.surface import (
     _orient_terms,
     _real_triangles,
     build_tin,
-    vertical_check,
 )
 
 
@@ -222,84 +216,33 @@ def beach_cloud(seed: int, width: int, height: int) -> np.ndarray:
     return np.column_stack([x.ravel(), y.ravel(), scene.z_surf(x, y).ravel()])
 
 
-def near_queries(tin, rng, n: int = 500) -> np.ndarray:
-    """n seeded query points, a quarter of each kind: random points in the
-    vertex bounding box, vertices, edge midpoints, and points within two
-    mean spacings either side of the bounding box's boundary."""
-    v = tin.vertices[:, :2]
-    lo, hi = v.min(axis=0), v.max(axis=0)
-    spacing = np.sqrt(np.prod(hi - lo) / len(v))
-    k = n // 4
-    rows = tin.triangles[rng.integers(0, len(tin.triangles), k)]
-    corner = rng.integers(0, 3, k)
-    mid = (v[rows[np.arange(k), corner]] + v[rows[np.arange(k), (corner + 1) % 3]]) / 2
-    around = lo + rng.random((k, 2)) * (hi - lo)
-    side = rng.integers(0, 4, k)  # left, right, bottom, top
-    axis, end = side // 2, side % 2
-    around[np.arange(k), axis] = np.where(end, hi[axis], lo[axis]) + (rng.random(k) * 4 - 2) * spacing
-    return np.concatenate([
-        lo + rng.random((n - 3 * k, 2)) * (hi - lo), v[rng.integers(0, len(v), k)], mid, around,
-    ])
-
-
-def near_differences(cloud: PointCloud, tin, rng, group: int = 10) -> tuple[int, int, int]:
-    """How many groups of ``group`` queries get a different vertical check
-    from a near TIN than from the whole-set ``tin``, how many near TINs
-    were a strict subset of it, and how many groups there were.
-
-    The queries are grouped interior first, by their distance inside the
-    vertex bounding box: a query near its boundary may lie on the hull,
-    which sends its whole group to a whole-set build, so such queries
-    share as few groups as they can."""
-    q = near_queries(tin, rng)
-    v = tin.vertices[:, :2]
-    inside = np.minimum(q - v.min(axis=0), v.max(axis=0) - q).min(axis=1)
-    q = q[np.argsort(-inside, kind="stable")]
-    gcps = [Gcp(str(i), Point3(x, y, 0.0)) for i, (x, y) in enumerate(q.tolist())]
-    differ = subsets = 0
-    for s in range(0, len(q), group):
-        near = build_tin(cloud, near=q[s:s + group])
-        subsets += len(near.triangles) < len(tin.triangles)
-        differ += vertical_check(near, gcps[s:s + group]) != vertical_check(tin, gcps[s:s + group])
-    return differ, subsets, len(range(0, len(q), group))
-
-
 def main() -> int:
     """The 320x240 beach cloud, then the same cloud moved by (+500,000,
     +5,200,000) m, as UTM coordinates would put it, so that the
     predicates see large raw coordinates. (A BeachScene's seed redraws
     only its texture, not its geometry.) Then the 640x480 beach cloud
-    rounded to 0.1 mm, as LAS stores it, for the whole-set TIN only: at
-    that scale the walks' start rows matter most, and its pixel-grid
-    points tie often."""
+    rounded to 0.1 mm, as LAS stores it: at that scale the walks' start
+    rows matter most, and its pixel-grid points tie often."""
     failed = 0
     beach = beach_cloud(0, 320, 240)
     clouds = [
-        ("beach", beach, 0),
-        ("beach + UTM offset", beach + [500_000.0, 5_200_000.0, 0.0], 7),
-        ("beach 640x480 at 0.1 mm", np.round(beach_cloud(0, 640, 480), 4), None),
+        ("beach", beach),
+        ("beach + UTM offset", beach + [500_000.0, 5_200_000.0, 0.0]),
+        ("beach 640x480 at 0.1 mm", np.round(beach_cloud(0, 640, 480), 4)),
     ]
-    for label, xyz, rng_seed in clouds:
-        cloud = PointCloud(xyz=xyz)
+    for label, xyz in clouds:
         t0 = time.perf_counter()
-        tin = build_tin(cloud)
+        tin = build_tin(PointCloud(xyz=xyz))
         t1 = time.perf_counter()
         want = oracle_triangles(xyz)
         t2 = time.perf_counter()
         same = np.array_equal(tin.triangles, want)
-        line = (
-            f"{label}: {len(want)} triangles, array {t1 - t0:.2f} s, "
-            f"oracle {t2 - t1:.2f} s, {'identical' if same else 'DIFFERENT'}"
-        )
         failed += not same
-        if rng_seed is not None:
-            differ, subsets, groups = near_differences(cloud, tin, np.random.default_rng(rng_seed))
-            failed += differ > 0
-            line += (
-                f"; near TINs ({subsets} of {groups} subsets) {time.perf_counter() - t2:.2f} s, "
-                f"{'same vertical check' if not differ else f'{differ} groups DIFFERENT'}"
-            )
-        print(line, flush=True)
+        print(
+            f"{label}: {len(want)} triangles, array {t1 - t0:.2f} s, "
+            f"oracle {t2 - t1:.2f} s, {'identical' if same else 'DIFFERENT'}",
+            flush=True,
+        )
     return 1 if failed else 0
 
 

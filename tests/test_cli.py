@@ -500,8 +500,9 @@ def _check_values(fragment: dict) -> tuple:
 
 class TestCheck:
     def test_metrics_equal_whole_set_tin(self, small_run, capsys):
-        """`check` triangulates only around the GCPs, and reports what a
-        vertical check on the whole cloud's TIN gives, in `run` and alone."""
+        """`check` reports what a vertical check on the whole cloud's TIN
+        gives: in `run`, on the TIN of the dsm stage, and alone, on the
+        whole-set TIN it builds itself."""
         paths, out = small_run
         gcps = list(parse_gcp_csv(paths["gcps"].read_text()))
         cloud = read_las((out / "registered.las").read_bytes())
@@ -515,33 +516,40 @@ class TestCheck:
         ]) == 0
         assert _check_values(json.loads(capsys.readouterr().out)["vertical_check"]) == want
 
-    def test_gcps_outside_the_cloud_need_no_triangulation(
+    def test_gcps_outside_the_cloud_are_reported_outside(
         self, small_run, tmp_path, monkeypatch, capsys
     ):
-        """GCPs all outside the cloud's bounding box are all reported
-        outside, and no triangulation is started; GCPs on the cloud start
-        one."""
+        """GCPs all 1 km east of the cloud are all reported outside. A
+        standalone check triangulates the whole cloud once, whatever its
+        GCPs."""
         paths, out = small_run
         gcps = parse_gcp_csv(paths["gcps"].read_text())
         far = [Gcp(g.id, Point3(g.world.x + 1000.0, g.world.y, g.world.z)) for g in gcps]
         far_path = tmp_path / "far.csv"
         far_path.write_text(write_gcp_csv(far))
-        built = []
-
-        class Counting(surface._Triangulator):
-            def __init__(self, *args):
-                built.append(len(args[0]))
-                super().__init__(*args)
-
-        monkeypatch.setattr(surface, "_Triangulator", Counting)
-        cloud = str(out / "registered.las")
-        assert main(["check", "--cloud", cloud, "--gcps", str(far_path)]) == 0
+        cloud = out / "registered.las"
+        n_vertices = len(build_tin(read_las(cloud.read_bytes())).vertices)
+        built = _count_triangulations(monkeypatch)
+        assert main(["check", "--cloud", str(cloud), "--gcps", str(far_path)]) == 0
         fragment = json.loads(capsys.readouterr().out)["vertical_check"]
         assert fragment["n_outside"] == len(far)
         assert all(g["outside"] for g in fragment["per_gcp"])
-        assert built == []
-        assert main(["check", "--cloud", cloud, "--gcps", str(paths["gcps"])]) == 0
-        assert built
+        assert built == [n_vertices]
+        assert main(["check", "--cloud", str(cloud), "--gcps", str(paths["gcps"])]) == 0
+        assert built == [n_vertices] * 2
+
+
+def _count_triangulations(monkeypatch) -> list:
+    """The vertex count of every triangulator built from now on."""
+    built = []
+
+    class Counting(surface._Triangulator):
+        def __init__(self, *args):
+            built.append(len(args[0]))
+            super().__init__(*args)
+
+    monkeypatch.setattr(surface, "_Triangulator", Counting)
+    return built
 
 
 class TestRun:
@@ -862,6 +870,17 @@ class TestRun:
             assert len(data) == HEADER_SIZE
             assert struct.unpack_from("<3d", data, 155) == (0.0, 0.0, 0.0)
             assert len(read_las(data)) == 0
+
+    def test_one_triangulation_per_run(self, tmp_path, monkeypatch):
+        """`run` triangulates once: the vertical check reuses the TIN that
+        the dsm stage built over the same registered cloud."""
+        paths = BeachScene(seed=0, width=64, height=48).write_fixture(tmp_path / "in")
+        built = _count_triangulations(monkeypatch)
+        out_dir = tmp_path / "out"
+        assert main(["run", "--config", str(paths["config"]), "--out-dir", str(out_dir)]) == 0
+        report = json.loads((out_dir / "run_report.json").read_text())
+        assert report["stages_completed"] == list(pipeline.RUN_STAGES)
+        assert len(built) == 1
 
     def test_tiny_cell_fails_dsm_before_triangulating(self, tmp_path, monkeypatch):
         paths = BeachScene(seed=0, width=64, height=48).write_fixture(tmp_path / "in")

@@ -555,6 +555,19 @@ class TestTypes:
                 values=np.array([[25.0]]), min_disparity=0.0, max_disparity=20.0
             )
 
+    def test_disparity_range_skips_non_finite(self):
+        """NaN and +-inf are not valid disparities, so the range check
+        skips them; a finite value out of range among them still raises."""
+        values = np.array([[np.nan, np.inf], [-np.inf, 3.0]])
+        d = DisparityMap(values=values, min_disparity=0.0, max_disparity=20.0)
+        assert d.valid_mask().sum() == 1
+        DisparityMap(values=np.full((2, 2), np.inf), min_disparity=0.0, max_disparity=20.0)
+        for bad in (-0.5, 20.5):
+            out = values.copy()
+            out[1, 1] = bad
+            with pytest.raises(ValueError):
+                DisparityMap(values=out, min_disparity=0.0, max_disparity=20.0)
+
     def test_point_cloud_finite(self):
         with pytest.raises(ValueError):
             PointCloud(xyz=np.array([[np.nan, 0, 0]]))

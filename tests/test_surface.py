@@ -140,13 +140,6 @@ class TestBuildTin:
         with pytest.raises(TooFewPoints):
             build_tin(_cloud([[0, 0, 0], [1, 1, 1]]))
 
-    def test_near_query_must_be_finite(self):
-        """A NaN query point is rejected, not silently read as outside
-        the TIN: every box comparison with it is false."""
-        cloud = _cloud([[0, 0, 0], [1, 0, 0], [0, 1, 0]])
-        with pytest.raises(ValueError):
-            build_tin(cloud, near=[[0.2, 0.2], [np.nan, 0.5]])
-
     def test_duplicates_keep_higher_z(self):
         """Only exactly equal xy merge: the duplicate keeps the higher z,
         and a point 1e-10 away is a vertex of its own."""
@@ -480,209 +473,43 @@ def test_levels_cut_into_rounds_give_the_same_tin(monkeypatch):
         np.testing.assert_array_equal(build_tin(_cloud(xyz)).triangles, oracle_triangles(xyz))
 
 
-NEAR_CLOUDS = {name: entry[0] for name, entry in PINNED_TINS.items()}
-NEAR_CLOUDS["beach 160x120"] = lambda: beach_cloud(0, 160, 120)
+REUSE_CLOUDS = {name: entry[0] for name, entry in PINNED_TINS.items()}
+REUSE_CLOUDS["beach 160x120"] = lambda: beach_cloud(0, 160, 120)
 
 
-def _claims(tin: Tin, q: np.ndarray):
-    """The row that claims each query point (-1s where none does) and the
-    z there, as vertical_check reads them."""
-    claim, z = surface._interpolate_points(tin, q[:, 0], q[:, 1])
-    return np.append(tin.triangles, [[-1, -1, -1]], axis=0)[claim], z
+def _tin_bytes(tin: Tin) -> tuple[bytes, bytes]:
+    return tin.vertices.tobytes(), tin.triangles.tobytes()
 
 
-def _edges(tin: Tin) -> tuple[np.ndarray, np.ndarray]:
-    """Every row's directed edges, (3m, 2), and whether each lies on the
-    hull (no row has its reverse)."""
-    edges = np.stack([tin.triangles, np.roll(tin.triangles, -1, axis=1)], axis=2).reshape(-1, 2)
-    keys = {tuple(e) for e in edges.tolist()}
-    return edges, np.array([(j, i) not in keys for i, j in edges.tolist()])
+@pytest.mark.parametrize("name", sorted(REUSE_CLOUDS))
+def test_reuse_returns_the_tin_of_the_same_vertices(name):
+    """build_tin returns a TIN given as ``reuse`` as it is when the
+    cloud's deduplicated vertices are its vertices bit for bit, and
+    otherwise triangulates: a copy of the cloud with one coordinate moved
+    by one ulp gets a new TIN, equal to a direct build's."""
+    xyz = REUSE_CLOUDS[name]()
+    tin = build_tin(_cloud(xyz))
+    assert build_tin(_cloud(xyz.copy()), reuse=tin) is tin
+    moved = xyz.copy()
+    moved[len(xyz) // 2, 0] = np.nextafter(moved[len(xyz) // 2, 0], np.inf)
+    got = build_tin(_cloud(moved), reuse=tin)
+    assert got is not tin
+    assert _tin_bytes(got) == _tin_bytes(build_tin(_cloud(moved)))
 
 
-def _pushed(tin: Tin, edges: np.ndarray, shifts) -> np.ndarray:
-    """Edge midpoints moved by each shift along the edge's right-hand
-    normal (out of the hull for a hull edge)."""
-    a, b = tin.vertices[edges[:, 0], :2], tin.vertices[edges[:, 1], :2]
-    normal = (b - a)[:, ::-1] * [1.0, -1.0] / np.hypot(*(b - a).T)[:, None]
-    return ((a + b) / 2 + np.asarray(shifts, dtype=float)[:, None, None] * normal).reshape(-1, 2)
-
-
-def _near_queries(tin: Tin, rng) -> np.ndarray:
-    """Query points of every kind a near TIN must answer as the whole-set
-    TIN does: random points in the vertex bounding box, vertices, edge
-    midpoints (exactly on the edge on the lattice), hull edge midpoints
-    moved a hair and an eighth of a spacing either way, kept inside the
-    bounding box, the leftmost vertex moved a hair out of it, and
-    points a tenth of a spacing and ten spacings off its corners."""
-    v = tin.vertices[:, :2]
-    lo, hi = v.min(axis=0), v.max(axis=0)
-    spacing = np.sqrt(np.prod(hi - lo) / len(v))
-    edges, hull = _edges(tin)
-    near_hull = _pushed(tin, edges[hull], np.array([1e-12, -1e-12, 0.125, -0.125]) * spacing)
-    near_hull = near_hull[((near_hull >= lo) & (near_hull <= hi)).all(axis=1)]
-    hair = v[np.argmin(v[:, 0])] - [1e-13 * spacing, 0.0]
-    corner = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
-    off = np.where(corner < 0, lo, hi) + corner * spacing * np.array([[0.1], [10.0]])[:, None]
-    return np.concatenate([
-        lo + rng.random((4, 2)) * (hi - lo),
-        v[rng.integers(0, len(v), 4)],
-        np.mean(v[edges[rng.integers(0, len(edges), 4)]], axis=1),
-        near_hull[rng.integers(0, len(near_hull), 2)],
-        hair[None],
-        off.reshape(-1, 2)[rng.integers(0, 8, 2)],
-    ])
-
-
-def _assert_near_matches(cloud: PointCloud, full: Tin, q: np.ndarray) -> Tin:
-    tin = build_tin(cloud, near=q)
-    assert tin.vertices.tobytes() == full.vertices.tobytes()
-    rows = tin.triangles
-    assert (np.lexsort(rows.T[::-1]) == np.arange(len(rows))).all()
-    assert len(np.unique(rows, axis=0)) == len(rows)
-    whole = {tuple(r) for r in full.triangles.tolist()}
-    assert all(tuple(r) in whole for r in rows.tolist())
-    (want_rows, want_z), (got_rows, got_z) = _claims(full, q), _claims(tin, q)
-    np.testing.assert_array_equal(got_rows, want_rows)
-    assert got_z.tobytes() == want_z.tobytes()
-    return tin
-
-
-@pytest.mark.parametrize("name", sorted(NEAR_CLOUDS))
-def test_near_tin_matches_full(name, monkeypatch):
-    """A TIN built for point queries answers each query with the row and
-    the z of the whole-set TIN, bit for bit, and its rows are a lexsorted
-    subset of the whole set's. Each query has its own build, so that one
-    query that needs the whole set does not hide the others.
-
-    Then a band 8 mean spacings wide is cut out of the cloud across x.
-    A point in it, 2 spacings from one rim, needs a wider window: on the
-    160x120 beach cloud the first window holds only that rim's side, and
-    a wider one settles it. So do points on and beside the edges of the
-    band's rims, where a window that does not reach across the band has
-    a hull edge that the whole-set TIN does not.
-
-    A window's fixed charge is one vertex here, so that the small
-    clouds, where the real charge is more than the budget, still take
-    the window path; test_near_budget keeps the real charge."""
-    monkeypatch.setattr(surface, "_WINDOW_COST", 1)
-    rng = np.random.default_rng(19)
-    xyz = NEAR_CLOUDS[name]()
-    cloud = _cloud(xyz)
-    full = build_tin(cloud)
-    q = _near_queries(full, rng)
-    n_near = sum(
-        len(_assert_near_matches(cloud, full, q[k:k + 1]).triangles) < len(full.triangles)
-        for k in range(len(q))
-    )
-    assert n_near >= len(q) // 2
-
-    lo, hi = xyz[:, :2].min(axis=0), xyz[:, :2].max(axis=0)
-    spacing = np.sqrt(np.prod(hi - lo) / len(xyz))
-    centre = xyz[np.argmin(np.hypot(*(xyz[:, :2] - (lo + hi) / 2).T)), :2]
-    holed = _cloud(xyz[np.abs(xyz[:, 0] - centre[0]) >= 4.0 * spacing])
-    holed_full = build_tin(holed)
-    # Rim edges: those of rows that span the band, near its middle.
-    edges, _ = _edges(holed_full)
-    span = np.repeat(holed_full.max_edge_lengths() > 3.0 * spacing, 3)
-    mid = holed_full.vertices[edges, :2].mean(axis=1)
-    rim = edges[span & (np.abs(mid[:, 1] - centre[1]) < 0.25 * (hi[1] - lo[1]))]
-    rim = rim[rng.permutation(len(rim))[:4]]
-    assert len(rim) == 4
-    rim_q = _pushed(holed_full, rim, np.array([0.0, 0.25, -0.25]) * spacing)
-
-    windows = _counted_windows(monkeypatch)
-    tin = _assert_near_matches(holed, holed_full, centre[None] - [2.0 * spacing, 0.0])
-    if name == "beach 160x120":
-        assert len(windows) >= 2
-        assert len(tin.triangles) < len(holed_full.triangles)
-    n_near = sum(
-        len(_assert_near_matches(holed, holed_full, rim_q[k:k + 1]).triangles)
-        < len(holed_full.triangles)
-        for k in range(len(rim_q))
-    )
-    if name == "beach 160x120":
-        assert n_near == len(rim_q)
-
-
-def _counted_windows(monkeypatch) -> list:
-    """Vertex count of every triangulation from now on, in call order."""
-    windows = []
-    triangulate = surface._triangulate
-
-    def counting(xs, ys):
-        windows.append(len(xs))
-        return triangulate(xs, ys)
-
-    monkeypatch.setattr(surface, "_triangulate", counting)
-    return windows
-
-
-def test_near_budget(monkeypatch):
-    """On the 160x120 beach cloud, with the real window charge: three
-    interior queries take windows only; five cannot each get a window
-    within the budget and go straight to the whole set; a query on a hull
-    edge along the bounding box takes one window, then the whole set. No
-    run spends more than the budget on windows, and each answers as the
-    whole-set TIN does. Listed after interior queries, the hull query
-    still goes first, so they spend nothing. A query in a wide data gap
-    doubles its window until the budget runs out, then takes the whole
-    set."""
-    xyz = beach_cloud(0, 160, 120)
-    cloud = _cloud(xyz)
-    full = build_tin(cloud)
-    n = len(full.vertices)
-    v = full.vertices[:, :2]
-    lo, hi = v.min(axis=0), v.max(axis=0)
-    spacing = np.sqrt(np.prod(hi - lo) / n)
-    inner = v[((v > lo + 20 * spacing) & (v < hi - 20 * spacing)).all(axis=1)]
-    interior = inner[np.random.default_rng(5).integers(0, len(inner), 5)] + 0.3 * spacing
-    left = v[np.argmin(v[:, 0])]
-    windows = _counted_windows(monkeypatch)
-    for q, local in (
-        (interior[:3], True), (interior, False), (left[None], False),
-        (np.vstack([interior[:2], left]), False),
-    ):
-        windows.clear()
-        tin = _assert_near_matches(cloud, full, q)
-        local_cost = sum(w + surface._WINDOW_COST for w in windows if w < n)
-        assert local_cost <= surface._NEAR_BUDGET * n
-        assert (len(tin.triangles) < len(full.triangles)) is local
-        assert (n in windows) is not local
-        if q is interior:
-            assert windows == [n]
-        elif not local:
-            # The hull query goes first and stops at its first window.
-            assert windows[0] < n and windows[1:] == [n]
-
-    # A query in the middle of a band 40 spacings wide, cut out across x,
-    # doubles its window until the budget runs out.
-    centre = (lo + hi) / 2
-    holed = _cloud(xyz[np.abs(xyz[:, 0] - centre[0]) >= 20.0 * spacing])
-    holed_full = build_tin(holed)
-    m = len(holed_full.vertices)
-    windows.clear()
-    _assert_near_matches(holed, holed_full, centre[None])
-    assert windows[-1] == m
-    assert sum(w + surface._WINDOW_COST for w in windows[:-1]) <= surface._NEAR_BUDGET * m
-
-
-def test_near_tin_answers_only_its_queries():
-    """A TIN built for point queries keeps them: the vertical check at
-    those points works, at any other point raises, and rasterizing it
-    raises, so its missing rows never read as NODATA."""
-    xyz = beach_cloud(0, 64, 48)
-    full = build_tin(_cloud(xyz))
-    assert full.queries is None
-    q = full.vertices[full.triangles[[100, 900]], :2].mean(axis=1)
-    tin = build_tin(_cloud(xyz), near=q)
-    np.testing.assert_array_equal(tin.queries, q)
-    gcps = [Gcp(str(i), Point3(x, y, 0.0)) for i, (x, y) in enumerate(q.tolist())]
-    assert vertical_check(tin, gcps[::-1]).n_outside == 0
-    with pytest.raises(ValueError):
-        vertical_check(tin, gcps + [Gcp("other", Point3(q[0, 0] + 1.0, q[0, 1], 0.0))])
-    geom = GridGeometry(float(xyz[:, 0].min()), float(xyz[:, 1].max()), 0.5, 10, 10)
-    with pytest.raises(ValueError):
-        rasterize_tin(tin, geom)
+def test_reuse_tells_signed_zeros_apart():
+    """A z of -0.0 where the reused TIN has 0.0 compares equal as a
+    number but not as bytes: the cloud gets a new TIN, equal to a direct
+    build's, holding its own -0.0."""
+    xyz = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 2.0], [1.0, 1.0, 3.0]])
+    tin = build_tin(_cloud(xyz))
+    signed = xyz.copy()
+    signed[0, 2] = -0.0
+    got = build_tin(_cloud(signed), reuse=tin)
+    assert got is not tin
+    np.testing.assert_array_equal(got.vertices, tin.vertices)
+    assert np.signbit(got.vertices[0, 2])
+    assert _tin_bytes(got) == _tin_bytes(build_tin(_cloud(signed)))
 
 
 def _fraction_sign(det) -> int:
