@@ -2,6 +2,7 @@
 resampling, inverse warping."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -329,7 +330,68 @@ def _bicubic_float64_reference(img, x, y):
     return out, inside
 
 
+def _cubic_weights_two_branch(t):
+    """The Keys kernel as it was: both branches on every tap, one picked
+    by np.where."""
+    a = georectify.CUBIC_A
+    ad = np.abs(np.stack([1.0 + t, t, 1.0 - t, 2.0 - t], axis=-1))
+    w_near = (a + 2.0) * ad**3 - (a + 3.0) * ad**2 + 1.0
+    w_far = a * ad**3 - 5.0 * a * ad**2 + 8.0 * a * ad - 4.0 * a
+    return np.where(ad <= 1.0, w_near, w_far)
+
+
+class TestCubicWeights:
+    def test_equal_to_two_branch_form_bit_for_bit(self):
+        # 0 puts tap 0 at distance exactly 1; 1 - 2^-53 rounds tap 0's
+        # distance to 2 and tap 3's to 1.
+        edges = np.array([0.0, 5e-324, 0.5, 1.0 - 2.0**-53])
+        t = np.concatenate([edges, np.random.default_rng(13).random(10000)])
+        got = georectify._cubic_weights(t)
+        want = _cubic_weights_two_branch(t)
+        assert got.shape == (t.size, 4)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+# Positions on and next to every edge of the 4x4 support of an image
+# 13 wide and 11 high (floor(x) in [1, 10], floor(y) in [1, 8]), with
+# signed zeros, non-finite values and values past the int64 range.
+_ODD_W, _ODD_H = 13, 11
+_EDGE_POSITIONS = {
+    "x": [1.0, np.nextafter(1.0, 0.0), _ODD_W - 3.0, _ODD_W - 3.5,
+          np.nextafter(_ODD_W - 2.0, 0.0), _ODD_W - 2.0, 6.25],
+    "y": [1.0, np.nextafter(1.0, 0.0), _ODD_H - 3.0, _ODD_H - 3.5,
+          np.nextafter(_ODD_H - 2.0, 0.0), _ODD_H - 2.0, 4.75],
+    "special": [0.0, -0.0, np.nan, np.inf, -np.inf],
+    "huge": [2.0**63, 1e19, 1e300, -2.0**63, -1e19, -1e300],
+}
+
+
 class TestBicubic:
+    def test_support_edges_match_float64_reference(self):
+        img = RgbaImage(np.random.default_rng(14).integers(
+            0, 256, (_ODD_H, _ODD_W, 4), dtype=np.uint8))
+        xv = _EDGE_POSITIONS["x"] + _EDGE_POSITIONS["special"]
+        yv = _EDGE_POSITIONS["y"] + _EDGE_POSITIONS["special"]
+        xs, ys = (a.ravel() for a in np.meshgrid(xv, yv))
+        out, inside = bicubic_sample_many(img, xs, ys)
+        ref_out, ref_inside = _bicubic_float64_reference(img, xs, ys)
+        assert inside.sum() == 25  # 5 inside values on each axis
+        assert np.array_equal(inside, ref_inside)
+        assert np.array_equal(out, ref_out)
+
+    def test_positions_past_int64_are_nodata(self):
+        img = _opaque(np.random.default_rng(15), _ODD_H, _ODD_W)
+        huge = np.array(_EDGE_POSITIONS["huge"])
+        xs = np.concatenate([huge, np.full(huge.size, 5.5), [5.5]])
+        ys = np.concatenate([np.full(huge.size, 4.5), huge, [4.5]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out, inside = bicubic_sample_many(img, xs, ys)
+        assert np.array_equal(inside, np.arange(xs.size) == xs.size - 1)
+        assert (out[:-1] == 0).all()
+        ref_out, _ = _bicubic_float64_reference(img, xs[-1:], ys[-1:])
+        assert np.array_equal(out[-1:], ref_out)
+
     def test_uint8_gather_matches_float64_reference(self):
         rng = np.random.default_rng(11)
         img = _opaque(rng, 29, 37)
@@ -427,6 +489,19 @@ class TestWarp:
         w_west = warp_to_grid(img, h, west)
         assert (w_west.pixels[:, :4, 3] == 0).all()
         assert np.array_equal(w_west.pixels[2:9, 4:12], w_aligned.pixels[2:9, 1:9])
+
+    def test_cells_mapped_past_int64_are_nodata(self):
+        # The inverse map sends world (x, y) to pixel (1e19 x, 5 + 1e-19 y):
+        # every cell lands on pixel row 5, past the int64 range in x.
+        img = _opaque(np.random.default_rng(16), 10, 12)
+        geom = GridGeometry(
+            origin_x=1.0, origin_y=7.0, cell_size=1.0, n_cols=5, n_rows=5
+        )
+        h = Homography(np.array([[1e-19, 0, 0], [0, 1e19, -5e19], [0, 0, 1.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            warped = warp_to_grid(img, h, geom)
+        assert (warped.pixels == 0).all()
 
     def test_grid_outside_footprint_all_nodata(self):
         img = _opaque(np.random.default_rng(9), 10, 12)
@@ -547,6 +622,24 @@ class TestWarpThroughLens:
         whole = warp_to_grid(photo, H_PHOTO, geom, lens=lens).pixels
         monkeypatch.setattr(georectify, "_WARP_CELLS", block_rows * geom.n_cols)
         blocked = warp_to_grid(photo, H_PHOTO, geom, lens=lens).pixels
+        assert np.array_equal(blocked, whole)
+
+    def test_sampler_sees_every_cell_once(self, monkeypatch):
+        photo = _render_distorted_photo(BARREL, H_PHOTO)
+        geom = _photo_grid(BARREL, H_PHOTO, 0.004)
+        assert geom.n_rows * geom.n_cols > 2 * georectify._WARP_CELLS
+        whole = warp_to_grid(photo, H_PHOTO, geom, lens=BARREL).pixels
+        sizes = []
+
+        def counting(img, x, y):
+            sizes.append(len(x))
+            return bicubic_sample_many(img, x, y)
+
+        monkeypatch.setattr(georectify, "bicubic_sample_many", counting)
+        blocked = warp_to_grid(photo, H_PHOTO, geom, lens=BARREL).pixels
+        step = georectify._WARP_CELLS // geom.n_cols
+        assert len(sizes) == -(-geom.n_rows // step)
+        assert sum(sizes) == geom.n_rows * geom.n_cols
         assert np.array_equal(blocked, whole)
 
     def test_memory_beyond_output_independent_of_grid_height(self):
