@@ -15,6 +15,21 @@ from .geometry import SimilarityTransform, apply_similarity_many
 from .stereo import PointCloud
 
 
+def _first_duplicate(rows: np.ndarray):
+    """The first pair i < j of equal rows (0.0 equal to -0.0), least i
+    first, then least j, or None. A stable sort puts equal rows together
+    in index order, so each run's first two rows are its least pair."""
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    same = (ordered[1:] == ordered[:-1]).all(axis=1)
+    # Run starts: a row equal to the next one but not to the previous.
+    starts = np.flatnonzero(same & ~np.append(False, same[:-1]))
+    if not starts.size:
+        return None
+    k = starts[np.argmin(order[starts])]
+    return int(order[k]), int(order[k + 1])
+
+
 @dataclass(frozen=True)
 class PointPairSet:
     """Explicit source-target correspondences (picked cloud point to
@@ -31,13 +46,12 @@ class PointPairSet:
             raise ValueError("ids, source, and target lengths must agree")
         if not (np.all(np.isfinite(src)) and np.all(np.isfinite(tgt))):
             raise ValueError("pair coordinates must be finite")
-        for i in range(src.shape[0]):
-            for j in range(i + 1, src.shape[0]):
-                if np.array_equal(src[i], src[j]):
-                    raise ValueError(
-                        f"duplicated source point for ids {self.ids[i]!r}, "
-                        f"{self.ids[j]!r}"
-                    )
+        duplicate = _first_duplicate(src)
+        if duplicate is not None:
+            i, j = duplicate
+            raise ValueError(
+                f"duplicated source point for ids {self.ids[i]!r}, {self.ids[j]!r}"
+            )
         src.flags.writeable = False
         tgt.flags.writeable = False
         object.__setattr__(self, "source", src)

@@ -10,11 +10,12 @@ from a triangle close to its curve neighbour, every triangle reached
 inserts one of its walkers, and Lawson passes then flip illegal edges
 until none is left. Every orientation and in-circle test, the tie rule
 and the clip rings' self-intersection check included, is one array
-predicate, :func:`_signs`: a float filter over numpy blocks, exact
-integers where it cannot decide (Shewchuk 1997); pixel-grid clouds are
-almost entirely cocircular, so naive float predicates would corrupt the
-topology. Exact in-circle ties are broken by a symbolic perturbation of
-the vertices' lifts, so the triangle array, each row starting at its
+predicate, :func:`_signs`: a float filter over numpy blocks, then for
+orientations an array stage that compares exact TwoProduct pairs, and
+exact integers where neither decides (Shewchuk 1997); pixel-grid clouds
+are almost entirely cocircular, so naive float predicates would corrupt
+the topology. Exact in-circle ties are broken by a symbolic perturbation
+of the vertices' lifts, so the triangle array, each row starting at its
 lowest vertex, is the unique Delaunay triangulation of the perturbed
 vertices, a function of the deduplicated vertex array alone. The tests
 hold it bit for bit to a scalar Bowyer-Watson oracle that has its own
@@ -51,6 +52,8 @@ _ORIENT_FILTER = 1e-15
 _INCIRCLE_FILTER = 3e-15
 _SUPER_MARGIN = 1e6
 _BLOCK = 1 << 14  # predicate lanes per numpy block
+_SPLITTER = float((1 << 27) + 1)  # Dekker's split of a float64 into two 26-bit halves
+_PRODUCT_MIN, _PRODUCT_MAX = 2.0 ** -450, 2.0 ** 450  # factor range of exact TwoProducts
 _ROUND_POINTS = 1 << 16  # new points per insert round, which bounds its arrays
 _CLAIM_PAIRS = 1 << 16  # candidate (triangle, cell) pairs per DSM claim block
 _UNCLAIMED = np.iinfo(np.int64).max
@@ -101,24 +104,77 @@ def _exact_sign(terms, *coords) -> int:
     return (det > 0) - (det < 0)
 
 
+def _two_diff(a, b):
+    """a - b and the TwoDiff tail (Knuth): the exact difference is their
+    sum, so the float one is exact where the tail is 0."""
+    x = a - b
+    b_virtual = a - x
+    return x, (a - (x + b_virtual)) + (b_virtual - b)
+
+
+def _two_product(a, b):
+    """a * b and its rounding error, exact where neither factor overflows
+    the split and no partial product underflows (Dekker 1971)."""
+    p = a * b
+    a_big = _SPLITTER * a
+    a_hi = a_big - (a_big - a)
+    b_big = _SPLITTER * b
+    b_hi = b_big - (b_big - b)
+    a_lo, b_lo = a - a_hi, b - b_hi
+    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _orient_products(ax, ay, bx, by, cx, cy) -> tuple[np.ndarray, np.ndarray]:
+    """int8 orientation signs of coordinate lanes, and where they are
+    exact: where the four coordinate differences are exact (zero TwoDiff
+    tails, as Sterbenz's lemma gives for nearby points) and each is 0 or
+    of magnitude in [2^-450, 2^450], so that both products are exact
+    TwoProduct pairs p + e. Rounding is monotone, so p1 and p2 decide
+    unless equal, and then e1 and e2 do (the adaptive stages of
+    Shewchuk 1997)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        d1, t1 = _two_diff(bx, ax)
+        d2, t2 = _two_diff(cy, ay)
+        d3, t3 = _two_diff(by, ay)
+        d4, t4 = _two_diff(cx, ax)
+        exact = (t1 == 0) & (t2 == 0) & (t3 == 0) & (t4 == 0)
+        for d in (d1, d2, d3, d4):
+            size = np.abs(d)
+            exact &= (size == 0) | (size >= _PRODUCT_MIN) & (size <= _PRODUCT_MAX)
+        p1, e1 = _two_product(d1, d2)
+        p2, e2 = _two_product(d3, d4)
+    tie = p1 == p2
+    above = (p1 > p2) | tie & (e1 > e2)
+    below = (p1 < p2) | tie & (e1 < e2)
+    return above.view(np.int8) - below.view(np.int8), exact
+
+
 def _signs(terms, eps, xs, ys, *idx) -> np.ndarray:
     """int8 signs of ``terms`` over vertex index arrays, one per corner:
     +1, -1 or 0 as (a, b, c) turns CCW, CW or not at all, or as d lies
     inside, outside or on the circle through CCW (a, b, c). The float
-    filter runs on numpy blocks of at most ``_BLOCK`` lanes, and only the
-    lanes it leaves undecided take the exact path."""
+    filter runs on numpy blocks of at most ``_BLOCK`` lanes, each index
+    block cast to intp once (gathers with int32 indices are several
+    times slower). The orientation lanes it leaves undecided go to
+    :func:`_orient_products`, and only the lanes still undecided, every
+    undecided in-circle lane among them, take the exact integer path."""
     out = np.empty(len(idx[0]), np.int8)
     for start in range(0, out.size, _BLOCK):
         coords = []
         for v in idx:
-            v = v[start:start + _BLOCK]
+            v = v[start:start + _BLOCK].astype(np.intp, copy=False)
             coords += (xs[v], ys[v])
         # An overflow leaves the lane undecided, as in Python floats.
         with np.errstate(over="ignore", invalid="ignore"):
             det, magnitude = terms(*coords)
             bound = eps * magnitude
-        sign = (det > bound).astype(np.int8) - (det < -bound)
-        for lane in np.flatnonzero(sign == 0).tolist():
+        sign = (det > bound).view(np.int8) - (det < -bound).view(np.int8)
+        lanes = np.flatnonzero(sign == 0)
+        if lanes.size and terms is _orient_terms:
+            stage, exact = _orient_products(*(c[lanes] for c in coords))
+            sign[lanes[exact]] = stage[exact]
+            lanes = lanes[~exact]
+        for lane in lanes.tolist():
             sign[lane] = _exact_sign(terms, *(c[lane] for c in coords))
         out[start:start + sign.size] = sign
     return out
@@ -313,30 +369,49 @@ def _dedupe_xy(xyz: np.ndarray) -> np.ndarray:
     distinct points however close, so only exact duplicates, which
     cannot be inserted, need merging.
 
-    One stable lexsort by (x, y, -z) puts each group of equal xy
-    together, its highest z first and ties in input order."""
+    One stable sort on the complex key x + iy, which orders by x, then
+    y, with 0.0 equal to -0.0, puts each group of equal xy together in
+    input order: its first point is the first seen, and the first point
+    holding the group's highest z is the one whose z it keeps."""
     x, y, z = xyz.T
-    order = np.lexsort((-z, y, x))
-    new = np.ones(order.size, bool)
-    new[1:] = (np.diff(x[order]) != 0) | (np.diff(y[order]) != 0)
-    start = np.flatnonzero(new)
-    first = np.minimum.reduceat(order, start)
-    # Ordering the groups before the gather makes no (n, 3) temporary:
+    key = np.empty(len(xyz), np.complex128)
+    key.real, key.imag = x, y
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    start = np.flatnonzero(np.append(True, key[1:] != key[:-1]))
+    z_sorted = z[order]
+    high = np.maximum.reduceat(z_sorted, start)
+    # Positions holding their group's highest z, ascending: the first at
+    # or after a group's start is in that group.
+    at = np.flatnonzero(z_sorted == np.repeat(high, np.diff(np.append(start, len(z)))))
+    top = at[np.searchsorted(at, start)]
+    # Gathering each column in input order makes no (n, 3) temporary:
     # freeing one raised glibc's mmap threshold, and with it `dsm`'s
     # peak RSS on the C9 fixture by about 7 MB.
-    keep = np.argsort(first)
-    first, top = first[keep], order[start[keep]]
-    return np.column_stack([x[first], y[first], z[top]])
+    first = order[start]
+    keep = np.zeros(len(z), bool)
+    keep[first] = True
+    best = np.empty(len(z))
+    best[first] = z_sorted[top]
+    return np.column_stack([x[keep], y[keep], best[keep]])
+
+
+# The step from half-edge 3t + k to the one after (before) it in its
+# triangle, by k. ``h - h // 3 * 3`` is k: numpy divides by a scalar
+# through libdivide, and ``h % 3`` takes several times as long.
+_NEXT_STEP = np.array([1, 1, -2])
+_PREV_STEP = np.array([2, -1, -1])
+_AFTER_EDGE = np.array([[1, 2, 0], [2, 0, 1]])  # edges k + 1 and k + 2, column k
 
 
 def _next(h: np.ndarray) -> np.ndarray:
     """The half-edge after h in its triangle."""
-    return h + np.where(h % 3 == 2, -2, 1)
+    return h + _NEXT_STEP[h - h // 3 * 3]
 
 
 def _prev(h: np.ndarray) -> np.ndarray:
     """The half-edge before h in its triangle."""
-    return h + np.where(h % 3 == 0, 2, -1)
+    return h + _PREV_STEP[h - h // 3 * 3]
 
 
 def _hilbert_order(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -347,15 +422,16 @@ def _hilbert_order(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     x = np.minimum(((xs - lo_x) / span * 65535.0).astype(np.int64), 65535)
     y = np.minimum(((ys - lo_y) / span * 65535.0).astype(np.int64), 65535)
     d = np.zeros(len(xs), np.int64)
-    s = 1 << 15
-    while s:
-        rx, ry = (x & s) > 0, (y & s) > 0
-        d += s * s * ((3 * rx) ^ ry)
-        # Turn the quadrant so that the curve enters it at its origin.
-        flip = rx & ~ry
-        x, y = np.where(flip, 65535 - x, x), np.where(flip, 65535 - y, y)
-        x, y = np.where(ry, x, y), np.where(ry, y, x)
-        s >>= 1
+    for level in range(15, -1, -1):
+        rx, ry = x >> level & 1, y >> level & 1
+        d += (3 * rx ^ ry) << 2 * level
+        # Turn the quadrant so that the curve enters it at its origin:
+        # where ry is 0, mirror (65535 - v is v ^ 65535 on [0, 65535])
+        # if rx is 1, then swap x and y (an XOR swap).
+        flip = -(rx & (ry ^ 1)) & 65535
+        swap = (x ^ y) & (ry - 1)
+        x ^= flip ^ swap
+        y ^= flip ^ swap
     return np.argsort(d, kind="stable")
 
 
@@ -485,26 +561,33 @@ class _Triangulator:
 
     def _walk(self, p: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Visibility walks of points p from rows t: the rows reached and,
-        (len(p), 3), which of their edges each point lies on. A walk that
+        (3, len(p)), which of their edges each point lies on. A walk that
         entered across edge e has its point strictly left of e and tests
-        only e + 1 and e + 2."""
+        only e + 1 and e + 2. The edge arrays are (edges, lanes), so each
+        edge's lanes are contiguous: the other way round, broadcasts and
+        reductions run along rows of 2 or 3, many times slower."""
         flat_tv, flat_tn = self.tv.reshape(-1), self.tn.reshape(-1)
         t = t.astype(np.int64)
-        on = np.zeros((p.size, 3), bool)
+        on = np.zeros((3, p.size), bool)
         lane = np.arange(p.size)
-        k = np.broadcast_to(np.arange(3), (p.size, 3))
+        k = np.broadcast_to(np.arange(3)[:, None], (3, p.size))
         while lane.size:
-            h = 3 * t[lane, None] + k
+            h = 3 * t[lane] + k
             o = self._orient(
-                flat_tv[h].ravel(), flat_tv[_next(h)].ravel(), np.repeat(p[lane], k.shape[1])
+                flat_tv[h].ravel(), flat_tv[_next(h)].ravel(), np.tile(p[lane], len(k))
             ).reshape(k.shape)
+            # The first edge with the point on its right.
             right = o < 0
-            go = right.any(axis=1)
-            on[lane[~go, None], k[~go]] = o[~go] == 0
-            across = flat_tn[h[go, right[go].argmax(axis=1)]].astype(np.int64)
+            go, first = right[0], np.zeros(lane.size, np.intp)
+            for j in range(1, len(k)):
+                first += ~go
+                go = go | right[j]
+            stop, go = np.flatnonzero(~go), np.flatnonzero(go)
+            on[k[:, stop], lane[stop]] = o[:, stop] == 0
+            across = flat_tn[h[first[go], go]].astype(np.int64)
             lane = lane[go]
             t[lane] = across // 3
-            k = (across[:, None] + [1, 2]) % 3
+            k = _AFTER_EDGE[:, across - 3 * t[lane]]
         return t, on
 
     def _insert_round(self) -> np.ndarray:
@@ -524,14 +607,15 @@ class _Triangulator:
         first = np.flatnonzero(np.diff(held, prepend=-1))
         count = np.diff(np.append(first, held.size))
         pick = by_tri[first + count // 2]
-        p, t, zero = walkers[pick], reached[pick], on[pick]
+        p, t, zero = walkers[pick], reached[pick], on[:, pick]
         # On edge h of t, p also splits the triangle u across it. On two
         # edges it is a vertex of t; a hull edge has nothing across.
-        on_edge = zero.any(axis=1)
-        h = 3 * t + zero.argmax(axis=1)
+        z0, z1, z2 = zero
+        on_edge = z0 | z1 | z2
+        h = 3 * t + (z1 & ~z0) + 2 * (z2 & ~(z0 | z1))
         m = tn.reshape(-1)[h].astype(np.int64)
         u = np.where(on_edge, m // 3, t)
-        ok = (zero.sum(axis=1) <= 1) & ~(on_edge & (m < 0))
+        ok = ~(z0 & (z1 | z2) | z1 & z2) & ~(on_edge & (m < 0))
         claim = np.full(self.rows, _UNCLAIMED, np.int64)
         np.minimum.at(claim, np.append(t[ok], u[ok]), np.append(p[ok], p[ok]))
         win = ok & (claim[t] == p) & (claim[u] == p)
@@ -558,10 +642,10 @@ class _Triangulator:
         hub = np.append(np.repeat(p[~e], 3), np.repeat(p[e], 4))
         tail, head = flat_tv[edge], flat_tv[_next(edge)]
         self._relink(edge, 3 * rows)
-        tv[rows] = np.column_stack([tail, head, hub])
+        tv[rows] = fans = np.column_stack([tail, head, hub])
         tn[rows, 1] = 3 * after + 2
         tn[rows, 2] = 3 * before + 1
-        vt[tv[rows]] = rows[:, None]
+        vt[fans] = rows[:, None]
         return rows
 
     def _flip(self, h: np.ndarray, m: np.ndarray):
@@ -575,12 +659,12 @@ class _Triangulator:
             np.concatenate([_prev(h), _next(m), _prev(m), _next(h)]),
             np.concatenate([3 * t, 3 * t + 1, 3 * u, 3 * u + 1]),
         )
-        tv[t] = np.column_stack([c, a, d])
-        tv[u] = np.column_stack([d, b, c])
+        tv[t] = cad = np.column_stack([c, a, d])
+        tv[u] = dbc = np.column_stack([d, b, c])
         tn[t, 2] = 3 * u + 2
         tn[u, 2] = 3 * t + 2
-        self.vt[tv[t]] = t[:, None]
-        self.vt[tv[u]] = u[:, None]
+        self.vt[cad] = t[:, None]
+        self.vt[dbc] = u[:, None]
 
     def _legalize(self, rows: np.ndarray):
         """Lawson passes from the new rows ``rows`` until no edge is
@@ -596,26 +680,37 @@ class _Triangulator:
             dirty[rows] = True
             m = flat_tn[h].astype(np.int64)
             # An edge between two dirty triangles is tested from its
-            # lower half-edge.
-            test = (m >= 0) & (~dirty[m // 3] | (h < m))
+            # lower half-edge. Here and below, selections are index arrays:
+            # compressing int64 arrays by a mask takes several times as
+            # long as np.flatnonzero and a gather.
+            test = np.flatnonzero((m >= 0) & (~dirty[m // 3] | (h < m)))
             dirty[rows] = False
             h, m = h[test], m[test]
-            bad = self._illegal(flat_tv[h], flat_tv[_next(h)], flat_tv[_prev(h)], flat_tv[_prev(m)])
-            if not bad.any():
+            bad = np.flatnonzero(
+                self._illegal(flat_tv[h], flat_tv[_next(h)], flat_tv[_prev(h)], flat_tv[_prev(m)])
+            )
+            if not bad.size:
                 return
             h, m = h[bad], m[bad]
             t, u = h // 3, m // 3
             edge = np.minimum(h, m)
             np.minimum.at(best, t, edge)
             np.minimum.at(best, u, edge)
-            flip = (best[t] == edge) & (best[u] == edge)
+            flip = np.flatnonzero((best[t] == edge) & (best[u] == edge))
             best[t] = best[u] = none
             self._flip(h[flip], m[flip])
             # A sort, not np.unique: numpy 2's unique hashes integer
             # arrays first, about 15x slower on a pass's 20k rows.
             rows = np.sort(np.append(t, u))
-            rows = rows[np.diff(rows, prepend=-1) != 0]
-            h = (3 * rows[:, None] + np.arange(3)).ravel()
+            rows = rows[np.flatnonzero(np.append(True, rows[1:] != rows[:-1]))]
+            # Each row's three edges in turn, written a column at a time:
+            # broadcasting (rows, 1) against (3,) runs rows of 3, several
+            # times slower.
+            h = np.empty((rows.size, 3), np.int64)
+            np.multiply(rows, 3, out=h[:, 0])
+            np.add(h[:, 0], 1, out=h[:, 1])
+            np.add(h[:, 0], 2, out=h[:, 2])
+            h = h.ravel()
 
     def run(self) -> np.ndarray:
         """Insert every point; returns the (2n + 1, 3) vertex array,
@@ -629,15 +724,28 @@ class _Triangulator:
 
 def _real_triangles(tv: np.ndarray, n_real: int) -> np.ndarray:
     """Rows of ``tv`` with no super-triangle vertex, each rotated so that
-    its lowest vertex index comes first, in lexicographic order."""
-    tri = np.asarray(tv, dtype=np.int64).reshape(-1, 3)
-    a, b, c = tri.T
-    tri = tri[np.maximum(np.maximum(a, b), c) < n_real]
-    # argmin of each row, a column at a time (first index on ties).
-    a, b, c = tri.T
-    shift = np.where(b < a, np.where(c < b, 2, 1), np.where(c < a, 2, 0))[:, None]
-    tri = np.take_along_axis(tri, (np.arange(3) + shift) % 3, axis=1)
-    return tri[np.lexsort(tri.T[::-1])]
+    its lowest vertex index comes first, in lexicographic order.
+
+    A row's vertices are distinct, so its rotation that starts at the
+    lowest one has the least head a n + b of the three, and the tail c
+    is what the head leaves of a + b + c. The rows are distinct, so no
+    sort ties: they are sorted as one packed int64 key, head n + c,
+    which fits while n < 2^21, and beyond that on the two keys."""
+    tri = np.asarray(tv).reshape(-1, 3)
+    keep = np.flatnonzero(np.maximum(np.maximum(tri[:, 0], tri[:, 1]), tri[:, 2]) < n_real)
+    a, b, c = (tri[keep, k].astype(np.int64) for k in range(3))
+    head = np.minimum(np.minimum(a * n_real + b, b * n_real + c), c * n_real + a)
+    low = head // n_real
+    tail = a + b + c - low - (head - low * n_real)
+    if n_real < 1 << 21:
+        key = np.sort(head * n_real + tail)
+        head = key // n_real
+        tail = key - head * n_real
+    else:
+        order = np.lexsort((tail, head))
+        head, tail = head[order], tail[order]
+    low = head // n_real
+    return np.column_stack([low, head - low * n_real, tail])
 
 
 def _all_collinear(xs: np.ndarray, ys: np.ndarray) -> bool:

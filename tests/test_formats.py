@@ -266,6 +266,63 @@ def test_write_las_matches_loop(make):
     assert write_las(cloud) == _write_las_loop(cloud)
 
 
+def _las_bounds_axis0(cloud: PointCloud) -> bytes:
+    """Header bytes 155-226, the offsets and the bounds, as write_las
+    took them before it reduced a column at a time: along axis 0 of the
+    (n, 3) arrays."""
+    xyz = cloud.xyz
+    offset = np.floor(xyz.min(axis=0))
+    quantized = np.rint((xyz - offset) / las_module.SCALE)
+    mins = quantized.min(axis=0) * las_module.SCALE + offset
+    maxs = quantized.max(axis=0) * las_module.SCALE + offset
+    return struct.pack("<3d", *offset) + struct.pack(
+        "<6d", maxs[0], mins[0], maxs[1], mins[1], maxs[2], mins[2]
+    )
+
+
+def _integer_cloud():
+    """Integer coordinates, so that each axis's minimum is its own floor,
+    on both sides of zero."""
+    rng = np.random.default_rng(4)
+    return PointCloud(xyz=rng.integers(-50, 50, (3000, 3)).astype(np.float64) + [0.0, 0.0, 1.0])
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: _random_cloud(np.random.default_rng(0), 1),
+        lambda: _random_cloud(np.random.default_rng(1), 1000),
+        lambda: _random_cloud(np.random.default_rng(5), 100_000, 3.0),
+        _survey_cloud,
+        _mixed_span_cloud,
+        _extreme_cloud,
+        _integer_cloud,
+    ],
+    ids=["one", "random", "stereo_sized", "offset", "mixed_scale", "extremes", "integers"],
+)
+def test_write_las_bounds_match_axis0_form(make):
+    """The column-wise minima and maxima give the header bytes of the
+    axis-0 reductions they replaced."""
+    cloud = make()
+    assert write_las(cloud)[155:las_module.HEADER_SIZE] == _las_bounds_axis0(cloud)
+
+
+@pytest.mark.parametrize(
+    "column", [[-0.0, 0.0, 1.0], [0.0, -0.0, 2.0], [-0.0, -0.0, 0.5], [0.0] * 40 + [-0.0] + [3.0] * 40]
+)
+def test_write_las_zero_minimum_offset_is_positive_zero(column):
+    """An axis whose minimum is 0.0 or -0.0, in any order: its offset is
+    +0.0 (the sign of a zero minimum depends on the reduction order),
+    and the points read back."""
+    col = np.array(column)
+    xyz = np.column_stack([col, col[::-1], -col])
+    data = write_las(PointCloud(xyz=xyz))
+    offset = struct.unpack_from("<3d", data, 155)
+    assert [np.signbit(o) for o in offset] == [False, False, offset[2] < 0]
+    assert struct.unpack_from("<6d", data, 179)[1] == 0.0
+    np.testing.assert_array_equal(read_las(data).xyz, xyz)
+
+
 def _write_asc_loop(d: DsmGrid) -> str:
     """Reference: write_asc as it was, one f-string per cell."""
     g = d.geometry

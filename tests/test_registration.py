@@ -1,12 +1,19 @@
 """Point-set registration tests: closed-form similarity estimation."""
 
+import time
+
 import numpy as np
 import pytest
 
 from shoremap.errors import CollinearPoints, InsufficientPairs
 from shoremap.calibration import axis_angle_to_rotation
 from shoremap.geometry import SimilarityTransform, apply_similarity_many
-from shoremap.registration import PointPairSet, apply_alignment, estimate_alignment
+from shoremap.registration import (
+    PointPairSet,
+    _first_duplicate,
+    apply_alignment,
+    estimate_alignment,
+)
 from shoremap.stereo import PointCloud
 
 
@@ -206,3 +213,73 @@ class TestPointPairSet:
         src = UTM_SOURCES[[0, 1, 0, 1]]
         with pytest.raises(ValueError, match="ids 'p0', 'p2'"):
             _pairs(src, src + 1.0)
+
+
+def _first_duplicate_loop(src):
+    """The pairwise loop that the sort replaced: the first i < j, least
+    i first, whose rows are equal."""
+    for i in range(src.shape[0]):
+        for j in range(i + 1, src.shape[0]):
+            if np.array_equal(src[i], src[j]):
+                return i, j
+    return None
+
+
+def _first_duplicate_groups(src):
+    """The same pair from the first two indices of each group of equal
+    rows (0.0 and -0.0 are one dict key), for sets too large to loop."""
+    groups: dict[tuple, list[int]] = {}
+    for i, row in enumerate(src.tolist()):
+        groups.setdefault(tuple(row), []).append(i)
+    pairs = [tuple(g[:2]) for g in groups.values() if len(g) > 1]
+    return min(pairs) if pairs else None
+
+
+def _layouts(rng, n=2000):
+    """UTM-scale sources with duplicates laid out in several ways."""
+    base = rng.random((n, 3)) * [1e3, 1e3, 10.0] + [500000.0, 4000000.0, 0.0]
+    yield "none", base.copy()
+    for name, moves in [
+        ("last two", [(n - 1, n - 2)]),
+        ("first two", [(1, 0)]),
+        ("far pair before near pair", [(1990, 5), (11, 10)]),
+        ("triple and a later pair", [(1500, 40), (900, 40), (60, 41)]),
+        ("many groups", [(j, j % 7 + 100) for j in range(1000, 2000, 3)]),
+    ]:
+        src = base.copy()
+        for to, frm in moves:
+            src[to] = src[frm]
+        yield name, src
+    src = base.copy()
+    src[[17, 1200]] = [0.0, 5.0, -0.0], [-0.0, 5.0, 0.0]
+    src[700, :2] = src[300, :2]  # equal in x and y only: distinct
+    yield "signed zeros", src
+
+
+class TestFirstDuplicate:
+    def test_matches_pairwise_loop_on_small_sets(self):
+        """Sets of up to 12 rows from a four-value alphabet, signed
+        zeros included: the pair the loop raised on, or none."""
+        rng = np.random.default_rng(4)
+        for _ in range(400):
+            src = rng.choice([0.0, -0.0, 1.0, 2.5], (int(rng.integers(0, 13)), 3))
+            assert _first_duplicate(src) == _first_duplicate_loop(src)
+
+    def test_2000_pairs_name_the_first_duplicate(self):
+        """2,000 pairs in each layout: the error names the loop's first
+        pair, and a set without duplicates builds in well under the
+        seconds the quadratic loop took."""
+        rng = np.random.default_rng(5)
+        for name, src in _layouts(rng):
+            ids = tuple(f"p{i}" for i in range(len(src)))
+            want = _first_duplicate_groups(src)
+            assert _first_duplicate(src) == want, name
+            if want is None:
+                t0 = time.perf_counter()
+                PointPairSet(ids=ids, source=src, target=src + 1.0)
+                assert time.perf_counter() - t0 < 1.0
+                continue
+            i, j = want
+            with pytest.raises(ValueError, match=f"^duplicated source point for ids 'p{i}', 'p{j}'$"):
+                PointPairSet(ids=ids, source=src, target=src + 1.0)
+        assert _first_duplicate_groups(dict(_layouts(rng))["far pair before near pair"]) == (5, 1990)

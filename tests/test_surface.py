@@ -34,11 +34,14 @@ from shoremap.surface import (
     _claim_grid,
     _dedupe_xy,
     _exact_sign,
+    _hilbert_order,
     _incircle_terms,
     _incircle_tie,
     _next,
+    _orient_products,
     _orient_terms,
     _prev,
+    _real_triangles,
     _ring_self_intersects,
     _segments_intersect,
     _signs,
@@ -656,6 +659,205 @@ def test_dedupe_matches_loop(seed, quantized):
     assert got.tobytes() == want.tobytes()
     close = (kind == 1) & (step != 0).any(axis=1) | (kind == 2)
     assert {tuple(p) for p in dup[close, :2].tolist()} <= {tuple(p) for p in got[:, :2].tolist()}
+
+
+def test_dedupe_groups_with_equal_z_match_loop():
+    """Large groups (3,000 points on the 16 xy keys of {±0.0, 1.0, -1.0,
+    0.5}, so 0.0 and -0.0 are one key in x and in y) and small ones
+    (1,500 points in 500 groups, some x negated), whose z tie at the
+    group's top in any position and sign: survivors, their order, xy
+    and z equal the loop's bit for bit."""
+    rng = np.random.default_rng(11)
+    xy = rng.choice([0.0, -0.0, 1.0, -1.0, 0.5], (3000, 2))
+    z = rng.choice([0.0, -0.0, 2.0, 2.0, -3.0], 3000)
+    xyz = np.column_stack([xy, z])
+    got, want = _dedupe_xy(xyz), _dedupe_loop(xyz)
+    assert len(want) == 16
+    assert got.tobytes() == want.tobytes()
+    groups = rng.integers(0, 500, 1500)
+    xyz = np.column_stack([groups * 0.25, -groups * 0.5, rng.choice([-0.0, 0.0, 1.0], 1500)])
+    xyz[rng.random(1500) < 0.3, 0] *= -1.0
+    got, want = _dedupe_xy(xyz), _dedupe_loop(xyz)
+    assert got.tobytes() == want.tobytes()
+
+
+def _next_mod(h):
+    """The ``% 3`` form that ``_next`` replaced."""
+    return h + np.where(h % 3 == 2, -2, 1)
+
+
+def _prev_mod(h):
+    """The ``% 3`` form that ``_prev`` replaced."""
+    return h + np.where(h % 3 == 0, 2, -1)
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_next_prev_match_mod_form(dtype):
+    """On every residue, the hull's -1 included, and on half-edge ids up
+    to 3 (2n + 1) for the most points int32 ids hold: the same values
+    and dtype as the ``% 3`` forms."""
+    top = 3 * (2 * 357_913_940 + 1)
+    h = np.concatenate([np.arange(-1, 29), np.arange(top - 30, top)]).astype(dtype)
+    for new, old in ((_next, _next_mod), (_prev, _prev_mod)):
+        got, want = new(h), old(h)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(new(h.reshape(-1, 2)), want.reshape(-1, 2))
+
+
+def _real_triangles_lexsort(tv, n_real):
+    """The take_along_axis and three-key lexsort form that
+    ``_real_triangles`` replaced."""
+    tri = np.asarray(tv, dtype=np.int64).reshape(-1, 3)
+    a, b, c = tri.T
+    tri = tri[np.maximum(np.maximum(a, b), c) < n_real]
+    a, b, c = tri.T
+    shift = np.where(b < a, np.where(c < b, 2, 1), np.where(c < a, 2, 0))[:, None]
+    tri = np.take_along_axis(tri, (np.arange(3) + shift) % 3, axis=1)
+    return tri[np.lexsort(tri.T[::-1])]
+
+
+@pytest.mark.parametrize("n_real", [3, 1000, (1 << 21) - 1, 1 << 21, 300_000_000])
+def test_real_triangles_match_lexsort_form(n_real):
+    """Distinct rows of three distinct vertices, in every rotation, some
+    holding super-triangle vertices n_real .. n_real + 2: the same int64
+    array as the old form, below 2^21 vertices (one packed key) and from
+    there on (two keys), from int32 rows as the triangulator holds them."""
+    rng = np.random.default_rng(n_real % 1000)
+    m = 6000
+    rows = rng.integers(0, n_real + 3, (m, 3))
+    rows[: m // 3] %= 8  # low vertices, shared by many rows
+    rows[m // 3: m // 2, 0] %= 8
+    rows[m // 2: 2 * m // 3, rng.integers(0, 3)] = n_real + rng.integers(0, 3, m // 6)
+    rows = np.unique(rows, axis=0)
+    rows = rows[(rows[:, 0] != rows[:, 1]) & (rows[:, 1] != rows[:, 2]) & (rows[:, 0] != rows[:, 2])]
+    rows = rows[rng.permutation(len(rows))].astype(np.int32)
+    want = _real_triangles_lexsort(rows, n_real)
+    got = _real_triangles(rows, n_real)
+    assert len(rows) > len(want) > 0
+    assert got.dtype == np.int64 and got.flags.c_contiguous
+    np.testing.assert_array_equal(got, want)
+
+
+def _hilbert_order_where(xs, ys):
+    """The ``np.where`` form that ``_hilbert_order`` replaced."""
+    lo_x, lo_y = xs.min(), ys.min()
+    span = max(float(xs.max() - lo_x), float(ys.max() - lo_y)) or 1.0
+    x = np.minimum(((xs - lo_x) / span * 65535.0).astype(np.int64), 65535)
+    y = np.minimum(((ys - lo_y) / span * 65535.0).astype(np.int64), 65535)
+    d = np.zeros(len(xs), np.int64)
+    s = 1 << 15
+    while s:
+        rx, ry = (x & s) > 0, (y & s) > 0
+        d += s * s * ((3 * rx) ^ ry)
+        flip = rx & ~ry
+        x, y = np.where(flip, 65535 - x, x), np.where(flip, 65535 - y, y)
+        x, y = np.where(ry, x, y), np.where(ry, y, x)
+        s >>= 1
+    return np.argsort(d, kind="stable")
+
+
+@pytest.mark.parametrize("kind", ["random", "grid", "corners", "line", "beach"])
+def test_hilbert_order_matches_where_form(kind):
+    """The XOR flips and swaps order the points as the ``np.where`` form
+    did: random points, a grid with repeated cells, the bounding
+    square's corners and edges (cells 0 and 65535), all points on one
+    vertical line, and the beach cloud."""
+    rng = np.random.default_rng(7)
+    if kind == "random":
+        xy = rng.random((20000, 2)) * [3.0, 1.0]
+    elif kind == "grid":
+        xy = rng.integers(0, 40, (20000, 2)) / 39.0
+    elif kind == "corners":
+        xy = rng.choice([0.0, 1.0, 0.5, 1.0 - 2 ** -52], (5000, 2))
+    elif kind == "line":
+        xy = np.column_stack([np.full(3000, 2.0), rng.random(3000)])
+    else:
+        xy = _beach_cloud()[:, :2]
+    xs, ys = np.ascontiguousarray(xy.T)
+    np.testing.assert_array_equal(_hilbert_order(xs, ys), _hilbert_order_where(xs, ys))
+
+
+def _orient_stage_cases() -> np.ndarray:
+    """Rows (ax, ay, bx, by, cx, cy): signed zeros, subnormals, points at
+    scales 2^-500 and 2^500, near-collinear points on 0.1 mm quanta
+    (exactly collinear, then one coordinate moved by a quantum or by one
+    ulp), the same at UTM-sized offsets, random points, and products
+    that round to the same float64."""
+    rng = np.random.default_rng(26)
+    cases = [
+        rng.choice([0.0, -0.0, 1.0, -1.0], (500, 6)),
+        rng.integers(-40, 41, (500, 6)) * 5e-324,
+        rng.integers(-40, 41, (500, 6)) * 2.0 ** -1060,
+        rng.normal(size=(500, 6)),
+    ]
+    for scale in (2.0 ** -500, 2.0 ** 500, 2.0 ** -440, 2.0 ** 440):
+        a = rng.integers(-64, 64, (500, 2)) / 8.0
+        d = rng.integers(-64, 64, (500, 2)) / 16.0
+        cases.append(np.hstack([a, a + d, a + 3 * d]) * scale)
+    for offset in ((0.0, 0.0), (500_000.0, 5_200_000.0)):
+        a = rng.integers(0, 100_000, (3000, 2))
+        d = rng.integers(-500, 501, (3000, 2))
+        k = rng.integers(-4, 5, (3000, 1))
+        quanta = np.hstack([a, a + d, a + k * d]).astype(np.float64)
+        nudge = rng.integers(0, 6, 3000)
+        quanta[np.arange(1000, 2000), nudge[1000:2000]] += rng.choice([-1.0, 1.0], 1000)
+        xyz = np.round(quanta * 1e-4, 4) + np.tile(offset, 3)
+        rows = np.arange(2000, 3000)
+        xyz[rows, nudge[2000:]] = np.nextafter(xyz[rows, nudge[2000:]], rng.choice([-np.inf, np.inf], 1000))
+        cases.append(xyz)
+    # a = 0, b = (d1, d3), c = (d4, d2): the sign of d1 d2 - d3 d4, where
+    # the float products tie. d3 = fl(d1 d2) and d4 = 1 leave the sign
+    # to d1 d2's rounding error (and its negation, rows swapped); d3 = d2
+    # and d4 = d1 tie in p and e alike.
+    d1, d2 = 1.0 + rng.random((2, 500))
+    zero = np.zeros(500)
+    one = np.ones(500)
+    cases.append(np.column_stack([zero, zero, d1, d1 * d2, one, d2]))
+    cases.append(np.column_stack([zero, zero, d1 * d2, d1, d2, one]))
+    cases.append(np.column_stack([zero, zero, d1, d2, d1, d2]) * 2.0 ** rng.integers(-60, 61, (500, 1)))
+    return np.vstack(cases)
+
+
+def test_orient_stage_matches_exact_sign():
+    """Where ``_orient_products`` calls its sign exact, it is the exact
+    integer path's, lane for lane; it calls exact most of the 0.1 mm
+    lanes and every lane of dyadic points at scales 2^-440 and 2^440,
+    none at 2^-500 or 2^500, and its pair comparison decides both on p
+    and, where p ties, on e."""
+    cases = _orient_stage_cases()
+    sign, exact = _orient_products(*cases.T)
+    want = np.array([_exact_sign(_orient_terms, *row) for row in cases.tolist()])
+    np.testing.assert_array_equal(sign[exact], want[exact])
+    assert {-1, 0, 1} <= set(want[exact].tolist())
+    assert not exact[2000:3000].any() and exact[3000:4000].all()
+    assert exact[4000:10000].mean() > 0.9
+    ax, ay, bx, by, cx, cy = cases.T
+    p1, p2 = (bx - ax) * (cy - ay), (by - ay) * (cx - ax)
+    tied = exact & (p1 == p2)
+    assert (tied & (want != 0)).sum() >= 10 and (tied & (want == 0)).sum() >= 100
+    assert (exact & (p1 != p2) & (want != 0)).sum() >= 1000
+
+
+def test_signs_send_undecided_orientations_to_the_stage(monkeypatch):
+    """Every orientation lane the float filter leaves undecided reaches
+    the exact integer path only when the stage cannot decide it, and the
+    block-wise signs equal the exact path's on every lane."""
+    cases = _orient_stage_cases()
+    calls = []
+
+    def counted(terms, *coords):
+        calls.append(coords)
+        return _exact_sign(terms, *coords)
+
+    monkeypatch.setattr(surface, "_BLOCK", 1000)
+    monkeypatch.setattr(surface, "_exact_sign", counted)
+    corners = [np.arange(len(cases)) * 3 + j for j in range(3)]
+    got = _signs(_orient_terms, _ORIENT_FILTER, cases[:, 0::2].ravel(), cases[:, 1::2].ravel(), *corners)
+    want = [_exact_sign(_orient_terms, *row) for row in cases.tolist()]
+    assert got.tolist() == want
+    _, exact = _orient_products(*cases.T)
+    assert 0 < len(calls) <= (~exact).sum()
 
 
 def _reference_z(tin: Tin, x: float, y: float):
