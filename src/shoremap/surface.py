@@ -154,10 +154,11 @@ def _signs(terms, eps, xs, ys, *idx) -> np.ndarray:
     +1, -1 or 0 as (a, b, c) turns CCW, CW or not at all, or as d lies
     inside, outside or on the circle through CCW (a, b, c). The float
     filter runs on numpy blocks of at most ``_BLOCK`` lanes, each index
-    block cast to intp once (gathers with int32 indices are several
-    times slower). The orientation lanes it leaves undecided go to
-    :func:`_orient_products`, and only the lanes still undecided, every
-    undecided in-circle lane among them, take the exact integer path."""
+    block cast to intp once for its x and y gathers (gathers with int32
+    indices are slower). The orientation lanes it leaves undecided go
+    to :func:`_orient_products`, and only the lanes still undecided,
+    every undecided in-circle lane among them, take the exact integer
+    path."""
     out = np.empty(len(idx[0]), np.int8)
     for start in range(0, out.size, _BLOCK):
         coords = []
@@ -565,7 +566,7 @@ class _Triangulator:
         entered across edge e has its point strictly left of e and tests
         only e + 1 and e + 2. The edge arrays are (edges, lanes), so each
         edge's lanes are contiguous: the other way round, broadcasts and
-        reductions run along rows of 2 or 3, many times slower."""
+        reductions run along rows of 2 or 3, several times slower."""
         flat_tv, flat_tn = self.tv.reshape(-1), self.tn.reshape(-1)
         t = t.astype(np.int64)
         on = np.zeros((3, p.size), bool)
