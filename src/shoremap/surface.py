@@ -1,14 +1,9 @@
 """TIN construction, linear surface interpolation, DSM rasterization with
 a kill-distance filter, polygon clipping, and vertical accuracy checks.
 
-The triangulation runs in array rounds over the xy-projection (GPU-DT,
-Rong et al. 2008; gDel2D, Qi, Cao & Tan 2012), inside an enclosing
-super-triangle, in int32 triangle vertex and neighbour arrays of 2n + 1
-rows. The points come in along a Hilbert curve in BRIO rounds (Amenta,
-Choi & Rote 2003); each point is located once, by a visibility walk
-from a triangle close to its curve neighbour, every triangle reached
-inserts one of its walkers, and Lawson passes then flip illegal edges
-until none is left. Every orientation and in-circle test, the tie rule
+The TIN is the Delaunay triangulation of the xy-projection, built in
+array rounds (:class:`_Triangulator`) on a mesh that one ghost vertex at
+infinity closes. Every orientation and in-circle test, the tie rule
 and the clip rings' self-intersection check included, is one array
 predicate, :func:`_signs`: a float filter over numpy blocks, then for
 orientations an array stage that compares exact TwoProduct pairs, and
@@ -19,10 +14,8 @@ of the vertices' lifts, so the triangle array, each row starting at its
 lowest vertex, is the unique Delaunay triangulation of the perturbed
 vertices, a function of the deduplicated vertex array alone. The tests
 hold it bit for bit to a scalar Bowyer-Watson oracle that has its own
-scalar predicates. Being unique, it can be handed on: :func:`build_tin`
-returns a TIN given to it as ``reuse`` when its vertices are the cloud's
-deduplicated vertices bit for bit, so one pipeline run triangulates
-once for its DSM and its vertical check.
+scalar predicates. Being unique, it can be handed on, as
+:func:`build_tin`'s ``reuse``: one pipeline run triangulates once.
 """
 
 from __future__ import annotations
@@ -50,7 +43,6 @@ DEFAULT_KILL_DISTANCE = 1.0
 _BARY_EPS = 1e-12
 _ORIENT_FILTER = 1e-15
 _INCIRCLE_FILTER = 3e-15
-_SUPER_MARGIN = 1e6
 _BLOCK = 1 << 14  # predicate lanes per numpy block
 _SPLITTER = float((1 << 27) + 1)  # Dekker's split of a float64 into two 26-bit halves
 _PRODUCT_MIN, _PRODUCT_MAX = 2.0 ** -450, 2.0 ** 450  # factor range of exact TwoProducts
@@ -202,8 +194,8 @@ class Tin:
     """Triangulated surface, all arrays read-only: vertices (n, 3) float64
     x, y, z and triangles (m, 3) int64 vertex indices, oriented
     counterclockwise in the xy-plane. From :func:`build_tin`, the
-    triangles are the whole Delaunay triangulation of the vertices, a
-    function of the vertex array alone."""
+    triangles are the whole Delaunay triangulation of the vertices, out
+    to their exact convex hull, a function of the vertex array alone."""
 
     vertices: np.ndarray
     triangles: np.ndarray
@@ -446,9 +438,13 @@ class _Triangulator:
     Triangle t has counterclockwise vertices ``tv[t]``. Half-edge
     ``3t + k`` is its edge ``(tv[t, k], tv[t, (k + 1) % 3])``, and
     ``tn[t, k]`` is the half-edge of the same edge in the neighbouring
-    triangle, or -1 on the super-triangle's hull. ``vt[v]`` is a row
-    holding vertex v, written wherever rows are written; for a point
-    waiting to be inserted, it is the row its last walk reached.
+    triangle. A ghost vertex g = n (Shewchuk's *Triangle*, 1996; CGAL)
+    closes the mesh with a triangle (b, a, g) across each hull edge
+    (a, b). Edge (v, g) is the ray from v away from O, the first
+    triangle's float centroid in row n of ``xs`` and ``ys``: the ghosts
+    are disjoint wedges about O, walked and split like any triangle.
+    ``vt[v]`` is a row holding vertex v, written wherever rows are
+    written; for a waiting point, the row its last walk reached.
 
     Level k of the curve is the positions whose lowest set bit is 2^k.
     The levels come in from the highest k down, position 0 first, each
@@ -477,41 +473,39 @@ class _Triangulator:
     are already locally Delaunay: the point lies strictly inside the
     circumcircle of the triangle it splits, so the vertex across a spoke
     stays outside the circle through it, and on a split edge the halves
-    of a Delaunay edge stay Delaunay. Each insert adds two rows, so n
-    points fill 2n + 1 (int32 half-edge ids hold up to about 357 million
-    points). ``moved``, the identity map of half-edges that ``_relink``
-    moves edges through, is as large as ``tv``; ``dirty`` adds a flag per
-    row, and every ``_insert_round`` (``claim``) and ``_legalize``
-    (``best``) call allocates an int64 per filled row. Beyond the rows,
-    working memory is the vertex map, the curve ranks and the schedule,
-    O(n), and one round's walkers and fans, the new points plus those
-    still waiting. The result is the
-    unique Delaunay triangulation of the points perturbed as in
-    :func:`_incircle_tie`, which no insertion order changes.
+    of a Delaunay edge stay Delaunay. The first triangle and its ghosts
+    take four rows and each later insert two, so n points fill 2n - 2
+    (int32 half-edge ids hold up to about 357 million points). ``moved``,
+    the identity map of half-edges that ``_relink`` moves edges through,
+    is as large as ``tv``; ``dirty`` adds a flag per row, and every
+    ``_insert_round`` (``claim``) and ``_legalize`` (``best``) call
+    allocates an int64 per filled row. Beyond the rows, working memory is
+    the vertex map, the curve ranks and the schedule, O(n), and one
+    round's walkers and fans, the new points plus those still waiting.
+    The result is the unique Delaunay triangulation of the points
+    perturbed as in :func:`_incircle_tie`, which no insertion order changes.
     """
 
-    def __init__(self, xs: np.ndarray, ys: np.ndarray):
-        span = max(
-            float(np.max(xs) - np.min(xs)),
-            float(np.max(ys) - np.min(ys)),
-            1.0,
-        )
-        cx = float((np.max(xs) + np.min(xs)) / 2.0)
-        cy = float((np.max(ys) + np.min(ys)) / 2.0)
-        m = span * _SUPER_MARGIN
-        n = len(xs)
-        self.xs = np.append(xs, [cx - 2.0 * m, cx + 2.0 * m, cx])
-        self.ys = np.append(ys, [cy - m, cy - m, cy + 2.0 * m])
-        rows = 2 * n + 1
+    def __init__(self, xs: np.ndarray, ys: np.ndarray, first: np.ndarray):
+        n = self.ghost = len(xs)
+        self.xs = np.append(xs, xs[first].sum() / 3.0)
+        self.ys = np.append(ys, ys[first].sum() / 3.0)
+        edges = (first, np.roll(first, -1), np.full(3, n))
+        if (_signs(_orient_terms, _ORIENT_FILTER, self.xs, self.ys, *edges) <= 0).any():
+            raise CollinearInput("the points are nearly collinear: the first triangle misses its centroid")
+        rows = 2 * n - 2
+        # Row 0 is the first triangle (a, b, c), row 1 + k the ghost across its edge k.
+        a, b, c = first
         self.tv = np.zeros((rows, 3), np.int32)
-        self.tv[0] = n, n + 1, n + 2
-        self.tn = np.full((rows, 3), -1, np.int32)
-        self.vt = np.zeros(n + 3, np.int32)
-        self.rows = 1
+        self.tv[:4] = [[a, b, c], [b, a, n], [c, b, n], [a, c, n]]
+        self.tn = np.zeros((rows, 3), np.int32)
+        self.tn[:4] = [[3, 6, 9], [0, 11, 7], [1, 5, 10], [2, 8, 4]]
+        self.vt = np.zeros(n + 1, np.int32)
+        self.rows = 4
         order = _hilbert_order(xs, ys)
         self.rank = np.empty(n, np.int64)
         self.rank[order] = np.arange(n)
-        self.rounds = self._schedule(order)
+        self.rounds = self._schedule(order[np.isin(order, first, invert=True)])
         self.waiting = np.empty(0, np.int64)
         # Scratch: identity and all False between steps.
         self.moved = np.arange(3 * rows, dtype=np.int32)
@@ -520,7 +514,7 @@ class _Triangulator:
     def _schedule(self, order: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
         """Each round's points and the vertices whose rows their walks
         start from, the last round first. Position 0 starts from its own
-        entry, row 0."""
+        entry, row 0, the first triangle."""
         xs, ys, n = self.xs, self.ys, order.size
         rounds = [(order[:1].copy(),) * 2]
         step = 1 << (n - 1).bit_length() - 1 if n > 1 else 0
@@ -537,13 +531,21 @@ class _Triangulator:
         return rounds[::-1]
 
     def _orient(self, i, j, k) -> np.ndarray:
-        return _signs(_orient_terms, _ORIENT_FILTER, self.xs, self.ys, i, j, k)
+        """Orientations, negated at O where a corner is g, the largest index."""
+        sign = _signs(_orient_terms, _ORIENT_FILTER, self.xs, self.ys, i, j, k)
+        return np.where(np.maximum(np.maximum(i, j), k) == self.ghost, -sign, sign)
 
     def _illegal(self, a, b, c, d) -> np.ndarray:
-        """Whether d is inside the circumcircle of CCW (a, b, c), ties
-        broken by :func:`_incircle_tie`."""
-        xs, ys = self.xs, self.ys
+        """Whether edge (a, b) of CCW (a, b, c), d across it, is illegal:
+        d inside the circumcircle, ties broken by :func:`_incircle_tie`;
+        a hull edge (apex g) never; an edge to g when its real end is a
+        reflex hull vertex, of hull edges c -> b -> d or d -> a -> c."""
+        xs, ys, g = self.xs, self.ys, self.ghost
         side = _signs(_incircle_terms, _INCIRCLE_FILTER, xs, ys, a, b, c, d)
+        ghost = np.flatnonzero(np.maximum(np.maximum(a, b), np.maximum(c, d)) == g)
+        a_g, b_g, c_g, d_g = a[ghost], b[ghost], c[ghost], d[ghost]
+        turn = self._orient(d_g, np.where(a_g == g, b_g, a_g), c_g)
+        side[ghost] = np.where((a_g == g) & (turn > 0) | (b_g == g) & (turn < 0), 1, -1)
         tie = np.flatnonzero(side == 0)
         side[tie] = _incircle_tie(xs, ys, a[tie], b[tie], c[tie], d[tie])
         return side > 0
@@ -554,11 +556,10 @@ class _Triangulator:
         tn, moved = self.tn.reshape(-1), self.moved
         mate = tn[old]
         moved[old] = new
-        mate = np.where(mate >= 0, moved[mate], -1)
+        mate = moved[mate]
         moved[old] = old
         tn[new] = mate
-        linked = mate >= 0
-        tn[mate[linked]] = new[linked]
+        tn[mate] = new
 
     def _walk(self, p: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Visibility walks of points p from rows t: the rows reached and,
@@ -609,19 +610,16 @@ class _Triangulator:
         count = np.diff(np.append(first, held.size))
         pick = by_tri[first + count // 2]
         p, t, zero = walkers[pick], reached[pick], on[:, pick]
-        # On edge h of t, p also splits the triangle u across it. On two
-        # edges it is a vertex of t; a hull edge has nothing across.
+        # On edge h of t, p also splits the triangle u across it. A point
+        # lies on one edge at most, and the lowest point always inserts.
         z0, z1, z2 = zero
         on_edge = z0 | z1 | z2
-        h = 3 * t + (z1 & ~z0) + 2 * (z2 & ~(z0 | z1))
+        h = 3 * t + z1 + 2 * z2
         m = tn.reshape(-1)[h].astype(np.int64)
         u = np.where(on_edge, m // 3, t)
-        ok = ~(z0 & (z1 | z2) | z1 & z2) & ~(on_edge & (m < 0))
         claim = np.full(self.rows, _UNCLAIMED, np.int64)
-        np.minimum.at(claim, np.append(t[ok], u[ok]), np.append(p[ok], p[ok]))
-        win = ok & (claim[t] == p) & (claim[u] == p)
-        if not win.any():
-            raise CollinearInput("no point could be inserted; duplicate or collinear input")
+        np.minimum.at(claim, np.append(t, u), np.append(p, p))
+        win = (claim[t] == p) & (claim[u] == p)
         wait = np.ones(walkers.size, bool)
         wait[pick[win]] = False
         self.waiting = walkers[wait]
@@ -684,7 +682,7 @@ class _Triangulator:
             # lower half-edge. Here and below, selections are index arrays:
             # compressing int64 arrays by a mask takes several times as
             # long as np.flatnonzero and a gather.
-            test = np.flatnonzero((m >= 0) & (~dirty[m // 3] | (h < m)))
+            test = np.flatnonzero(~dirty[m // 3] | (h < m))
             dirty[rows] = False
             h, m = h[test], m[test]
             bad = np.flatnonzero(
@@ -714,17 +712,15 @@ class _Triangulator:
             h = h.ravel()
 
     def run(self) -> np.ndarray:
-        """Insert every point; returns the (2n + 1, 3) vertex array,
-        super-triangle rows included."""
-        while self.rounds or self.waiting.size:
+        """Insert every point; returns the (2n - 2, 3) vertex array, ghost
+        rows included."""
+        while self.rows < len(self.tv):
             self._legalize(self._insert_round())
-        if self.rows != len(self.tv):
-            raise CollinearInput("triangulation is incomplete; duplicate or collinear input")
         return self.tv
 
 
 def _real_triangles(tv: np.ndarray, n_real: int) -> np.ndarray:
-    """Rows of ``tv`` with no super-triangle vertex, each rotated so that
+    """Rows of ``tv`` with no ghost vertex, each rotated so that
     its lowest vertex index comes first, in lexicographic order.
 
     A row's vertices are distinct, so its rotation that starts at the
@@ -749,11 +745,18 @@ def _real_triangles(tv: np.ndarray, n_real: int) -> np.ndarray:
     return np.column_stack([low, head - low * n_real, tail])
 
 
-def _all_collinear(xs: np.ndarray, ys: np.ndarray) -> bool:
-    """Whether every point lies on the line through points 0 and 1 (so
-    also whether there are fewer than three)."""
-    k = np.arange(2, len(xs))
-    return not _signs(_orient_terms, _ORIENT_FILTER, xs, ys, np.zeros_like(k), np.ones_like(k), k).any()
+def _first_triangle(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """The first triangle, counterclockwise: the leftmost and rightmost
+    points and the point exactly off their line of largest float area, so
+    that its centroid is mid-cloud and outer points spread over wedges."""
+    lo, hi = int(np.argmin(xs)), int(np.argmax(xs))
+    k = np.arange(len(xs))
+    side = _signs(_orient_terms, _ORIENT_FILTER, xs, ys, np.full_like(k, lo), np.full_like(k, hi), k)
+    area, _ = _orient_terms(xs[lo], ys[lo], xs[hi], ys[hi], xs, ys)
+    c = int(np.argmax(np.where(side != 0, np.abs(area), -1.0)))
+    if not side[c]:
+        raise CollinearInput("all points are collinear in the xy-plane")
+    return np.array([lo, hi, c] if side[c] > 0 else [hi, lo, c])
 
 
 def build_tin(cloud: PointCloud, reuse: Optional[Tin] = None) -> Tin:
@@ -764,9 +767,10 @@ def build_tin(cloud: PointCloud, reuse: Optional[Tin] = None) -> Tin:
     deduplicated vertices' xy as ``Tin.vertices`` stores them: exact
     in-circle ties are broken by a perturbation rule on the vertex
     indices, not by the insertion order, each row starts at its lowest
-    vertex index, and the rows are sorted. Raises TooFewPoints
-    / CollinearInput when no triangulation exists, or when the points are
-    so nearly collinear that every triangle touches the super-triangle.
+    vertex index, and the rows are sorted, out to the exact convex hull.
+    Raises TooFewPoints / CollinearInput when no triangulation exists, or
+    when the points are so nearly collinear that the first triangle's
+    float centroid is not strictly inside it.
 
     The triangle array is a function of the deduplicated vertices alone,
     so ``reuse``, a TIN built earlier, is returned as it is when its
@@ -781,12 +785,7 @@ def build_tin(cloud: PointCloud, reuse: Optional[Tin] = None) -> Tin:
         raise TooFewPoints(f"need at least 3 distinct points, got {n}")
 
     xs, ys = xyz[:, 0], xyz[:, 1]
-    # All collinear -> no triangulation; triangulating would fail slowly.
-    if _all_collinear(xs, ys):
-        raise CollinearInput("all points are collinear in the xy-plane")
-    triangles = _real_triangles(_Triangulator(xs, ys).run(), n)
-    if not len(triangles):
-        raise CollinearInput("the points are nearly collinear: no triangle avoids the super-triangle")
+    triangles = _real_triangles(_Triangulator(xs, ys, _first_triangle(xs, ys)).run(), n)
     return Tin(vertices=xyz, triangles=triangles)
 
 

@@ -8,12 +8,16 @@ from the point refills it (Bowyer 1981, Watson 1981), in flat triangle
 vertex and neighbour lists after Sloan (1987). Its predicates and tie
 rule are scalar restatements of ``surface._signs`` and
 ``surface._incircle_tie``, sharing only the determinants, their filter
-bounds and the exact integer path. It shares the dedupe, the
-super-triangle margin and the row canonicalization with ``build_tin``,
-and nothing of its triangulator. It inserts in Morton order, its own:
-the visibility walk starts from the last triangle made, so it needs
-spatially close consecutive points (on the 320x240 beach cloud a walk
-in (x, y) order took about nine times as long).
+bounds and the exact integer path. It shares the dedupe and the row
+canonicalization with ``build_tin``, and nothing of its triangulator.
+The mesh is closed by ghost triangles, one per hull edge, on a vertex
+at infinity (Shewchuk 1996): a ghost joins the cavity when the point is
+strictly outside its hull edge or on the open edge. Inserting one point
+at a time, it needs no centre for its ghosts, unlike ``build_tin``'s
+concurrent rounds. It inserts in Morton order, its own: the visibility
+walk starts from the last triangle made, so it needs spatially close
+consecutive points (on the 320x240 beach cloud a walk in (x, y) order
+took about nine times as long).
 
     PYTHONPATH=src python tests/bw_oracle.py  # array TIN == oracle, 320x240 and 640x480 beach
 """
@@ -30,7 +34,6 @@ from shoremap.stereo import PointCloud
 from shoremap.surface import (
     _INCIRCLE_FILTER,
     _ORIENT_FILTER,
-    _SUPER_MARGIN,
     _dedupe_xy,
     _exact_sign,
     _incircle_terms,
@@ -79,50 +82,73 @@ class BowyerWatson:
     """Bowyer-Watson incremental Delaunay over xy coordinates.
 
     Triangle t has counterclockwise vertices ``tv[3t:3t+3]``; ``tn[3t+k]``
-    is the triangle across its edge ``(tv[3t+k], tv[3t+(k+1)%3])``, or -1
-    on the super-triangle's hull. A cavity of k triangles is a disk with
+    is the triangle across its edge ``(tv[3t+k], tv[3t+(k+1)%3])``. The
+    ghost vertex ``g = n`` has no coordinates: ghost triangle (b, a, g)
+    lies across hull edge (a, b). A cavity of k triangles is a disk with
     no interior vertex, so its boundary has k + 2 edges, and the fan that
-    replaces it refills the k slots and appends two.
+    replaces it refills the k slots and appends two. The first triangle
+    is the first three points of ``order`` that are not collinear; the
+    points it skips go in right after it.
     """
 
-    def __init__(self, xs: np.ndarray, ys: np.ndarray):
-        span = max(
-            float(np.max(xs) - np.min(xs)),
-            float(np.max(ys) - np.min(ys)),
-            1.0,
-        )
-        cx = float((np.max(xs) + np.min(xs)) / 2.0)
-        cy = float((np.max(ys) + np.min(ys)) / 2.0)
-        m = span * _SUPER_MARGIN
-        n = self.n_real = len(xs)
-        self.xs = xs.tolist() + [cx - 2.0 * m, cx + 2.0 * m, cx]
-        self.ys = ys.tolist() + [cy - m, cy - m, cy + 2.0 * m]
-        self.tv = [n, n + 1, n + 2]
-        self.tn = [-1, -1, -1]
+    def __init__(self, xs: np.ndarray, ys: np.ndarray, order: list[int]):
+        self.xs, self.ys = xs.tolist(), ys.tolist()
+        g = self.ghost = len(xs)
+        a, b = order[:2]
+        k = next(k for k in range(2, len(order)) if self._orient(a, b, order[k]))
+        c = order[k]
+        if self._orient(a, b, c) < 0:
+            a, b = b, a
+        self.order = order[2:k] + order[k + 1:]
+        self.tv = [a, b, c, b, a, g, c, b, g, a, c, g]
+        self.tn = [1, 2, 3, 0, 3, 2, 0, 1, 3, 0, 2, 1]
         self.last = 0
 
-    def _locate(self, px: float, py: float) -> int:
-        """Visibility walk to the triangle containing (px, py); it ends in
-        any Delaunay triangulation (Devillers, Pion & Teillaud 2002)."""
-        xs, ys, tv, tn = self.xs, self.ys, self.tv, self.tn
+    def _orient(self, i: int, j: int, k: int) -> int:
+        xs, ys = self.xs, self.ys
+        return orient2d(xs[i], ys[i], xs[j], ys[j], xs[k], ys[k])
+
+    def _conflict(self, t: int, p: int) -> bool:
+        """Whether p lies inside triangle t's circumcircle (tie rule
+        included) or, for a ghost, strictly outside its hull edge or on
+        the open edge."""
+        xs, ys = self.xs, self.ys
+        tri = self.tv[3 * t:3 * t + 3]
+        if self.ghost in tri:
+            k = tri.index(self.ghost)
+            b, a = tri[(k + 1) % 3], tri[(k + 2) % 3]
+            side = self._orient(a, b, p)
+            return side < 0 or side == 0 and all(
+                min(v[a], v[b]) <= v[p] <= max(v[a], v[b]) for v in (xs, ys)
+            )
+        a, b, c = tri
+        side = incircle(xs[a], ys[a], xs[b], ys[b], xs[c], ys[c], xs[p], ys[p])
+        return (side or incircle_tie(xs, ys, a, b, c, p)) > 0
+
+    def _locate(self, p: int) -> int:
+        """Visibility walk over the real triangles to the one containing
+        p, or to the ghost across the first hull edge that has p strictly
+        on its right; it ends in any Delaunay triangulation (Devillers,
+        Pion & Teillaud 2002)."""
+        tv, tn = self.tv, self.tn
         t = self.last
         while True:
             base = 3 * t
             for k in range(3):
-                nb = tn[base + k]
-                i, j = tv[base + k], tv[base + (k + 1) % 3]
-                if nb >= 0 and orient2d(xs[i], ys[i], xs[j], ys[j], px, py) < 0:
-                    t = nb
+                if self._orient(tv[base + k], tv[base + (k + 1) % 3], p) < 0:
+                    t = tn[base + k]
+                    if self.ghost in tv[3 * t:3 * t + 3]:
+                        return t
                     break
             else:
                 return t
 
     def insert(self, p: int):
-        xs, ys, tv, tn = self.xs, self.ys, self.tv, self.tn
-        px, py = xs[p], ys[p]
-        seed = self._locate(px, py)
-        # Flood the strict in-circle cavity; its boundary edges, (i, j)
-        # as stored in the cavity triangle, face the triangle outside.
+        tv, tn, g = self.tv, self.tn, self.ghost
+        seed = self._locate(p)
+        # Flood the cavity of triangles in conflict with p; its boundary
+        # edges, (i, j) as stored in the cavity triangle, face the
+        # triangle outside.
         cavity = {seed}
         stack = [seed]
         boundary = []
@@ -133,19 +159,13 @@ class BowyerWatson:
                 nb = tn[base + k]
                 if nb in cavity:
                     continue
-                if nb >= 0:
-                    a, b, c = tv[3 * nb:3 * nb + 3]
-                    inside = incircle(
-                        xs[a], ys[a], xs[b], ys[b], xs[c], ys[c], px, py
-                    ) or incircle_tie(xs, ys, a, b, c, p)
-                    if inside > 0:
-                        cavity.add(nb)
-                        stack.append(nb)
-                        continue
+                if self._conflict(nb, p):
+                    cavity.add(nb)
+                    stack.append(nb)
+                    continue
                 boundary.append((tv[base + k], tv[base + (k + 1) % 3], nb))
         if len(boundary) != len(cavity) + 2 or any(
-            orient2d(xs[i], ys[i], xs[j], ys[j], px, py) <= 0
-            for i, j, _ in boundary
+            g not in (i, j) and self._orient(i, j, p) <= 0 for i, j, _ in boundary
         ):
             raise CollinearInput(
                 "degenerate cavity boundary; duplicate or collinear input"
@@ -164,15 +184,15 @@ class BowyerWatson:
                 t = len(tv) // 3
                 tv += (i, j, p)
                 tn += (nb, -1, -1)
-            if nb >= 0:
-                nbase = 3 * nb
-                tn[nbase + tv[nbase:nbase + 3].index(j)] = t
+            nbase = 3 * nb
+            tn[nbase + tv[nbase:nbase + 3].index(j)] = t
             starting_at[i] = t
+            if g not in (i, j):
+                self.last = t
         for t in starting_at.values():
             u = starting_at[tv[3 * t + 1]]
             tn[3 * t + 1] = u
             tn[3 * u + 2] = t
-        self.last = t
 
 
 def morton_order(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -200,8 +220,8 @@ def oracle_triangles(xyz: np.ndarray, order=None) -> np.ndarray:
     (Morton order by default)."""
     xyz = _dedupe_xy(xyz)
     xs, ys = xyz[:, 0], xyz[:, 1]
-    tri = BowyerWatson(xs, ys)
-    for idx in (morton_order(xs, ys) if order is None else order).tolist():
+    tri = BowyerWatson(xs, ys, (morton_order(xs, ys) if order is None else order).tolist())
+    for idx in tri.order:
         tri.insert(idx)
     return _real_triangles(np.array(tri.tv), len(xs))
 

@@ -436,18 +436,21 @@ class TestDepthRegisterDsmCheck:
             "--out-dir", str(tmp_path),
         ]) == 2
 
-    def test_dsm_nearly_collinear_exit_3(self, tmp_path, capsys):
-        """Points 1e-4 m off a 10 km line leave no triangle: a solver
-        error naming collinearity, not a traceback."""
+    def test_dsm_nearly_collinear_all_nodata(self, tmp_path, capsys):
+        """Points 1e-4 m off a 10 km line are one valid triangle, whose
+        5 km edges exceed the kill distance: a 101 x 1 DSM of NODATA."""
         las = tmp_path / "nc.las"
         xyz = np.array([[0, 0, 0], [5000, 1e-4, 0], [10000, 0, 0]], dtype=float)
         las.write_bytes(write_las(PointCloud(xyz=xyz)))
         assert main([
             "dsm", "--cloud", str(las), "--cell-size", "100",
             "--out-dir", str(tmp_path),
-        ]) == 3
-        assert "collinear" in capsys.readouterr().err
-        assert not (tmp_path / "dsm.asc").exists()
+        ]) == 0
+        dsm = json.loads(capsys.readouterr().out)["dsm"]
+        assert (dsm["triangles"], dsm["cells"], dsm["data_cells"]) == (1, 101, 0)
+        grid = read_asc((tmp_path / "dsm.asc").read_bytes())
+        assert grid.values.shape == (1, 101)
+        assert (grid.values == NODATA).all()
 
     @pytest.mark.parametrize("ring", ["0 0, 1 0, 0 0", "0 0, 4 0, inf 4, 0 0"])
     def test_dsm_invalid_clip_exit_2(self, tmp_path, ring):

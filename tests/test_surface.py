@@ -34,6 +34,7 @@ from shoremap.surface import (
     _claim_grid,
     _dedupe_xy,
     _exact_sign,
+    _first_triangle,
     _hilbert_order,
     _incircle_terms,
     _incircle_tie,
@@ -134,10 +135,15 @@ class TestBuildTin:
 
     def test_nearly_collinear_input(self):
         """Three points 1e-4 m off a 10 km line are not exactly collinear,
-        but their circumcircle holds the finite super-triangle's corners,
-        so every triangle touches one: an error, not an empty TIN."""
+        so they are one valid triangle, however large its circumcircle."""
+        tin = build_tin(_cloud([[0, 0, 0], [5000, 1e-4, 0], [10000, 0, 0]]))
+        np.testing.assert_array_equal(tin.triangles, [[0, 2, 1]])
+
+    def test_first_triangle_too_thin_for_its_centroid(self):
+        """A triangle one subnormal high has its float centroid on its
+        base: no ghost centre lies strictly inside it, an error."""
         with pytest.raises(CollinearInput, match="nearly collinear"):
-            build_tin(_cloud([[0, 0, 0], [5000, 1e-4, 0], [10000, 0, 0]]))
+            build_tin(_cloud([[0, 0, 0], [1, 0, 0], [2, 5e-324, 0]]))
 
     def test_too_few_points(self):
         with pytest.raises(TooFewPoints):
@@ -196,7 +202,9 @@ def _digest(*arrays) -> str:
 # (cloud, vertices, triangles, sha256 of the triangle array, sha256 of
 # the x, y and z vertex arrays). The triangles are those of the
 # dict-adjacency triangulator that the array-backed one replaced, each
-# row rotated to start at its lowest index and the rows sorted.
+# row rotated to start at its lowest index and the rows sorted, plus,
+# on the beach cloud, the 85 hull triangles whose circumcircles reached
+# the corners of its finite super-triangle.
 PINNED_TINS = {
     "lattice": (
         _lattice_cloud, 300, 532,
@@ -214,8 +222,8 @@ PINNED_TINS = {
         "f2ac0ba4ca3f3e50c9b03778c8d877cda3e69e67c1b2898336637cdfcd150a50",
     ),
     "beach": (
-        _beach_cloud, 3072, 5922,
-        "1512c8d3086d20d0d5f65c964b550e2832b2de1bafc0f2f6df3e71ee20699c90",
+        _beach_cloud, 3072, 6007,
+        "8db8635a505a7ff8f5d2e080fd6a67f9bfeda163096239da8f93aa1b91e2b9dd",
         "6865b102998b332543b777211a5ef7a3373cb819c41f169dbf5b6a790f0a1818",
     ),
 }
@@ -441,13 +449,42 @@ def test_tin_matches_bowyer_watson(name, monkeypatch):
         assert sum(edge_splits) > 100
 
 
+def _exact_hull_size(xy: np.ndarray) -> int:
+    """Vertices of the convex hull of distinct points, collinear boundary
+    points kept: Andrew's monotone chain, its turns in exact rationals."""
+    points = sorted(map(tuple, xy.tolist()))
+
+    def chain(points):
+        out = []
+        for p in points:
+            while len(out) > 1 and _orient_fraction(*out[-2], *out[-1], *p) < 0:
+                out.pop()
+            out.append(p)
+        return out
+
+    return len(chain(points)) + len(chain(points[::-1])) - 2
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_TINS) + ["rotated lattice", "beach 160x120"])
+def test_triangle_count_is_the_exact_hulls(name):
+    """A triangulation of n points whose hull has h vertices has 2n - 2 - h
+    triangles: the TIN covers the exact convex hull, collinear boundary
+    points included. Every half-edge has a twin, none the -1 of an open
+    boundary."""
+    xs, ys = _dedupe_xy(MATCH_CLOUDS[name]())[:, :2].T
+    tri = _Triangulator(xs, ys, _first_triangle(xs, ys))
+    triangles = _real_triangles(tri.run(), len(xs))
+    assert (tri.tn >= 0).all()
+    assert len(triangles) == 2 * len(xs) - 2 - _exact_hull_size(np.column_stack([xs, ys]))
+
+
 @pytest.mark.parametrize("name", ["lattice", "integer lattice 60x50", "quantized", "beach 160x120"])
 def test_fresh_fans_have_legal_spokes(name):
     """What the first Lawson pass of a round relies on, when it tests
     only edge 0 of each new row: after every insert round, edges 1 and 2
     of every new row, the spokes of its fan, are legal already."""
-    xyz = _dedupe_xy(MATCH_CLOUDS[name]())
-    tri = _Triangulator(xyz[:, 0], xyz[:, 1])
+    xs, ys = _dedupe_xy(MATCH_CLOUDS[name]())[:, :2].T
+    tri = _Triangulator(xs, ys, _first_triangle(xs, ys))
     flat_tv, flat_tn = tri.tv.reshape(-1), tri.tn.reshape(-1)
     spokes = 0
     while tri.rounds or tri.waiting.size:
@@ -458,8 +495,8 @@ def test_fresh_fans_have_legal_spokes(name):
         assert not tri._illegal(flat_tv[h], flat_tv[_next(h)], flat_tv[_prev(h)], flat_tv[_prev(m)]).any()
         spokes += h.size
         tri._legalize(rows)
-    # Every insert wrote at least three rows.
-    assert spokes >= 6 * len(xyz)
+    # Every insert after the first triangle wrote at least three rows.
+    assert spokes >= 6 * (len(xs) - 3)
 
 
 def test_levels_cut_into_rounds_give_the_same_tin(monkeypatch):
@@ -470,7 +507,7 @@ def test_levels_cut_into_rounds_give_the_same_tin(monkeypatch):
     for name in ("integer lattice 60x50", "cluster in a triangle"):
         xyz = MATCH_CLOUDS[name]()
         xs, ys = _dedupe_xy(xyz)[:, :2].T
-        rounds = _Triangulator(xs, ys).rounds
+        rounds = _Triangulator(xs, ys, _first_triangle(xs, ys)).rounds
         assert len(rounds) > 2 * len(xs).bit_length()
         assert max(len(p) for p, _ in rounds) == 100
         np.testing.assert_array_equal(build_tin(_cloud(xyz)).triangles, oracle_triangles(xyz))
@@ -693,9 +730,9 @@ def _prev_mod(h):
 
 @pytest.mark.parametrize("dtype", [np.int32, np.int64])
 def test_next_prev_match_mod_form(dtype):
-    """On every residue, the hull's -1 included, and on half-edge ids up
-    to 3 (2n + 1) for the most points int32 ids hold: the same values
-    and dtype as the ``% 3`` forms."""
+    """On every residue, -1 included, and on half-edge ids just below
+    2^31, the limit of int32 ids: the same values and dtype as the
+    ``% 3`` forms."""
     top = 3 * (2 * 357_913_940 + 1)
     h = np.concatenate([np.arange(-1, 29), np.arange(top - 30, top)]).astype(dtype)
     for new, old in ((_next, _next_mod), (_prev, _prev_mod)):
@@ -720,7 +757,7 @@ def _real_triangles_lexsort(tv, n_real):
 @pytest.mark.parametrize("n_real", [3, 1000, (1 << 21) - 1, 1 << 21, 300_000_000])
 def test_real_triangles_match_lexsort_form(n_real):
     """Distinct rows of three distinct vertices, in every rotation, some
-    holding super-triangle vertices n_real .. n_real + 2: the same int64
+    holding indices n_real .. n_real + 2, the ghost and beyond: the same int64
     array as the old form, below 2^21 vertices (one packed key) and from
     there on (two keys), from int32 rows as the triangulator holds them."""
     rng = np.random.default_rng(n_real % 1000)
