@@ -260,7 +260,7 @@ class _ReprojectionProblem:
     Each evaluation projects stacked arrays: the camera-frame corners of
     all views, or of all perturbed views, go through one `project_many`
     call. Every step is elementwise on the same operands as a per-view
-    projection (:meth:`_project_view`), so the bits are the same.
+    projection, so the bits are the same.
     """
 
     def __init__(self, obj_points: np.ndarray, observed: np.ndarray):
@@ -273,10 +273,6 @@ class _ReprojectionProblem:
         """(K, N, 3) board corners rotated by each of K axis-angle vectors:
         one Rodrigues and one 2-D product per vector."""
         return np.stack([self.obj @ axis_angle_to_rotation(a).T for a in rvecs])
-
-    def _project_view(self, lens: LensParams, pose: np.ndarray) -> np.ndarray:
-        """One view's (N, 2) projection, the reference for the stacked ones."""
-        return project_many(lens, self._rotated_board(pose[None, :3])[0] + pose[3:])
 
     def residuals(self, params: np.ndarray) -> np.ndarray:
         """Full residual vector, or None if a trial point leaves the model

@@ -108,12 +108,14 @@ PAIR_HEADER = ["id", "sx", "sy", "sz", "tx", "ty", "tz"]
 def parse_pair_csv(text) -> PointPairSet:
     """Parse explicit source-to-target 3-d correspondences."""
     ids, source, target = [], [], []
+    seen = set()
     for line_no, cells in _csv_rows(text, "pair", PAIR_HEADER):
         pid = cells[0]
         if not pid:
             raise MalformedRow(f"line {line_no}: empty id")
-        if pid in ids:
+        if pid in seen:
             raise DuplicateId(f"pair id {pid!r} appears more than once")
+        seen.add(pid)
         ids.append(pid)
         vals = [_parse_float(c, line_no) for c in cells[1:]]
         source.append(vals[0:3])

@@ -443,8 +443,9 @@ class _Triangulator:
     (a, b). Edge (v, g) is the ray from v away from O, the first
     triangle's float centroid in row n of ``xs`` and ``ys``: the ghosts
     are disjoint wedges about O, walked and split like any triangle.
-    ``vt[v]`` is a row holding vertex v, written wherever rows are
-    written; for a waiting point, the row its last walk reached.
+    ``vt[v]`` is a fan row written with corner v; later flips may take v
+    out of it, as a walk may start from any row. For a waiting point it
+    is the row its last walk reached.
 
     Level k of the curve is the positions whose lowest set bit is 2^k.
     The levels come in from the highest k down, position 0 first, each
@@ -658,12 +659,10 @@ class _Triangulator:
             np.concatenate([_prev(h), _next(m), _prev(m), _next(h)]),
             np.concatenate([3 * t, 3 * t + 1, 3 * u, 3 * u + 1]),
         )
-        tv[t] = cad = np.column_stack([c, a, d])
-        tv[u] = dbc = np.column_stack([d, b, c])
+        tv[t] = np.column_stack([c, a, d])
+        tv[u] = np.column_stack([d, b, c])
         tn[t, 2] = 3 * u + 2
         tn[u, 2] = 3 * t + 2
-        self.vt[cad] = t[:, None]
-        self.vt[dbc] = u[:, None]
 
     def _legalize(self, rows: np.ndarray):
         """Lawson passes from the new rows ``rows`` until no edge is
@@ -725,23 +724,17 @@ def _real_triangles(tv: np.ndarray, n_real: int) -> np.ndarray:
 
     A row's vertices are distinct, so its rotation that starts at the
     lowest one has the least head a n + b of the three, and the tail c
-    is what the head leaves of a + b + c. The rows are distinct, so no
-    sort ties: they are sorted as one packed int64 key, head n + c,
-    which fits while n < 2^21, and beyond that on the two keys."""
-    tri = np.asarray(tv).reshape(-1, 3)
-    keep = np.flatnonzero(np.maximum(np.maximum(tri[:, 0], tri[:, 1]), tri[:, 2]) < n_real)
-    a, b, c = (tri[keep, k].astype(np.int64) for k in range(3))
+    is what the head leaves of a + b + c. The rows are counterclockwise
+    triangles of one triangulation, so each directed edge (a, b) lies in
+    one row only: the heads are unique, and sorting by head alone puts
+    the rows in lexicographic order."""
+    keep = np.flatnonzero(np.maximum(np.maximum(tv[:, 0], tv[:, 1]), tv[:, 2]) < n_real)
+    a, b, c = (tv[keep, k].astype(np.int64) for k in range(3))
     head = np.minimum(np.minimum(a * n_real + b, b * n_real + c), c * n_real + a)
+    order = np.argsort(head)
+    head = head[order]
     low = head // n_real
-    tail = a + b + c - low - (head - low * n_real)
-    if n_real < 1 << 21:
-        key = np.sort(head * n_real + tail)
-        head = key // n_real
-        tail = key - head * n_real
-    else:
-        order = np.lexsort((tail, head))
-        head, tail = head[order], tail[order]
-    low = head // n_real
+    tail = (a + b + c)[order] - low - (head - low * n_real)
     return np.column_stack([low, head - low * n_real, tail])
 
 

@@ -223,7 +223,7 @@ def oracle_triangles(xyz: np.ndarray, order=None) -> np.ndarray:
     tri = BowyerWatson(xs, ys, (morton_order(xs, ys) if order is None else order).tolist())
     for idx in tri.order:
         tri.insert(idx)
-    return _real_triangles(np.array(tri.tv), len(xs))
+    return _real_triangles(np.array(tri.tv).reshape(-1, 3), len(xs))
 
 
 def beach_cloud(seed: int, width: int, height: int) -> np.ndarray:

@@ -21,7 +21,7 @@ from shoremap.calibration import (
     rotation_to_axis_angle,
     zhang_init,
 )
-from shoremap.camera import CameraIntrinsics, LensParams, project_many
+from shoremap.camera import CameraIntrinsics, project_many
 from shoremap.errors import (
     BehindCamera,
     DegenerateConfiguration,
@@ -314,12 +314,8 @@ class TestProjectViewOracle:
             outcomes[error] += 1
             residual = problem.residuals(np.concatenate([intr, pose]))
             if error is None:
-                got = problem._project_view(LensParams(*intr), pose)
-                assert got.tobytes() == expected.tobytes()
                 assert residual.tobytes() == (observed[0] - expected).ravel().tobytes()
             else:
-                with pytest.raises(error):
-                    problem._project_view(LensParams(*intr), pose)
                 assert residual is None
         assert min(outcomes.values()) > 50, outcomes
 

@@ -756,24 +756,36 @@ def _real_triangles_lexsort(tv, n_real):
 
 @pytest.mark.parametrize("n_real", [3, 1000, (1 << 21) - 1, 1 << 21, 300_000_000])
 def test_real_triangles_match_lexsort_form(n_real):
-    """Distinct rows of three distinct vertices, in every rotation, some
-    holding indices n_real .. n_real + 2, the ghost and beyond: the same int64
-    array as the old form, below 2^21 vertices (one packed key) and from
-    there on (two keys), from int32 rows as the triangulator holds them."""
+    """The rows of a triangulation of a small cloud, ghost rows included,
+    its vertex ids spread over [0, n_real) by a strictly increasing map
+    and the ghost sent to n_real, each row in a random rotation: the same
+    int64 array as the old form, from int32 rows as the triangulator
+    holds them, below 2^21 vertices and from there on. Rows drawn at
+    random would repeat directed edges, which no triangulation does and
+    the one-key sort relies on."""
     rng = np.random.default_rng(n_real % 1000)
-    m = 6000
-    rows = rng.integers(0, n_real + 3, (m, 3))
-    rows[: m // 3] %= 8  # low vertices, shared by many rows
-    rows[m // 3: m // 2, 0] %= 8
-    rows[m // 2: 2 * m // 3, rng.integers(0, 3)] = n_real + rng.integers(0, 3, m // 6)
-    rows = np.unique(rows, axis=0)
-    rows = rows[(rows[:, 0] != rows[:, 1]) & (rows[:, 1] != rows[:, 2]) & (rows[:, 0] != rows[:, 2])]
+    xs, ys = rng.random((2, min(n_real, 600)))
+    tv = _Triangulator(xs, ys, _first_triangle(xs, ys)).run()
+    ids = np.append(np.sort(rng.choice(n_real, len(xs), replace=False)), n_real)
+    turn = (np.arange(3) + rng.integers(0, 3, (len(tv), 1))) % 3
+    rows = np.take_along_axis(ids[tv], turn, axis=1)
     rows = rows[rng.permutation(len(rows))].astype(np.int32)
     want = _real_triangles_lexsort(rows, n_real)
     got = _real_triangles(rows, n_real)
     assert len(rows) > len(want) > 0
     assert got.dtype == np.int64 and got.flags.c_contiguous
     np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("name", sorted(MATCH_CLOUDS))
+def test_tin_directed_edges_are_unique(name):
+    """What ``_real_triangles``' one-key sort relies on: in the
+    triangulator's rows, ghosts included, each directed edge lies in one
+    row only."""
+    xs, ys = _dedupe_xy(MATCH_CLOUDS[name]())[:, :2].T
+    tv = _Triangulator(xs, ys, _first_triangle(xs, ys)).run().astype(np.int64)
+    key = (tv * (len(xs) + 1) + np.roll(tv, -1, axis=1)).ravel()
+    assert np.unique(key).size == key.size == 3 * (2 * len(xs) - 2)
 
 
 def _hilbert_order_where(xs, ys):
