@@ -12,6 +12,10 @@ eye's cost of pixel x + d, so the right eye's plane i is the left eye's
 plane i read d_min + i columns further right, and _BIG_COST past the
 right edge; a second volume would recompute the same window sums.
 
+The kernels are word-parallel: the census is written one byte plane at a
+time, the Hamming cost is a SWAR byte popcount on 64-bit words, and each
+eye's winner is one running minimum of uint32 keys cost << 16 | index.
+
 The census window alone fixes where costs exist: pixels within half a
 window of the border have no census pattern, so the costs at disparity d
 fill rows [2 * half, h - 2 * half) and columns [2 * half + d, w - 2 * half),
@@ -33,7 +37,8 @@ _BIG_COST = np.uint16(0xFFFF)
 # Cost cells (strip rows x width x disparities) per strip: about 50 rows
 # of a 640-wide image with 65 disparities, 4 MB of uint16.
 _STRIP_CELLS = 1 << 21
-_POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint16)
+_MAX_DISPARITIES = 1 << 16  # the winner keys hold the index in 16 bits
+_M1, _M2, _M4 = (np.uint64(m * 0x0101010101010101) for m in (0x55, 0x33, 0x0F))
 
 DEFAULT_WINDOW = 5
 DEFAULT_Z_MAX = 20.0
@@ -90,8 +95,12 @@ class RgbaImage:
         return self.pixels.shape[0]
 
     def to_gray(self) -> GrayImage:
-        rgb = self.pixels[:, :, :3].astype(np.float64)
-        return GrayImage(rgb.mean(axis=2) / 255.0)
+        p = self.pixels  # mean(axis=2) / 255 bit for bit: exact sums
+        gray = np.add(p[:, :, 0], p[:, :, 1], dtype=np.float64)
+        gray += p[:, :, 2]
+        gray /= 3.0
+        gray /= 255.0
+        return GrayImage(gray)
 
 
 @dataclass(frozen=True)
@@ -169,21 +178,23 @@ def census_transform(img: GrayImage, window: int = DEFAULT_WINDOW) -> np.ndarray
         raise WindowTooLarge(f"image {w}x{h} too small for window {window}")
     half = window // 2
     n_bytes = (window * window - 1 + 7) // 8
-    bits = np.zeros((h, w, n_bytes), dtype=np.uint8)
+    planes = np.zeros((n_bytes, h, w), dtype=np.uint8)
     px = img.pixels
     center = px[half: h - half, half: w - half]
+    cmp = np.empty(center.shape, dtype=bool)
+    shifted = np.empty(center.shape, dtype=np.uint8)
     bit = 0
     for dy in range(-half, half + 1):
         for dx in range(-half, half + 1):
             if dy == 0 and dx == 0:
                 continue
             neighbor = px[half + dy: h - half + dy, half + dx: w - half + dx]
-            cmp = neighbor < center
-            bits[half: h - half, half: w - half, bit // 8] |= (
-                cmp.astype(np.uint8) << np.uint8(bit % 8)
-            )
+            np.less(neighbor, center, out=cmp)
+            np.left_shift(cmp.view(np.uint8), np.uint8(bit % 8), out=shifted)
+            inner = planes[bit // 8, half: h - half, half: w - half]
+            np.bitwise_or(inner, shifted, out=inner)
             bit += 1
-    return bits
+    return planes.transpose(1, 2, 0)  # written plane-major
 
 
 def _cost_volume(
@@ -205,7 +216,8 @@ def _cost_volume(
     [half + d, w - half), and a cell's window holds only such pairs exactly
     when the cell lies in that rectangle shrunk by half on every side.
     Those cells get the window sum of the Hamming costs; every other cell
-    _BIG_COST."""
+    _BIG_COST. The Hamming cost is the SWAR popcount of the XOR bytes,
+    summed over the byte planes in uint16."""
     n_bytes, h, w = ref.shape
     half = window // 2
     volume = np.full((d_max - d_min + 1, h, w), _BIG_COST, dtype=np.uint16)
@@ -215,14 +227,32 @@ def _cost_volume(
         x0, x1 = half + d, w - half
         if x1 - x0 < window:
             continue
-        xor = np.bitwise_xor(ref[:, y0:y1, x0:x1], other[:, y0:y1, x0 - d: x1 - d])
-        # Popcount one byte plane at a time: the table is uint16, so the
-        # lookups add straight into the window sums' dtype.
-        raw = _POPCOUNT.take(xor[0])
-        for byte in range(1, n_bytes):
-            raw += _POPCOUNT.take(xor[byte])
+        n = n_bytes * (y1 - y0) * (x1 - x0)
+        words = np.empty(-(-n // 8), dtype=np.uint64)  # padded to whole words
+        xor = words.view(np.uint8)[:n].reshape(n_bytes, y1 - y0, x1 - x0)
+        np.bitwise_xor(ref[:, y0:y1, x0:x1], other[:, y0:y1, x0 - d: x1 - d], out=xor)
+        _byte_popcounts(words)
+        raw = np.add.reduce(xor, axis=0, dtype=np.uint16)
+        assert raw.dtype == np.uint16
         volume[i, y0 + half: y1 - half, x0 + half: x1 - half] = _window_sums(raw, window)
     return volume
+
+
+def _byte_popcounts(words: np.ndarray) -> None:
+    """Each byte of the uint64 words becomes its count of set bits, in
+    place (SWAR: bit pairs, then nibbles, then bytes). Masks and shift
+    counts are uint64, so nothing promotes under NumPy 1.x rules."""
+    spare = np.empty_like(words)
+    np.right_shift(words, np.uint64(1), out=spare)
+    np.bitwise_and(spare, _M1, out=spare)
+    np.subtract(words, spare, out=words)
+    np.right_shift(words, np.uint64(2), out=spare)
+    np.bitwise_and(spare, _M2, out=spare)
+    np.bitwise_and(words, _M2, out=words)
+    np.add(words, spare, out=words)
+    np.right_shift(words, np.uint64(4), out=spare)
+    np.add(words, spare, out=words)
+    np.bitwise_and(words, _M4, out=words)
 
 
 def _window_sums(raw: np.ndarray, k: int) -> np.ndarray:
@@ -243,30 +273,32 @@ def _winner_take_all(
     volume: np.ndarray, d_min: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Lowest-cost disparity index (first on ties, as argmin) and its cost
-    per pixel, for the left eye and then the right, from one pass of
-    running strict minima over the planes of the left eye's volume.
+    per pixel, for the left eye and then the right, from one pass over the
+    planes of the left eye's volume.
+
+    Each eye keeps one running minimum of uint32 keys cost << 16 | i: the
+    least key holds the least cost and, among equal costs, the first index,
+    so at most 2^16 planes. Keys start at _BIG_COST << 16 | 0, which only a
+    real cost beats.
 
     The right eye's plane i is the left eye's plane i read d_min + i
     columns further right, since both compare the same two pixels, and
     _BIG_COST past the right edge, which never beats the running minimum."""
     n_d, s, w = volume.shape
-    cost_l = np.full((s, w), _BIG_COST, dtype=np.uint16)
-    cost_r = cost_l.copy()
-    best_l = np.zeros((s, w), dtype=np.intp)
-    best_r = best_l.copy()
-    better = np.empty((s, w), dtype=bool)
+    run_l = np.full((s, w), int(_BIG_COST) << 16, dtype=np.uint32)
+    run_r = run_l.copy()
+    key = np.empty((s, w), dtype=np.uint32)
     for i in range(n_d):
-        plane = volume[i]
-        np.less(plane, cost_l, out=better)
-        np.minimum(cost_l, plane, out=cost_l)
-        np.copyto(best_l, i, where=better)
+        np.left_shift(volume[i], np.uint32(16), out=key, dtype=np.uint32)
+        np.bitwise_or(key, np.uint32(i), out=key)
+        np.minimum(run_l, key, out=run_l)
         c = d_min + i
         if c < w:
-            shifted, running = plane[:, c:], cost_r[:, : w - c]
-            np.less(shifted, running, out=better[:, : w - c])
-            np.minimum(running, shifted, out=running)
-            np.copyto(best_r[:, : w - c], i, where=better[:, : w - c])
-    return best_l, cost_l, best_r, cost_r
+            np.minimum(run_r[:, : w - c], key[:, c:], out=run_r[:, : w - c])
+    assert run_l.dtype == run_r.dtype == np.uint32
+    low, shift = np.uint32(0xFFFF), np.uint32(16)
+    return ((run_l & low).astype(np.intp), (run_l >> shift).astype(np.uint16),
+            (run_r & low).astype(np.intp), (run_r >> shift).astype(np.uint16))
 
 
 def match_disparity(
@@ -290,7 +322,8 @@ def match_disparity(
     the working set is one uint16 cost volume of disparities x (strip rows
     + window - 1) x width, from which both eyes' costs are read, and a few
     strip-sized planes, whatever the image height. The result does not
-    depend on the strip height.
+    depend on the strip height. At most 2^16 disparities: the winner keys
+    hold the disparity index in 16 bits (_winner_take_all).
     """
     if left.pixels.shape != right.pixels.shape:
         raise SizeMismatch(
@@ -299,10 +332,12 @@ def match_disparity(
     d_min, d_max = int(d_range[0]), int(d_range[1])
     if not (0 <= d_min < d_max < left.width):
         raise EmptyRange(f"invalid disparity range [{d_min}, {d_max}]")
+    if d_max - d_min + 1 > _MAX_DISPARITIES:
+        raise EmptyRange(f"more than {_MAX_DISPARITIES} disparities in [{d_min}, {d_max}]")
 
-    # Plane-major copies (n_bytes, h, w): each byte plane is contiguous.
-    census_l = np.ascontiguousarray(census_transform(left, window).transpose(2, 0, 1))
-    census_r = np.ascontiguousarray(census_transform(right, window).transpose(2, 0, 1))
+    # Plane-major (n_bytes, h, w) views: the census is written that way.
+    census_l = census_transform(left, window).transpose(2, 0, 1)
+    census_r = census_transform(right, window).transpose(2, 0, 1)
 
     h, w = left.pixels.shape
     rows = max(1, _STRIP_CELLS // (w * (d_max - d_min + 1)))

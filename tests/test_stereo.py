@@ -133,6 +133,8 @@ class TestMatchDisparity:
 # the census border, which it masks itself: pixels within half a window of
 # the image border carry no pattern.
 _ORACLE_BIG = np.int64(1) << 40
+# The oracle's own popcount table: it shares no kernel with the matcher.
+_ORACLE_POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint16)
 
 
 def _oracle_border_mask(h, w, window):
@@ -173,7 +175,7 @@ def _oracle_cost_volume(ref, other, valid, window, d_min, d_max, sign):
         if ref_sl.stop - ref_sl.start <= 0:
             continue
         xor = np.bitwise_xor(ref[:, ref_sl], other[:, oth_sl])
-        raw = stereo._POPCOUNT[xor].sum(axis=-1).astype(np.int64)
+        raw = _ORACLE_POPCOUNT[xor].sum(axis=-1).astype(np.int64)
         ok = valid[:, ref_sl] & valid[:, oth_sl]
         agg = _oracle_box_sum(np.where(ok, raw, 0), half)
         count = _oracle_box_sum(ok, half)
@@ -427,6 +429,117 @@ class TestRightVolume:
         left, right = _textured_pair(0, 23, 30, 3, 0)
         _match_in_strips(left, right, (0, 12), 5, strip_rows=4)
         assert len(calls) == 6  # ceil(23 / 4) strips
+
+
+class TestWordKernels:
+    """The matcher's per-pixel kernels and its disparity bound against
+    plain references."""
+
+    def test_byte_popcounts_every_byte_value(self):
+        words = np.arange(256, dtype=np.uint8).view(np.uint64).copy()
+        stereo._byte_popcounts(words)
+        assert np.array_equal(words.view(np.uint8), _ORACLE_POPCOUNT)
+
+    @pytest.mark.parametrize("n_bytes", [1, 3, 6, 10])  # windows 3, 5, 7, 9
+    def test_byte_popcounts_xor_blocks(self, n_bytes):
+        """XOR blocks whose byte planes take every size mod 8 (3 x 1..8
+        cells), padded with random bytes to whole words as _cost_volume
+        pads them: every count and plane sum is the table's."""
+        rng = np.random.default_rng(n_bytes)
+        for cols in range(1, 9):
+            shape = (n_bytes, 3, cols)
+            a, b = (rng.integers(0, 256, shape, dtype=np.uint8) for _ in "ab")
+            n = a.size
+            words = rng.integers(0, 256, -(-n // 8) * 8, dtype=np.uint8).view(np.uint64)
+            xor = words.view(np.uint8)[:n].reshape(shape)
+            np.bitwise_xor(a, b, out=xor)
+            expected = _ORACLE_POPCOUNT[a ^ b]
+            stereo._byte_popcounts(words)
+            assert np.array_equal(xor, expected)
+            raw = np.add.reduce(xor, axis=0, dtype=np.uint16)
+            assert np.array_equal(raw, expected.sum(axis=0))
+
+    @staticmethod
+    def _right_volume(volume, d_min):
+        """The right eye's volume: plane i read d_min + i columns further
+        right, _BIG_COST past the edge."""
+        right = np.full_like(volume, stereo._BIG_COST)
+        w = volume.shape[2]
+        for i in range(volume.shape[0]):
+            c = d_min + i
+            right[i, :, : max(w - c, 0)] = volume[i, :, c:]
+        return right
+
+    @pytest.mark.parametrize("d_min", [0, 1, 4, 9])
+    def test_winner_take_all_matches_argmin(self, d_min):
+        """Hand-built volumes with ties, all-_BIG_COST columns and (for
+        d_min > 0) right-eye columns that no plane reaches: both eyes'
+        winners equal argmin's, first on ties, index 0 and cost _BIG_COST
+        where nothing beats _BIG_COST."""
+        big = stereo._BIG_COST
+        rng = np.random.default_rng(d_min)
+        volume = rng.integers(0, 4, (7, 5, 12)).astype(np.uint16)  # many ties
+        volume[:, :, 3] = big
+        volume[:, 2, 6] = 6480
+        volume[2:, 1, 8] = big
+        volume[rng.random(volume.shape) < 0.2] = big
+        best_l, cost_l, best_r, cost_r = stereo._winner_take_all(volume, d_min)
+        for (best, cost), vol in (
+            ((best_l, cost_l), volume),
+            ((best_r, cost_r), self._right_volume(volume, d_min)),
+        ):
+            assert np.array_equal(best, vol.argmin(axis=0))
+            assert np.array_equal(cost, vol.min(axis=0))
+            assert cost.dtype == np.uint16
+            assert np.all(best[cost == big] == 0)
+        assert np.all(best_l[:, 3] == 0) and np.all(cost_l[:, 3] == big)
+        if d_min:
+            unreached = slice(volume.shape[2] - d_min, None)
+            assert np.all(best_r[:, unreached] == 0)
+            assert np.all(cost_r[:, unreached] == big)
+
+    def test_winner_take_all_index_bits(self):
+        """The index takes the key's low 16 bits whole: a volume of 300
+        planes whose lowest cost sits in the last plane."""
+        volume = np.full((300, 2, 3), 5, dtype=np.uint16)
+        volume[-1, 0, 0] = 4
+        best_l, cost_l, _, _ = stereo._winner_take_all(volume, 0)
+        assert best_l[0, 0] == 299 and cost_l[0, 0] == 4
+        assert np.all(best_l.ravel()[1:] == 0)
+
+    def test_disparity_count_bound(self, monkeypatch):
+        """More than 2^16 disparities would wrap the winner keys' index:
+        the range is refused before the census runs, so nothing large is
+        allocated; exactly 2^16 passes the check."""
+        class CensusRan(Exception):
+            pass
+
+        def census(*args):
+            raise CensusRan
+
+        monkeypatch.setattr(stereo, "census_transform", census)
+        img = GrayImage(np.zeros((4, 65540)))
+        with pytest.raises(EmptyRange, match="65536"):
+            match_disparity(img, img, (0, 65539), window=3)
+        with pytest.raises(EmptyRange):
+            match_disparity(img, img, (3, 65539), window=3)
+        with pytest.raises(CensusRan):
+            match_disparity(img, img, (4, 65539), window=3)
+
+    @pytest.mark.parametrize("kind", ["random", "checkerboard", "r", "g", "b"])
+    def test_to_gray_equals_channel_mean(self, kind):
+        rng = np.random.default_rng(3)
+        px = np.zeros((37, 53, 4), dtype=np.uint8)
+        if kind == "random":
+            px[:] = rng.integers(0, 256, px.shape)
+        elif kind == "checkerboard":
+            px[..., :3] = (np.indices((37, 53)).sum(axis=0) % 2 * 255)[..., None]
+        else:  # one channel alone, alpha set
+            px[..., "rgb".index(kind)] = rng.integers(0, 256, (37, 53))
+            px[..., 3] = 255
+        expected = px[..., :3].astype(np.float64).mean(axis=2) / 255
+        got = RgbaImage(px).to_gray().pixels
+        assert got.tobytes() == expected.tobytes()
 
 
 def _beach_pair():
