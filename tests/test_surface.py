@@ -238,6 +238,80 @@ def test_tin_pinned_bit_for_bit(name):
     assert _digest(*tin.vertices.T) == vertex_digest
 
 
+def _pinned_grid(tin: Tin, divisions: int, margin: int) -> GridGeometry:
+    """A grid of ``divisions`` cells across the vertices' x-range whose
+    upper-left centre sits ``margin`` cells out from their bounding box's
+    upper-left corner; two cells more each way reach outside the hull.
+    On the lattice, 19 divisions and no margin put 200 of the 300
+    centres exactly on vertices."""
+    (x0, y0), (x1, y1) = tin.vertices[:, :2].min(axis=0), tin.vertices[:, :2].max(axis=0)
+    cell = (x1 - x0) / divisions
+    return GridGeometry(
+        origin_x=x0 - margin * cell, origin_y=y1 + margin * cell, cell_size=cell,
+        n_cols=divisions + 2 * margin + 2, n_rows=int((y1 - y0) / cell) + 2 * margin + 2,
+    )
+
+
+# Per cloud and grid (divisions, margin): cells holding data, the sha256
+# of rasterize_tin's values at a kill distance of a twelfth of the
+# cloud's x-range, and the sha256 of vertical_check's z at every cell
+# centre (NaN outside the hull). That kill distance clears 10 cells on
+# the jittered lattice and 28 and 84 on the random cloud; the lattice's
+# triangles are all shorter, and no beach cell centre falls in its long
+# hull triangles.
+PINNED_DSMS = {
+    ("beach", 19, 0): (
+        270, "9eae0d24af3fe1e4c82f522e389459728c38a9be74f20ba4de6bc205b411dace",
+        "67fcc302a7a3a1541ad577fbd7a5014e4f6be5dfa9cd8c25a266e4f9cce5e376",
+    ),
+    ("beach", 37, 2): (
+        1008, "661e3d7bc6e2bfd97ee49795c6638b3418fb216ae8c874d95c397da21407f3c2",
+        "78f8e12078b8729d99f706a11a9f060ea0928844d80ea9fe40903b09258b7baf",
+    ),
+    ("jittered", 19, 0): (
+        241, "511f4b449e6655b98003e657eb2cfb540d42de2e3cb3f7e4a85539dbe4ab9ec3",
+        "9a2c904e058e06cdf9f248cccc63d9b1aa613523013e8f4a4eb41154a3b89980",
+    ),
+    ("jittered", 37, 2): (
+        972, "100be56c8afcf374ea469e63516b0ece3d7c7942d861fc8e0fa272034ec3b664",
+        "33baec15d00220b8023fce816f06f94c8cff44186e73f52cbd16c7d082c3da97",
+    ),
+    ("lattice", 19, 0): (
+        300, "407d3e587603b0883862ee7e5502ccc91598902afce29714b41fc3c0f83c9b80",
+        "8dfa2d22b430ecd60a151aaca6d153c661084d600ff1860823f9dd963aa61437",
+    ),
+    ("lattice", 37, 2): (
+        1064, "47e01b0d8aa17699092959a937b8a1675cfc87a2c6783c1c6c1a1ed2b3071ade",
+        "b6374458b1de487cd39f9edd55842c7ee730b1949664f0db560e9a177bc3d30a",
+    ),
+    ("random", 19, 0): (
+        307, "981b60bb8f0505f42e6a1e847443c2349ee269ef3134b294691054e05bcd90cd",
+        "57346f28816516380ec1b94304ea2d24ec037fbe3e3845587bc584a47433ef37",
+    ),
+    ("random", 37, 2): (
+        1233, "6d4d481140aafef4c73dfdbce2d761c370b780e3b1c7922268c91fcca7209176",
+        "d0904014551ebcd669782c79b61976a48d52f049fcd7062430856e28c4bab2a4",
+    ),
+}
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_DSMS))
+def test_dsm_pinned_bit_for_bit(key):
+    name, divisions, margin = key
+    n_data, dsm_digest, z_digest = PINNED_DSMS[key]
+    tin = build_tin(_cloud(PINNED_TINS[name][0]()))
+    geom = _pinned_grid(tin, divisions, margin)
+    kill = float(np.ptp(tin.vertices[:, 0])) / 12.0
+    values = rasterize_tin(tin, geom, kill=kill).values
+    gx, gy = np.meshgrid(*geom.cell_centers())
+    rep = vertical_check(tin, [Gcp(id=str(i), world=Point3(x, y, 0.0))
+                               for i, (x, y) in enumerate(zip(gx.ravel(), gy.ravel()))])
+    z = np.array([np.nan if z is None else z for _, z, _ in rep.per_gcp])
+    assert (int((values != NODATA).sum()), _digest(values), _digest(z)) == (
+        n_data, dsm_digest, z_digest
+    )
+
+
 @pytest.mark.parametrize("name", sorted(PINNED_TINS))
 def test_tin_independent_of_insertion_order(name):
     """Driving the Bowyer-Watson oracle in Morton, reversed Morton, (x, y)
