@@ -15,7 +15,9 @@ lowest vertex, is the unique Delaunay triangulation of the perturbed
 vertices, a function of the deduplicated vertex array alone. The tests
 hold it bit for bit to a scalar Bowyer-Watson oracle that has its own
 scalar predicates. Being unique, it can be handed on, as
-:func:`build_tin`'s ``reuse``: one pipeline run triangulates once.
+:func:`build_tin`'s ``reuse``: one pipeline run triangulates once. One
+locator, :func:`_locate`, walks the TIN's neighbour array to every
+surface sample, DSM cell centre or GCP.
 """
 
 from __future__ import annotations
@@ -43,11 +45,10 @@ DEFAULT_KILL_DISTANCE = 1.0
 _BARY_EPS = 1e-12
 _ORIENT_FILTER = 1e-15
 _INCIRCLE_FILTER = 3e-15
-_BLOCK = 1 << 14  # predicate lanes per numpy block
+_BLOCK = 1 << 14  # predicate lanes, or located points, per numpy block
 _SPLITTER = float((1 << 27) + 1)  # Dekker's split of a float64 into two 26-bit halves
 _PRODUCT_MIN, _PRODUCT_MAX = 2.0 ** -450, 2.0 ** 450  # factor range of exact TwoProducts
 _ROUND_POINTS = 1 << 16  # new points per insert round, which bounds its arrays
-_CLAIM_PAIRS = 1 << 16  # candidate (triangle, cell) pairs per DSM claim block
 _UNCLAIMED = np.iinfo(np.int64).max
 
 
@@ -192,30 +193,30 @@ def _incircle_tie(xs, ys, a, b, c, d) -> np.ndarray:
 @dataclass(frozen=True)
 class Tin:
     """Triangulated surface, all arrays read-only: vertices (n, 3) float64
-    x, y, z and triangles (m, 3) int64 vertex indices, oriented
-    counterclockwise in the xy-plane. From :func:`build_tin`, the
-    triangles are the whole Delaunay triangulation of the vertices, out
-    to their exact convex hull, a function of the vertex array alone."""
+    x, y, z; triangles (m, 3) int64 vertex indices, counterclockwise in
+    the xy-plane; int32 ``neighbours[r, k]``, the row across the edge of
+    row r from corner k to k + 1 (mod 3), -1 across a hull edge; int32
+    ``vertex_rows[v]``, a row with corner v, for a hull vertex the one
+    whose edge from v is a hull edge, so that turning counterclockwise
+    from it sweeps v's fan. From :func:`build_tin`, the triangles are the
+    whole Delaunay triangulation out to the exact convex hull, a function
+    of the vertices alone. A TIN without neighbours has no triangles."""
 
     vertices: np.ndarray
     triangles: np.ndarray
+    neighbours: Optional[np.ndarray] = None
+    vertex_rows: Optional[np.ndarray] = None
 
     def __post_init__(self):
         v = np.asarray(self.vertices, dtype=np.float64).reshape(-1, 3)
         t = np.asarray(self.triangles, dtype=np.int64).reshape(-1, 3)
-        v.flags.writeable = False
-        t.flags.writeable = False
-        object.__setattr__(self, "vertices", v)
-        object.__setattr__(self, "triangles", t)
-
-    def max_edge_lengths(self) -> np.ndarray:
-        """Longest xy edge per triangle, one edge at a time so that no
-        temporary holds more than m values."""
-        x, y = self.vertices[:, 0], self.vertices[:, 1]
-        a, b, c = self.triangles.T
-        return np.maximum.reduce(
-            [np.hypot(x[i] - x[j], y[i] - y[j]) for i, j in ((a, b), (b, c), (c, a))]
-        )
+        nb = np.asarray(np.empty((0, 3)) if self.neighbours is None else self.neighbours, np.int32)
+        rows = np.asarray(np.empty(0) if self.vertex_rows is None else self.vertex_rows, np.int32)
+        if nb.shape != t.shape or len(t) and rows.shape != (len(v),):
+            raise ValueError("neighbours and vertex rows must match the triangles and vertices")
+        for name, a in (("vertices", v), ("triangles", t), ("neighbours", nb), ("vertex_rows", rows)):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
 
 @dataclass(frozen=True)
@@ -710,32 +711,39 @@ class _Triangulator:
             np.add(h[:, 0], 2, out=h[:, 2])
             h = h.ravel()
 
-    def run(self) -> np.ndarray:
-        """Insert every point; returns the (2n - 2, 3) vertex array, ghost
-        rows included."""
+    def run(self) -> tuple[np.ndarray, np.ndarray]:
+        """Insert every point; returns the (2n - 2, 3) vertex and
+        neighbour half-edge arrays, ghost rows included."""
         while self.rows < len(self.tv):
             self._legalize(self._insert_round())
-        return self.tv
+        return self.tv, self.tn
 
 
-def _real_triangles(tv: np.ndarray, n_real: int) -> np.ndarray:
-    """Rows of ``tv`` with no ghost vertex, each rotated so that
-    its lowest vertex index comes first, in lexicographic order.
-
-    A row's vertices are distinct, so its rotation that starts at the
-    lowest one has the least head a n + b of the three, and the tail c
-    is what the head leaves of a + b + c. The rows are counterclockwise
-    triangles of one triangulation, so each directed edge (a, b) lies in
-    one row only: the heads are unique, and sorting by head alone puts
-    the rows in lexicographic order."""
+def _real_triangles(tv: np.ndarray, tn: np.ndarray, n_real: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of ``tv`` with no ghost vertex, each rotated so that its
+    lowest vertex index comes first, in lexicographic order, and their
+    ``Tin.neighbours``: across edge k, the row holding the ``tn`` mate of
+    the half-edge that became edge k, -1 where that is a ghost row. A
+    row's vertices are distinct, so its rotation that starts at the
+    lowest one has the least head a n + b of the three. The rows are
+    counterclockwise triangles of one triangulation, so each directed
+    edge (a, b) lies in one row only: the heads are unique, and sorting
+    by head alone puts the rows in lexicographic order."""
     keep = np.flatnonzero(np.maximum(np.maximum(tv[:, 0], tv[:, 1]), tv[:, 2]) < n_real)
     a, b, c = (tv[keep, k].astype(np.int64) for k in range(3))
-    head = np.minimum(np.minimum(a * n_real + b, b * n_real + c), c * n_real + a)
-    order = np.argsort(head)
-    head = head[order]
-    low = head // n_real
-    tail = (a + b + c)[order] - low - (head - low * n_real)
-    return np.column_stack([low, head - low * n_real, tail])
+    # The half-edge that becomes edge 0 starts at the lowest vertex.
+    edge = 3 * keep + ((b < a) & (b < c)) + 2 * ((c < a) & (c < b))
+    edge = edge[np.argsort(np.minimum(np.minimum(a * n_real + b, b * n_real + c), c * n_real + a))]
+    del keep, a, b, c
+    row = np.full(len(tv), -1, np.int32)
+    row[edge // 3] = np.arange(edge.size)
+    triangles = np.empty((edge.size, 3), np.int64)
+    neighbours = np.empty((edge.size, 3), np.int32)
+    for k in range(3):
+        triangles[:, k] = tv.reshape(-1)[edge]
+        neighbours[:, k] = row[tn.reshape(-1)[edge] // 3]
+        edge = _next(edge)
+    return triangles, neighbours
 
 
 def _first_triangle(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -778,33 +786,26 @@ def build_tin(cloud: PointCloud, reuse: Optional[Tin] = None) -> Tin:
         raise TooFewPoints(f"need at least 3 distinct points, got {n}")
 
     xs, ys = xyz[:, 0], xyz[:, 1]
-    triangles = _real_triangles(_Triangulator(xs, ys, _first_triangle(xs, ys)).run(), n)
-    return Tin(vertices=xyz, triangles=triangles)
+    triangles, neighbours = _real_triangles(*_Triangulator(xs, ys, _first_triangle(xs, ys)).run(), n)
+    # Any row with corner v; for a hull vertex, the one whose edge from v is a hull edge.
+    vertex_rows = np.empty(n, np.int32)
+    vertex_rows[triangles] = np.arange(len(triangles))[:, None]
+    row, k = np.nonzero(neighbours < 0)
+    vertex_rows[triangles[row, k]] = row
+    return Tin(xyz, triangles, neighbours, vertex_rows)
 
 
-# --- interpolation and rasterization ------------------------------------------
-
-def _corner_bounds(v: np.ndarray, tri: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row minimum and maximum of ``v`` over the three corners of
-    ``tri``'s rows, a column at a time (a length-3 reduction per row is
-    many times slower)."""
-    a, b, c = (v[tri[:, k]] for k in range(3))
-    return np.minimum(np.minimum(a, b), c), np.maximum(np.maximum(a, b), c)
-
+# --- point location, interpolation and rasterization -------------------------
 
 def _interpolate(
     tin: Tin, claim: np.ndarray, z: np.ndarray, qid: np.ndarray,
     x: np.ndarray, y: np.ndarray, tids: np.ndarray,
 ):
-    """Barycentric point location and linear interpolation, shared by
-    every surface sampler, over candidate pairs (query qid[k] at
-    (x[k], y[k]), triangle tids[k]).
-
-    Lowers ``claim[q]`` (``_UNCLAIMED`` where no triangle holds query q
-    yet) to the lowest-index candidate triangle containing q and sets
-    ``z[q]`` to the interpolated z there, so the candidates may come in
-    several calls.
-    """
+    """Barycentric point location and linear interpolation over candidate
+    pairs (query qid[k] at (x[k], y[k]), triangle tids[k]): lowers
+    ``claim[q]`` (``_UNCLAIMED`` where no triangle holds query q yet) to
+    the lowest-index candidate triangle containing q and sets ``z[q]`` to
+    the interpolated z there, so the candidates may come in several calls."""
     xs, ys, zs = tin.vertices.T
     tri = tin.triangles
     # Column by column, so no temporary holds three entries per pair.
@@ -826,97 +827,110 @@ def _interpolate(
     z[qid[hit]] = w0[hit] * za + w1[hit] * zb + w2[hit] * zc
 
 
-def _interpolate_points(
-    tin: Tin, px: np.ndarray, py: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_interpolate` at arbitrary points: the lowest-index
-    triangle containing each point (-1 where none does) and the z there
-    (NaN where none does). Candidates are the triangles whose xy bounding
-    box, grown by 1e-9, holds the point; a sweep over the x-sorted points
-    finds them without a point x triangle matrix."""
-    xs, ys, _ = tin.vertices.T
-    tri = tin.triangles
-    order = np.argsort(px, kind="stable")
-    sorted_x = px[order]
-    tx_min, tx_max = _corner_bounds(xs, tri)
-    lo = np.searchsorted(sorted_x, tx_min - 1e-9, side="left")
-    hi = np.searchsorted(sorted_x, tx_max + 1e-9, side="right")
-    tids, rank = _expand(hi - lo)
-    qid = order[lo[tids] + rank]
-    y = py[qid]
-    ty_min, ty_max = _corner_bounds(ys, tri[tids])
-    overlap = (ty_min - 1e-9 <= y) & (y <= ty_max + 1e-9)
-    qid, tids = qid[overlap], tids[overlap]
-    claim = np.full(px.size, _UNCLAIMED, np.int64)
-    z = np.full(px.size, np.nan)
-    _interpolate(tin, claim, z, qid, px[qid], py[qid], tids)
+def _start_rows(tin: Tin, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """A row near each query point, those after the n vertices in ``xs``
+    and ``ys``: the vertex row of a vertex in the smallest bucket around
+    the point that holds one, in a pyramid of grids over the vertices'
+    bounding box, the finest of 1 to 4 vertices per bucket and each one
+    above of 2 x 2 buckets. Points beyond the box take its border ones."""
+    n = len(tin.vertices)
+    side = 1 << (n.bit_length() - 1 >> 1)
+    i, j = (
+        np.clip((c - c[:n].min()) * (side / (float(np.ptp(c[:n])) or 1.0)), 0, side - 1).astype(np.int64)
+        for c in (xs, ys)
+    )
+    owner = np.full((side, side), -1, np.int64)
+    owner[j[:n], i[:n]] = np.arange(n)
+    i, j = i[n:], j[n:]
+    start = owner[j, i]
+    while (start < 0).any():
+        side >>= 1
+        owner = owner.reshape(side, 2, side, 2).max(axis=(1, 3))
+        i, j = i >> 1, j >> 1
+        start = np.where(start < 0, owner[j, i], start)
+    return tin.vertex_rows[start]
+
+
+def _walk(tin: Tin, xs: np.ndarray, ys: np.ndarray, q: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Visibility walks of the points at indices q of ``xs`` and ``ys``
+    from rows t: each crosses the first inner edge that has its point
+    strictly on the right, until none has. Returns the rows reached."""
+    tri, nb = tin.triangles, tin.neighbours
+    t = t.astype(np.int64)
+    lane = np.arange(q.size)
+    while lane.size:
+        corners = tri[t[lane]].T
+        o = _signs(
+            _orient_terms, _ORIENT_FILTER, xs, ys, corners.ravel(), corners[[1, 2, 0]].ravel(), np.tile(q[lane], 3)
+        ).reshape(3, -1)
+        across = nb[t[lane]].T
+        right = (o < 0) & (across >= 0)
+        go = np.flatnonzero(right.any(axis=0))
+        t[lane[go]] = across[right.argmax(axis=0)[go], go]
+        lane = lane[go]
+    return t
+
+
+def _locate(tin: Tin, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The lowest-index triangle holding each point (x, y) within
+    ``_BARY_EPS`` (-1 where none does) and the z there (NaN where none
+    does), for every surface sampler. ``_BLOCK`` points at a time walk
+    from rows near them, and :func:`_interpolate` claims among the three
+    vertex fans of the rows reached, a step of each fan at a time: from
+    corner v's vertex row counterclockwise, across the edge that ends at
+    v, until back at that row or at the hull.
+
+    A visibility walk over a Delaunay triangulation needs no step cap
+    (see :class:`_Triangulator`). It ends in a row that holds its point
+    or, outside the hull, whose hull edge has the point just beyond it,
+    in the wedge that the row's third vertex spans. Triangles meet in a
+    vertex or an edge, so every one holding the point exactly is in the
+    fans. One holding it only within ``_BARY_EPS`` comes within about
+    1e-12 of its height of the row reached, and triangles with no common
+    vertex lie as far apart as a vertex of one from an edge of the
+    other: at least d^2 / L on coordinates quantized to a step d, as a
+    LAS cloud's are, L the longest edge, far above 1e-12 L while
+    L < 10^6 d. The tests hold the claim to a scalar scan on exact
+    lattices, on vertices, on edges and 2^-40 outside the hull.
+    """
+    tri, nb = tin.triangles, tin.neighbours.reshape(-1)
+    claim = np.full(x.size, _UNCLAIMED, np.int64)
+    z = np.full(x.size, np.nan)
+    if len(tri):
+        n = len(tin.vertices)
+        xs, ys = np.append(tin.vertices[:, 0], x), np.append(tin.vertices[:, 1], y)
+        start = _start_rows(tin, xs, ys)
+        for lo in range(0, x.size, _BLOCK):
+            q = np.arange(lo, min(lo + _BLOCK, x.size))
+            v = tri[_walk(tin, xs, ys, q + n, start[q])].ravel()
+            q = np.repeat(q, 3)
+            first = r = tin.vertex_rows[v].astype(np.int64)
+            while r.size:
+                _interpolate(tin, claim, z, q, x[q], y[q], r)
+                k = (tri[r, 1] == v) + 2 * (tri[r, 2] == v)
+                r = nb[_prev(3 * r + k)].astype(np.int64)
+                go = np.flatnonzero((r >= 0) & (r != first))
+                q, v, first, r = q[go], v[go], first[go], r[go]
     claim[claim == _UNCLAIMED] = -1
     return claim, z
 
 
-def _claim_grid(tin: Tin, geom: GridGeometry) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest-index containing triangle per cell center (-1 where none)
-    and the interpolated z there (NaN where none).
-
-    The claim is independent of the kill distance so that filtering only
-    ever substitutes NODATA, never changes a retained value. Candidate
-    (triangle, cell) pairs come from the triangle bounding boxes, taken
-    for consecutive triangles in blocks of about ``_CLAIM_PAIRS`` pairs,
-    so the per-pair working set does not grow with the TIN.
-    """
-    xs, ys, _ = tin.vertices.T
-    tri = tin.triangles
-    cell = geom.cell_size
-    tx_min, tx_max = _corner_bounds(xs, tri)
-    ty_min, ty_max = _corner_bounds(ys, tri)
-
-    # Cell index ranges covering each triangle bbox (y decreases by row),
-    # padded by half a cell so boundary-tolerance hits are never missed.
-    c0 = np.ceil((tx_min - geom.origin_x) / cell - 0.5 - 1e-12).astype(np.int64)
-    c1 = np.floor((tx_max - geom.origin_x) / cell + 0.5 + 1e-12).astype(np.int64)
-    r0 = np.ceil((geom.origin_y - ty_max) / cell - 0.5 - 1e-12).astype(np.int64)
-    r1 = np.floor((geom.origin_y - ty_min) / cell + 0.5 + 1e-12).astype(np.int64)
-    np.clip(c0, 0, geom.n_cols - 1, out=c0)
-    np.clip(c1, -1, geom.n_cols - 1, out=c1)
-    np.clip(r0, 0, geom.n_rows - 1, out=r0)
-    np.clip(r1, -1, geom.n_rows - 1, out=r1)
-    n_c = np.maximum(c1 - c0 + 1, 0)
-    n_r = np.maximum(r1 - r0 + 1, 0)
-
-    n_pairs = n_c * n_r
-    bounds = _block_bounds(n_pairs, _CLAIM_PAIRS)
-    claim = np.full(geom.n_rows * geom.n_cols, _UNCLAIMED, np.int64)
-    z = np.full(claim.size, np.nan)
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        # Each triangle's block of cells, row-major. Rebinding cols drops
-        # the rank array, keeping the per-pair working set small.
-        tids, cols = _expand(n_pairs[lo:hi])
-        tids += lo
-        rows, cols = np.divmod(cols, n_c[tids])
-        rows += r0[tids]
-        cols += c0[tids]
-        _interpolate(
-            tin, claim, z, rows * geom.n_cols + cols,
-            geom.origin_x + cols * cell, geom.origin_y - rows * cell, tids,
-        )
-    claim[claim == _UNCLAIMED] = -1
-    shape = (geom.n_rows, geom.n_cols)
-    return claim.reshape(shape), z.reshape(shape)
-
-
-def rasterize_tin(
-    tin: Tin, geom: GridGeometry, kill: float = DEFAULT_KILL_DISTANCE
-) -> DsmGrid:
-    """Sample the TIN at cell centers. Cells whose containing triangle has
-    an xy edge longer than the kill distance become NODATA, suppressing
-    interpolation bridges across data gaps."""
+def rasterize_tin(tin: Tin, geom: GridGeometry, kill: float = DEFAULT_KILL_DISTANCE) -> DsmGrid:
+    """Sample the TIN at cell centers, located by :func:`_locate`. Cells
+    whose triangle has an xy edge longer than the kill distance become
+    NODATA, suppressing interpolation bridges across data gaps; the claim
+    does not depend on it, so filtering never changes a retained value."""
     if not kill > 0:
         raise ValueError("kill distance must be positive")
-    claim, values = _claim_grid(tin, geom)
-    # The trailing True is what claim -1 (outside the hull) indexes.
-    dead = np.append(tin.max_edge_lengths() > kill, True)
-    values[dead[claim]] = NODATA
-    return DsmGrid(geometry=geom, values=values)
+    gx, gy = np.meshgrid(*geom.cell_centers())
+    claim, values = _locate(tin, gx.ravel(), gy.ravel())
+    hit = np.flatnonzero(claim >= 0)
+    a, b, c = tin.triangles[claim[hit]].T
+    x, y = tin.vertices[:, 0], tin.vertices[:, 1]
+    longest = np.maximum.reduce([np.hypot(x[i] - x[j], y[i] - y[j]) for i, j in ((a, b), (b, c), (c, a))])
+    values[claim < 0] = NODATA
+    values[hit[longest > kill]] = NODATA
+    return DsmGrid(geometry=geom, values=values.reshape(geom.n_rows, geom.n_cols))
 
 
 def _points_in_rings(
@@ -947,34 +961,18 @@ def clip_dsm(d: DsmGrid, poly: ClipPolygon) -> DsmGrid:
 
 
 def vertical_check(tin: Tin, gcps: list[Gcp]) -> VerticalCheckReport:
-    """Surface-minus-GCP elevation differences at each GCP's xy."""
+    """Surface-minus-GCP elevation differences at each GCP's xy, located by :func:`_locate`."""
     if not gcps:
         raise EmptyGcpSet("no GCPs supplied")
-    claim, zs = _interpolate_points(
-        tin,
-        np.array([float(g.world.x) for g in gcps]),
-        np.array([float(g.world.y) for g in gcps]),
+    x, y, survey = np.array([g.world for g in gcps]).T
+    claim, zs = _locate(tin, x, y)
+    dz = zs - survey
+    per_gcp = tuple(
+        (g.id, float(z), float(d)) if t >= 0 else (g.id, None, None)
+        for g, t, z, d in zip(gcps, claim, zs, dz)
     )
-    per_gcp = []
-    dzs = []
-    for g, tid, z in zip(gcps, claim, zs):
-        if tid < 0:
-            per_gcp.append((g.id, None, None))
-        else:
-            dz = float(z) - g.world.z
-            per_gcp.append((g.id, float(z), dz))
-            dzs.append(dz)
-    if dzs:
-        arr = np.array(dzs)
-        mean_dz = float(arr.mean())
-        rmse_dz = float(np.sqrt((arr ** 2).mean()))
-        max_abs_dz = float(np.abs(arr).max())
-    else:
-        mean_dz = rmse_dz = max_abs_dz = None
-    return VerticalCheckReport(
-        per_gcp=tuple(per_gcp),
-        mean_dz=mean_dz,
-        rmse_dz=rmse_dz,
-        max_abs_dz=max_abs_dz,
-        n_outside=len(gcps) - len(dzs),
-    )
+    arr = dz[claim >= 0]
+    stats = [None] * 3
+    if arr.size:
+        stats = [float(arr.mean()), float(np.sqrt((arr ** 2).mean())), float(np.abs(arr).max())]
+    return VerticalCheckReport(per_gcp, *stats, n_outside=len(gcps) - arr.size)

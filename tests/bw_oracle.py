@@ -19,7 +19,11 @@ walk starts from the last triangle made, so it needs spatially close
 consecutive points (on the 320x240 beach cloud a walk in (x, y) order
 took about nine times as long).
 
-    PYTHONPATH=src python tests/bw_oracle.py  # array TIN == oracle, 320x240 and 640x480 beach
+It also keeps the bounding-box DSM claim that ``surface._locate``
+replaced, as the reference that ``rasterize_tin`` is held to on the
+largest cloud.
+
+    PYTHONPATH=src python tests/bw_oracle.py  # array TIN == oracle, 320x240 and 640x480 beach; DSM == claim
 """
 
 from __future__ import annotations
@@ -31,15 +35,23 @@ import numpy as np
 
 from shoremap.errors import CollinearInput
 from shoremap.stereo import PointCloud
+from shoremap.geometry import GridGeometry
 from shoremap.surface import (
     _INCIRCLE_FILTER,
     _ORIENT_FILTER,
+    _UNCLAIMED,
+    NODATA,
+    Tin,
+    _block_bounds,
     _dedupe_xy,
     _exact_sign,
+    _expand,
     _incircle_terms,
+    _interpolate,
     _orient_terms,
     _real_triangles,
     build_tin,
+    rasterize_tin,
 )
 
 
@@ -223,7 +235,90 @@ def oracle_triangles(xyz: np.ndarray, order=None) -> np.ndarray:
     tri = BowyerWatson(xs, ys, (morton_order(xs, ys) if order is None else order).tolist())
     for idx in tri.order:
         tri.insert(idx)
-    return _real_triangles(np.array(tri.tv).reshape(-1, 3), len(xs))
+    tv = np.array(tri.tv).reshape(-1, 3)
+    across = np.array(tri.tn).reshape(-1, 3)
+    # The mate of edge (a, b) is the half-edge of the row across that starts at b.
+    mates = 3 * across + (tv[across] == np.roll(tv, -1, axis=1)[:, :, None]).argmax(axis=2)
+    return _real_triangles(tv, mates, len(xs))[0]
+
+
+# --- the DSM claim that the point locator replaced ---------------------------
+
+_CLAIM_PAIRS = 1 << 16  # candidate (triangle, cell) pairs per DSM claim block
+
+
+def _corner_bounds(v: np.ndarray, tri: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row minimum and maximum of ``v`` over the three corners of
+    ``tri``'s rows, a column at a time (a length-3 reduction per row is
+    many times slower)."""
+    a, b, c = (v[tri[:, k]] for k in range(3))
+    return np.minimum(np.minimum(a, b), c), np.maximum(np.maximum(a, b), c)
+
+
+def _claim_grid(tin: Tin, geom: GridGeometry) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest-index containing triangle per cell center (-1 where none)
+    and the interpolated z there (NaN where none).
+
+    The claim is independent of the kill distance so that filtering only
+    ever substitutes NODATA, never changes a retained value. Candidate
+    (triangle, cell) pairs come from the triangle bounding boxes, taken
+    for consecutive triangles in blocks of about ``_CLAIM_PAIRS`` pairs,
+    so the per-pair working set does not grow with the TIN.
+    """
+    xs, ys, _ = tin.vertices.T
+    tri = tin.triangles
+    cell = geom.cell_size
+    tx_min, tx_max = _corner_bounds(xs, tri)
+    ty_min, ty_max = _corner_bounds(ys, tri)
+
+    # Cell index ranges covering each triangle bbox (y decreases by row),
+    # padded by half a cell so boundary-tolerance hits are never missed.
+    c0 = np.ceil((tx_min - geom.origin_x) / cell - 0.5 - 1e-12).astype(np.int64)
+    c1 = np.floor((tx_max - geom.origin_x) / cell + 0.5 + 1e-12).astype(np.int64)
+    r0 = np.ceil((geom.origin_y - ty_max) / cell - 0.5 - 1e-12).astype(np.int64)
+    r1 = np.floor((geom.origin_y - ty_min) / cell + 0.5 + 1e-12).astype(np.int64)
+    np.clip(c0, 0, geom.n_cols - 1, out=c0)
+    np.clip(c1, -1, geom.n_cols - 1, out=c1)
+    np.clip(r0, 0, geom.n_rows - 1, out=r0)
+    np.clip(r1, -1, geom.n_rows - 1, out=r1)
+    n_c = np.maximum(c1 - c0 + 1, 0)
+    n_r = np.maximum(r1 - r0 + 1, 0)
+
+    n_pairs = n_c * n_r
+    bounds = _block_bounds(n_pairs, _CLAIM_PAIRS)
+    claim = np.full(geom.n_rows * geom.n_cols, _UNCLAIMED, np.int64)
+    z = np.full(claim.size, np.nan)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        # Each triangle's block of cells, row-major. Rebinding cols drops
+        # the rank array, keeping the per-pair working set small.
+        tids, cols = _expand(n_pairs[lo:hi])
+        tids += lo
+        rows, cols = np.divmod(cols, n_c[tids])
+        rows += r0[tids]
+        cols += c0[tids]
+        _interpolate(
+            tin, claim, z, rows * geom.n_cols + cols,
+            geom.origin_x + cols * cell, geom.origin_y - rows * cell, tids,
+        )
+    claim[claim == _UNCLAIMED] = -1
+    shape = (geom.n_rows, geom.n_cols)
+    return claim.reshape(shape), z.reshape(shape)
+
+
+def claim_grid_dsm(tin: Tin, geom: GridGeometry, kill: float) -> np.ndarray:
+    """``rasterize_tin``'s values as the bounding-box claim gave them:
+    NODATA outside the hull and where the claimed triangle has an xy
+    edge longer than ``kill``."""
+    claim, values = _claim_grid(tin, geom)
+    x, y = tin.vertices[:, 0], tin.vertices[:, 1]
+    a, b, c = tin.triangles.T
+    longest = np.maximum.reduce(
+        [np.hypot(x[i] - x[j], y[i] - y[j]) for i, j in ((a, b), (b, c), (c, a))]
+    )
+    # The trailing True is what claim -1 (outside the hull) indexes.
+    dead = np.append(longest > kill, True)
+    values[dead[claim]] = NODATA
+    return values
 
 
 def beach_cloud(seed: int, width: int, height: int) -> np.ndarray:
@@ -242,7 +337,10 @@ def main() -> int:
     predicates see large raw coordinates. (A BeachScene's seed redraws
     only its texture, not its geometry.) Then the 640x480 beach cloud
     rounded to 0.1 mm, as LAS stores it: at that scale the walks' start
-    rows matter most, and its pixel-grid points tie often."""
+    rows matter most, and its pixel-grid points tie often. On that
+    cloud's TIN, rasterize_tin at 3 cm cells, about five point spacings,
+    and a 1 cm kill distance must also give the bounding-box claim's DSM
+    bit for bit."""
     failed = 0
     beach = beach_cloud(0, 320, 240)
     clouds = [
@@ -263,6 +361,25 @@ def main() -> int:
             f"oracle {t2 - t1:.2f} s, {'identical' if same else 'DIFFERENT'}",
             flush=True,
         )
+    x0, y0 = tin.vertices[:, :2].min(axis=0)
+    x1, y1 = tin.vertices[:, :2].max(axis=0)
+    geom = GridGeometry(
+        origin_x=x0 - 0.05, origin_y=y1 + 0.05, cell_size=0.03,
+        n_cols=int((x1 - x0) / 0.03) + 5, n_rows=int((y1 - y0) / 0.03) + 5,
+    )
+    t0 = time.perf_counter()
+    values = rasterize_tin(tin, geom, kill=0.01).values
+    t1 = time.perf_counter()
+    want = claim_grid_dsm(tin, geom, 0.01)
+    t2 = time.perf_counter()
+    same = values.tobytes() == want.tobytes()
+    failed += not same
+    print(
+        f"DSM on the last cloud: {values.size} cells, {int((want != NODATA).sum())} with data, "
+        f"locator {t1 - t0:.2f} s, bounding-box claim {t2 - t1:.2f} s, "
+        f"{'identical' if same else 'DIFFERENT'}",
+        flush=True,
+    )
     return 1 if failed else 0
 
 

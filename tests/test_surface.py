@@ -31,13 +31,13 @@ from shoremap.surface import (
     _INCIRCLE_FILTER,
     _ORIENT_FILTER,
     _Triangulator,
-    _claim_grid,
     _dedupe_xy,
     _exact_sign,
     _first_triangle,
     _hilbert_order,
     _incircle_terms,
     _incircle_tie,
+    _locate,
     _next,
     _orient_products,
     _orient_terms,
@@ -547,7 +547,7 @@ def test_triangle_count_is_the_exact_hulls(name):
     boundary."""
     xs, ys = _dedupe_xy(MATCH_CLOUDS[name]())[:, :2].T
     tri = _Triangulator(xs, ys, _first_triangle(xs, ys))
-    triangles = _real_triangles(tri.run(), len(xs))
+    triangles, _ = _real_triangles(*tri.run(), len(xs))
     assert (tri.tn >= 0).all()
     assert len(triangles) == 2 * len(xs) - 2 - _exact_hull_size(np.column_stack([xs, ys]))
 
@@ -706,26 +706,6 @@ def test_exact_predicates_match_fractions(k, monkeypatch):
     assert got.tolist() == want
 
 
-@pytest.mark.parametrize("name", ["lattice", "beach"])
-def test_claim_blocks_match_one_block(name, monkeypatch):
-    """The DSM claim taken a few candidate pairs at a time equals the
-    claim over all pairs at once, cell for cell and bit for bit."""
-    tin = build_tin(_cloud(PINNED_TINS[name][0]()))
-    (x0, y0), (x1, y1) = tin.vertices[:, :2].min(axis=0), tin.vertices[:, :2].max(axis=0)
-    cell = (x1 - x0) / 37.0
-    geom = GridGeometry(
-        origin_x=x0 - cell, origin_y=y1 + cell, cell_size=cell,
-        n_cols=40, n_rows=int((y1 - y0) / cell) + 3,
-    )
-    monkeypatch.setattr(surface, "_CLAIM_PAIRS", 1 << 40)
-    claim_one, z_one = _claim_grid(tin, geom)
-    monkeypatch.setattr(surface, "_CLAIM_PAIRS", 5)
-    claim, z = _claim_grid(tin, geom)
-    assert (claim_one >= 0).sum() > 0.5 * claim_one.size
-    np.testing.assert_array_equal(claim, claim_one)
-    assert z.tobytes() == z_one.tobytes()
-
-
 def _dedupe_loop(xyz: np.ndarray) -> np.ndarray:
     """Reference: one point at a time into a dict keyed by exact xy (so
     0.0 and -0.0 are one key), keeping the first-seen xy and the highest
@@ -832,23 +812,58 @@ def _real_triangles_lexsort(tv, n_real):
 def test_real_triangles_match_lexsort_form(n_real):
     """The rows of a triangulation of a small cloud, ghost rows included,
     its vertex ids spread over [0, n_real) by a strictly increasing map
-    and the ghost sent to n_real, each row in a random rotation: the same
+    and the ghost sent to n_real, each row in a random rotation and the
+    rows shuffled, their neighbour half-edges moved with them: the same
     int64 array as the old form, from int32 rows as the triangulator
-    holds them, below 2^21 vertices and from there on. Rows drawn at
+    holds them, below 2^21 vertices and from there on, and neighbours
+    that hold each edge reversed, -1 where a ghost row did. Rows drawn at
     random would repeat directed edges, which no triangulation does and
     the one-key sort relies on."""
     rng = np.random.default_rng(n_real % 1000)
     xs, ys = rng.random((2, min(n_real, 600)))
-    tv = _Triangulator(xs, ys, _first_triangle(xs, ys)).run()
+    tv, tn = _Triangulator(xs, ys, _first_triangle(xs, ys)).run()
     ids = np.append(np.sort(rng.choice(n_real, len(xs), replace=False)), n_real)
-    turn = (np.arange(3) + rng.integers(0, 3, (len(tv), 1))) % 3
+    shift = rng.integers(0, 3, (len(tv), 1))
+    turn = (np.arange(3) + shift) % 3
     rows = np.take_along_axis(ids[tv], turn, axis=1)
-    rows = rows[rng.permutation(len(rows))].astype(np.int32)
+    mates = np.take_along_axis(tn.astype(np.int64), turn, axis=1)
+    order = rng.permutation(len(rows))
+    place = np.argsort(order)
+    mates = 3 * place[mates // 3] + (mates % 3 - shift[mates // 3, 0]) % 3
+    rows, mates = rows[order].astype(np.int32), mates[order].astype(np.int32)
     want = _real_triangles_lexsort(rows, n_real)
-    got = _real_triangles(rows, n_real)
+    got, neighbours = _real_triangles(rows, mates, n_real)
     assert len(rows) > len(want) > 0
     assert got.dtype == np.int64 and got.flags.c_contiguous
     np.testing.assert_array_equal(got, want)
+    assert neighbours.dtype == np.int32 and neighbours.shape == got.shape
+    inner = neighbours >= 0
+    tail, head = got[inner], np.roll(got, -1, axis=1)[inner]
+    across = got[neighbours[inner]]
+    assert ((across == head[:, None]) & (np.roll(across, -1, axis=1) == tail[:, None])).any(axis=1).all()
+    assert (~inner).sum() == len(rows) - len(want)
+
+
+@pytest.mark.parametrize("name", ["lattice", "random", "collinear head", "quantized"])
+def test_vertex_rows_start_whole_fans(name):
+    """From each vertex's row, turning counterclockwise across the edge
+    that ends at the vertex visits every row with that corner once, and
+    ends back at the start or, for a hull vertex, at the hull: its row
+    is the one whose edge from it is a hull edge."""
+    tin = build_tin(_cloud(MATCH_CLOUDS[name]()))
+    tri, nb = tin.triangles.tolist(), tin.neighbours.tolist()
+    fans = [[] for _ in tin.vertices]
+    for r, row in enumerate(tri):
+        for v in row:
+            fans[v].append(r)
+    for v, start in enumerate(tin.vertex_rows.tolist()):
+        seen, r = [], start
+        while r >= 0 and r not in seen:
+            seen.append(r)
+            r = nb[r][(tri[r].index(v) + 2) % 3]
+        assert sorted(seen) == fans[v] and r in (-1, start)
+    with pytest.raises(ValueError):
+        Tin(vertices=tin.vertices, triangles=tin.triangles)
 
 
 @pytest.mark.parametrize("name", sorted(MATCH_CLOUDS))
@@ -857,7 +872,7 @@ def test_tin_directed_edges_are_unique(name):
     triangulator's rows, ghosts included, each directed edge lies in one
     row only."""
     xs, ys = _dedupe_xy(MATCH_CLOUDS[name]())[:, :2].T
-    tv = _Triangulator(xs, ys, _first_triangle(xs, ys)).run().astype(np.int64)
+    tv = _Triangulator(xs, ys, _first_triangle(xs, ys)).run()[0].astype(np.int64)
     key = (tv * (len(xs) + 1) + np.roll(tv, -1, axis=1)).ravel()
     assert np.unique(key).size == key.size == 3 * (2 * len(xs) - 2)
 
@@ -984,10 +999,10 @@ def test_signs_send_undecided_orientations_to_the_stage(monkeypatch):
 
 
 def _reference_z(tin: Tin, x: float, y: float):
-    """Scalar-loop oracle: z in the lowest-index triangle whose barycentric
-    weights are all >= -1e-12, None when there is none."""
+    """Scalar-loop oracle: the lowest-index triangle whose barycentric
+    weights are all >= -1e-12 and z there, (-1, None) when there is none."""
     xs, ys, zs = tin.vertices.T
-    for a, b, c in tin.triangles:
+    for t, (a, b, c) in enumerate(tin.triangles):
         ax, ay, bx, by, cx, cy = xs[a], ys[a], xs[b], ys[b], xs[c], ys[c]
         area = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
         if area == 0:
@@ -996,8 +1011,73 @@ def _reference_z(tin: Tin, x: float, y: float):
         w1 = ((cx - x) * (ay - y) - (cy - y) * (ax - x)) / area
         w2 = 1.0 - w0 - w1
         if min(w0, w1, w2) >= -1e-12:
-            return float(w0 * zs[a] + w1 * zs[b] + w2 * zs[c])
-    return None
+            return t, float(w0 * zs[a] + w1 * zs[b] + w2 * zs[c])
+    return -1, None
+
+
+def _dyadic_lattice_cloud():
+    """8 x 6 points 2 apart from (64, 32), random z: every coordinate, a
+    1-cell grid's centres on it and those centres moved by 2^-40 are
+    exact in float64. A centre 2^-40 outside a hull edge has a weight of
+    about -4.5e-13 in the hull triangle, so it is claimed."""
+    gx, gy = np.meshgrid(64.0 + 2 * np.arange(8), 32.0 + 2 * np.arange(6))
+    return np.column_stack([gx.ravel(), gy.ravel(), np.random.default_rng(11).random(48)])
+
+
+def _locator_queries(name: str, tin: Tin) -> tuple[np.ndarray, np.ndarray]:
+    """On the dyadic lattice, the centres of a 1-cell grid one cell out
+    past the hull, which fall on vertices, on interior and hull edges and
+    one cell outside, as they are, moved 2^-40 left and up, and moved
+    2^-40 right and down. On a random cloud, random points over the
+    cloud and past its hull, every vertex and every edge's midpoint."""
+    if name == "dyadic lattice":
+        gx, gy = np.meshgrid(63.0 + np.arange(17), 43.0 - np.arange(13))
+        shift = np.repeat([0.0, -(2.0 ** -40), 2.0 ** -40], gx.size)
+        return np.tile(gx.ravel(), 3) + shift, np.tile(gy.ravel(), 3) - shift
+    rng = np.random.default_rng(int(name[-1]))
+    x, y = tin.vertices[:, 0], tin.vertices[:, 1]
+    a, b = tin.triangles.ravel(), np.roll(tin.triangles, -1, axis=1).ravel()
+    qx, qy = rng.uniform(-0.5, 4.5, (2, 300))
+    return np.concatenate([qx, x, (x[a] + x[b]) / 2]), np.concatenate([qy, y, (y[a] + y[b]) / 2])
+
+
+@pytest.mark.parametrize("name", ["dyadic lattice", "random 0", "random 1"])
+def test_locator_matches_scalar_scan(name):
+    """The point locator's claim and z equal the scalar scan's bit for
+    bit, at points exactly on vertices and edges, where the lowest-index
+    rule within 1e-12 picks among several triangles, and just outside
+    the hull, where a walk stops at a hull edge. rasterize_tin gives the
+    same z on the lattice's grids."""
+    if name == "dyadic lattice":
+        xyz = _dyadic_lattice_cloud()
+    else:
+        rng = np.random.default_rng(int(name[-1]))
+        xyz = np.column_stack([rng.random((150, 2)) * 4, rng.random(150)])
+    tin = build_tin(_cloud(xyz))
+    qx, qy = _locator_queries(name, tin)
+    claim, z = _locate(tin, qx, qy)
+    want = [_reference_z(tin, x, y) for x, y in zip(qx.tolist(), qy.tolist())]
+    assert claim.tolist() == [t for t, _ in want]
+    assert z.tobytes() == np.array([np.nan if w is None else w for _, w in want]).tobytes()
+    vertices = set(map(tuple, tin.vertices[:, :2].tolist()))
+    exact = np.array([p in vertices for p in zip(qx.tolist(), qy.tolist())])
+    assert exact.sum() == len(tin.vertices)
+    assert (claim >= 0).sum() > len(qx) // 2 and (claim < 0).any()
+    if name == "dyadic lattice":
+        # Each shift puts the centres of two hull sides, 15 and 11 of
+        # them, one corner shared, 2^-40 outside, where they are claimed.
+        outside = (qx < 64) | (qx > 78) | (qy < 32) | (qy > 42)
+        assert (claim[outside] >= 0).sum() == 2 * (15 + 11 - 1)
+        # Located alone, a point starts up to half the lattice away, and
+        # its walk must follow the hull to the triangles that hold it.
+        for i in np.flatnonzero(outside):
+            got = _locate(tin, qx[i:i + 1], qy[i:i + 1])
+            assert (got[0][0], got[1].tobytes()) == (claim[i], z[i:i + 1].tobytes())
+        for i, shift in enumerate([0.0, -(2.0 ** -40), 2.0 ** -40]):
+            geom = GridGeometry(origin_x=63.0 + shift, origin_y=43.0 - shift, cell_size=1.0, n_cols=17, n_rows=13)
+            values = rasterize_tin(tin, geom, kill=np.inf).values.ravel()
+            part = z[i * 221:(i + 1) * 221]
+            assert values.tobytes() == np.where(np.isnan(part), NODATA, part).tobytes()
 
 
 class TestInterpolate:
@@ -1090,8 +1170,10 @@ class TestRasterize:
     def test_point_interpolation_matches_raster(self, lattice):
         """vertical_check with one GCP per cell center and the scalar
         oracle reproduce rasterize_tin bit for bit, and are None exactly on
-        the NODATA cells. The lattice puts cell centers on vertices and
-        shared edges, where the lowest-index tie-break decides."""
+        the NODATA cells. On the 0.4 lattice, float rounding leaves only 10
+        of the 676 centres exactly on a vertex; test_locator_matches_scalar_scan
+        holds the tie rule on a lattice whose centres fall on vertices and
+        edges exactly."""
         rng = np.random.default_rng(7)
         if lattice:
             gx, gy = np.meshgrid(np.arange(12) * 0.4, np.arange(12) * 0.4)
@@ -1110,7 +1192,7 @@ class TestRasterize:
         rep = vertical_check(tin, [Gcp(id=f"c{i}", world=Point3(x, y, 0.0))
                                    for i, (x, y) in enumerate(centers)])
         for (x, y), (_, z, _), cell in zip(centers, rep.per_gcp, dsm.values.ravel()):
-            assert z == _reference_z(tin, x, y)
+            assert z == _reference_z(tin, x, y)[1]
             if cell == NODATA:
                 assert z is None
             else:
