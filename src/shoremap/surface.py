@@ -882,16 +882,17 @@ def _locate(tin: Tin, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndar
 
     A visibility walk over a Delaunay triangulation needs no step cap
     (see :class:`_Triangulator`). It ends in a row that holds its point
-    or, outside the hull, whose hull edge has the point just beyond it,
-    in the wedge that the row's third vertex spans. Triangles meet in a
-    vertex or an edge, so every one holding the point exactly is in the
-    fans. One holding it only within ``_BARY_EPS`` comes within about
-    1e-12 of its height of the row reached, and triangles with no common
-    vertex lie as far apart as a vertex of one from an edge of the
-    other: at least d^2 / L on coordinates quantized to a step d, as a
-    LAS cloud's are, L the longest edge, far above 1e-12 L while
-    L < 10^6 d. The tests hold the claim to a scalar scan on exact
-    lattices, on vertices, on edges and 2^-40 outside the hull.
+    or, outside the hull, in one whose only edges with the point on
+    their right are hull edges: the point lies beyond them, in the wedge
+    that the row's other edges bound. Triangles meet in a vertex or an
+    edge, so every one holding the point exactly is in the fans. One
+    holding it only within ``_BARY_EPS`` comes within about 1e-12 of its
+    height of the row reached, and triangles with no common vertex lie
+    as far apart as a vertex of one from an edge of the other: at least
+    d^2 / L on coordinates quantized to a step d, as a LAS cloud's are,
+    L the longest edge, far above 1e-12 L while L < 10^6 d. The tests
+    hold the claim to a scalar scan on exact lattices, on vertices, on
+    edges and 2^-40 outside the hull.
     """
     tri, nb = tin.triangles, tin.neighbours.reshape(-1)
     claim = np.full(x.size, _UNCLAIMED, np.int64)
