@@ -271,10 +271,11 @@ def _window_sums(raw: np.ndarray, k: int) -> np.ndarray:
 
 def _winner_take_all(
     volume: np.ndarray, d_min: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Lowest-cost disparity index (first on ties, as argmin) and its cost
-    per pixel, for the left eye and then the right, from one pass over the
-    planes of the left eye's volume.
+    per pixel for the left eye, then the right eye's index alone (its
+    consistency check needs no cost), from one pass over the planes of
+    the left eye's volume.
 
     Each eye keeps one running minimum of uint32 keys cost << 16 | i: the
     least key holds the least cost and, among equal costs, the first index,
@@ -297,8 +298,7 @@ def _winner_take_all(
             np.minimum(run_r[:, : w - c], key[:, c:], out=run_r[:, : w - c])
     assert run_l.dtype == run_r.dtype == np.uint32
     low, shift = np.uint32(0xFFFF), np.uint32(16)
-    return ((run_l & low).astype(np.intp), (run_l >> shift).astype(np.uint16),
-            (run_r & low).astype(np.intp), (run_r >> shift).astype(np.uint16))
+    return (run_l & low).astype(np.intp), (run_l >> shift).astype(np.uint16), (run_r & low).astype(np.intp)
 
 
 def match_disparity(
@@ -374,7 +374,7 @@ def _match_strip(
     vol_l = _cost_volume(
         census_l[:, a:b], census_r[:, a:b], window, y0, y1, d_min, d_max
     )[:, r0 - a: r1 - a]
-    best_l, cost_l, best_r, _ = _winner_take_all(vol_l, d_min)
+    best_l, cost_l, best_r = _winner_take_all(vol_l, d_min)
 
     n_d = d_max - d_min + 1
     valid = cost_l < _BIG_COST

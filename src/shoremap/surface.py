@@ -15,13 +15,16 @@ lowest vertex, is the unique Delaunay triangulation of the perturbed
 vertices, a function of the deduplicated vertex array alone. The tests
 hold it bit for bit to a scalar Bowyer-Watson oracle that has its own
 scalar predicates. Being unique, it can be handed on, as
-:func:`build_tin`'s ``reuse``: one pipeline run triangulates once. One
-locator, :func:`_locate`, walks the TIN's neighbour array to every
-surface sample, DSM cell centre or GCP.
+:func:`build_tin`'s ``reuse``: one pipeline run triangulates once. The
+TIN keeps each edge's half-edge mate, as the triangulator does, so one
+visibility walk, :func:`_walk`, serves both the triangulator's inserts
+and the locator, :func:`_locate`, that takes every surface sample, DSM
+cell centre or GCP.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import ClassVar, Optional
 
@@ -194,25 +197,27 @@ def _incircle_tie(xs, ys, a, b, c, d) -> np.ndarray:
 class Tin:
     """Triangulated surface, all arrays read-only: vertices (n, 3) float64
     x, y, z; triangles (m, 3) int64 vertex indices, counterclockwise in
-    the xy-plane; int32 ``neighbours[r, k]``, the row across the edge of
-    row r from corner k to k + 1 (mod 3), -1 across a hull edge; int32
-    ``vertex_rows[v]``, a row with corner v, for a hull vertex the one
-    whose edge from v is a hull edge, so that turning counterclockwise
-    from it sweeps v's fan. From :func:`build_tin`, the triangles are the
+    the xy-plane. Half-edge ``3r + k`` is the edge of row r from corner k
+    to k + 1 (mod 3), and int32 ``neighbours[r, k]`` is its mate, the
+    half-edge ``3r' + k'`` of the same edge in the row r' across, running
+    the other way, -1 across a hull edge. int32 ``vertex_rows[v]`` is a
+    row with corner v, for a hull vertex the one whose edge from v is a
+    hull edge, so that turning counterclockwise from it sweeps v's fan.
+    From :func:`build_tin`, the only producer, the triangles are the
     whole Delaunay triangulation out to the exact convex hull, a function
-    of the vertices alone. A TIN without neighbours has no triangles."""
+    of the vertices alone, and never none."""
 
     vertices: np.ndarray
     triangles: np.ndarray
-    neighbours: Optional[np.ndarray] = None
-    vertex_rows: Optional[np.ndarray] = None
+    neighbours: np.ndarray
+    vertex_rows: np.ndarray
 
     def __post_init__(self):
         v = np.asarray(self.vertices, dtype=np.float64).reshape(-1, 3)
         t = np.asarray(self.triangles, dtype=np.int64).reshape(-1, 3)
-        nb = np.asarray(np.empty((0, 3)) if self.neighbours is None else self.neighbours, np.int32)
-        rows = np.asarray(np.empty(0) if self.vertex_rows is None else self.vertex_rows, np.int32)
-        if nb.shape != t.shape or len(t) and rows.shape != (len(v),):
+        nb = np.asarray(self.neighbours, np.int32)
+        rows = np.asarray(self.vertex_rows, np.int32)
+        if nb.shape != t.shape or rows.shape != (len(v),):
             raise ValueError("neighbours and vertex rows must match the triangles and vertices")
         for name, a in (("vertices", v), ("triangles", t), ("neighbours", nb), ("vertex_rows", rows)):
             a.flags.writeable = False
@@ -429,6 +434,49 @@ def _hilbert_order(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     return np.argsort(d, kind="stable")
 
 
+def _walk(
+    orient, tv: np.ndarray, tn: np.ndarray, p: np.ndarray, t: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Visibility walks of points p over counterclockwise rows ``tv``
+    with half-edge mates ``tn`` (-1 where none), from rows t: each
+    crosses the first edge that has its point strictly on the right
+    (``orient`` of the edge's ends and the point < 0) and a mate, until
+    none has. Returns the rows reached and, (3, len(p)), which of their
+    edges each point lies on.
+
+    Over a Delaunay triangulation a walk needs no step cap (Devillers,
+    Pion & Teillaud 2002): crossing a locally Delaunay edge never raises
+    the point's power to the circumcircle, and the triangles sharing one
+    circumcircle form a forest, in which a walk never turns back; edges
+    with no mate only stop some walks sooner. A walk that entered across
+    edge e has its point strictly left of e and tests only e + 1 and
+    e + 2. The edge arrays are (edges, lanes), so each edge's lanes are
+    contiguous: the other way round, broadcasts and reductions run along
+    rows of 2 or 3, several times slower."""
+    flat_tv, flat_tn = tv.reshape(-1), tn.reshape(-1)
+    t = t.astype(np.int64)
+    on = np.zeros((3, p.size), bool)
+    lane = np.arange(p.size)
+    k = np.broadcast_to(np.arange(3)[:, None], (3, p.size))
+    while lane.size:
+        h = 3 * t[lane] + k
+        o = orient(flat_tv[h].ravel(), flat_tv[_next(h)].ravel(), np.tile(p[lane], len(k))).reshape(k.shape)
+        mate = flat_tn[h]
+        # The first edge with the point on its right and a row across.
+        right = (o < 0) & (mate >= 0)
+        go, first = right[0], np.zeros(lane.size, np.intp)
+        for j in range(1, len(k)):
+            first += ~go
+            go = go | right[j]
+        stop, go = np.flatnonzero(~go), np.flatnonzero(go)
+        on[k[:, stop], lane[stop]] = o[:, stop] == 0
+        across = mate[first[go], go].astype(np.int64)
+        lane = lane[go]
+        t[lane] = across // 3
+        k = _AFTER_EDGE[:, across - 3 * t[lane]]
+    return t, on
+
+
 class _Triangulator:
     """Delaunay triangulation of xy coordinates in array rounds, after
     GPU-DT (Rong, Tan, Cao & Stephanus 2008) and gDel2D (Qi, Cao &
@@ -439,9 +487,9 @@ class _Triangulator:
     Triangle t has counterclockwise vertices ``tv[t]``. Half-edge
     ``3t + k`` is its edge ``(tv[t, k], tv[t, (k + 1) % 3])``, and
     ``tn[t, k]`` is the half-edge of the same edge in the neighbouring
-    triangle. A ghost vertex g = n (Shewchuk's *Triangle*, 1996; CGAL)
-    closes the mesh with a triangle (b, a, g) across each hull edge
-    (a, b). Edge (v, g) is the ray from v away from O, the first
+    triangle, as ``Tin.neighbours`` keeps them. A ghost vertex g = n
+    (Shewchuk's *Triangle*, 1996; CGAL) closes the mesh with a triangle
+    (b, a, g) across each hull edge (a, b). Edge (v, g) is the ray from v away from O, the first
     triangle's float centroid in row n of ``xs`` and ``ys``: the ghosts
     are disjoint wedges about O, walked and split like any triangle.
     ``vt[v]`` is a fan row written with corner v; later flips may take v
@@ -456,14 +504,9 @@ class _Triangulator:
     peak RSS by a third). Each point of level k walks from ``vt[h]``, h
     the nearer of its curve neighbours i - 2^k and i + 2^k, which an
     earlier round brought in; a waiting point walks on from where it
-    stopped. A visibility walk crosses the first edge that has the point
-    strictly on its right, until none has, so it ends in a triangle
-    holding the point, boundary included. On a Delaunay triangulation it
-    needs no step cap (Devillers, Pion & Teillaud 2002): crossing a
-    locally Delaunay edge never raises the point's power to the
-    circumcircle, and the triangles sharing one circumcircle form a
-    forest, in which a walk never turns back. Walks therefore run only
-    between legalized rounds.
+    stopped. The mesh is closed, so a walk (:func:`_walk`) ends in a
+    triangle holding its point, boundary included. It needs a Delaunay
+    triangulation, so walks run only between legalized rounds.
 
     Every triangle reached inserts its walker of median curve rank: a
     1-3 split, or a 2-4 split of it and its neighbour when the point lies
@@ -563,37 +606,6 @@ class _Triangulator:
         tn[new] = mate
         tn[mate] = new
 
-    def _walk(self, p: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Visibility walks of points p from rows t: the rows reached and,
-        (3, len(p)), which of their edges each point lies on. A walk that
-        entered across edge e has its point strictly left of e and tests
-        only e + 1 and e + 2. The edge arrays are (edges, lanes), so each
-        edge's lanes are contiguous: the other way round, broadcasts and
-        reductions run along rows of 2 or 3, several times slower."""
-        flat_tv, flat_tn = self.tv.reshape(-1), self.tn.reshape(-1)
-        t = t.astype(np.int64)
-        on = np.zeros((3, p.size), bool)
-        lane = np.arange(p.size)
-        k = np.broadcast_to(np.arange(3)[:, None], (3, p.size))
-        while lane.size:
-            h = 3 * t[lane] + k
-            o = self._orient(
-                flat_tv[h].ravel(), flat_tv[_next(h)].ravel(), np.tile(p[lane], len(k))
-            ).reshape(k.shape)
-            # The first edge with the point on its right.
-            right = o < 0
-            go, first = right[0], np.zeros(lane.size, np.intp)
-            for j in range(1, len(k)):
-                first += ~go
-                go = go | right[j]
-            stop, go = np.flatnonzero(~go), np.flatnonzero(go)
-            on[k[:, stop], lane[stop]] = o[:, stop] == 0
-            across = flat_tn[h[first[go], go]].astype(np.int64)
-            lane = lane[go]
-            t[lane] = across // 3
-            k = _AFTER_EDGE[:, across - 3 * t[lane]]
-        return t, on
-
     def _insert_round(self) -> np.ndarray:
         """Walk the next round's points and the waiting ones, and insert
         into every triangle reached its walker of median curve rank,
@@ -603,7 +615,7 @@ class _Triangulator:
         flat_tv = tv.reshape(-1)
         new, start = self.rounds.pop() if self.rounds else (self.waiting[:0],) * 2
         walkers = np.append(self.waiting, new)
-        reached, on = self._walk(walkers, vt[np.append(self.waiting, start)])
+        reached, on = _walk(self._orient, tv, tn, walkers, vt[np.append(self.waiting, start)])
         # Sorting by triangle, then curve rank, groups each triangle's
         # walkers in curve order.
         by_tri = np.argsort(reached * self.rank.size + self.rank[walkers])
@@ -722,11 +734,11 @@ class _Triangulator:
 def _real_triangles(tv: np.ndarray, tn: np.ndarray, n_real: int) -> tuple[np.ndarray, np.ndarray]:
     """Rows of ``tv`` with no ghost vertex, each rotated so that its
     lowest vertex index comes first, in lexicographic order, and their
-    ``Tin.neighbours``: across edge k, the row holding the ``tn`` mate of
-    the half-edge that became edge k, -1 where that is a ghost row. A
-    row's vertices are distinct, so its rotation that starts at the
-    lowest one has the least head a n + b of the three. The rows are
-    counterclockwise triangles of one triangulation, so each directed
+    ``Tin.neighbours``: at edge k, the exported half-edge of the ``tn``
+    mate of the half-edge that became edge k, -1 where that mate is in a
+    ghost row. A row's vertices are distinct, so its rotation that starts
+    at the lowest one has the least head a n + b of the three. The rows
+    are counterclockwise triangles of one triangulation, so each directed
     edge (a, b) lies in one row only: the heads are unique, and sorting
     by head alone puts the rows in lexicographic order."""
     keep = np.flatnonzero(np.maximum(np.maximum(tv[:, 0], tv[:, 1]), tv[:, 2]) < n_real)
@@ -735,15 +747,16 @@ def _real_triangles(tv: np.ndarray, tn: np.ndarray, n_real: int) -> tuple[np.nda
     edge = 3 * keep + ((b < a) & (b < c)) + 2 * ((c < a) & (c < b))
     edge = edge[np.argsort(np.minimum(np.minimum(a * n_real + b, b * n_real + c), c * n_real + a))]
     del keep, a, b, c
-    row = np.full(len(tv), -1, np.int32)
-    row[edge // 3] = np.arange(edge.size)
+    # Each half-edge's exported id, -1 in ghost rows.
+    exported = np.full(tv.size, -1, np.int32)
     triangles = np.empty((edge.size, 3), np.int64)
-    neighbours = np.empty((edge.size, 3), np.int32)
+    mates = np.empty((edge.size, 3), np.int32)
     for k in range(3):
+        exported[edge] = np.arange(k, 3 * edge.size, 3)
         triangles[:, k] = tv.reshape(-1)[edge]
-        neighbours[:, k] = row[tn.reshape(-1)[edge] // 3]
+        mates[:, k] = tn.reshape(-1)[edge]
         edge = _next(edge)
-    return triangles, neighbours
+    return triangles, exported[mates]
 
 
 def _first_triangle(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -851,67 +864,49 @@ def _start_rows(tin: Tin, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     return tin.vertex_rows[start]
 
 
-def _walk(tin: Tin, xs: np.ndarray, ys: np.ndarray, q: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Visibility walks of the points at indices q of ``xs`` and ``ys``
-    from rows t: each crosses the first inner edge that has its point
-    strictly on the right, until none has. Returns the rows reached."""
-    tri, nb = tin.triangles, tin.neighbours
-    t = t.astype(np.int64)
-    lane = np.arange(q.size)
-    while lane.size:
-        corners = tri[t[lane]].T
-        o = _signs(
-            _orient_terms, _ORIENT_FILTER, xs, ys, corners.ravel(), corners[[1, 2, 0]].ravel(), np.tile(q[lane], 3)
-        ).reshape(3, -1)
-        across = nb[t[lane]].T
-        right = (o < 0) & (across >= 0)
-        go = np.flatnonzero(right.any(axis=0))
-        t[lane[go]] = across[right.argmax(axis=0)[go], go]
-        lane = lane[go]
-    return t
-
-
 def _locate(tin: Tin, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The lowest-index triangle holding each point (x, y) within
     ``_BARY_EPS`` (-1 where none does) and the z there (NaN where none
     does), for every surface sampler. ``_BLOCK`` points at a time walk
-    from rows near them, and :func:`_interpolate` claims among the three
-    vertex fans of the rows reached, a step of each fan at a time: from
-    corner v's vertex row counterclockwise, across the edge that ends at
-    v, until back at that row or at the hull.
+    (:func:`_walk`) from rows near them, and :func:`_interpolate` claims
+    among the three vertex fans of the rows reached, a step of each fan
+    at a time: from corner v's half-edge in its vertex row, the mate of
+    the half-edge before it, which starts at v in the next row
+    counterclockwise, until back at the first or at the hull.
 
-    A visibility walk over a Delaunay triangulation needs no step cap
-    (see :class:`_Triangulator`). It ends in a row that holds its point
-    or, outside the hull, in one whose only edges with the point on
-    their right are hull edges: the point lies beyond them, in the wedge
-    that the row's other edges bound. Triangles meet in a vertex or an
-    edge, so every one holding the point exactly is in the fans. One
-    holding it only within ``_BARY_EPS`` comes within about 1e-12 of its
-    height of the row reached, and triangles with no common vertex lie
-    as far apart as a vertex of one from an edge of the other: at least
-    d^2 / L on coordinates quantized to a step d, as a LAS cloud's are,
-    L the longest edge, far above 1e-12 L while L < 10^6 d. The tests
-    hold the claim to a scalar scan on exact lattices, on vertices, on
-    edges and 2^-40 outside the hull.
+    A walk ends in a row that holds its point or, outside the hull, in
+    one whose only edges with the point on their right are hull edges:
+    the point lies beyond them, in the wedge that the row's other edges
+    bound. Triangles meet in a vertex or an edge, so every one holding
+    the point exactly is in the fans. One holding it only within
+    ``_BARY_EPS`` comes within about 1e-12 of its height of the row
+    reached, and triangles with no common vertex lie as far apart as a
+    vertex of one from an edge of the other: at least d^2 / L on
+    coordinates quantized to a step d, as a LAS cloud's are, L the
+    longest edge, far above 1e-12 L while L < 10^6 d. So the claim
+    depends only on which triangles hold the point, not on where its
+    walk started. The tests hold the claim to a scalar scan on exact
+    lattices, on vertices, on edges and 2^-40 outside the hull, from the
+    bucket starts and from the first and last rows.
     """
     tri, nb = tin.triangles, tin.neighbours.reshape(-1)
     claim = np.full(x.size, _UNCLAIMED, np.int64)
     z = np.full(x.size, np.nan)
-    if len(tri):
-        n = len(tin.vertices)
-        xs, ys = np.append(tin.vertices[:, 0], x), np.append(tin.vertices[:, 1], y)
-        start = _start_rows(tin, xs, ys)
-        for lo in range(0, x.size, _BLOCK):
-            q = np.arange(lo, min(lo + _BLOCK, x.size))
-            v = tri[_walk(tin, xs, ys, q + n, start[q])].ravel()
-            q = np.repeat(q, 3)
-            first = r = tin.vertex_rows[v].astype(np.int64)
-            while r.size:
-                _interpolate(tin, claim, z, q, x[q], y[q], r)
-                k = (tri[r, 1] == v) + 2 * (tri[r, 2] == v)
-                r = nb[_prev(3 * r + k)].astype(np.int64)
-                go = np.flatnonzero((r >= 0) & (r != first))
-                q, v, first, r = q[go], v[go], first[go], r[go]
+    n = len(tin.vertices)
+    xs, ys = np.append(tin.vertices[:, 0], x), np.append(tin.vertices[:, 1], y)
+    orient = functools.partial(_signs, _orient_terms, _ORIENT_FILTER, xs, ys)
+    start = _start_rows(tin, xs, ys)
+    for lo in range(0, x.size, _BLOCK):
+        q = np.arange(lo, min(lo + _BLOCK, x.size))
+        v = tri[_walk(orient, tri, nb, q + n, start[q])[0]].ravel()
+        q = np.repeat(q, 3)
+        r = tin.vertex_rows[v].astype(np.int64)
+        first = h = 3 * r + (tri[r, 1] == v) + 2 * (tri[r, 2] == v)
+        while h.size:
+            _interpolate(tin, claim, z, q, x[q], y[q], h // 3)
+            h = nb[_prev(h)].astype(np.int64)
+            go = np.flatnonzero((h >= 0) & (h != first))
+            q, first, h = q[go], first[go], h[go]
     claim[claim == _UNCLAIMED] = -1
     return claim, z
 

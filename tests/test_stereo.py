@@ -352,8 +352,8 @@ class TestRightVolume:
         """Every plane of the one volume built per strip equals the left
         eye's volume built on its own, _BIG_COST border included; the
         winners read from it equal argmin's over the left eye's volume
-        and over a right-eye volume built on its own, and so do their
-        costs."""
+        and over a right-eye volume built on its own, and so does the left
+        eye's cost."""
         window, h, w, (d_min, d_max), (a, b), shift, levels, seed = case
         left, right = _textured_pair(seed, h, w, shift, levels)
         census_l = census_transform(left, window)[a:b]
@@ -373,13 +373,11 @@ class TestRightVolume:
 
         assert volume.dtype == np.uint16
         assert np.array_equal(volume, _as_uint16(oracle_l).transpose(2, 0, 1))
-        best_l, cost_l, best_r, cost_r = stereo._winner_take_all(volume, d_min)
-        for (best, cost), oracle in (
-            ((best_l, cost_l), oracle_l), ((best_r, cost_r), oracle_r)
-        ):
-            best_o, cost_o = _oracle_wta(oracle)
-            assert np.array_equal(best, best_o)
-            assert np.array_equal(cost, _as_uint16(cost_o))
+        best_l, cost_l, best_r = stereo._winner_take_all(volume, d_min)
+        best_o, cost_o = _oracle_wta(oracle_l)
+        assert np.array_equal(best_l, best_o)
+        assert np.array_equal(cost_l, _as_uint16(cost_o))
+        assert np.array_equal(best_r, _oracle_wta(oracle_r)[0])
 
     @pytest.mark.parametrize("flat", [True, False])
     def test_ties_keep_first_index(self, flat):
@@ -403,7 +401,7 @@ class TestRightVolume:
             d_min, d_max,
         )
         border = _oracle_border_mask(h, w, window)
-        best_l, _, best_r, _ = stereo._winner_take_all(volume, d_min)
+        best_l, _, best_r = stereo._winner_take_all(volume, d_min)
         for best, oracle in (
             (best_l, _oracle_cost_volume(
                 census_l, census_r, border, window, d_min, d_max, sign=-1
@@ -474,8 +472,8 @@ class TestWordKernels:
     def test_winner_take_all_matches_argmin(self, d_min):
         """Hand-built volumes with ties, all-_BIG_COST columns and (for
         d_min > 0) right-eye columns that no plane reaches: both eyes'
-        winners equal argmin's, first on ties, index 0 and cost _BIG_COST
-        where nothing beats _BIG_COST."""
+        winners equal argmin's, first on ties, and index 0 where nothing
+        beats _BIG_COST; the left eye's cost equals the minimum."""
         big = stereo._BIG_COST
         rng = np.random.default_rng(d_min)
         volume = rng.integers(0, 4, (7, 5, 12)).astype(np.uint16)  # many ties
@@ -483,27 +481,21 @@ class TestWordKernels:
         volume[:, 2, 6] = 6480
         volume[2:, 1, 8] = big
         volume[rng.random(volume.shape) < 0.2] = big
-        best_l, cost_l, best_r, cost_r = stereo._winner_take_all(volume, d_min)
-        for (best, cost), vol in (
-            ((best_l, cost_l), volume),
-            ((best_r, cost_r), self._right_volume(volume, d_min)),
-        ):
+        best_l, cost_l, best_r = stereo._winner_take_all(volume, d_min)
+        for best, vol in ((best_l, volume), (best_r, self._right_volume(volume, d_min))):
             assert np.array_equal(best, vol.argmin(axis=0))
-            assert np.array_equal(cost, vol.min(axis=0))
-            assert cost.dtype == np.uint16
-            assert np.all(best[cost == big] == 0)
+            assert np.all(best[vol.min(axis=0) == big] == 0)
+        assert np.array_equal(cost_l, volume.min(axis=0)) and cost_l.dtype == np.uint16
         assert np.all(best_l[:, 3] == 0) and np.all(cost_l[:, 3] == big)
         if d_min:
-            unreached = slice(volume.shape[2] - d_min, None)
-            assert np.all(best_r[:, unreached] == 0)
-            assert np.all(cost_r[:, unreached] == big)
+            assert np.all(best_r[:, volume.shape[2] - d_min:] == 0)
 
     def test_winner_take_all_index_bits(self):
         """The index takes the key's low 16 bits whole: a volume of 300
         planes whose lowest cost sits in the last plane."""
         volume = np.full((300, 2, 3), 5, dtype=np.uint16)
         volume[-1, 0, 0] = 4
-        best_l, cost_l, _, _ = stereo._winner_take_all(volume, 0)
+        best_l, cost_l, _ = stereo._winner_take_all(volume, 0)
         assert best_l[0, 0] == 299 and cost_l[0, 0] == 4
         assert np.all(best_l.ravel()[1:] == 0)
 

@@ -816,7 +816,8 @@ def test_real_triangles_match_lexsort_form(n_real):
     rows shuffled, their neighbour half-edges moved with them: the same
     int64 array as the old form, from int32 rows as the triangulator
     holds them, below 2^21 vertices and from there on, and neighbours
-    that hold each edge reversed, -1 where a ghost row did. Rows drawn at
+    that hold each half-edge's mate, the same edge reversed, -1 where a
+    ghost row did. Rows drawn at
     random would repeat directed edges, which no triangulation does and
     the one-key sort relies on."""
     rng = np.random.default_rng(n_real % 1000)
@@ -837,11 +838,11 @@ def test_real_triangles_match_lexsort_form(n_real):
     assert got.dtype == np.int64 and got.flags.c_contiguous
     np.testing.assert_array_equal(got, want)
     assert neighbours.dtype == np.int32 and neighbours.shape == got.shape
-    inner = neighbours >= 0
-    tail, head = got[inner], np.roll(got, -1, axis=1)[inner]
-    across = got[neighbours[inner]]
-    assert ((across == head[:, None]) & (np.roll(across, -1, axis=1) == tail[:, None])).any(axis=1).all()
-    assert (~inner).sum() == len(rows) - len(want)
+    inner = np.flatnonzero(neighbours.ravel() >= 0)
+    mate = neighbours.ravel()[inner]
+    tail, head = got.ravel(), np.roll(got, -1, axis=1).ravel()
+    assert (tail[mate] == head[inner]).all() and (head[mate] == tail[inner]).all()
+    assert neighbours.size - inner.size == len(rows) - len(want)
 
 
 @pytest.mark.parametrize("name", ["lattice", "random", "collinear head", "quantized"])
@@ -860,10 +861,27 @@ def test_vertex_rows_start_whole_fans(name):
         seen, r = [], start
         while r >= 0 and r not in seen:
             seen.append(r)
-            r = nb[r][(tri[r].index(v) + 2) % 3]
+            r = nb[r][(tri[r].index(v) + 2) % 3] // 3
         assert sorted(seen) == fans[v] and r in (-1, start)
     with pytest.raises(ValueError):
-        Tin(vertices=tin.vertices, triangles=tin.triangles)
+        Tin(tin.vertices, tin.triangles, tin.neighbours[:-1], tin.vertex_rows)
+    with pytest.raises(ValueError):
+        Tin(tin.vertices, tin.triangles, tin.neighbours, tin.vertex_rows[:-1])
+
+
+@pytest.mark.parametrize("name", sorted(MATCH_CLOUDS))
+def test_neighbours_pair_inner_half_edges(name):
+    """``Tin.neighbours`` is an involution on the inner half-edges: the
+    mate of a mate is the half-edge itself, and it runs the same edge the
+    other way. The -1 entries are the hull edges, one per exact hull
+    vertex, collinear boundary points included."""
+    tin = build_tin(_cloud(MATCH_CLOUDS[name]()))
+    nb = tin.neighbours.ravel().astype(np.int64)
+    inner = np.flatnonzero(nb >= 0)
+    assert (nb[nb[inner]] == inner).all()
+    tail, head = tin.triangles.ravel(), np.roll(tin.triangles, -1, axis=1).ravel()
+    assert (tail[nb[inner]] == head[inner]).all() and (head[nb[inner]] == tail[inner]).all()
+    assert nb.size - inner.size == _exact_hull_size(tin.vertices[:, :2])
 
 
 @pytest.mark.parametrize("name", sorted(MATCH_CLOUDS))
@@ -1041,6 +1059,15 @@ def _locator_queries(name: str, tin: Tin) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate([qx, x, (x[a] + x[b]) / 2]), np.concatenate([qy, y, (y[a] + y[b]) / 2])
 
 
+def _locator_tin(name: str) -> Tin:
+    """The dyadic lattice's TIN, or that of 150 random points over
+    [0, 4)^2 seeded by the name's last digit."""
+    if name == "dyadic lattice":
+        return build_tin(_cloud(_dyadic_lattice_cloud()))
+    rng = np.random.default_rng(int(name[-1]))
+    return build_tin(_cloud(np.column_stack([rng.random((150, 2)) * 4, rng.random(150)])))
+
+
 @pytest.mark.parametrize("name", ["dyadic lattice", "random 0", "random 1"])
 def test_locator_matches_scalar_scan(name):
     """The point locator's claim and z equal the scalar scan's bit for
@@ -1048,12 +1075,7 @@ def test_locator_matches_scalar_scan(name):
     rule within 1e-12 picks among several triangles, and just outside
     the hull, where a walk stops at a hull edge. rasterize_tin gives the
     same z on the lattice's grids."""
-    if name == "dyadic lattice":
-        xyz = _dyadic_lattice_cloud()
-    else:
-        rng = np.random.default_rng(int(name[-1]))
-        xyz = np.column_stack([rng.random((150, 2)) * 4, rng.random(150)])
-    tin = build_tin(_cloud(xyz))
+    tin = _locator_tin(name)
     qx, qy = _locator_queries(name, tin)
     claim, z = _locate(tin, qx, qy)
     want = [_reference_z(tin, x, y) for x, y in zip(qx.tolist(), qy.tolist())]
@@ -1073,6 +1095,24 @@ def test_locator_matches_scalar_scan(name):
             values = rasterize_tin(tin, geom, kill=np.inf).values.ravel()
             part = z[i * 221:(i + 1) * 221]
             assert values.tobytes() == np.where(np.isnan(part), NODATA, part).tobytes()
+
+
+@pytest.mark.parametrize("name", ["dyadic lattice", "random 0", "random 1"])
+def test_locator_claims_do_not_depend_on_the_start(name, monkeypatch):
+    """Walks that all start from the first row, or all from the last,
+    end in other rows than the bucket starts reach, but the claims and z
+    bytes are the same: they depend only on which triangles hold each
+    point, on vertices, on edges and 2^-40 outside the hull alike."""
+    tin = _locator_tin(name)
+    qx, qy = _locator_queries(name, tin)
+    want = _locate(tin, qx, qy)
+    for row in (0, len(tin.triangles) - 1):
+        monkeypatch.setattr(
+            surface, "_start_rows", lambda tin, xs, ys: np.full(len(xs) - len(tin.vertices), row, np.int32)
+        )
+        claim, z = _locate(tin, qx, qy)
+        assert claim.tolist() == want[0].tolist(), row
+        assert z.tobytes() == want[1].tobytes(), row
 
 
 class TestInterpolate:
@@ -1193,13 +1233,6 @@ class TestRasterize:
             else:
                 assert z is not None
                 assert np.float64(z).tobytes() == cell.tobytes()
-
-    def test_empty_tin_is_all_nodata(self):
-        tin = Tin(vertices=[[0, 0, 1], [1, 0, 1], [2, 0, 1]], triangles=np.empty((0, 3)))
-        geom = GridGeometry(origin_x=0, origin_y=1, cell_size=0.5, n_cols=5, n_rows=3)
-        assert (rasterize_tin(tin, geom).values == NODATA).all()
-        rep = vertical_check(tin, [Gcp(id="g", world=Point3(1.0, 0.0, 1.0))])
-        assert rep.per_gcp == (("g", None, None),)
 
     def test_kill_must_be_positive(self):
         tin = build_tin(_cloud([[0, 0, 0], [1, 0, 0], [0, 1, 0]]))
