@@ -5,21 +5,20 @@ The TIN is the Delaunay triangulation of the xy-projection, built in
 array rounds (:class:`_Triangulator`) on a mesh that one ghost vertex at
 infinity closes. Every orientation and in-circle test, the tie rule
 and the clip rings' self-intersection check included, is one array
-predicate, :func:`_signs`: a float filter over numpy blocks, then for
-orientations an array stage that compares exact TwoProduct pairs, and
-exact integers where neither decides (Shewchuk 1997); pixel-grid clouds
-are almost entirely cocircular, so naive float predicates would corrupt
-the topology. Exact in-circle ties are broken by a symbolic perturbation
-of the vertices' lifts, so the triangle array, each row starting at its
-lowest vertex, is the unique Delaunay triangulation of the perturbed
-vertices, a function of the deduplicated vertex array alone. The tests
-hold it bit for bit to a scalar Bowyer-Watson oracle that has its own
-scalar predicates. Being unique, it can be handed on, as
-:func:`build_tin`'s ``reuse``: one pipeline run triangulates once. The
-TIN keeps each edge's half-edge mate, as the triangulator does, so one
-visibility walk, :func:`_walk`, serves both the triangulator's inserts
-and the locator, :func:`_locate`, that takes every surface sample, DSM
-cell centre or GCP.
+predicate, :func:`_signs`: a float filter over numpy blocks (Shewchuk
+1997), then exact integers, on numpy object arrays, for every lane it
+leaves undecided; pixel-grid clouds are almost entirely cocircular, so
+naive float predicates would corrupt the topology. Exact in-circle ties
+are broken by a symbolic perturbation of the vertices' lifts, so the
+triangle array, each row starting at its lowest vertex, is the unique
+Delaunay triangulation of the perturbed vertices, a function of the
+deduplicated vertex array alone. The tests hold it bit for bit to a
+scalar Bowyer-Watson oracle that has its own scalar predicates. Being
+unique, it can be handed on, as :func:`build_tin`'s ``reuse``: one
+pipeline run triangulates once. The TIN keeps each edge's half-edge
+mate, as the triangulator does, so one visibility walk, :func:`_walk`,
+serves both the triangulator's inserts and the locator, :func:`_locate`,
+that takes every surface sample, DSM cell centre or GCP.
 """
 
 from __future__ import annotations
@@ -49,8 +48,6 @@ _BARY_EPS = 1e-12
 _ORIENT_FILTER = 1e-15
 _INCIRCLE_FILTER = 3e-15
 _BLOCK = 1 << 14  # predicate lanes, or located points, per numpy block
-_SPLITTER = float((1 << 27) + 1)  # Dekker's split of a float64 into two 26-bit halves
-_PRODUCT_MIN, _PRODUCT_MAX = 2.0 ** -450, 2.0 ** 450  # factor range of exact TwoProducts
 _ROUND_POINTS = 1 << 16  # new points per insert round, which bounds its arrays
 _UNCLAIMED = np.iinfo(np.int64).max
 
@@ -58,8 +55,9 @@ _UNCLAIMED = np.iinfo(np.int64).max
 # --- exact-fallback predicates ----------------------------------------------
 #
 # Each predicate's determinant is written once, for floats, float arrays and
-# Python ints alike. The float value decides when it clears its error bound;
-# otherwise the same expression runs on exact integers.
+# arrays of Python ints alike. The float value decides when it clears its
+# error bound; otherwise the same expression runs on exact integers, a
+# block's undecided lanes all in one object-array call.
 
 def _orient_terms(ax, ay, bx, by, cx, cy):
     """Doubled signed area of (a, b, c) and the sum of its two products'
@@ -90,59 +88,20 @@ def _incircle_terms(ax, ay, bx, by, cx, cy, dx, dy):
     return det, permanent
 
 
-def _exact_sign(terms, *coords) -> int:
-    """Sign of ``terms``' determinant in exact integer arithmetic: every
-    coordinate times the largest of their power-of-two denominators. The
-    determinant is homogeneous, so the common scale keeps its sign."""
-    ratios = [float(v).as_integer_ratio() for v in coords]
-    den = max(d for _, d in ratios)
-    det, _ = terms(*(num * (den // d) for num, d in ratios))
-    return (det > 0) - (det < 0)
-
-
-def _two_diff(a, b):
-    """a - b and the TwoDiff tail (Knuth): the exact difference is their
-    sum, so the float one is exact where the tail is 0."""
-    x = a - b
-    b_virtual = a - x
-    return x, (a - (x + b_virtual)) + (b_virtual - b)
-
-
-def _two_product(a, b):
-    """a * b and its rounding error, exact where neither factor overflows
-    the split and no partial product underflows (Dekker 1971)."""
-    p = a * b
-    a_big = _SPLITTER * a
-    a_hi = a_big - (a_big - a)
-    b_big = _SPLITTER * b
-    b_hi = b_big - (b_big - b)
-    a_lo, b_lo = a - a_hi, b - b_hi
-    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
-
-
-def _orient_products(ax, ay, bx, by, cx, cy) -> tuple[np.ndarray, np.ndarray]:
-    """int8 orientation signs of coordinate lanes, and where they are
-    exact: where the four coordinate differences are exact (zero TwoDiff
-    tails, as Sterbenz's lemma gives for nearby points) and each is 0 or
-    of magnitude in [2^-450, 2^450], so that both products are exact
-    TwoProduct pairs p + e. Rounding is monotone, so p1 and p2 decide
-    unless equal, and then e1 and e2 do (the adaptive stages of
-    Shewchuk 1997)."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        d1, t1 = _two_diff(bx, ax)
-        d2, t2 = _two_diff(cy, ay)
-        d3, t3 = _two_diff(by, ay)
-        d4, t4 = _two_diff(cx, ax)
-        exact = (t1 == 0) & (t2 == 0) & (t3 == 0) & (t4 == 0)
-        for d in (d1, d2, d3, d4):
-            size = np.abs(d)
-            exact &= (size == 0) | (size >= _PRODUCT_MIN) & (size <= _PRODUCT_MAX)
-        p1, e1 = _two_product(d1, d2)
-        p2, e2 = _two_product(d3, d4)
-    tie = p1 == p2
-    above = (p1 > p2) | tie & (e1 > e2)
-    below = (p1 < p2) | tie & (e1 < e2)
-    return above.view(np.int8) - below.view(np.int8), exact
+def _exact_signs(terms, *coords) -> np.ndarray:
+    """int8 signs of ``terms``' determinant over coordinate lanes, in
+    exact integers: each coordinate is an int64 mantissa times a power of
+    two (``np.frexp``), and each lane's mantissas, as Python ints in
+    object arrays, are shifted to the lane's least exponent. The
+    determinant is homogeneous, so the common scale keeps its sign.
+    Raises ValueError on a non-finite coordinate, which has no integer."""
+    if not all(np.isfinite(c).all() for c in coords):
+        raise ValueError("a surface coordinate is not finite")
+    parts = [np.frexp(c) for c in coords]
+    least = np.minimum.reduce([e for _, e in parts]).astype(np.int64)
+    ints = [np.ldexp(m, 53).astype(np.int64).astype(object) << (e - least).astype(object) for m, e in parts]
+    det, _ = terms(*ints)
+    return np.greater(det, 0).view(np.int8) - np.less(det, 0).view(np.int8)
 
 
 def _signs(terms, eps, xs, ys, *idx) -> np.ndarray:
@@ -151,10 +110,9 @@ def _signs(terms, eps, xs, ys, *idx) -> np.ndarray:
     inside, outside or on the circle through CCW (a, b, c). The float
     filter runs on numpy blocks of at most ``_BLOCK`` lanes, each index
     block cast to intp once for its x and y gathers (gathers with int32
-    indices are slower). The orientation lanes it leaves undecided go
-    to :func:`_orient_products`, and only the lanes still undecided,
-    every undecided in-circle lane among them, take the exact integer
-    path."""
+    indices are slower). The lanes it leaves undecided, orientations
+    and in-circles alike, go to :func:`_exact_signs` in one call per
+    block."""
     out = np.empty(len(idx[0]), np.int8)
     for start in range(0, out.size, _BLOCK):
         coords = []
@@ -167,12 +125,8 @@ def _signs(terms, eps, xs, ys, *idx) -> np.ndarray:
             bound = eps * magnitude
         sign = (det > bound).view(np.int8) - (det < -bound).view(np.int8)
         lanes = np.flatnonzero(sign == 0)
-        if lanes.size and terms is _orient_terms:
-            stage, exact = _orient_products(*(c[lanes] for c in coords))
-            sign[lanes[exact]] = stage[exact]
-            lanes = lanes[~exact]
-        for lane in lanes.tolist():
-            sign[lane] = _exact_sign(terms, *(c[lane] for c in coords))
+        if lanes.size:
+            sign[lanes] = _exact_signs(terms, *(c[lanes] for c in coords))
         out[start:start + sign.size] = sign
     return out
 
@@ -887,7 +841,9 @@ def _locate(tin: Tin, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndar
     depends only on which triangles hold the point, not on where its
     walk started. The tests hold the claim to a scalar scan on exact
     lattices, on vertices, on edges and 2^-40 outside the hull, from the
-    bucket starts and from the first and last rows.
+    bucket starts and from the first and last rows. A fan that has not
+    closed after as many turns as there are rows never will (corrupt
+    mates), and raises ValueError.
     """
     tri, nb = tin.triangles, tin.neighbours.reshape(-1)
     claim = np.full(x.size, _UNCLAIMED, np.int64)
@@ -902,11 +858,15 @@ def _locate(tin: Tin, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndar
         q = np.repeat(q, 3)
         r = tin.vertex_rows[v].astype(np.int64)
         first = h = 3 * r + (tri[r, 1] == v) + 2 * (tri[r, 2] == v)
-        while h.size:
+        for _ in range(len(tri) + 1):  # a fan holds each row once at most
+            if not h.size:
+                break
             _interpolate(tin, claim, z, q, x[q], y[q], h // 3)
             h = nb[_prev(h)].astype(np.int64)
             go = np.flatnonzero((h >= 0) & (h != first))
             q, first, h = q[go], first[go], h[go]
+        else:
+            raise ValueError("the TIN's neighbours do not close its vertex fans")
     claim[claim == _UNCLAIMED] = -1
     return claim, z
 

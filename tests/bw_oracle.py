@@ -7,9 +7,10 @@ holds it (ties broken by :func:`incircle_tie`) is flooded, and a fan
 from the point refills it (Bowyer 1981, Watson 1981), in flat triangle
 vertex and neighbour lists after Sloan (1987). Its predicates and tie
 rule are scalar restatements of ``surface._signs`` and
-``surface._incircle_tie``, sharing only the determinants, their filter
-bounds and the exact integer path. It shares the dedupe and the row
-canonicalization with ``build_tin``, and nothing of its triangulator.
+``surface._incircle_tie``, sharing only the determinants and their
+filter bounds: its exact fallback, :func:`_exact_sign`, is its own. It
+shares the dedupe and the row canonicalization with ``build_tin``, and
+nothing of its triangulator.
 The mesh is closed by ghost triangles, one per hull edge, on a vertex
 at infinity (Shewchuk 1996): a ghost joins the cavity when the point is
 strictly outside its hull edge or on the open edge. Inserting one point
@@ -44,7 +45,6 @@ from shoremap.surface import (
     Tin,
     _block_bounds,
     _dedupe_xy,
-    _exact_sign,
     _expand,
     _incircle_terms,
     _interpolate,
@@ -53,6 +53,16 @@ from shoremap.surface import (
     build_tin,
     rasterize_tin,
 )
+
+
+def _exact_sign(terms, *coords) -> int:
+    """Sign of ``terms``' determinant in exact integer arithmetic: every
+    coordinate times the largest of their power-of-two denominators. The
+    determinant is homogeneous, so the common scale keeps its sign."""
+    ratios = [float(v).as_integer_ratio() for v in coords]
+    den = max(d for _, d in ratios)
+    det, _ = terms(*(num * (den // d) for num, d in ratios))
+    return (det > 0) - (det < 0)
 
 
 def _filtered_sign(terms, eps, *coords) -> int:

@@ -436,6 +436,20 @@ class TestDepthRegisterDsmCheck:
             "--out-dir", str(tmp_path),
         ]) == 2
 
+    # The cell centres overflow to inf on the way, which numpy warns of.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_dsm_overflowing_grid_exit_2(self, tmp_path, capsys):
+        """Cell centres 1e308 apart overflow to inf, which the exact
+        predicates have no integer for: exit 2 with a message."""
+        las = tmp_path / "c.las"
+        las.write_bytes(write_las(PointCloud(xyz=np.random.default_rng(2).random((50, 3)))))
+        assert main([
+            "dsm", "--cloud", str(las), "--cell-size", "1e308",
+            "--grid", "1e308", "0", "3", "3", "--out-dir", str(tmp_path),
+        ]) == 2
+        assert "not finite" in capsys.readouterr().err
+        assert not (tmp_path / "dsm.asc").exists()
+
     def test_dsm_nearly_collinear_all_nodata(self, tmp_path, capsys):
         """Points 1e-4 m off a 10 km line are one valid triangle, whose
         5 km edges exceed the kill distance: a 101 x 1 DSM of NODATA."""

@@ -1,5 +1,6 @@
 """TIN, DSM rasterization, clipping, and vertical check tests."""
 
+import functools
 import hashlib
 import itertools
 from fractions import Fraction
@@ -32,14 +33,13 @@ from shoremap.surface import (
     _ORIENT_FILTER,
     _Triangulator,
     _dedupe_xy,
-    _exact_sign,
+    _exact_signs,
     _first_triangle,
     _hilbert_order,
     _incircle_terms,
     _incircle_tie,
     _locate,
     _next,
-    _orient_products,
     _orient_terms,
     _prev,
     _real_triangles,
@@ -685,25 +685,118 @@ def _predicate_cases(k: int) -> np.ndarray:
     return np.vstack(cases)
 
 
-@pytest.mark.parametrize("k", [3, 4])
-def test_exact_predicates_match_fractions(k, monkeypatch):
-    """The exact path (integers at one power-of-two scale) gives the signs
-    of the rational formulas it replaced; so do the oracle's filtered
-    scalar predicates, and the block-wise array predicates over several
-    blocks."""
-    terms, eps, scalar, fraction = {
-        3: (_orient_terms, _ORIENT_FILTER, orient2d, _orient_fraction),
-        4: (_incircle_terms, _INCIRCLE_FILTER, incircle, _incircle_fraction),
-    }[k]
+def _orient_cases() -> np.ndarray:
+    """Rows (ax, ay, bx, by, cx, cy): signed zeros, subnormals, points at
+    scales 2^-500 and 2^500, near-collinear points on 0.1 mm quanta
+    (exactly collinear, then one coordinate moved by a quantum or by one
+    ulp), the same at UTM-sized offsets, random points, and products
+    that round to the same float64."""
+    rng = np.random.default_rng(26)
+    cases = [
+        rng.choice([0.0, -0.0, 1.0, -1.0], (500, 6)),
+        rng.integers(-40, 41, (500, 6)) * 5e-324,
+        rng.integers(-40, 41, (500, 6)) * 2.0 ** -1060,
+        rng.normal(size=(500, 6)),
+    ]
+    for scale in (2.0 ** -500, 2.0 ** 500, 2.0 ** -440, 2.0 ** 440):
+        a = rng.integers(-64, 64, (500, 2)) / 8.0
+        d = rng.integers(-64, 64, (500, 2)) / 16.0
+        cases.append(np.hstack([a, a + d, a + 3 * d]) * scale)
+    for offset in ((0.0, 0.0), (500_000.0, 5_200_000.0)):
+        a = rng.integers(0, 100_000, (3000, 2))
+        d = rng.integers(-500, 501, (3000, 2))
+        k = rng.integers(-4, 5, (3000, 1))
+        quanta = np.hstack([a, a + d, a + k * d]).astype(np.float64)
+        nudge = rng.integers(0, 6, 3000)
+        quanta[np.arange(1000, 2000), nudge[1000:2000]] += rng.choice([-1.0, 1.0], 1000)
+        xyz = np.round(quanta * 1e-4, 4) + np.tile(offset, 3)
+        rows = np.arange(2000, 3000)
+        xyz[rows, nudge[2000:]] = np.nextafter(xyz[rows, nudge[2000:]], rng.choice([-np.inf, np.inf], 1000))
+        cases.append(xyz)
+    # a = 0, b = (d1, d3), c = (d4, d2): the sign of d1 d2 - d3 d4, where
+    # the float products tie. d3 = fl(d1 d2) and d4 = 1 leave the sign
+    # to d1 d2's rounding error (and its negation, rows swapped); d3 = d2
+    # and d4 = d1 tie exactly.
+    d1, d2 = 1.0 + rng.random((2, 500))
+    zero = np.zeros(500)
+    one = np.ones(500)
+    cases.append(np.column_stack([zero, zero, d1, d1 * d2, one, d2]))
+    cases.append(np.column_stack([zero, zero, d1 * d2, d1, d2, one]))
+    cases.append(np.column_stack([zero, zero, d1, d2, d1, d2]) * 2.0 ** rng.integers(-60, 61, (500, 1)))
+    return np.vstack(cases)
+
+
+def _exact_cases(k: int) -> np.ndarray:
+    """The predicate cases of k points, with the orientation cases for
+    k = 3."""
     cases = _predicate_cases(k)
-    want = [fraction(*row) for row in cases.tolist()]
+    return np.vstack([cases, _orient_cases()]) if k == 3 else cases
+
+
+@functools.cache
+def _fraction_signs(k: int) -> tuple[int, ...]:
+    fraction = {3: _orient_fraction, 4: _incircle_fraction}[k]
+    return tuple(fraction(*row) for row in _exact_cases(k).tolist())
+
+
+_PREDICATES = {
+    3: (_orient_terms, _ORIENT_FILTER, orient2d),
+    4: (_incircle_terms, _INCIRCLE_FILTER, incircle),
+}
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_exact_predicates_match_fractions(k):
+    """The exact path (integers at one power-of-two scale), over all
+    lanes at once, gives the signs of the rational formulas it replaced;
+    so do the oracle's filtered scalar predicates."""
+    terms, _, scalar = _PREDICATES[k]
+    cases = _exact_cases(k)
+    want = list(_fraction_signs(k))
     assert {-1, 0, 1} <= set(want)
-    assert [_exact_sign(terms, *row) for row in cases.tolist()] == want
+    assert _exact_signs(terms, *cases.T).tolist() == want
     assert [scalar(*row) for row in cases.tolist()] == want
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_signs_send_undecided_lanes_to_one_exact_call(k, monkeypatch):
+    """``_signs`` hands ``_exact_signs`` exactly the lanes its float
+    filter leaves undecided, in one call per block that has any and none
+    for a block that has none, and its block-wise signs are the rational
+    formulas'."""
+    terms, eps, _ = _PREDICATES[k]
+    cases = _exact_cases(k)
+    calls = []
+
+    def counted(terms, *coords):
+        calls.append(np.column_stack(coords))
+        return _exact_signs(terms, *coords)
+
     monkeypatch.setattr(surface, "_BLOCK", 7)
+    monkeypatch.setattr(surface, "_exact_signs", counted)
     corners = [np.arange(len(cases)) * k + j for j in range(k)]
     got = _signs(terms, eps, cases[:, 0::2].ravel(), cases[:, 1::2].ravel(), *corners)
-    assert got.tolist() == want
+    assert got.tolist() == list(_fraction_signs(k))
+    with np.errstate(over="ignore", invalid="ignore"):
+        det, magnitude = terms(*cases.T)
+        undecided = ~(np.abs(det) > eps * magnitude)
+    blocks = [cases[s:s + 7][undecided[s:s + 7]] for s in range(0, len(cases), 7)]
+    want = [block for block in blocks if len(block)]
+    assert 0 < len(want) < len(blocks)
+    assert len(calls) == len(want)
+    for lanes, block in zip(calls, want):
+        np.testing.assert_array_equal(lanes, block)
+
+
+@pytest.mark.parametrize("k, value", [(3, np.inf), (4, np.nan)])
+def test_signs_reject_non_finite_coordinates(k, value):
+    """A lane with a non-finite coordinate is never decided by the float
+    filter, and the exact stage, which has no integer for it, raises."""
+    terms, eps, _ = _PREDICATES[k]
+    xs, ys = np.array([[0.0, 1.0, 0.0, value], [0.0, 0.0, 1.0, 1.0]])
+    corners = [np.array([j]) for j in range(4 - k, 4)]
+    with pytest.raises(ValueError, match="not finite"):
+        _signs(terms, eps, xs, ys, *corners)
 
 
 def _dedupe_loop(xyz: np.ndarray) -> np.ndarray:
@@ -934,88 +1027,6 @@ def test_hilbert_order_matches_where_form(kind):
     np.testing.assert_array_equal(_hilbert_order(xs, ys), _hilbert_order_where(xs, ys))
 
 
-def _orient_stage_cases() -> np.ndarray:
-    """Rows (ax, ay, bx, by, cx, cy): signed zeros, subnormals, points at
-    scales 2^-500 and 2^500, near-collinear points on 0.1 mm quanta
-    (exactly collinear, then one coordinate moved by a quantum or by one
-    ulp), the same at UTM-sized offsets, random points, and products
-    that round to the same float64."""
-    rng = np.random.default_rng(26)
-    cases = [
-        rng.choice([0.0, -0.0, 1.0, -1.0], (500, 6)),
-        rng.integers(-40, 41, (500, 6)) * 5e-324,
-        rng.integers(-40, 41, (500, 6)) * 2.0 ** -1060,
-        rng.normal(size=(500, 6)),
-    ]
-    for scale in (2.0 ** -500, 2.0 ** 500, 2.0 ** -440, 2.0 ** 440):
-        a = rng.integers(-64, 64, (500, 2)) / 8.0
-        d = rng.integers(-64, 64, (500, 2)) / 16.0
-        cases.append(np.hstack([a, a + d, a + 3 * d]) * scale)
-    for offset in ((0.0, 0.0), (500_000.0, 5_200_000.0)):
-        a = rng.integers(0, 100_000, (3000, 2))
-        d = rng.integers(-500, 501, (3000, 2))
-        k = rng.integers(-4, 5, (3000, 1))
-        quanta = np.hstack([a, a + d, a + k * d]).astype(np.float64)
-        nudge = rng.integers(0, 6, 3000)
-        quanta[np.arange(1000, 2000), nudge[1000:2000]] += rng.choice([-1.0, 1.0], 1000)
-        xyz = np.round(quanta * 1e-4, 4) + np.tile(offset, 3)
-        rows = np.arange(2000, 3000)
-        xyz[rows, nudge[2000:]] = np.nextafter(xyz[rows, nudge[2000:]], rng.choice([-np.inf, np.inf], 1000))
-        cases.append(xyz)
-    # a = 0, b = (d1, d3), c = (d4, d2): the sign of d1 d2 - d3 d4, where
-    # the float products tie. d3 = fl(d1 d2) and d4 = 1 leave the sign
-    # to d1 d2's rounding error (and its negation, rows swapped); d3 = d2
-    # and d4 = d1 tie in p and e alike.
-    d1, d2 = 1.0 + rng.random((2, 500))
-    zero = np.zeros(500)
-    one = np.ones(500)
-    cases.append(np.column_stack([zero, zero, d1, d1 * d2, one, d2]))
-    cases.append(np.column_stack([zero, zero, d1 * d2, d1, d2, one]))
-    cases.append(np.column_stack([zero, zero, d1, d2, d1, d2]) * 2.0 ** rng.integers(-60, 61, (500, 1)))
-    return np.vstack(cases)
-
-
-def test_orient_stage_matches_exact_sign():
-    """Where ``_orient_products`` calls its sign exact, it is the exact
-    integer path's, lane for lane; it calls exact most of the 0.1 mm
-    lanes and every lane of dyadic points at scales 2^-440 and 2^440,
-    none at 2^-500 or 2^500, and its pair comparison decides both on p
-    and, where p ties, on e."""
-    cases = _orient_stage_cases()
-    sign, exact = _orient_products(*cases.T)
-    want = np.array([_exact_sign(_orient_terms, *row) for row in cases.tolist()])
-    np.testing.assert_array_equal(sign[exact], want[exact])
-    assert {-1, 0, 1} <= set(want[exact].tolist())
-    assert not exact[2000:3000].any() and exact[3000:4000].all()
-    assert exact[4000:10000].mean() > 0.9
-    ax, ay, bx, by, cx, cy = cases.T
-    p1, p2 = (bx - ax) * (cy - ay), (by - ay) * (cx - ax)
-    tied = exact & (p1 == p2)
-    assert (tied & (want != 0)).sum() >= 10 and (tied & (want == 0)).sum() >= 100
-    assert (exact & (p1 != p2) & (want != 0)).sum() >= 1000
-
-
-def test_signs_send_undecided_orientations_to_the_stage(monkeypatch):
-    """Every orientation lane the float filter leaves undecided reaches
-    the exact integer path only when the stage cannot decide it, and the
-    block-wise signs equal the exact path's on every lane."""
-    cases = _orient_stage_cases()
-    calls = []
-
-    def counted(terms, *coords):
-        calls.append(coords)
-        return _exact_sign(terms, *coords)
-
-    monkeypatch.setattr(surface, "_BLOCK", 1000)
-    monkeypatch.setattr(surface, "_exact_sign", counted)
-    corners = [np.arange(len(cases)) * 3 + j for j in range(3)]
-    got = _signs(_orient_terms, _ORIENT_FILTER, cases[:, 0::2].ravel(), cases[:, 1::2].ravel(), *corners)
-    want = [_exact_sign(_orient_terms, *row) for row in cases.tolist()]
-    assert got.tolist() == want
-    _, exact = _orient_products(*cases.T)
-    assert 0 < len(calls) <= (~exact).sum()
-
-
 def _reference_z(tin: Tin, x: float, y: float):
     """Scalar-loop oracle: the lowest-index triangle whose barycentric
     weights are all >= -1e-12 and z there, (-1, None) when there is none."""
@@ -1113,6 +1124,19 @@ def test_locator_claims_do_not_depend_on_the_start(name, monkeypatch):
         claim, z = _locate(tin, qx, qy)
         assert claim.tolist() == want[0].tolist(), row
         assert z.tobytes() == want[1].tobytes(), row
+
+
+def test_locator_raises_on_fans_that_never_close():
+    """A Tin whose mates all point at corner 0 of the row across sends
+    the locator's fan turns round a cycle that never meets their first
+    half-edge; rasterize_tin raises instead of turning forever."""
+    rng = np.random.default_rng(0)
+    tin = build_tin(_cloud(rng.random((200, 3))))
+    nb = tin.neighbours
+    bad = Tin(tin.vertices, tin.triangles, np.where(nb >= 0, nb // 3 * 3, -1), tin.vertex_rows)
+    geom = GridGeometry(origin_x=0.0, origin_y=1.0, cell_size=0.1, n_cols=10, n_rows=10)
+    with pytest.raises(ValueError, match="do not close"):
+        rasterize_tin(bad, geom)
 
 
 class TestInterpolate:
