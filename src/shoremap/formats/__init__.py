@@ -24,7 +24,7 @@ from .tables import (
     write_gcp_csv,
     write_pair_csv,
 )
-from .wkt import parse_wkt_polygon, polygon_to_wkt
+from .wkt import parse_wkt_polygon
 
 __all__ = [
     "read_calibration", "write_calibration",
@@ -34,5 +34,5 @@ __all__ = [
     "parse_gcp_csv", "write_gcp_csv",
     "parse_pair_csv", "write_pair_csv",
     "parse_corner_csv", "write_corner_csv",
-    "parse_wkt_polygon", "polygon_to_wkt",
+    "parse_wkt_polygon",
 ]

@@ -1,7 +1,7 @@
-"""WKT POLYGON parsing and serialization for DSM clip boundaries.
+"""WKT POLYGON parsing for DSM clip boundaries.
 
-Only the POLYGON geometry is supported; ring orientation is normalized
-(outer counterclockwise, holes clockwise) on parse.
+Only the POLYGON geometry is supported. Rings keep the orientation they
+are given: WKT does not fix one, and the even-odd clip never reads it.
 """
 
 from __future__ import annotations
@@ -13,6 +13,10 @@ from ..geometry import Point2
 from ..surface import ClipPolygon
 from ._text import _decode
 
+# Unnested parenthesised rings, with only commas and whitespace around
+# them: an unambiguous grammar, so it matches in linear time.
+_RING_LIST = re.compile(r"[, \t\r\n]*(?:\([^()]*\)[, \t\r\n]*)+")
+
 
 def parse_wkt_polygon(text) -> ClipPolygon:
     """Parse `POLYGON ((x y, ...), (hole ...))` text. Syntax errors raise
@@ -20,52 +24,18 @@ def parse_wkt_polygon(text) -> ClipPolygon:
     (InvalidPolygon, OpenRing, SelfIntersection)."""
     s = _decode(text, WktSyntaxError).strip()
     m = re.match(r"(?is)^POLYGON\s*\((.*)\)$", s)
-    if not m:
-        raise WktSyntaxError("expected POLYGON (( ... )) text")
-    body = m.group(1).strip()
-    rings_text = []
-    depth = 0
-    start = None
-    for i, ch in enumerate(body):
-        if ch == "(":
-            if depth == 0:
-                start = i + 1
-            depth += 1
-            if depth > 1:
-                raise WktSyntaxError("nested parentheses inside a ring")
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise WktSyntaxError("unbalanced parentheses")
-            if depth == 0:
-                rings_text.append(body[start:i])
-        elif depth == 0 and ch not in ", \t\r\n":
-            raise WktSyntaxError(f"unexpected character {ch!r} between rings")
-    if depth != 0:
-        raise WktSyntaxError("unbalanced parentheses")
-    if not rings_text:
-        raise WktSyntaxError("polygon has no rings")
-
+    if not (m and _RING_LIST.fullmatch(m.group(1).strip())):
+        raise WktSyntaxError("expected POLYGON ((x y, ...), ...) text")
     rings = []
-    for ring_text in rings_text:
+    for ring_text in re.findall(r"\(([^()]*)\)", m.group(1)):
         coords = []
         for pair in ring_text.split(","):
             parts = pair.split()
             if len(parts) != 2:
                 raise WktSyntaxError(f"coordinate {pair.strip()!r} is not 'x y'")
             try:
-                x, y = float(parts[0]), float(parts[1])
+                coords.append(Point2(float(parts[0]), float(parts[1])))
             except ValueError as exc:
                 raise WktSyntaxError(f"non-numeric coordinate in {pair!r}") from exc
-            coords.append(Point2(x, y))
         rings.append(tuple(coords))
     return ClipPolygon(rings=tuple(rings))
-
-
-def polygon_to_wkt(poly: ClipPolygon) -> str:
-    rings = []
-    for ring in poly.rings:
-        rings.append(
-            "(" + ", ".join(f"{p.x!r} {p.y!r}" for p in ring) + ")"
-        )
-    return "POLYGON (" + ", ".join(rings) + ")"

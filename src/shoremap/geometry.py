@@ -118,6 +118,11 @@ class GridGeometry:
             raise GridTooLarge(
                 f"grid of {self.n_cols}x{self.n_rows} cells exceeds cap {CELL_CAP}"
             )
+        size = float(self.cell_size)  # Python floats overflow without a warning
+        last_x = float(self.origin_x) + (int(self.n_cols) - 1) * size
+        last_y = float(self.origin_y) - (int(self.n_rows) - 1) * size
+        if not np.isfinite([last_x, last_y]).all():
+            raise ValueError("grid cell centres must be finite")
 
     def cell_centers(self) -> tuple[np.ndarray, np.ndarray]:
         """World x of every column and world y of every row."""

@@ -4,7 +4,7 @@ a kill-distance filter, polygon clipping, and vertical accuracy checks.
 The TIN is the Delaunay triangulation of the xy-projection, built in
 array rounds (:class:`_Triangulator`) on a mesh that one ghost vertex at
 infinity closes. Every orientation and in-circle test, the tie rule
-and the clip rings' self-intersection check included, is one array
+and the clip rings' geometric checks included, is one array
 predicate, :func:`_signs`: a float filter over numpy blocks (Shewchuk
 1997), then exact integers, on numpy object arrays, for every lane it
 leaves undecided; pixel-grid clouds are almost entirely cocircular, so
@@ -200,17 +200,17 @@ class DsmGrid:
 
 @dataclass(frozen=True)
 class ClipPolygon:
-    """One outer ring (counterclockwise) plus optional holes (clockwise);
-    rings are closed (first vertex repeated last)."""
+    """An outer ring plus optional holes, each closed (first vertex
+    repeated last) and in the orientation it was given: the clip is
+    even-odd, so orientation never decides containment."""
 
     rings: tuple[tuple[Point2, ...], ...]
 
     def __post_init__(self):
         if not self.rings:
             raise InvalidPolygon("polygon needs at least an outer ring")
-        normalized = []
-        for ri, ring in enumerate(self.rings):
-            pts = tuple(Point2(float(p[0]), float(p[1])) for p in ring)
+        rings = tuple(tuple(Point2(float(p[0]), float(p[1])) for p in ring) for ring in self.rings)
+        for ri, pts in enumerate(rings):
             if len(pts) < 4:
                 raise InvalidPolygon(f"ring {ri} has fewer than 3 distinct vertices")
             if not all(np.isfinite(p.x) and np.isfinite(p.y) for p in pts):
@@ -221,22 +221,9 @@ class ClipPolygon:
                 )
             if _ring_self_intersects(pts):
                 raise SelfIntersection(f"ring {ri} self-intersects")
-            area = _signed_area(pts)
-            if area == 0:
+            if _ring_flat(pts):
                 raise InvalidPolygon(f"ring {ri} has zero area")
-            want_ccw = ri == 0
-            if (area > 0) != want_ccw:
-                pts = tuple(reversed(pts))
-            normalized.append(pts)
-        object.__setattr__(self, "rings", tuple(normalized))
-
-    @property
-    def outer(self) -> tuple[Point2, ...]:
-        return self.rings[0]
-
-    @property
-    def holes(self) -> tuple[tuple[Point2, ...], ...]:
-        return self.rings[1:]
+        object.__setattr__(self, "rings", rings)
 
 
 @dataclass(frozen=True)
@@ -249,13 +236,6 @@ class VerticalCheckReport:
     rmse_dz: Optional[float]
     max_abs_dz: Optional[float]
     n_outside: int
-
-
-def _signed_area(ring: tuple[Point2, ...]) -> float:
-    s = 0.0
-    for (x0, y0), (x1, y1) in zip(ring[:-1], ring[1:]):
-        s += x0 * y1 - x1 * y0
-    return 0.5 * s
 
 
 def _segments_intersect(xs, ys, p1, p2, p3, p4) -> np.ndarray:
@@ -272,6 +252,16 @@ def _segments_intersect(xs, ys, p1, p2, p3, p4) -> np.ndarray:
             np.minimum(np.maximum(c[p1], c[p2]), np.maximum(c[p3], c[p4]))
         )
     return (d1 != d2) & (d3 != d4) | ((d1 | d2 | d3 | d4) == 0) & boxes
+
+
+def _ring_flat(ring: tuple[Point2, ...]) -> bool:
+    """Whether :func:`_signs` puts every vertex on the line through vertex
+    0 and the first vertex that differs from it (vertex 0 if none does):
+    for a ring that does not self-intersect, whether its area is zero."""
+    xs, ys = np.array(ring, dtype=np.float64).T
+    a = np.zeros(len(xs), np.intp)
+    b = a + np.argmax((xs != xs[0]) | (ys != ys[0]))
+    return not _signs(_orient_terms, _ORIENT_FILTER, xs, ys, a, b, np.arange(len(xs))).any()
 
 
 def _ring_self_intersects(ring: tuple[Point2, ...]) -> bool:

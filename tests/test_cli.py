@@ -16,7 +16,6 @@ from shoremap.cli import main
 from shoremap.errors import InputError, SolverError
 from shoremap.formats import (
     parse_gcp_csv,
-    polygon_to_wkt,
     read_asc,
     read_las,
     read_ppm,
@@ -436,18 +435,16 @@ class TestDepthRegisterDsmCheck:
             "--out-dir", str(tmp_path),
         ]) == 2
 
-    # The cell centres overflow to inf on the way, which numpy warns of.
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_dsm_overflowing_grid_exit_2(self, tmp_path, capsys):
-        """Cell centres 1e308 apart overflow to inf, which the exact
-        predicates have no integer for: exit 2 with a message."""
+        """Cell centres 1e308 apart overflow to inf: the grid is rejected
+        with exit 2 before the cloud is read, and without a warning."""
         las = tmp_path / "c.las"
         las.write_bytes(write_las(PointCloud(xyz=np.random.default_rng(2).random((50, 3)))))
         assert main([
             "dsm", "--cloud", str(las), "--cell-size", "1e308",
             "--grid", "1e308", "0", "3", "3", "--out-dir", str(tmp_path),
         ]) == 2
-        assert "not finite" in capsys.readouterr().err
+        assert "grid cell centres must be finite" in capsys.readouterr().err
         assert not (tmp_path / "dsm.asc").exists()
 
     def test_dsm_nearly_collinear_all_nodata(self, tmp_path, capsys):
@@ -616,6 +613,13 @@ class TestRun:
         assert report["error"] == "MalformedHeader: " + err[0].removeprefix("error: ")
         assert report["config"] == {}
         assert report["stages_completed"] == []
+
+    def test_config_comments_and_blank_lines_skipped(self, scene_dir, tmp_path):
+        _, paths = scene_dir
+        text = paths["config"].read_text()
+        conf = tmp_path / "commented.conf"
+        conf.write_text("# beach survey\n\n" + text.replace("\n", "\n\n  # note\n", 3) + "#\n")
+        assert pipeline.load_config(conf) == pipeline.load_config(paths["config"])
 
     @pytest.mark.parametrize("case", ["missing-config", "set-without-equals"])
     def test_unread_config_writes_report(self, scene_dir, tmp_path, case):
@@ -1149,7 +1153,9 @@ STAGE_TEXT_FILES = {
 PRINT_TEXT_INPUT = {
     "calibration": lambda rig: write_calibration(rig.intrinsics, rig.baseline),
     "pairs": write_pair_csv,
-    "clip": polygon_to_wkt,
+    "clip": lambda poly: "POLYGON (" + ", ".join(
+        "(" + ", ".join(f"{x!r} {y!r}" for x, y in ring) + ")" for ring in poly.rings
+    ) + ")",
     "gcps": write_gcp_csv,
 }
 

@@ -1423,6 +1423,38 @@ class TestClip:
         ring = tuple(Point2(x, y) for x, y in xy.tolist())
         assert _ring_self_intersects(ring + ring[:1]) is expected
 
+    @pytest.mark.parametrize("xy", [
+        # Exactly collinear as floats, though a float shoelace reads 0.000244.
+        [(560254.893, 5216432.407), (560255.268, 5216433.657), (560255.643, 5216434.907)],
+        [(0, 0), (1, 1), (3, 3)],
+    ], ids=["utm", "small"])
+    def test_zero_area_ring(self, xy):
+        """A flat triangle has no non-adjacent edges to intersect, so the
+        exact zero-area check is what rejects it."""
+        ring = tuple(Point2(x, y) for x, y in xy)
+        with pytest.raises(InvalidPolygon, match="zero area"):
+            ClipPolygon(rings=(ring + ring[:1],))
+
+    def test_ring_orientation_kept_and_ignored(self):
+        """Rings keep the orientation they are given, and a slanted outer
+        ring and hole clip alike either way round: the clip is even-odd.
+        No cell centre lies within 1e-6 of an edge's line, so rounding in
+        the crossing test cannot tell the orientations apart."""
+        dsm = self._dsm(16)
+        outer = tuple(Point2(x, y) for x, y in [(0.1, 0.2), (7.3, 0.7), (6.1, 7.4), (0.6, 6.3), (0.1, 0.2)])
+        hole = tuple(Point2(x, y) for x, y in [(2.1, 2.3), (4.2, 2.8), (3.3, 4.6), (2.1, 2.3)])
+        gx, gy = np.meshgrid(*dsm.geometry.cell_centers())
+        for (x0, y0), (x1, y1) in zip(outer[:-1] + hole[:-1], outer[1:] + hole[1:]):
+            cross = (x1 - x0) * (gy - y0) - (y1 - y0) * (gx - x0)
+            assert (np.abs(cross) / np.hypot(x1 - x0, y1 - y0)).min() > 1e-6
+        outs = []
+        for rings in [(outer, hole), (outer[::-1], hole), (outer, hole[::-1]), (outer[::-1], hole[::-1])]:
+            poly = ClipPolygon(rings=rings)
+            assert poly.rings == rings
+            outs.append(clip_dsm(dsm, poly).values)
+        assert 0 < (outs[0] == NODATA).sum() < outs[0].size
+        assert all(np.array_equal(outs[0], v) for v in outs[1:])
+
     def test_invalid_polygon(self):
         with pytest.raises(InvalidPolygon):
             ClipPolygon(rings=((Point2(0, 0), Point2(1, 0), Point2(1, 1)),))
