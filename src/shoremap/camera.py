@@ -2,8 +2,8 @@
 stereo depth conversion for a rectified pair with known baseline.
 
 The one owner of the lens model (field order, pixel <-> normalized maps,
-distortion, domain limits, projection, undistortion): calibration,
-back-projection, GCP undistortion and the rectification warp call it.
+distortion, domain limits, projection, undistortion) for calibration, GCP
+undistortion and the rectification warp; stereo back-projection is pinhole.
 Distortion convention (applied to normalized image-plane coordinates):
 
     x_d = x*(1 + k1*r^2 + k2*r^4 + k3*r^6) + 2*p1*x*y + p2*(r^2 + 2*x^2)
@@ -74,7 +74,7 @@ class CameraIntrinsics:
 
 @dataclass(frozen=True)
 class StereoRig:
-    """Rectified stereo pair sharing one set of intrinsics."""
+    """Rectified stereo pair sharing one set of intrinsics, pinhole for `depth`."""
 
     intrinsics: CameraIntrinsics
     baseline: float
@@ -172,12 +172,6 @@ def undistort_arrays(i: CameraIntrinsics, x_d: np.ndarray, y_d: np.ndarray):
     return x, y, done
 
 
-def undistort_pixels(i: CameraIntrinsics, u: np.ndarray, v: np.ndarray):
-    """Raw-photo pixel arrays to undistorted normalized coordinates.
-    Returns (x, y, converged) as :func:`undistort_arrays` does."""
-    return undistort_arrays(i, *pixels_to_normalized(i, u, v))
-
-
 def _normalize(pts: np.ndarray):
     """Camera-frame points (..., 3) to normalized coordinates (x_n, y_n),
     with the two ways a point leaves the model's domain: `behind`
@@ -230,7 +224,7 @@ def disparity_to_depth(r: StereoRig, d) -> np.ndarray:
 def pixels_depth_to_points(
     i: CameraIntrinsics, u: np.ndarray, v: np.ndarray, z: np.ndarray
 ):
-    """Vectorized back-projection. Returns ((n, 3) points, converged mask)."""
+    """Pinhole back-projection of pixels at depths z to (n, 3) points."""
     u, v, z = (np.asarray(a, dtype=np.float64) for a in (u, v, z))
-    x_n, y_n, ok = undistort_pixels(i, u, v)
-    return np.stack([x_n * z, y_n * z, z], axis=-1), ok
+    x_n, y_n = pixels_to_normalized(i, u, v)
+    return np.stack([x_n * z, y_n * z, z], axis=-1)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -23,14 +24,10 @@ EXIT_INPUT = 2
 EXIT_SOLVER = 3
 
 
-def _default_out_dir() -> str:
-    return os.environ.get("SHOREMAP_OUT_DIR", ".")
-
-
 def _add_out_dir(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--out-dir",
-        default=_default_out_dir(),
+        default=os.environ.get("SHOREMAP_OUT_DIR", "."),
         help="output directory (default: $SHOREMAP_OUT_DIR or '.')",
     )
 
@@ -104,6 +101,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="default: %(default)s",
                 )
         if "grid" in pipeline.PARAMETERS[name]:
+            # argparse's own pattern has no exponent: `--grid -1e3 ...` is a value.
+            p._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
             p.add_argument(
                 "--grid", nargs=4, metavar=("OX", "OY", "NCOLS", "NROWS"),
                 help="explicit grid: origin x/y (upper-left center) and dimensions",

@@ -13,9 +13,9 @@ from ..geometry import Point2
 from ..surface import ClipPolygon
 from ._text import _decode
 
-# Unnested parenthesised rings, with only commas and whitespace around
-# them: an unambiguous grammar, so it matches in linear time.
-_RING_LIST = re.compile(r"[, \t\r\n]*(?:\([^()]*\)[, \t\r\n]*)+")
+# Unnested parenthesised rings separated by single commas, as in OGC WKT:
+# an unambiguous grammar, so it matches in linear time.
+_RING_LIST = re.compile(r"\s*\([^()]*\)(?:\s*,\s*\([^()]*\))*\s*")
 
 
 def parse_wkt_polygon(text) -> ClipPolygon:

@@ -21,9 +21,9 @@ import numpy as np
 
 from . import __version__
 from .calibration import BoardSpec, CalibrationView, calibrate
-from .camera import CameraIntrinsics, StereoRig, normalized_to_pixels, undistort_pixels
-# _distort_xy, undistort_arrays, bicubic_sample_many and write_pgm stay
-# imported for perfbench/spans.py, which patches these names here.
+from .camera import CameraIntrinsics, StereoRig, normalized_to_pixels, pixels_to_normalized
+# _distort_xy, bicubic_sample_many and write_pgm stay imported for
+# perfbench/spans.py, which patches these names here.
 from .camera import _distort_xy, undistort_arrays
 from .errors import GridTooLarge, InputError, MalformedHeader, TooFewPoints
 from .geometry import CELL_CAP, GridGeometry, Point2
@@ -41,6 +41,7 @@ from .stereo import (
     RgbaImage,
     cloud_from_disparity,
     match_disparity,
+    require_pinhole,
 )
 from .surface import (
     DEFAULT_KILL_DISTANCE,
@@ -208,7 +209,8 @@ def stage_depth(
     z_max: float = DEFAULT_Z_MAX,
     write_disparity: bool = False,
 ) -> tuple[Path, dict]:
-    """Match a stereo pair, build the colorized cloud, write cloud.las."""
+    """Refuse lens distortion, then match the pair and write its pinhole cloud.las."""
+    require_pinhole(calibration)
     left_rgba = _load_image_any(left_path)
     right_rgba = _load_image_any(right_path)
     _check_image_size("left image", left_rgba, calibration.intrinsics)
@@ -376,8 +378,8 @@ def stage_check(cloud_path: Path, gcps: Sequence[Gcp], tin: Tin | None = None) -
 def _undistort_gcp_observations(
     observed: list[Gcp], intr: CameraIntrinsics
 ) -> list[Gcp]:
-    uv = np.array([g.image for g in observed]).reshape(-1, 2)
-    xu, yu, ok = undistort_pixels(intr, uv[:, 0], uv[:, 1])
+    u, v = np.array([g.image for g in observed]).reshape(-1, 2).T
+    xu, yu, ok = undistort_arrays(intr, *pixels_to_normalized(intr, u, v))
     if not ok.all():
         bad = observed[int(np.argmin(ok))]
         raise InputError(f"gcp {bad.id}: undistortion did not converge")

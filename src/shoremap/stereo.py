@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .camera import StereoRig, disparity_to_depth, pixels_depth_to_points
-from .errors import DimensionMismatch, EmptyRange, SizeMismatch, WindowTooLarge
+from .camera import INTRINSIC_FIELDS, StereoRig, disparity_to_depth, pixels_depth_to_points
+from .errors import DimensionMismatch, EmptyRange, InputError, SizeMismatch, WindowTooLarge
 
 _ALLOWED_WINDOWS = (3, 5, 7, 9)
 # Largest real aggregated cost: 80 census bits x 81 window cells = 6480.
@@ -419,17 +419,26 @@ def _match_strip(
     return disp
 
 
+def require_pinhole(rig: StereoRig) -> None:
+    """Raise InputError naming the rig's non-zero lens distortion terms."""
+    if terms := [n for n in INTRINSIC_FIELDS[4:] if getattr(rig.intrinsics, n)]:
+        raise InputError("depth needs a rectified pair's pinhole calibration; "
+                         f"{', '.join(terms)} not 0")
+
+
 def cloud_from_disparity(
     d: DisparityMap,
     rig: StereoRig,
     color: RgbaImage,
     z_max: float = DEFAULT_Z_MAX,
 ) -> PointCloud:
-    """Back-project valid disparities into a colorized camera-frame cloud.
+    """Back-project valid disparities along pinhole rays into a colorized
+    camera-frame cloud; a rig with lens distortion raises InputError.
 
     Colors are taken bit-exactly from the reference (left) image at the
     originating pixel; points deeper than z_max are dropped.
     """
+    require_pinhole(rig)
     intr = rig.intrinsics
     if (d.width, d.height) != (intr.image_width, intr.image_height):
         raise DimensionMismatch(
@@ -445,9 +454,5 @@ def cloud_from_disparity(
     z = disparity_to_depth(rig, d.values[vs, us])
     keep = z <= z_max
     us, vs, z = us[keep], vs[keep], z[keep]
-    pts, ok = pixels_depth_to_points(
-        intr, us.astype(np.float64), vs.astype(np.float64), z
-    )
-    pts = pts[ok]
-    colors = color.pixels[vs[ok], us[ok]]
-    return PointCloud(xyz=pts, colors=colors)
+    pts = pixels_depth_to_points(intr, us, vs, z)
+    return PointCloud(xyz=pts, colors=color.pixels[vs, us])

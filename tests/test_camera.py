@@ -11,6 +11,7 @@ from shoremap.camera import (
     distort_pixels,
     normalized_to_pixels,
     pixels_depth_to_points,
+    pixels_to_normalized,
     project_many,
     undistort_arrays,
 )
@@ -169,41 +170,53 @@ class TestStereoDepth:
 
 class TestBackProjection:
     def test_principal_ray(self):
-        pts, ok = pixels_depth_to_points(
+        pts = pixels_depth_to_points(
             FACTORY, np.array([950.42]), np.array([572.89]), np.array([5.0])
         )
-        assert ok[0] and pts[0].tolist() == [0.0, 0.0, 5.0]
+        assert pts.shape == (1, 3) and pts[0].tolist() == [0.0, 0.0, 5.0]
 
     def test_unit_normalized_offset(self):
-        pts, ok = pixels_depth_to_points(
+        pts = pixels_depth_to_points(
             FACTORY, np.array([950.42 + 1060.70]), np.array([572.89]), np.array([2.0])
         )
-        assert ok[0]
         x, y, z = pts[0]
         assert x == pytest.approx(2.0, abs=1e-9)
         assert y == pytest.approx(0.0, abs=1e-12)
         assert z == 2.0
 
+    def test_pinhole_bit_for_bit(self):
+        """Back-projection is the pinhole ray scaled by depth, to the bit,
+        whatever distortion terms the intrinsics carry."""
+        rng = np.random.default_rng(4)
+        u, v = rng.uniform(0, 1920, 1000), rng.uniform(0, 1080, 1000)
+        z = rng.uniform(0.5, 15, 1000)
+        for i in (FACTORY, RECAL):
+            expected = np.column_stack(
+                [(u - i.cx) / i.fx * z, (v - i.cy) / i.fy * z, z]
+            )
+            assert np.array_equal(pixels_depth_to_points(i, u, v, z), expected)
+
     def test_round_trip_with_project(self):
+        """Raw pixels of a lens with distortion, undistorted to rays and
+        placed at a depth, project back onto themselves."""
         rng = np.random.default_rng(9)
         worst = 0.0
         for _ in range(500):
             u = rng.uniform(200, 1700)
             v = rng.uniform(100, 1000)
             z = rng.uniform(0.5, 15)
-            pts, ok = pixels_depth_to_points(
-                RECAL, np.array([u]), np.array([v]), np.array([z])
+            x, y, ok = undistort_arrays(
+                RECAL, *pixels_to_normalized(RECAL, np.array([u]), np.array([v]))
             )
             assert ok[0]
-            q = project_many(RECAL, pts)[0]
+            q = project_many(RECAL, np.column_stack([x * z, y * z, [z]]))[0]
             worst = max(worst, abs(q[0] - u), abs(q[1] - v))
         assert worst < 1e-6
 
     def test_vectorized(self):
-        pts, ok = pixels_depth_to_points(
+        pts = pixels_depth_to_points(
             FACTORY, np.array([950.42]), np.array([572.89]), np.array([3.0])
         )
-        assert ok.all()
         np.testing.assert_allclose(pts[0], [0.0, 0.0, 3.0], atol=1e-12)
 
 

@@ -1,5 +1,6 @@
 """CLI contract tests: exit codes, artifacts, report fragments."""
 
+import dataclasses
 import json
 import struct
 from importlib import resources
@@ -476,6 +477,21 @@ class TestDepthRegisterDsmCheck:
         ]) == 2
         assert not (tmp_path / "dsm.asc").exists()
 
+    def test_depth_distorted_calibration_exit_2(
+        self, scene_dir, tmp_path, monkeypatch, capsys
+    ):
+        """Back-projection is pinhole: a calibration with lens distortion
+        exits 2, naming its terms, before either image is read."""
+        scene, paths = scene_dir
+        calib = _distorted_calibration(scene, tmp_path, monkeypatch)
+        assert main([
+            "depth", "--left", str(paths["left"]), "--right", str(paths["right"]),
+            "--calibration", str(calib), "--out-dir", str(tmp_path / "out"),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "depth needs a rectified pair's pinhole calibration; k1, p2 not 0" in err
+        assert not (tmp_path / "out").exists()
+
     def test_register_missing_cloud_exit_2(self, scene_dir, tmp_path, capsys):
         _, paths = scene_dir
         code = main([
@@ -484,6 +500,21 @@ class TestDepthRegisterDsmCheck:
         ])
         assert code == 2
         assert "absent.las" in capsys.readouterr().err
+
+
+def _distorted_calibration(scene, tmp_path, monkeypatch):
+    """Write the scene's calibration with k1 and p2 set, and make any image
+    read or stereo match fail the test."""
+
+    def not_reached(*args, **kwargs):
+        raise AssertionError("depth read or matched images of a distorted lens")
+
+    monkeypatch.setattr(pipeline, "_load_image_any", not_reached)
+    monkeypatch.setattr(pipeline, "match_disparity", not_reached)
+    intr = dataclasses.replace(scene.intrinsics, k1=-0.01, p2=0.001)
+    path = tmp_path / "distorted.txt"
+    path.write_text(write_calibration(intr, scene.baseline))
+    return path
 
 
 @pytest.fixture(scope="module")
@@ -819,6 +850,23 @@ class TestRun:
         assert report["stages_completed"] == ["depth"]
         assert (out_dir / "cloud.las").exists()
 
+    def test_distorted_calibration_fails_depth(self, scene_dir, tmp_path, monkeypatch):
+        scene, paths = scene_dir
+        calib = _distorted_calibration(scene, tmp_path, monkeypatch)
+        out_dir = tmp_path / "out"
+        assert main([
+            "run", "--config", str(paths["config"]), "--out-dir", str(out_dir),
+            "--set", f"depth.calibration={calib}",
+        ]) == 2
+        report = json.loads((out_dir / "run_report.json").read_text())
+        jsonschema.validate(report, _run_report_schema())
+        assert report["failed_stage"] == "depth"
+        assert report["error"] == (
+            "InputError: depth needs a rectified pair's pinhole calibration; k1, p2 not 0"
+        )
+        assert report["stages_completed"] == []
+        assert not (out_dir / "cloud.las").exists()
+
     def test_set_overrides(self, scene_dir, tmp_path, capsys):
         _, paths = scene_dir
         out_dir = tmp_path / "out"
@@ -1008,6 +1056,28 @@ class TestEnvironment:
 
         args = build_parser().parse_args(["dsm", "--cloud", "x.las"])
         assert args.out_dir == str(tmp_path / "envout")
+
+
+@pytest.mark.parametrize("value", ["-1e3", "-1.5E3", "-2e-1"])
+@pytest.mark.parametrize("command", [
+    ["dsm", "--cloud", "c.las"],
+    ["rectify", "--image", "i.ppm", "--gcps", "g.csv"],
+])
+def test_grid_takes_negative_exponent_origins(command, value):
+    """A negative origin in exponent form is a --grid value, not an option."""
+    args = cli.build_parser().parse_args([*command, "--grid", value, value, "3", "3"])
+    assert args.grid == [value, value, "3", "3"]
+
+
+def test_dsm_negative_exponent_grid_runs(tmp_path):
+    las = tmp_path / "nc.las"
+    xyz = np.array([[0, 0, 0], [5000, 1e-4, 0], [10000, 0, 0]], dtype=float)
+    las.write_bytes(write_las(PointCloud(xyz=xyz)))
+    assert main([
+        "dsm", "--cloud", str(las), "--cell-size", "100",
+        "--grid", "-1e3", "0", "3", "3", "--out-dir", str(tmp_path),
+    ]) == 0
+    assert read_asc((tmp_path / "dsm.asc").read_bytes()).values.shape == (3, 3)
 
 
 # Every flag of the five stage commands, with $SHOREMAP_OUT_DIR unset:

@@ -609,6 +609,12 @@ class TestWkt:
         poly = parse_wkt_polygon("POLYGON ((0 0, 4 0, 4 4, 0 4, 0 0))")
         assert len(poly.rings) == 1
 
+    def test_hole_between_whitespace(self):
+        poly = parse_wkt_polygon(
+            "POLYGON(\n (0 0, 4 0, 4 4, 0 4, 0 0) ,\t(1 1, 2 1, 2 2, 1 1) )"
+        )
+        assert [len(r) for r in poly.rings] == [5, 4]
+
     def test_open_ring(self):
         with pytest.raises(OpenRing):
             parse_wkt_polygon("POLYGON ((0 0, 4 0, 4 4, 0 4))")
@@ -628,7 +634,11 @@ class TestWkt:
 
     def test_syntax_errors(self):
         for text in ("LINESTRING (0 0, 1 1)", "POLYGON 0 0", "POLYGON (())",
-                     "POLYGON ((0 0, 1 0, 1 1, 0 0 0))"):
+                     "POLYGON ((0 0, 1 0, 1 1, 0 0 0))",
+                     # OGC WKT: exactly one comma between rings, none around.
+                     "POLYGON (, (0 0, 4 0, 4 4, 0 0),,)",
+                     "POLYGON ((0 0, 4 0, 4 4, 0 0)(1 1, 2 1, 2 2, 1 1))",
+                     "POLYGON ((0 0, 4 0, 4 4, 0 0),)"):
             with pytest.raises(WktSyntaxError):
                 parse_wkt_polygon(text)
 

@@ -1,5 +1,6 @@
 """Stereo matching and point-cloud assembly tests."""
 
+import dataclasses
 import hashlib
 import tracemalloc
 from unittest import mock
@@ -14,6 +15,7 @@ from shoremap.camera import CameraIntrinsics, StereoRig
 from shoremap.errors import (
     DimensionMismatch,
     EmptyRange,
+    InputError,
     SizeMismatch,
     WindowTooLarge,
 )
@@ -647,6 +649,19 @@ class TestCloudFromDisparity:
         )
         with pytest.raises(DimensionMismatch):
             cloud_from_disparity(d, rig, self._color(np.random.default_rng(0)))
+
+    @pytest.mark.parametrize("term", ["k1", "k2", "k3", "p1", "p2"])
+    def test_distortion_term_refused(self, term):
+        """Rays are pinhole, so a rig whose lens has any distortion term is
+        refused, with the term named, rather than back-projected."""
+        rig = self._rig()
+        intr = dataclasses.replace(rig.intrinsics, **{term: -0.01})
+        values = np.full((48, 64), rig.intrinsics.fx * rig.baseline)
+        d = DisparityMap(values=values, min_disparity=0.0, max_disparity=20.0)
+        with pytest.raises(InputError, match=f"pinhole calibration; {term} not 0"):
+            cloud_from_disparity(
+                d, StereoRig(intr, rig.baseline), self._color(np.random.default_rng(0))
+            )
 
 
 class TestTypes:
