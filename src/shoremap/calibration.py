@@ -9,7 +9,8 @@ reprojection error.
 The refinement evaluates all views at once. The camera-frame corners of
 every view are built once per evaluation and projected in one stacked
 call; the central-difference Jacobian reuses them for its 18 intrinsic
-steps, and projects the 12 pose steps of every view in one more call.
+steps, and steps each of the 6 pose coordinates of every view by + and -
+in one more call per coordinate.
 """
 
 from __future__ import annotations
@@ -124,29 +125,22 @@ def zhang_init(
     lengths and principal point. Distortion starts at zero.
     """
     if len(homographies) < 3:
-        raise InsufficientViews(
-            f"need at least 3 views, got {len(homographies)}"
-        )
+        raise InsufficientViews(f"need at least 3 views, got {len(homographies)}")
+    h = np.stack([hom.h for hom in homographies])  # (V, 3, 3)
 
-    def v_row(h: np.ndarray, i: int, j: int) -> np.ndarray:
-        # Constraint vector for B with the B12 entry dropped (zero skew):
-        # components multiply [B11, B22, B13, B23, B33].
-        return np.array(
-            [
-                h[0, i] * h[0, j],
-                h[1, i] * h[1, j],
-                h[2, i] * h[0, j] + h[0, i] * h[2, j],
-                h[2, i] * h[1, j] + h[1, i] * h[2, j],
-                h[2, i] * h[2, j],
-            ]
-        )
+    def v_row(i: int, j: int) -> np.ndarray:
+        # Each view's constraint vector for B with the B12 entry dropped
+        # (zero skew): components multiply [B11, B22, B13, B23, B33].
+        return np.stack([
+            h[:, 0, i] * h[:, 0, j],
+            h[:, 1, i] * h[:, 1, j],
+            h[:, 2, i] * h[:, 0, j] + h[:, 0, i] * h[:, 2, j],
+            h[:, 2, i] * h[:, 1, j] + h[:, 1, i] * h[:, 2, j],
+            h[:, 2, i] * h[:, 2, j],
+        ], axis=1)
 
-    rows = []
-    for hom in homographies:
-        h = hom.h
-        rows.append(v_row(h, 0, 1))
-        rows.append(v_row(h, 0, 0) - v_row(h, 1, 1))
-    a = np.array(rows)
+    # Two rows per view, in view order: v01, then v00 - v11.
+    a = np.stack([v_row(0, 1), v_row(0, 0) - v_row(1, 1)], axis=1).reshape(-1, 5)
 
     _, _, vt = np.linalg.svd(a)
     b = vt[-1]
@@ -167,12 +161,8 @@ def zhang_init(
     width, height = image_size
     try:
         return CameraIntrinsics(
-            fx=float(np.sqrt(fx2)),
-            fy=float(np.sqrt(fy2)),
-            cx=float(cx),
-            cy=float(cy),
-            image_width=width,
-            image_height=height,
+            fx=float(np.sqrt(fx2)), fy=float(np.sqrt(fy2)), cx=float(cx), cy=float(cy),
+            image_width=width, image_height=height,
         )
     except ValueError as exc:
         raise UnstableSolution(f"extracted intrinsics invalid: {exc}") from exc
@@ -270,9 +260,10 @@ class _ReprojectionProblem:
         self.n_points = obj_points.shape[0]
 
     def _rotated_board(self, rvecs: np.ndarray) -> np.ndarray:
-        """(K, N, 3) board corners rotated by each of K axis-angle vectors:
-        one Rodrigues and one 2-D product per vector."""
-        return np.stack([self.obj @ axis_angle_to_rotation(a).T for a in rvecs])
+        """(..., N, 3) board corners rotated by each of the (..., 3)
+        axis-angle vectors: one Rodrigues and one 2-D product per vector."""
+        turned = [self.obj @ axis_angle_to_rotation(a).T for a in rvecs.reshape(-1, 3)]
+        return np.stack(turned).reshape(rvecs.shape[:-1] + self.obj.shape)
 
     def residuals(self, params: np.ndarray) -> np.ndarray:
         """Full residual vector, or None if a trial point leaves the model
@@ -292,7 +283,8 @@ class _ReprojectionProblem:
 
         The model's domain depends only on the camera-frame points, which
         the intrinsics do not move, so every intrinsic step stays inside
-        it. A pose column whose + or - step leaves the domain stays zero.
+        it. Each pose coordinate is stepped in every view at once, and a
+        view whose + or - step leaves the domain keeps a zero column.
         """
         n_views, n_points = self.n_views, self.n_points
         block = n_points * 2
@@ -311,40 +303,37 @@ class _ReprojectionProblem:
             rm = observed - project_many(LensParams(*lm), cam).ravel()
             jac[:, j] = (rp - rm) / (2.0 * h)
 
-        # Each view's 6 steps, + then -, as 12 perturbed poses per view.
-        # Translation steps move the view's rotated board; only the
-        # rotation steps need a new rotation.
-        h = steps[_N_INTR:].reshape(n_views, 6)
-        pert = np.broadcast_to(poses[:, None, None], (n_views, 6, 2, 6)).copy()
-        v_idx, j_idx = np.indices((n_views, 6))
-        pert[v_idx, j_idx, 0, j_idx] = poses + h
-        pert[v_idx, j_idx, 1, j_idx] = poses - h
-        shape = (n_views, 6, 2, n_points, 3)
-        board = np.broadcast_to(rotated[:, None, None], shape).copy()
-        turned = self._rotated_board(pert[:, :3, :, :3].reshape(-1, 3))
-        board[:, :3] = turned.reshape(n_views, 3, 2, n_points, 3)
-        cam = board + pert[..., None, 3:]
-        ok = in_model_domain(cam).all(axis=(2, 3))
+        # Pose coordinate j of every view, + then -. Translation steps
+        # move the view's rotated board; only rotation steps turn it again.
         lens = LensParams(*params[:_N_INTR])
-        proj = project_many(lens, cam[ok].reshape(-1, 3)).reshape(-1, 2, block)
-        # d(residual)/dp = -d(projection)/dp
-        cols = np.zeros((n_views, 6, block))
-        cols[ok] = (proj[:, 1] - proj[:, 0]) / (2.0 * h[ok])[:, None]
-        for v in range(n_views):
-            base = _N_INTR + 6 * v
-            jac[v * block: (v + 1) * block, base: base + 6] = cols[v].T
+        views = np.arange(n_views)
+        blocks = jac.reshape(n_views, block, -1)
+        for j in range(6):
+            h = steps[_N_INTR + j::6]
+            pert = np.stack([poses, poses], axis=1)  # (V, 2, 6)
+            pert[:, 0, j] += h
+            pert[:, 1, j] -= h
+            board = self._rotated_board(pert[..., :3]) if j < 3 else rotated[:, None]
+            cam = board + pert[..., None, 3:]
+            ok = in_model_domain(cam).all(axis=(1, 2))
+            proj = project_many(lens, cam[ok].reshape(-1, 3)).reshape(-1, 2, block)
+            # d(residual)/dp = -d(projection)/dp
+            col = np.zeros((n_views, block))
+            col[ok] = (proj[:, 1] - proj[:, 0]) / (2.0 * h[ok])[:, None]
+            blocks[views, :, _N_INTR + 6 * views + j] = col
         return jac
 
 
 def _levenberg_marquardt(problem: _ReprojectionProblem, params0: np.ndarray):
+    """Minimize the squared residuals from params0 (Moré 1978); returns the
+    last accepted parameters and their residual vector. A singular solve or
+    a trial outside the model domain is a rejected trial."""
     params = params0.copy()
     residual = problem.residuals(params)
     if residual is None:
         raise DegenerateConfiguration("seed poses leave the camera model domain")
     cost = float(residual @ residual)
     lam = LM_LAMBDA0
-    rejections = 0
-    last_trial_cost = None
 
     for _ in range(LM_MAX_ITER):
         jac = problem.jacobian(params)
@@ -353,34 +342,21 @@ def _levenberg_marquardt(problem: _ReprojectionProblem, params0: np.ndarray):
             break
         jtj = jac.T @ jac
         diag = np.maximum(np.diag(jtj), 1e-12)
+        rejections, last_trial_cost = 0, np.inf
         while True:
             try:
                 delta = np.linalg.solve(jtj + lam * np.diag(diag), -grad)
             except np.linalg.LinAlgError:
-                delta = None
-            if delta is not None:
+                trial_residual = None
+            else:
                 trial = params + delta
                 trial_residual = problem.residuals(trial)
-            else:
-                trial_residual = None
-            trial_cost = (
-                float(trial_residual @ trial_residual)
-                if trial_residual is not None
-                else np.inf
-            )
+            trial_cost = np.inf
+            if trial_residual is not None:
+                trial_cost = float(trial_residual @ trial_residual)
             if trial_cost <= cost:
-                rejections = 0
-                last_trial_cost = None
-                lam = max(lam / 10.0, 1e-15)
-                params = trial
-                residual = trial_residual
-                prev_cost = cost
-                cost = trial_cost
                 break
-            if last_trial_cost is not None and trial_cost >= last_trial_cost:
-                rejections += 1
-            else:
-                rejections = 1
+            rejections = rejections + 1 if trial_cost >= last_trial_cost else 1
             last_trial_cost = trial_cost
             if rejections >= LM_MAX_REJECTIONS:
                 raise DivergedRefinement(
@@ -388,12 +364,14 @@ def _levenberg_marquardt(problem: _ReprojectionProblem, params0: np.ndarray):
                     f"consecutive damping escalations (cost {cost:g})"
                 )
             lam *= 10.0
-        if prev_cost > 0:
-            if abs(prev_cost - cost) / prev_cost < LM_COST_TOL:
-                break
+        lam = max(lam / 10.0, 1e-15)
+        params, residual = trial, trial_residual
+        prev_cost, cost = cost, trial_cost
+        if prev_cost > 0 and abs(prev_cost - cost) / prev_cost < LM_COST_TOL:
+            break
         if cost == 0.0:
             break
-    return params, cost
+    return params, residual
 
 
 def refine(
@@ -424,7 +402,7 @@ def refine(
     )
 
     problem = _ReprojectionProblem(obj, observed)
-    params, _ = _levenberg_marquardt(problem, params0)
+    params, residual = _levenberg_marquardt(problem, params0)
 
     try:
         intrinsics = CameraIntrinsics(
@@ -434,7 +412,7 @@ def refine(
     except ValueError as exc:
         raise UnstableSolution(f"refined intrinsics invalid: {exc}") from exc
     poses = []
-    residual = problem.residuals(params).reshape(observed.shape)
+    residual = residual.reshape(observed.shape)
     per_view_errors = []
     for v in range(len(views)):
         pose = params[_N_INTR + 6 * v: _N_INTR + 6 + 6 * v]

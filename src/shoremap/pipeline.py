@@ -42,6 +42,7 @@ from .stereo import (
     cloud_from_disparity,
     match_disparity,
     require_pinhole,
+    require_z_max,
 )
 from .surface import (
     DEFAULT_KILL_DISTANCE,
@@ -147,11 +148,16 @@ def stage_calibrate(
     several (a stereo pair calibrated as two monocular runs), each output
     gets the corner file's stem as a suffix, and corner files whose
     outputs would collide are rejected. Every corner file is parsed and
-    checked before the first calibration runs. The report carries
+    checked before the first calibration runs, and the image size and
+    baseline before the first corner file is read. The report carries
     per-eye errors plus the corner-weighted pooled mean.
     """
     if not corners_paths:
         raise InputError("at least one corner file is required")
+    if min(image_size) <= 0:
+        raise InputError("image size must be positive, got {}x{}".format(*image_size))
+    if not (np.isfinite(baseline_m) and baseline_m > 0):
+        raise InputError(f"baseline must be positive, got {baseline_m:g}")
     out_path = Path(out_path)
     if len(corners_paths) == 1:
         targets = [out_path]
@@ -209,8 +215,10 @@ def stage_depth(
     z_max: float = DEFAULT_Z_MAX,
     write_disparity: bool = False,
 ) -> tuple[Path, dict]:
-    """Refuse lens distortion, then match the pair and write its pinhole cloud.las."""
+    """Refuse lens distortion and a z_max not > 0, then match the pair and
+    write its pinhole cloud.las."""
     require_pinhole(calibration)
+    require_z_max(z_max)
     left_rgba = _load_image_any(left_path)
     right_rgba = _load_image_any(right_path)
     _check_image_size("left image", left_rgba, calibration.intrinsics)

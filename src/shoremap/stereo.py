@@ -426,6 +426,12 @@ def require_pinhole(rig: StereoRig) -> None:
                          f"{', '.join(terms)} not 0")
 
 
+def require_z_max(z_max: float) -> None:
+    """Raise InputError unless z_max > 0 (inf keeps every depth; NaN fails)."""
+    if not z_max > 0:
+        raise InputError(f"z_max must be > 0, got {z_max:g}")
+
+
 def cloud_from_disparity(
     d: DisparityMap,
     rig: StereoRig,
@@ -433,12 +439,14 @@ def cloud_from_disparity(
     z_max: float = DEFAULT_Z_MAX,
 ) -> PointCloud:
     """Back-project valid disparities along pinhole rays into a colorized
-    camera-frame cloud; a rig with lens distortion raises InputError.
+    camera-frame cloud; a rig with lens distortion, or a z_max that is
+    not > 0, raises InputError.
 
     Colors are taken bit-exactly from the reference (left) image at the
     originating pixel; points deeper than z_max are dropped.
     """
     require_pinhole(rig)
+    require_z_max(z_max)
     intr = rig.intrinsics
     if (d.width, d.height) != (intr.image_width, intr.image_height):
         raise DimensionMismatch(

@@ -409,34 +409,43 @@ class TestJacobianOracle:
         residual = problem.residuals(params)
         assert residual.tobytes() == _oracle_residuals(obj, observed, params).tobytes()
 
-    def test_domain_edge_columns_stay_zero(self):
-        # Slide view 2 along x until its outermost corner sits on the
-        # r^2 = 4 rim: its +x translation step leaves the modeled disk.
-        obj, observed, params = self._problem(24)
-        tx = 9 + 6 * 2 + 3
+    def _assert_edge_matches_oracle(self, seed, col):
+        """Move pose parameter col of view 2 up to the r^2 = 4 rim, where
+        its + step leaves the modeled disk: the Jacobian's dead columns
+        are view 2's, and it matches the oracle bit for bit."""
+        obj, observed, params = self._problem(seed)
 
         def inside(x):
             trial = params.copy()
-            trial[tx] = x
+            trial[col] = x
             return _oracle_residuals(obj, observed, trial) is not None
 
-        lo, hi = params[tx], params[tx] + 2.0
+        lo, hi = params[col], params[col] + 2.0
         assert inside(lo) and not inside(hi)
         for _ in range(200):
             mid = 0.5 * (lo + hi)
             if mid in (lo, hi):
                 break
             lo, hi = (mid, hi) if inside(mid) else (lo, mid)
-        params[tx] = lo
+        params[col] = lo
         problem = _ReprojectionProblem(obj, observed)
         expected = _oracle_jacobian(obj, observed, params)
         dead = np.flatnonzero(np.all(expected == 0, axis=0))
-        assert tx in dead
+        assert col in dead
         assert all(9 + 6 * 2 <= c < 9 + 6 * 3 for c in dead)
         got = problem.jacobian(params)
         assert got.tobytes() == expected.tobytes()
         residual = problem.residuals(params)
         assert residual.tobytes() == _oracle_residuals(obj, observed, params).tobytes()
+
+    def test_domain_edge_columns_stay_zero(self):
+        # Slide view 2 along x (tx) until its outermost corner sits on the rim.
+        self._assert_edge_matches_oracle(24, 9 + 6 * 2 + 3)
+
+    def test_domain_edge_rotation_columns_stay_zero(self):
+        # Turn view 2 about y (ry, near 1.511 rad at the rim): the pose
+        # columns whose steps turn the board reach the edge too.
+        self._assert_edge_matches_oracle(22, 9 + 6 * 2 + 1)
 
 
 class TestAxisAngle:
@@ -506,9 +515,9 @@ class TestLevenbergMarquardt:
     def test_zero_gradient_returns_seed_at_iteration_0(self):
         seed = np.array([0.5, -1.0])
         problem = _StubProblem(seed, np.zeros((3, 2)))
-        params, cost = _levenberg_marquardt(problem, seed)
+        params, residual = _levenberg_marquardt(problem, seed)
         assert np.array_equal(params, seed) and params is not seed
-        assert cost == 14.0
+        assert residual @ residual == 14.0
         assert (problem.residual_calls, problem.jacobian_calls) == (1, 1)
 
     def test_every_trial_outside_domain_diverges(self):

@@ -159,6 +159,26 @@ class TestCalibrate:
         assert "expected 4 columns" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--image-width", "0", "image size must be positive, got 0x1080"),
+        ("--image-height", "-1080", "image size must be positive, got 1920x-1080"),
+        ("--baseline", "-0.12", "baseline must be positive, got -0.12"),
+        ("--baseline", "nan", "baseline must be positive, got nan"),
+        ("--baseline", "0", "baseline must be positive, got 0"),
+    ])
+    def test_bad_size_or_baseline_exit_2_before_reading_corners(
+        self, tmp_path, monkeypatch, capsys, flag, value, message
+    ):
+        def not_reached(*args, **kwargs):
+            raise AssertionError("a corner file was read")
+
+        monkeypatch.setattr(pipeline, "_read_views", not_reached)
+        out_dir = tmp_path / "out"
+        args = self._calibrate_args([tmp_path / "absent.csv"], out_dir / "calib.txt")
+        assert main(args + [flag, value]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out_dir.exists()
+
 
 class TestRectify:
     def _exact_fixture(self, tmp_path):
@@ -490,6 +510,26 @@ class TestDepthRegisterDsmCheck:
         ]) == 2
         err = capsys.readouterr().err
         assert "depth needs a rectified pair's pinhole calibration; k1, p2 not 0" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("z_max", ["nan", "0", "-1"])
+    def test_depth_z_max_not_positive_exit_2(
+        self, scene_dir, tmp_path, monkeypatch, capsys, z_max
+    ):
+        """A z_max that keeps no depth exits 2 before either image is read."""
+        _, paths = scene_dir
+
+        def not_reached(*args, **kwargs):
+            raise AssertionError("depth read an image")
+
+        monkeypatch.setattr(pipeline, "_load_image_any", not_reached)
+        assert main([
+            "depth", "--left", str(paths["left"]), "--right", str(paths["right"]),
+            "--calibration", str(paths["calibration"]), "--z-max", z_max,
+            "--out-dir", str(tmp_path / "out"),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: z_max must be > 0, got {float(z_max):g}\n"
         assert not (tmp_path / "out").exists()
 
     def test_register_missing_cloud_exit_2(self, scene_dir, tmp_path, capsys):
@@ -939,6 +979,27 @@ class TestRun:
             assert len(data) == HEADER_SIZE
             assert struct.unpack_from("<3d", data, 155) == (0.0, 0.0, 0.0)
             assert len(read_las(data)) == 0
+
+    def test_z_max_nan_fails_depth_before_reading_images(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        paths = BeachScene(seed=0, width=64, height=48).write_fixture(tmp_path / "in")
+
+        def not_reached(*args, **kwargs):
+            raise AssertionError("run read an image with a NaN z_max")
+
+        monkeypatch.setattr(pipeline, "_load_image_any", not_reached)
+        out_dir = tmp_path / "out"
+        code = main([
+            "run", "--config", str(paths["config"]), "--out-dir", str(out_dir),
+            "--set", "depth.z_max=nan",
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == "error: z_max must be > 0, got nan\n"
+        report = json.loads((out_dir / "run_report.json").read_text())
+        assert report["failed_stage"] == "depth"
+        assert report["stages_completed"] == []
+        assert not (out_dir / "cloud.las").exists()
 
     def test_one_triangulation_per_run(self, tmp_path, monkeypatch):
         """`run` triangulates once: the vertical check reuses the TIN that

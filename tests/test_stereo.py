@@ -642,6 +642,17 @@ class TestCloudFromDisparity:
         assert sizes == sorted(sizes)
         assert sizes[-1] == int(d.valid_mask().sum())
 
+    @pytest.mark.parametrize("z_max", [np.nan, 0.0, -1.0])
+    def test_z_max_not_positive_refused(self, z_max):
+        rig = self._rig()
+        d = DisparityMap(
+            values=np.full((48, 64), 5.0), min_disparity=0.0, max_disparity=20.0
+        )
+        with pytest.raises(InputError, match=f"z_max must be > 0, got {z_max:g}"):
+            cloud_from_disparity(
+                d, rig, self._color(np.random.default_rng(0)), z_max=z_max
+            )
+
     def test_dimension_mismatch(self):
         rig = self._rig()
         d = DisparityMap(
