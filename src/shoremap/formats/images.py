@@ -1,15 +1,28 @@
 """Binary PGM (P5) and PPM (P6) image reader/writers, 8-bit, maxval 255.
 
-PPM carries RGB only; alpha is dropped on write and restored as 255 on
-read.
+One grammar reads the header: the magic, width, height and maxval, then
+exactly one whitespace byte. Fields are separated by whitespace or by `#`
+comments through the next newline. A header that does not match raises
+MalformedHeader, and short sample data raises TruncatedFile. PPM carries
+RGB only; alpha is dropped on write and restored as 255 on read.
 """
 
 from __future__ import annotations
+
+import re
 
 import numpy as np
 
 from ..errors import MalformedHeader, TruncatedFile
 from ..stereo import GrayImage, RgbaImage
+
+# `\s` is the bytes.isspace set. Fields need a separator between them, so
+# that `\d+` cannot split one number into two; the width may follow the magic.
+_HEADER = re.compile(
+    rb"P[56](?:\s|#[^\n]*\n)*(\d+)"
+    rb"(?:\s|#[^\n]*\n)+(\d+)"
+    rb"(?:\s|#[^\n]*\n)+(\d+)\s"
+)
 
 
 def write_pgm(img: GrayImage) -> bytes:
@@ -23,66 +36,37 @@ def write_ppm(img: RgbaImage) -> bytes:
     return header + np.ascontiguousarray(img.pixels[:, :, :3]).tobytes()
 
 
-def _parse_netpbm_header(data: bytes, magic: bytes):
-    """Parse 'magic w h maxval' allowing comments, returning
-    (width, height, data offset)."""
+def _read_netpbm(data: bytes, magic: bytes, channels: int) -> np.ndarray:
+    """The (height, width, channels) uint8 samples of a binary Netpbm file."""
     if not isinstance(data, (bytes, bytearray, memoryview)):
         raise MalformedHeader("expected a byte buffer")
     data = bytes(data)
-    if len(data) < 2 or data[0:2] != magic:
+    if data[:2] != magic:
         raise MalformedHeader(f"magic number is not {magic.decode()!r}")
-    pos = 2
-    fields = []
-    while len(fields) < 3:
-        if pos >= len(data):
-            raise TruncatedFile("header ends before width/height/maxval")
-        ch = data[pos:pos + 1]
-        if ch.isspace():
-            pos += 1
-        elif ch == b"#":
-            nl = data.find(b"\n", pos)
-            if nl < 0:
-                raise TruncatedFile("unterminated comment in header")
-            pos = nl + 1
-        elif ch.isdigit():
-            start = pos
-            while pos < len(data) and data[pos:pos + 1].isdigit():
-                pos += 1
-            fields.append(int(data[start:pos]))
-        else:
-            raise MalformedHeader(f"unexpected header byte {ch!r}")
-    if pos >= len(data) or not data[pos:pos + 1].isspace():
-        raise MalformedHeader("missing single whitespace after maxval")
-    pos += 1
-    width, height, maxval = fields
+    m = _HEADER.match(data)
+    if m is None:
+        raise MalformedHeader(f"expected a '{magic.decode()} width height maxval' header")
+    try:
+        width, height, maxval = map(int, m.groups())
+    except ValueError as exc:  # more digits than int() converts
+        raise MalformedHeader("header field has too many digits") from exc
     if width <= 0 or height <= 0:
         raise MalformedHeader(f"bad dimensions {width}x{height}")
     if maxval != 255:
         raise MalformedHeader(f"maxval must be 255, got {maxval}")
-    return width, height, pos
+    need, found = width * height * channels, len(data) - m.end()
+    if found < need:  # need may have more digits than str() converts
+        raise TruncatedFile(f"need {width}x{height}x{channels} sample bytes, found {found}")
+    samples = np.frombuffer(data, dtype=np.uint8, count=need, offset=m.end())
+    return samples.reshape(height, width, channels)
 
 
 def read_pgm(data: bytes) -> GrayImage:
-    width, height, pos = _parse_netpbm_header(data, b"P5")
-    data = bytes(data)
-    need = width * height
-    if len(data) - pos < need:
-        raise TruncatedFile(
-            f"need {need} sample bytes, found {len(data) - pos}"
-        )
-    px = np.frombuffer(data, dtype=np.uint8, count=need, offset=pos)
-    return GrayImage(px.reshape(height, width).astype(np.float64) / 255.0)
+    gray = _read_netpbm(data, b"P5", 1)[:, :, 0]
+    return GrayImage(gray.astype(np.float64) / 255.0)
 
 
 def read_ppm(data: bytes) -> RgbaImage:
-    width, height, pos = _parse_netpbm_header(data, b"P6")
-    data = bytes(data)
-    need = width * height * 3
-    if len(data) - pos < need:
-        raise TruncatedFile(
-            f"need {need} sample bytes, found {len(data) - pos}"
-        )
-    rgb = np.frombuffer(data, dtype=np.uint8, count=need, offset=pos)
-    rgb = rgb.reshape(height, width, 3)
-    alpha = np.full((height, width, 1), 255, dtype=np.uint8)
+    rgb = _read_netpbm(data, b"P6", 3)
+    alpha = np.full(rgb.shape[:2] + (1,), 255, dtype=np.uint8)
     return RgbaImage(np.concatenate([rgb, alpha], axis=2))

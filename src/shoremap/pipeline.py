@@ -41,6 +41,7 @@ from .stereo import (
     RgbaImage,
     cloud_from_disparity,
     match_disparity,
+    require_match_settings,
     require_pinhole,
     require_z_max,
 )
@@ -215,10 +216,11 @@ def stage_depth(
     z_max: float = DEFAULT_Z_MAX,
     write_disparity: bool = False,
 ) -> tuple[Path, dict]:
-    """Refuse lens distortion and a z_max not > 0, then match the pair and
-    write its pinhole cloud.las."""
+    """Refuse lens distortion, a z_max not > 0 and bad matcher settings,
+    then match the pair and write its pinhole cloud.las."""
     require_pinhole(calibration)
     require_z_max(z_max)
+    require_match_settings((d_min, d_max), window, calibration.intrinsics.image_width)
     left_rgba = _load_image_any(left_path)
     right_rgba = _load_image_any(right_path)
     _check_image_size("left image", left_rgba, calibration.intrinsics)

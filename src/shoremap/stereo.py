@@ -329,11 +329,7 @@ def match_disparity(
         raise SizeMismatch(
             f"left {left.pixels.shape} vs right {right.pixels.shape}"
         )
-    d_min, d_max = int(d_range[0]), int(d_range[1])
-    if not (0 <= d_min < d_max < left.width):
-        raise EmptyRange(f"invalid disparity range [{d_min}, {d_max}]")
-    if d_max - d_min + 1 > _MAX_DISPARITIES:
-        raise EmptyRange(f"more than {_MAX_DISPARITIES} disparities in [{d_min}, {d_max}]")
+    d_min, d_max = require_match_settings(d_range, window, left.width)
 
     # Plane-major (n_bytes, h, w) views: the census is written that way.
     census_l = census_transform(left, window).transpose(2, 0, 1)
@@ -417,6 +413,19 @@ def _match_strip(
     disp[ok] += np.clip((cm - cp)[ok] / (2.0 * denom[ok]), -0.5, 0.5)
     disp[~valid] = np.nan
     return disp
+
+
+def require_match_settings(d_range: tuple[int, int], window: int, width: int) -> tuple[int, int]:
+    """Return the disparity range as ints, or raise EmptyRange or
+    WindowTooLarge for settings that match_disparity refuses at this width."""
+    d_min, d_max = int(d_range[0]), int(d_range[1])
+    if not (0 <= d_min < d_max < width):
+        raise EmptyRange(f"invalid disparity range [{d_min}, {d_max}]")
+    if d_max - d_min + 1 > _MAX_DISPARITIES:
+        raise EmptyRange(f"more than {_MAX_DISPARITIES} disparities in [{d_min}, {d_max}]")
+    if window not in _ALLOWED_WINDOWS:
+        raise WindowTooLarge(f"window must be one of {_ALLOWED_WINDOWS}, got {window}")
+    return d_min, d_max
 
 
 def require_pinhole(rig: StereoRig) -> None:

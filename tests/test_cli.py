@@ -532,6 +532,31 @@ class TestDepthRegisterDsmCheck:
         assert err == f"error: z_max must be > 0, got {float(z_max):g}\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--window", "4"], "window must be one of (3, 5, 7, 9), got 4"),
+        (["--d-min", "10", "--d-max", "5"], "invalid disparity range [10, 5]"),
+        (["--d-max", "160"], "invalid disparity range [1, 160]"),
+    ], ids=["window", "reversed-range", "range-at-image-width"])
+    def test_depth_bad_matcher_settings_exit_2(
+        self, scene_dir, tmp_path, monkeypatch, capsys, flags, message
+    ):
+        """A window or disparity range that the matcher refuses exits 2
+        before either image is read; the range is checked against the
+        calibration's image width (160 px)."""
+        _, paths = scene_dir
+
+        def not_reached(*args, **kwargs):
+            raise AssertionError("depth read an image")
+
+        monkeypatch.setattr(pipeline, "_load_image_any", not_reached)
+        assert main([
+            "depth", "--left", str(paths["left"]), "--right", str(paths["right"]),
+            "--calibration", str(paths["calibration"]), *flags,
+            "--out-dir", str(tmp_path / "out"),
+        ]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_register_missing_cloud_exit_2(self, scene_dir, tmp_path, capsys):
         _, paths = scene_dir
         code = main([
@@ -996,6 +1021,27 @@ class TestRun:
         ])
         assert code == 2
         assert capsys.readouterr().err == "error: z_max must be > 0, got nan\n"
+        report = json.loads((out_dir / "run_report.json").read_text())
+        assert report["failed_stage"] == "depth"
+        assert report["stages_completed"] == []
+        assert not (out_dir / "cloud.las").exists()
+
+    def test_bad_window_fails_depth_before_reading_images(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        paths = BeachScene(seed=0, width=64, height=48).write_fixture(tmp_path / "in")
+
+        def not_reached(*args, **kwargs):
+            raise AssertionError("run read an image with a window of 4")
+
+        monkeypatch.setattr(pipeline, "_load_image_any", not_reached)
+        out_dir = tmp_path / "out"
+        code = main([
+            "run", "--config", str(paths["config"]), "--out-dir", str(out_dir),
+            "--set", "depth.window=4",
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == "error: window must be one of (3, 5, 7, 9), got 4\n"
         report = json.loads((out_dir / "run_report.json").read_text())
         assert report["failed_stage"] == "depth"
         assert report["stages_completed"] == []

@@ -501,6 +501,63 @@ class TestNetpbm:
         with pytest.raises(TruncatedFile):
             read_pgm(b"P5\n4 4\n255\n\x00\x01")
 
+    # (reader, magic, channels) for both formats, and samples whose first
+    # bytes are whitespace, which the header must not consume.
+    FORMATS = [(read_pgm, b"P5", 1), (read_ppm, b"P6", 3)]
+    SAMPLES = bytes(range(10, 28))
+
+    @pytest.mark.parametrize("reader, magic, channels", FORMATS)
+    @pytest.mark.parametrize("header, first", [
+        (b"#w\n3\n#h\n2\n#maxval\n255\n", b""),
+        (b"\n# 9 9 255\n3 # 8\n# 7\n2#\n255\n", b""),
+        (b"\r3\x0b2\x0c255\r", b""),
+        (b"3 2 255\n", b""),
+        (b"\n3 2 255\n", b"\n"),
+        (b" 3 2 255\r", b"\n"),
+    ], ids=["comment-before-each-field", "comments-with-digits", "cr-vt-ff",
+            "digits-after-magic", "second-newline-is-a-sample",
+            "lf-after-cr-is-a-sample"])
+    def test_accepted_headers_give_the_canonical_pixels(
+        self, reader, magic, channels, header, first
+    ):
+        """Every separator the grammar accepts reads the samples that follow
+        the canonical header; one whitespace byte ends the header, so a
+        second one (`first`) is the first sample."""
+        body = (first + self.SAMPLES)[:3 * 2 * channels]
+        assert np.array_equal(reader(magic + header + body).pixels,
+                              reader(magic + b"\n3 2\n255\n" + body).pixels)
+
+    @pytest.mark.parametrize("reader, magic, channels", FORMATS)
+    @pytest.mark.parametrize("end", [b"x", b"#c\n"])
+    def test_non_whitespace_after_maxval_is_malformed(self, reader, magic, channels, end):
+        with pytest.raises(MalformedHeader):
+            reader(magic + b" 1 1 255" + end + self.SAMPLES[:channels])
+
+    @pytest.mark.parametrize("reader, magic, channels", FORMATS)
+    def test_header_cut_at_every_byte_is_malformed(self, reader, magic, channels):
+        """A header that ends early, in a field, a separator or an
+        unterminated comment, is malformed, not a short sample block."""
+        header = magic + b" #c\n3\t# 2 255\n2\n255\n"
+        for cut in range(len(header)):
+            with pytest.raises(MalformedHeader):
+                reader(header[:cut])
+
+    @pytest.mark.parametrize("reader, magic, channels", FORMATS)
+    @pytest.mark.parametrize("field", ["width", "maxval"])
+    def test_field_too_long_for_int_is_malformed(self, reader, magic, channels, field):
+        """A field of 4,301 digits is more than int() converts by default."""
+        long = b"1" * 4301
+        header = magic + (b" %s 1 255\n" % long if field == "width" else b" 1 1 %s\n" % long)
+        with pytest.raises(MalformedHeader):
+            reader(header + self.SAMPLES[:channels])
+
+    @pytest.mark.parametrize("reader, magic, channels", FORMATS)
+    def test_image_too_large_for_its_data_is_truncated(self, reader, magic, channels):
+        """The sample count of a 4,300-digit width has more digits than
+        str() converts; the error still names the short data."""
+        with pytest.raises(TruncatedFile):
+            reader(magic + b" %s 9 255\n" % (b"9" * 4300) + self.SAMPLES)
+
 
 class TestGcpCsv:
     def test_full_row(self):
