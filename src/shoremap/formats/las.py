@@ -13,6 +13,7 @@ reader honours whatever scale and offset a file declares.
 from __future__ import annotations
 
 import struct
+from collections import namedtuple
 
 import numpy as np
 
@@ -25,7 +26,17 @@ from ..errors import (
 )
 from ..stereo import PointCloud
 
-HEADER_SIZE = 227
+# The LAS 1.2 public header block, its fields in order.
+_HEADER = struct.Struct("<4sHH16sBB32s32sHHHIIBHI5I3d3d6d")
+_Header = namedtuple(
+    "_Header",
+    "signature file_source_id global_encoding guid major minor system_id"
+    " software creation_day creation_year header_size offset_to_points n_vlrs"
+    " point_format record_length n_points n_by_return1 n_by_return2"
+    " n_by_return3 n_by_return4 n_by_return5 scale_x scale_y scale_z"
+    " offset_x offset_y offset_z max_x min_x max_y min_y max_z min_z",
+)
+HEADER_SIZE = _HEADER.size
 POINT_RECORD_LENGTH = 26
 POINT_FORMAT = 2
 SIGNATURE = b"LASF"
@@ -83,28 +94,11 @@ def write_las(cloud: PointCloud) -> bytes:
     mins = q_min * SCALE + offset
     maxs = q_max * SCALE + offset
 
-    header = bytearray(HEADER_SIZE)
-    header[0:4] = SIGNATURE
-    struct.pack_into("<H", header, 4, 0)          # file source id
-    struct.pack_into("<H", header, 6, 0)          # global encoding
-    # GUID left zero.
-    header[24] = 1                                # version major
-    header[25] = 2                                # version minor
-    header[26:26 + len(_SYSTEM_ID)] = _SYSTEM_ID
-    header[58:58 + len(_SOFTWARE)] = _SOFTWARE
-    struct.pack_into("<H", header, 90, 0)         # creation day (fixed: determinism)
-    struct.pack_into("<H", header, 92, 0)         # creation year
-    struct.pack_into("<H", header, 94, HEADER_SIZE)
-    struct.pack_into("<I", header, 96, HEADER_SIZE)  # offset to point data
-    struct.pack_into("<I", header, 100, 0)        # number of VLRs
-    header[104] = POINT_FORMAT
-    struct.pack_into("<H", header, 105, POINT_RECORD_LENGTH)
-    struct.pack_into("<I", header, 107, n)
-    struct.pack_into("<5I", header, 111, n, 0, 0, 0, 0)
-    struct.pack_into("<3d", header, 131, SCALE, SCALE, SCALE)
-    struct.pack_into("<3d", header, 155, *offset)
-    struct.pack_into(
-        "<6d", header, 179,
+    # GUID zero; creation day and year 0, for determinism.
+    header = _HEADER.pack(
+        SIGNATURE, 0, 0, b"", 1, 2, _SYSTEM_ID, _SOFTWARE, 0, 0,
+        HEADER_SIZE, HEADER_SIZE, 0, POINT_FORMAT, POINT_RECORD_LENGTH,
+        n, n, 0, 0, 0, 0, SCALE, SCALE, SCALE, *offset,
         maxs[0], mins[0], maxs[1], mins[1], maxs[2], mins[2],
     )
 
@@ -112,7 +106,7 @@ def write_las(cloud: PointCloud) -> bytes:
     records["xyz"] = quantized
     records["return_byte"] = _RETURN_BYTE
     records["rgb"] = cloud.colors[:, :3].astype(np.uint16) * np.uint16(257)
-    return bytes(header) + records.tobytes()
+    return header + records.tobytes()
 
 
 def read_las(data: bytes) -> PointCloud:
@@ -132,42 +126,35 @@ def read_las(data: bytes) -> PointCloud:
         raise TruncatedFile(
             f"{len(data)} bytes is shorter than the {HEADER_SIZE}-byte header"
         )
-    major, minor = data[24], data[25]
-    if (major, minor) != (1, 2):
-        raise UnsupportedVersionOrFormat(f"LAS {major}.{minor} unsupported (need 1.2)")
-    point_format = data[104]
-    record_length = struct.unpack_from("<H", data, 105)[0]
-    if point_format != POINT_FORMAT or record_length != POINT_RECORD_LENGTH:
+    h = _Header._make(_HEADER.unpack_from(data))
+    if (h.major, h.minor) != (1, 2):
         raise UnsupportedVersionOrFormat(
-            f"point format {point_format} / record length {record_length} "
+            f"LAS {h.major}.{h.minor} unsupported (need 1.2)"
+        )
+    if h.point_format != POINT_FORMAT or h.record_length != POINT_RECORD_LENGTH:
+        raise UnsupportedVersionOrFormat(
+            f"point format {h.point_format} / record length {h.record_length} "
             f"unsupported (need {POINT_FORMAT}/{POINT_RECORD_LENGTH})"
         )
-    offset_to_points = struct.unpack_from("<I", data, 96)[0]
-    if offset_to_points < HEADER_SIZE:
+    if h.offset_to_points < HEADER_SIZE:
         raise MalformedHeader(
-            f"point data offset {offset_to_points} overlaps the header"
+            f"point data offset {h.offset_to_points} overlaps the header"
         )
-    n = struct.unpack_from("<I", data, 107)[0]
-    scale = struct.unpack_from("<3d", data, 131)
-    offset = struct.unpack_from("<3d", data, 155)
-
-    needed = offset_to_points + n * POINT_RECORD_LENGTH
-    if len(data) < needed:
-        have = max(0, (len(data) - offset_to_points) // POINT_RECORD_LENGTH)
+    n = h.n_points
+    if len(data) < h.offset_to_points + n * POINT_RECORD_LENGTH:
+        have = max(0, (len(data) - h.offset_to_points) // POINT_RECORD_LENGTH)
         raise TruncatedFile(f"header promises {n} point records, found {have}")
 
-    if n == 0:
-        return PointCloud(xyz=np.zeros((0, 3)), colors=np.zeros((0, 4), np.uint8))
-
     records = np.frombuffer(
-        data, dtype=_POINT_DTYPE, count=n, offset=offset_to_points
+        data, dtype=_POINT_DTYPE, count=n, offset=h.offset_to_points
     )
-    xyz = records["xyz"].astype(np.float64) * np.array(scale) + np.array(offset)
-    colors16 = records["rgb"].astype(np.float64)
-    colors8 = np.clip(np.rint(colors16 / 257.0), 0, 255).astype(np.uint8)
-    rgba = np.concatenate(
-        [colors8, np.full((n, 1), 255, dtype=np.uint8)], axis=1
-    )
+    scale = np.array([h.scale_x, h.scale_y, h.scale_z])
+    offset = np.array([h.offset_x, h.offset_y, h.offset_z])
+    xyz = records["xyz"].astype(np.float64) * scale + offset
+    # round(c / 257) in integers: 257 is odd, so no 16-bit c is a tie.
+    # uint32 first, so that + 128 cannot wrap under pre-NumPy 2 casting.
+    rgba = np.full((n, 4), 255, dtype=np.uint8)
+    rgba[:, :3] = (records["rgb"].astype(np.uint32) + 128) // 257
     try:
         return PointCloud(xyz=xyz, colors=rgba)
     except ValueError as exc:

@@ -1,4 +1,4 @@
-"""ESRI ASCII grid and world file writers/readers.
+"""ESRI ASCII grid reader/writer and world file writer.
 
 ASC uses the cell-center (xllcenter/yllcenter) convention, matching
 GridGeometry's center-of-cell origin, and emits the north row first
@@ -110,18 +110,3 @@ def write_world_file(geom: GridGeometry) -> str:
             repr(float(geom.origin_y)),
         ]
     ) + "\n"
-
-
-def read_world_file(text) -> tuple[float, float, float, float, float, float]:
-    """Parse the six world-file lines; line 2 and 3 must be zero."""
-    text = _decode(text, MalformedHeader)
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if len(lines) != 6:
-        raise MalformedHeader(f"world file needs 6 lines, got {len(lines)}")
-    try:
-        values = tuple(float(v) for v in lines)
-    except ValueError as exc:
-        raise MalformedHeader(f"non-numeric world file line: {exc}") from exc
-    if values[1] != 0.0 or values[2] != 0.0:
-        raise MalformedHeader("rotation terms must be zero")
-    return values

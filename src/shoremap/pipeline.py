@@ -280,15 +280,28 @@ def stage_register(
     return out_path, metrics
 
 
+# The value-only rule of each stage setting that has one, by name: its
+# stage checks it before reading anything, and run before the first stage.
+_SETTING_RULES = {
+    "kill": (lambda v: v > 0, "kill distance must be positive"),
+    "cell_size": (lambda v: 0 < v < np.inf, "cell size must be positive and finite"),
+    "margin": (lambda v: 0 <= v < np.inf, "grid margin must be finite and not negative"),
+}
+
+
+def require_settings(**settings: float) -> None:
+    """Raise InputError for the first setting that breaks its rule."""
+    for name, value in settings.items():
+        ok, rule = _SETTING_RULES[name]
+        if not ok(value):
+            raise InputError(f"{rule}, got {value:g}")
+
+
 def _bbox_grid(
     xs: np.ndarray, ys: np.ndarray, cell_size: float, margin: float
 ) -> GridGeometry:
     """Grid over the points' bounding box, grown on each side by margin
     times the span (at least one cell). With margin 0 the box is exact."""
-    if not (np.isfinite(cell_size) and cell_size > 0):
-        raise InputError(f"cell size must be positive and finite, got {cell_size:g}")
-    if not (np.isfinite(margin) and margin >= 0):
-        raise InputError(f"grid margin must be finite and not negative, got {margin:g}")
     span_x = max(float(xs.max() - xs.min()), cell_size)
     span_y = max(float(ys.max() - ys.min()), cell_size)
     min_x = float(xs.min()) - margin * span_x
@@ -320,10 +333,10 @@ def stage_dsm(
     """Triangulate the cloud, rasterize, optionally clip, write dsm.asc.
     Returns the TIN, which the vertical check of a run reuses.
 
-    The grid is validated before the triangulation, so bad settings fail
-    before the expensive step."""
-    if not kill > 0:
-        raise InputError(f"kill distance must be positive, got {kill:g}")
+    The settings are checked before the cloud is read, and the grid
+    before the triangulation, so bad settings fail before the expensive
+    step."""
+    require_settings(kill=kill, cell_size=cell_size)
     cloud = read_las(_read_bytes(cloud_path))
     if len(cloud) < 3:
         raise TooFewPoints(f"need at least 3 points, got {len(cloud)}")
@@ -410,7 +423,9 @@ def stage_rectify(
 ) -> tuple[Path, dict]:
     """Fit the image-to-world homography from GCPs, warp the photo, write
     rectified.ppm + rectified.wld, and report the per-axis RMSEs. The photo
-    is read last, so too few GCPs or a bad grid size fail before it."""
+    is read last, so bad settings, too few GCPs or a grid too large fail
+    before it."""
+    require_settings(cell_size=cell_size, margin=margin)
     observed = [g for g in gcps if g.image is not None]
     lens = calibration.intrinsics if calibration is not None else None
     if lens is not None:
@@ -600,9 +615,10 @@ def run_pipeline(
     config is the run configuration or its file; `KEY=VALUE` overrides
     apply on top, in order. A preflight reads them and then checks them
     as _preflight does; its failure is reported as failed_stage
-    "preflight", with the config as far as it was read, before any stage
-    runs. Raises the failing step's error after writing the report;
-    completed stages' artifacts stay on disk.
+    "preflight", with the config as far as it was read. A setting that
+    breaks its rule in require_settings then fails its own stage, before
+    any stage runs. Raises the failing step's error after writing the
+    report; completed stages' artifacts stay on disk.
     """
     out_dir = Path(out_dir)
     started = datetime.now(timezone.utc)
@@ -643,6 +659,12 @@ def run_pipeline(
     except Exception as exc:
         fail("preflight", exc)
         raise
+    for name in RUN_STAGES:
+        try:
+            require_settings(**{k: v for k, v in kwargs[name].items() if k in _SETTING_RULES})
+        except InputError as exc:
+            fail(name, exc)
+            raise
 
     def run_stage(name: str, **chained):
         t0 = time.perf_counter()

@@ -456,6 +456,26 @@ class TestDepthRegisterDsmCheck:
             "--out-dir", str(tmp_path),
         ]) == 2
 
+    @pytest.mark.parametrize("cell_size", ["-1", "0", "inf"])
+    def test_dsm_bad_cell_size_exit_2_before_reading_the_cloud(
+        self, tmp_path, monkeypatch, capsys, cell_size
+    ):
+        """A cell size that is not positive and finite exits 2 naming the
+        cell size, not the absent cloud, which is never read."""
+
+        def not_reached(*args, **kwargs):
+            raise AssertionError("dsm read the cloud")
+
+        monkeypatch.setattr(pipeline, "read_las", not_reached)
+        assert main([
+            "dsm", "--cloud", str(tmp_path / "absent.las"),
+            "--cell-size", cell_size, "--out-dir", str(tmp_path / "out"),
+        ]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cell size must be positive and finite, got {float(cell_size):g}\n"
+        )
+        assert not (tmp_path / "out").exists()
+
     def test_dsm_overflowing_grid_exit_2(self, tmp_path, capsys):
         """Cell centres 1e308 apart overflow to inf: the grid is rejected
         with exit 2 before the cloud is read, and without a warning."""
@@ -1097,6 +1117,37 @@ class TestRun:
         report = json.loads((out_dir / "run_report.json").read_text())
         assert report["failed_stage"] == stage
         assert report["error"].startswith("InputError: ")
+
+    @pytest.mark.parametrize("setting, stage, message", [
+        ("dsm.kill=0", "dsm", "kill distance must be positive, got 0"),
+        ("dsm.cell_size=-1", "dsm", "cell size must be positive and finite, got -1"),
+        ("rectify.cell_size=0", "rectify", "cell size must be positive and finite, got 0"),
+        ("rectify.margin=-1", "rectify", "grid margin must be finite and not negative, got -1"),
+    ], ids=["dsm.kill", "dsm.cell_size", "rectify.cell_size", "rectify.margin"])
+    def test_bad_setting_fails_its_stage_before_any_input_is_read(
+        self, tmp_path, monkeypatch, capsys, setting, stage, message
+    ):
+        """A setting its stage rejects by value alone fails that stage
+        before the first stage reads an image or a cloud."""
+        paths = BeachScene(seed=0, width=64, height=48).write_fixture(tmp_path / "in")
+
+        def not_reached(*args, **kwargs):
+            raise AssertionError(f"run read an input with {setting}")
+
+        monkeypatch.setattr(pipeline, "_load_image_any", not_reached)
+        monkeypatch.setattr(pipeline, "read_las", not_reached)
+        out_dir = tmp_path / "out"
+        code = main([
+            "run", "--config", str(paths["config"]), "--out-dir", str(out_dir),
+            "--set", setting,
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        report = json.loads((out_dir / "run_report.json").read_text())
+        assert report["failed_stage"] == stage
+        assert report["error"] == f"InputError: {message}"
+        assert report["stages_completed"] == []
+        assert not (out_dir / "cloud.las").exists()
 
     @pytest.mark.parametrize("setting, stage", [
         ("dsm.cell_size=1e-320", "dsm"),

@@ -35,7 +35,6 @@ from shoremap.formats import (
     read_las,
     read_pgm,
     read_ppm,
-    read_world_file,
     write_asc,
     write_calibration,
     write_corner_csv,
@@ -149,6 +148,39 @@ class TestLas:
         with pytest.raises(TruncatedFile):
             read_las(data[:-26])
 
+    def test_point_data_after_a_record_reads_the_same_cloud(self):
+        """Point data at a declared offset past the header, after one
+        54-byte variable-length record, reads as the same cloud."""
+        data = write_las(_random_cloud(np.random.default_rng(6), 50))
+        gapped = bytearray(data[:227] + bytes(range(54)) + data[227:])
+        struct.pack_into("<I", gapped, 96, 227 + 54)  # offset to point data
+        struct.pack_into("<I", gapped, 100, 1)  # number of VLRs
+        plain, back = read_las(data), read_las(bytes(gapped))
+        np.testing.assert_array_equal(back.xyz, plain.xyz)
+        np.testing.assert_array_equal(back.colors, plain.colors)
+
+    def test_foreign_scale_and_offset_are_honoured_exactly(self):
+        """A scale and offset other than the writer's decode each stored
+        integer q to q * scale + offset, as Python floats compute it."""
+        q = [[0, 0, 0], [1, -1, 7], [123456789, -2 ** 31, 2 ** 31 - 1], [-5, 40000, 3]]
+        scale, offset = (0.001, 0.001, 0.01), (500000.0, 5200000.0, -10.0)
+        records = np.zeros(len(q), dtype=las_module._POINT_DTYPE)
+        records["xyz"] = q
+        data = _las_with_records(records)
+        struct.pack_into("<3d", data, 131, *scale)
+        struct.pack_into("<3d", data, 155, *offset)
+        assert read_las(bytes(data)).xyz.tolist() == [
+            [v * s + o for v, s, o in zip(row, scale, offset)] for row in q
+        ]
+
+    def test_every_16_bit_colour_rounds_to_the_nearest_8_bit(self):
+        c = np.arange(65538) % 65536
+        records = np.zeros(len(c) // 3, dtype=las_module._POINT_DTYPE)
+        records["rgb"] = c.reshape(-1, 3)
+        colors = read_las(bytes(_las_with_records(records))).colors
+        assert colors[:, :3].ravel().tolist() == [round(v / 257) for v in c.tolist()]
+        assert (colors[:, 3] == 255).all()
+
     @settings(max_examples=20, deadline=None)
     @given(n=st.integers(min_value=0, max_value=50), seed=st.integers(0, 2**16))
     def test_round_trip_property(self, n, seed):
@@ -159,6 +191,13 @@ class TestLas:
         if n:
             assert np.abs(back.xyz - cloud.xyz).max() <= 0.00005 + 1e-12
             assert np.array_equal(back.colors[:, :3], cloud.colors[:, :3])
+
+
+def _las_with_records(records: np.ndarray) -> bytearray:
+    """write_las's header for len(records) points, then the records."""
+    data = bytearray(write_las(PointCloud(xyz=np.zeros((len(records), 3)))))
+    data[las_module.HEADER_SIZE:] = records.tobytes()
+    return data
 
 
 def _write_las_loop(cloud: PointCloud) -> bytes:
@@ -459,13 +498,6 @@ class TestWorldFile:
         assert [float(v) for v in lines] == [
             0.05, 0.0, 0.0, -0.05, 680000.0, 3075000.0,
         ]
-        assert read_world_file("\n".join(lines)) == (
-            0.05, 0.0, 0.0, -0.05, 680000.0, 3075000.0,
-        )
-
-    def test_rotation_rejected(self):
-        with pytest.raises(MalformedHeader):
-            read_world_file("1\n0.1\n0\n-1\n0\n0\n")
 
 
 class TestNetpbm:
@@ -744,7 +776,6 @@ PARSERS = [
     parse_corner_csv,
     parse_wkt_polygon,
     read_calibration,
-    read_world_file,
 ]
 
 
@@ -764,7 +795,6 @@ def _seed_corpus():
         b"view_index,corner_index,px,py\n0,0,1,2\n0,1,3,4\n",
         b"POLYGON ((0 0, 4 0, 4 4, 0 4, 0 0))",
         write_calibration(intr, 0.12).encode(),
-        write_world_file(geom).encode(),
     ]
 
 
